@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 
 from .errors import (ArityMismatchError, ConfigError, ConvergenceWarning,
                      DegreeMismatchError, DimensionMismatchError, DomainError,
-                     EngineError, EnumerationCapError, ParseError)
+                     EngineError, EnumerationCapError, ParseError,
+                     SamplingError)
 from .formality import (ghost_argument_count, graded_symmetry_check,
                         linfty_check, u_n)
 from .graphs import KGraph, count_graphs, enumerate_graphs, parse, serialize, star_graphs
@@ -46,5 +47,5 @@ __all__ = [
     "u_n", "ghost_argument_count", "graded_symmetry_check", "linfty_check",
     "EngineError", "DomainError", "ParseError", "EnumerationCapError",
     "DegreeMismatchError", "ArityMismatchError", "DimensionMismatchError",
-    "ConfigError", "ConvergenceWarning",
+    "ConfigError", "SamplingError", "ConvergenceWarning",
 ]

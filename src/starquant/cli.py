@@ -7,8 +7,8 @@ Primary artifacts are byte-deterministic for a fixed explicit --seed;
 the manifest carries the only wall-clock-dependent field.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 resource cap exceeded.  STARQUANT_THREADS caps the integration
-thread pool.
+3 resource cap exceeded, 4 sampling failure.  STARQUANT_THREADS (an
+integer >= 1) caps the integration thread pool.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     ParseError,
+    SamplingError,
 )
 from .formality import graded_symmetry_check, linfty_check
 from .graphs import (
@@ -463,6 +464,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except SamplingError as exc:
+        print(f"sampling failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -33,5 +33,9 @@ class ConfigError(EngineError, ValueError):
     """Invalid integration or engine configuration."""
 
 
+class SamplingError(EngineError, RuntimeError):
+    """Guarded samples kept failing after every allowed redraw."""
+
+
 class ConvergenceWarning(UserWarning):
     """Statistical error above the requested target at the sample budget."""

@@ -72,12 +72,6 @@ class KGraph:
     def has_doubled_edge(self) -> bool:
         return not self.is_strict()
 
-    def is_ground(self, target: int) -> bool:
-        return target >= self.n
-
-    def ground_index(self, target: int) -> int:
-        return target - self.n
-
     def in_edges(self, vertex: int) -> list[tuple[int, int]]:
         """(source, slot) pairs of edges pointing at `vertex`."""
         return [(i, s) for i, s, t in self.edges() if t == vertex]
@@ -249,3 +243,29 @@ def star_graphs(order: int, *, cap: int = DEFAULT_CAP) -> list[KGraph]:
     """Order-n graphs of the binary star expansion: two ground vertices,
     every aerial vertex of out-degree two."""
     return enumerate_graphs(order, 2, [1] * order, strict=True, cap=cap)
+
+
+def orbit_representative(g: KGraph) -> tuple[KGraph, int]:
+    """Least graph of g's orbit under aerial relabelling and out-edge
+    swaps, and sign = (-1)^swaps.  With the same antisymmetric bivector
+    at every aerial vertex, op(g) = sign x op(rep) and likewise the
+    weights; an orbit reaching a graph by swaps of both parities has
+    zero operator and weight, so the sign chosen there is immaterial.
+    """
+    if g.m != 2 or any(len(t) != 2 for t in g.out_edges):
+        raise ParseError("orbits need a star graph: m=2, two out-edges each")
+    n = g.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        relabel = perm + (n, n + 1)
+        rows = [()] * n
+        sign = 1
+        for i, (a, b) in enumerate(g.out_edges):
+            a, b = relabel[a], relabel[b]
+            if a > b:
+                a, b = b, a
+                sign = -sign
+            rows[perm[i]] = (a, b)
+        if best is None or tuple(rows) < best[0]:
+            best = (tuple(rows), sign)
+    return KGraph(n, 2, best[0]), best[1]

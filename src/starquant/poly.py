@@ -159,6 +159,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if QI.try_coerce(other) is None:
+                return NotImplemented
             if self.terms and len(self.terms) > 1:
                 return False
             return self == Polynomial.constant(self.dim, other)

@@ -12,6 +12,13 @@ first-order sensitivity to one weight is the symmetric difference
 (independent sampling seeds) combine in quadrature; the scalar bound
 per power is the sup of the sensitivity polynomial over a probe grid,
 by default the 3^d lattice on [-1,1]^d.
+
+Orbit sharing.  Every aerial vertex carries the same antisymmetric
+bivector, so a star graph's operator is sign x its orbit
+representative's (graphs.orbit_representative).  Operators are built,
+applied and probed once per orbit; weights stay per graph and enter
+as sign x weight, summed exactly per orbit, so results are identical
+to a graph-by-graph sum.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import KGraph, serialize, star_graphs
+from .graphs import orbit_representative, serialize, star_graphs
 from .operators import build_operator
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
@@ -147,7 +154,9 @@ class _Engine:
 
     Assembly is split from weight lookup so the same symbolic work can
     be re-run under shifted weights (sensitivity passes) at the cost
-    of a dict lookup, not a re-integration.
+    of a dict lookup, not a re-integration.  Operators and values are
+    cached per orbit (module docstring): sound because every aerial
+    vertex carries the same antisymmetric bivector self.alpha.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -162,24 +171,31 @@ class _Engine:
         self.cfg = cfg
         self.dim = alpha.dim
         self.table = cfg.table if cfg.table is not None else WeightTable()
-        self._ops = {}
+        self._rows = {}
+        self._rep_ops = {}
         self._memo = {}
 
     def operators(self, order: int) -> list:
-        """Nonzero operators of the given graph order, with serials."""
-        if order not in self._ops:
+        """Rows (graph, serial, orbit serial, sign) of the graphs of one
+        order with nonzero operator, in star_graphs order; a graph's
+        operator is sign x the operator of its orbit representative."""
+        if order not in self._rows:
             rows = []
             for g in star_graphs(order):
-                op = build_operator(g, [self.alpha] * order)
-                if op.terms:
-                    rows.append((g, op, serialize(g)))
-            self._ops[order] = rows
-        return self._ops[order]
+                rep, sign = orbit_representative(g)
+                key = serialize(rep)
+                if key not in self._rep_ops:
+                    self._rep_ops[key] = build_operator(
+                        rep, [self.alpha] * order)
+                if self._rep_ops[key].terms:
+                    rows.append((g, serialize(g), key, sign))
+            self._rows[order] = rows
+        return self._rows[order]
 
     def contributing_graphs(self) -> list:
         out = []
         for j in range(1, self.cfg.order + 1):
-            out.extend(g for g, _, _ in self.operators(j))
+            out.extend(row[0] for row in self.operators(j))
         return out
 
     def ensure_weights(self) -> None:
@@ -214,11 +230,12 @@ class _Engine:
                 out[serialize(g)] = est.std_error
         return out
 
-    def _apply(self, ser: str, op, fk: Polynomial, gl: Polynomial):
-        key = (ser, _poly_key(fk), _poly_key(gl))
+    def _apply(self, rep: str, fk: Polynomial, gl: Polynomial):
+        """Value of orbit representative `rep`'s operator on (fk, gl)."""
+        key = (rep, _poly_key(fk), _poly_key(gl))
         hit = self._memo.get(key)
         if hit is None:
-            hit = op.apply((fk, gl))
+            hit = self._rep_ops[rep].apply((fk, gl))
             self._memo[key] = hit
         return hit
 
@@ -232,8 +249,12 @@ class _Engine:
         coeffs = [out.coefficient(k) for k in range(N + 1)]
         for j in range(1, N + 1):
             scale = _HALF_I ** j
-            for g, op, ser in self.operators(j):
-                w = wmap[ser]
+            orbit_w = {}
+            for _, ser, rep, sign in self.operators(j):
+                orbit_w[rep] = orbit_w.get(rep, QI(0)) + sign * wmap[ser]
+            for rep, w in orbit_w.items():
+                if w.is_zero():
+                    continue
                 for k in range(N - j + 1):
                     fk = F.coefficient(k)
                     if fk.is_zero():
@@ -242,11 +263,28 @@ class _Engine:
                         gl = G.coefficient(l)
                         if gl.is_zero():
                             continue
-                        p = self._apply(ser, op, fk, gl)
+                        p = self._apply(rep, fk, gl)
                         if not p.is_zero():
                             coeffs[j + k + l] = coeffs[j + k + l] \
                                 + p * (scale * w)
         return FormalSeries(self.dim, N, coeffs)
+
+    def probe_bounds(self, value) -> tuple:
+        """Per power j, 2^-j x the quadrature over graphs of std_error x
+        probe sup of value(orbit representative); |+-p| = |p|, so each
+        orbit is probed once."""
+        sig = self.sigmas()
+        bounds = [0.0] * (self.cfg.order + 1)
+        for j in range(1, self.cfg.order + 1):
+            sups = {}
+            acc = 0.0
+            for _, ser, rep, _ in self.operators(j):
+                if ser in sig:
+                    if rep not in sups:
+                        sups[rep] = probe_sup(value(rep), self.cfg.probe)
+                    acc += (sig[ser] * sups[rep]) ** 2
+            bounds[j] = math.sqrt(acc) / 2 ** j
+        return tuple(bounds)
 
 
 def star_expansion(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
@@ -260,20 +298,12 @@ def star_expansion(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
     eng = _Engine(alpha, cfg)
     eng.ensure_weights()
     wmap = eng.base_weights()
-    sig = eng.sigmas()
     N = cfg.order
     F = FormalSeries.from_polynomial(f, N)
     G = FormalSeries.from_polynomial(g, N)
     series = eng.star_series(F, G, wmap)
-    bounds = [0.0] * (N + 1)
-    for j in range(1, N + 1):
-        acc = 0.0
-        for _, op, ser in eng.operators(j):
-            if ser in sig:
-                p = eng._apply(ser, op, f, g)
-                acc += (sig[ser] * probe_sup(p, cfg.probe)) ** 2
-        bounds[j] = math.sqrt(acc) / 2 ** j
-    return StarExpansion(series, tuple(bounds), eng.table)
+    bounds = eng.probe_bounds(lambda rep: eng._apply(rep, f, g))
+    return StarExpansion(series, bounds, eng.table)
 
 
 def star(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
@@ -438,17 +468,10 @@ def poisson_center_probe(f: Polynomial, g: Polynomial,
     eng = _Engine(alpha, cfg)
     eng.ensure_weights()
     wmap = eng.base_weights()
-    sig = eng.sigmas()
     N = cfg.order
     F = FormalSeries.from_polynomial(f, N)
     G = FormalSeries.from_polynomial(g, N)
     comm = eng.star_series(F, G, wmap) - eng.star_series(G, F, wmap)
-    bounds = [0.0] * (N + 1)
-    for j in range(1, N + 1):
-        acc = 0.0
-        for _, op, ser in eng.operators(j):
-            if ser in sig:
-                p = eng._apply(ser, op, f, g) - eng._apply(ser, op, g, f)
-                acc += (sig[ser] * probe_sup(p, cfg.probe)) ** 2
-        bounds[j] = math.sqrt(acc) / 2 ** j
-    return CenterProbeReport(central, tuple(gradient), comm, tuple(bounds))
+    bounds = eng.probe_bounds(
+        lambda rep: eng._apply(rep, f, g) - eng._apply(rep, g, f))
+    return CenterProbeReport(central, tuple(gradient), comm, bounds)

@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import ConfigError, ConvergenceWarning, DegreeMismatchError
+from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
+                     SamplingError)
 from .graphs import KGraph, serialize
 
 TWO_PI = 2.0 * math.pi
@@ -259,7 +260,8 @@ def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int
         bad = np.isnan(vals)
         if not bad.any():
             return vals
-    raise RuntimeError("sample redraw failed to escape the guard")
+    raise SamplingError(
+        f"sample redraws for {serialize(graph)} failed to escape the guard")
 
 
 def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
@@ -451,7 +453,11 @@ class WeightTable:
             else:
                 jobs.append(g)
         if jobs:
-            workers = int(os.environ.get("STARQUANT_THREADS", "1"))
+            raw = os.environ.get("STARQUANT_THREADS", "1")
+            workers = int(raw) if raw.strip().isdecimal() else 0
+            if workers < 1:
+                raise ConfigError(
+                    f"STARQUANT_THREADS must be an integer >= 1, got {raw!r}")
             fn = (lambda g: weight(
                 g, cfg, seed=stable_seed(cfg.seed, serialize(g))))
             if workers > 1:

@@ -79,6 +79,23 @@ class TestWeight:
         bad.write_text("{not json")
         assert main(["weight", "--graphs", str(bad)]) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
+    def test_bad_thread_count_exit_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("STARQUANT_THREADS", value)
+        assert main(["weight", "-n", "1", "--samples", "1024"]) == 2
+        assert "STARQUANT_THREADS" in capsys.readouterr().err
+
+    def test_sampling_failure_exit_4(self, monkeypatch, capsys):
+        import numpy as np
+
+        from starquant import weights
+        from starquant.errors import EngineError, SamplingError
+        assert issubclass(SamplingError, EngineError)
+        monkeypatch.setattr(weights, "_evaluate",
+                            lambda graph, u: np.full(len(u), np.nan))
+        assert main(["weight", "-n", "1", "--samples", "1024"]) == 4
+        assert "sampling failure" in capsys.readouterr().err
+
 
 class TestStar:
     def test_symplectic_xy(self, tmp_path, sympl_file, capsys):

@@ -1,0 +1,228 @@
+"""Orbits of star graphs under aerial relabelling and out-edge swaps,
+and the orbit-shared star assembly checked against a graph-by-graph
+reference."""
+import importlib
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from starquant.errors import ParseError
+from starquant.graphs import (KGraph, enumerate_graphs, orbit_representative,
+                              serialize, star_graphs)
+from starquant.operators import build_operator
+from starquant.poly import Polynomial
+from starquant.polyvector import PolyVectorField
+from starquant.rational import QI
+from starquant.series import FormalSeries
+from starquant.star import (StarConfig, check_associativity,
+                            poisson_center_probe, probe_sup, star_expansion)
+from starquant.weights import IntegrationConfig, WeightTable
+
+from helpers import so3_alpha
+
+HALF_I = QI(0, Fraction(1, 2))
+star_mod = importlib.import_module("starquant.star")  # star() shadows it
+
+
+def dim2_alpha() -> PolyVectorField:
+    """(x0^2 + x1) d0 ^ d1; every bivector in dimension 2 is Poisson."""
+    return PolyVectorField(2, 1, {
+        (0, 1): Polynomial.monomial(2, (2, 0)) + Polynomial.variable(2, 1)})
+
+
+def transform(g: KGraph, perm, swaps) -> KGraph:
+    """Relabel aerial vertex i as perm[i] and swap the out-edges of the
+    (old) vertices flagged in swaps."""
+    n = g.n
+    relabel = tuple(perm) + (n, n + 1)
+    rows = [()] * n
+    for i, (a, b) in enumerate(g.out_edges):
+        pair = (relabel[a], relabel[b])
+        rows[perm[i]] = pair[::-1] if swaps[i] else pair
+    return KGraph(n, 2, tuple(rows))
+
+
+class TestOrbitMap:
+    @pytest.mark.parametrize("order,count", [(1, 1), (2, 6), (3, 44)])
+    def test_orbit_counts(self, order, count):
+        reps = {orbit_representative(g)[0] for g in star_graphs(order)}
+        assert len(reps) == count
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_representative_is_idempotent(self, order):
+        for g in star_graphs(order):
+            rep, sign = orbit_representative(g)
+            assert sign in (1, -1)
+            assert orbit_representative(rep) == (rep, 1)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_members_share_the_representative(self, order):
+        rng = random.Random(order)
+        for g in star_graphs(order):
+            perm = list(range(order))
+            rng.shuffle(perm)
+            swaps = [rng.random() < 0.5 for _ in range(order)]
+            h = transform(g, perm, swaps)
+            assert orbit_representative(h)[0] == orbit_representative(g)[0]
+
+    def test_rejects_non_star_graphs(self):
+        with pytest.raises(ParseError):
+            orbit_representative(enumerate_graphs(1, 3, [2])[0])
+        with pytest.raises(ParseError):
+            orbit_representative(KGraph(1, 2, ((1,),)))
+
+
+class TestOperatorSigns:
+    @pytest.mark.parametrize("order,alpha", [
+        (2, so3_alpha()), (2, dim2_alpha()), (3, dim2_alpha())])
+    def test_member_is_signed_representative(self, order, alpha):
+        fields = [alpha] * order
+        rep_ops = {}
+        nonzero = 0
+        for g in star_graphs(order):
+            rep, sign = orbit_representative(g)
+            if rep not in rep_ops:
+                rep_ops[rep] = build_operator(rep, fields)
+            op = build_operator(g, fields)
+            assert op == rep_ops[rep] * sign, serialize(g)
+            nonzero += bool(op.terms)
+        assert nonzero  # the check is not vacuous
+
+    def test_engine_builds_one_operator_per_orbit(self, monkeypatch):
+        calls = []
+
+        def counting(graph, fields, dim=None):
+            calls.append(graph)
+            return build_operator(graph, fields, dim)
+
+        monkeypatch.setattr(star_mod, "build_operator", counting)
+        rows = star_mod._Engine(so3_alpha(), StarConfig(order=3)).operators(3)
+        assert len(calls) <= 44
+        ops = {rep: build_operator(rep, [so3_alpha()] * 3) for rep in calls}
+        assert [r[0] for r in rows] == [
+            g for g in star_graphs(3) if ops[orbit_representative(g)[0]].terms]
+
+
+# -- graph-by-graph reference assembly ------------------------------------
+
+class Reference:
+    """Star assembly with one operator per graph, no orbit sharing."""
+
+    def __init__(self, alpha, table, order, probe=(-1, 0, 1)):
+        self.dim, self.order, self.probe = alpha.dim, order, probe
+        self.rows = {}
+        self.wmap, self.sig = {}, {}
+        self.values = {}
+        for j in range(1, order + 1):
+            self.rows[j] = []
+            for g in star_graphs(j):
+                op = build_operator(g, [alpha] * j)
+                if not op.terms:
+                    continue
+                ser = serialize(g)
+                self.rows[j].append((op, ser))
+                est = table.get(g)
+                exact = est.exact if est.exact is not None else Fraction(
+                    est.value)
+                self.wmap[ser] = QI(exact)
+                if est.std_error:
+                    self.sig[ser] = est.std_error
+
+    def series(self, F, G, wmap):
+        N = self.order
+        out = F.truncate(N) * G.truncate(N)
+        coeffs = [out.coefficient(k) for k in range(N + 1)]
+        for j in range(1, N + 1):
+            scale = HALF_I ** j
+            for op, ser in self.rows[j]:
+                for k, l in itertools.product(range(N + 1), repeat=2):
+                    if j + k + l <= N:
+                        args = (F.coefficient(k), G.coefficient(l))
+                        if (ser, args) not in self.values:
+                            self.values[ser, args] = op.apply(args)
+                        p = self.values[ser, args]
+                        coeffs[j + k + l] = coeffs[j + k + l] \
+                            + p * (scale * wmap[ser])
+        return FormalSeries(self.dim, N, coeffs)
+
+    def probe_bounds(self, value):
+        bounds = [0.0]
+        for j in range(1, self.order + 1):
+            acc = 0.0
+            for op, ser in self.rows[j]:
+                if ser in self.sig:
+                    acc += (self.sig[ser] * probe_sup(value(op),
+                                                      self.probe)) ** 2
+            bounds.append(math.sqrt(acc) / 2 ** j)
+        return tuple(bounds)
+
+    def sensitivity_bounds(self, evaluate):
+        acc = [0.0] * (self.order + 1)
+        for ser, sigma in self.sig.items():
+            up, down = dict(self.wmap), dict(self.wmap)
+            up[ser] = self.wmap[ser] + QI(1)
+            down[ser] = self.wmap[ser] - QI(1)
+            diff = (evaluate(up) - evaluate(down)) * QI(Fraction(1, 2))
+            for k in range(self.order + 1):
+                acc[k] += (sigma * probe_sup(diff.coefficient(k),
+                                             self.probe)) ** 2
+        return tuple(math.sqrt(a) for a in acc)
+
+
+CASES = {"so3": so3_alpha, "dim2": dim2_alpha}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def seeded(request):
+    """A bivector, its input polynomials, and a small seeded order-2
+    table filled by one star product."""
+    alpha = CASES[request.param]()
+    x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
+    polys = (x[0] * x[1], x[1], x[0] * x[0])
+    cfg = StarConfig(order=2, table=WeightTable(),
+                     integration=IntegrationConfig(seed=17, n_samples=4096))
+    star_expansion(polys[0], polys[1], alpha, cfg)
+    return alpha, polys, cfg, Reference(alpha, cfg.table, 2)
+
+
+class TestReferenceAssembly:
+    def test_star_expansion(self, seeded):
+        alpha, (f, g, _), cfg, ref = seeded
+        exp = star_expansion(f, g, alpha, cfg)
+        F, G = (FormalSeries.from_polynomial(p, 2) for p in (f, g))
+        assert exp.series == ref.series(F, G, ref.wmap)
+        assert exp.bounds == ref.probe_bounds(lambda op: op.apply((f, g)))
+        assert any(exp.bounds)
+
+    def test_check_associativity(self, seeded):
+        alpha, (f, g, h), cfg, ref = seeded
+        report = check_associativity(f, g, h, alpha, cfg)
+        F, G, H = (FormalSeries.from_polynomial(p, 2) for p in (f, g, h))
+
+        def residual(w):
+            return (ref.series(ref.series(F, G, w), H, w)
+                    - ref.series(F, ref.series(G, H, w), w))
+
+        base = residual(ref.wmap)
+        bounds = ref.sensitivity_bounds(residual)
+        assert len(report.rows) == 3
+        for row in report.rows:
+            p = base.coefficient(row.power)
+            assert row.residual == p
+            assert row.residual_max == p.max_abs_coeff()
+            assert row.bound == bounds[row.power]
+            assert row.passed == (p.max_abs_coeff()
+                                  <= cfg.policy * bounds[row.power])
+        assert any(bounds)
+
+    def test_poisson_center_probe(self, seeded):
+        alpha, (f, g, _), cfg, ref = seeded
+        rep = poisson_center_probe(f, g, alpha, cfg)
+        F, G = (FormalSeries.from_polynomial(p, 2) for p in (f, g))
+        assert rep.commutator == (ref.series(F, G, ref.wmap)
+                                  - ref.series(G, F, ref.wmap))
+        assert rep.bounds == ref.probe_bounds(
+            lambda op: op.apply((f, g)) - op.apply((g, f)))

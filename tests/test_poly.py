@@ -81,6 +81,16 @@ class TestPolynomialRing:
         with pytest.raises(DimensionMismatchError):
             Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
 
+    def test_eq_with_non_scalars(self):
+        x = Polynomial.variable(2, 0)
+        for other in (None, "x0", object(), [1]):
+            assert not x == other
+            assert x != other
+            assert not Polynomial.zero(2) == other
+        assert Polynomial.constant(2, 3) == 3
+        assert Polynomial.zero(2) == 0
+        assert x != 1
+
     def test_conjugate(self):
         p = Polynomial.constant(1, I) * Polynomial.variable(1, 0)
         assert p.conjugate() == Polynomial.constant(1, -I) * Polynomial.variable(1, 0)
