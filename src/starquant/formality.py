@@ -15,7 +15,11 @@ star expansion: the hbar^n star coefficient is i^n u_n(a,...,a).
 
 The identity checks put statistical bounds on the graded symmetry of
 u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
-bracket side is the exact trivector closed form.
+bracket side is the exact trivector closed form.  Values are
+star.Measured with one error source per sampled graph; a registry
+(serial -> (estimate, std_error)) shared within one check lets
+repeated occurrences of a graph reuse one estimate, so their
+sensitivities add before squaring in star.quadrature_bound.
 """
 from __future__ import annotations
 
@@ -29,7 +33,8 @@ from .operators import build_operator
 from .poly import Polynomial
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
-from .star import ResidualReport, ResidualRow, StarConfig, probe_sup
+from .star import (Measured, ResidualReport, ResidualRow, StarConfig,
+                   quadrature_bound)
 from .weights import TWO_PI, integrate_graph_form, stable_seed
 
 # Sign relating the assembled composition side of the coherence
@@ -43,43 +48,6 @@ LINFTY_RHS_SIGN = -1
 def ghost_argument_count(n: int, degrees) -> int:
     """Argument count at which u_n can be nonzero: 2 - n + sum p_i."""
     return 2 - n + sum(degrees)
-
-
-class _Registry:
-    """Shared raw estimates and their spreads within one check.
-
-    Keyed by graph serialization so repeated occurrences of a graph
-    across composition terms reuse one estimate and their
-    sensitivities add before squaring.
-    """
-
-    def __init__(self):
-        self.raw = {}
-        self.sigma = {}
-
-
-class _Measured:
-    """Polynomial value plus sensitivity polynomials per raw estimate."""
-
-    __slots__ = ("value", "sens")
-
-    def __init__(self, value: Polynomial, sens: dict | None = None):
-        self.value = value
-        self.sens = sens or {}
-
-    @classmethod
-    def exact(cls, p: Polynomial) -> "_Measured":
-        return cls(p)
-
-    def scaled(self, c: QI) -> "_Measured":
-        return _Measured(self.value * c,
-                         {s: p * c for s, p in self.sens.items()})
-
-    def plus(self, other: "_Measured") -> "_Measured":
-        sens = dict(self.sens)
-        for s, p in other.sens.items():
-            sens[s] = sens[s] + p if s in sens else p
-        return _Measured(self.value + other.value, sens)
 
 
 def _check_dims(fields, args):
@@ -112,7 +80,7 @@ def _u1_closed(field: PolyVectorField, args) -> Polynomial:
     return out * sign
 
 
-def _u_numeric(fields, args, cfg: StarConfig, reg: _Registry) -> _Measured:
+def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
     """Labeled graph sum with raw integrals; args applied reversed.
 
     Two-ground graphs reuse the star weight table when the config
@@ -141,50 +109,44 @@ def _u_numeric(fields, args, cfg: StarConfig, reg: _Registry) -> _Measured:
         if applied.is_zero():
             continue
         ser = serialize(g)
-        if ser in reg.raw:
-            est, sig = reg.raw[ser], reg.sigma.get(ser, 0.0)
-        elif table is not None:
-            table.ensure([g], integration, use_exact=True)
-            went = table.get(g)
-            w = went.exact if went.exact is not None else Fraction(went.value)
-            est = QI(w * math.factorial(n))
-            sig = went.std_error * math.factorial(n)
-            reg.raw[ser] = est
-            if sig:
-                reg.sigma[ser] = sig
-        else:
-            raw, raw_se, _ = integrate_graph_form(
-                g, integration,
-                seed=stable_seed(integration.seed, "raw", ser))
-            est = QI(Fraction(raw / scale))
-            sig = raw_se / scale
-            reg.raw[ser] = est
-            if sig:
-                reg.sigma[ser] = sig
+        if ser not in reg:
+            if table is not None:
+                table.ensure([g], integration, use_exact=True)
+                went = table.get(g)
+                w = went.exact if went.exact is not None \
+                    else Fraction(went.value)
+                reg[ser] = (QI(w * math.factorial(n)),
+                            went.std_error * math.factorial(n))
+            else:
+                raw, raw_se, _ = integrate_graph_form(
+                    g, integration,
+                    seed=stable_seed(integration.seed, "raw", ser))
+                reg[ser] = (QI(Fraction(raw / scale)), raw_se / scale)
+        est, sig = reg[ser]
         contribution = applied * (rational * est)
         value = value + contribution
         if sig:
             grad = applied * rational
             sens[ser] = sens[ser] + grad if ser in sens else grad
-    return _Measured(value, sens)
+    return Measured(value, sens)
 
 
-def _apply_u(fields, args, cfg: StarConfig, reg: _Registry) -> _Measured:
+def _apply_u(fields, args, cfg: StarConfig, reg: dict) -> Measured:
     """Ghost-gated u_n on plain polynomial arguments."""
     n = len(fields)
     dim = _check_dims(fields, args)
     if len(args) != ghost_argument_count(n, [f.degree for f in fields]):
-        return _Measured.exact(Polynomial.zero(dim))
+        return Measured(Polynomial.zero(dim))
     if n == 0:
-        return _Measured.exact(args[0] * args[1])
+        return Measured(args[0] * args[1])
     if n == 1:
-        return _Measured.exact(_u1_closed(fields[0], args))
+        return Measured(_u1_closed(fields[0], args))
     return _u_numeric(fields, args, cfg, reg)
 
 
 def _apply_u_carrying(fields, args, cfg: StarConfig,
-                      reg: _Registry) -> _Measured:
-    """As _apply_u but arguments are _Measured; multilinear first order."""
+                      reg: dict) -> Measured:
+    """As _apply_u but arguments are Measured; multilinear first order."""
     n = len(fields)
     values = [a.value for a in args]
     base = _apply_u(fields, values, cfg, reg)
@@ -209,7 +171,7 @@ def _apply_u_carrying(fields, args, cfg: StarConfig,
             else:
                 push = _u1_closed(fields[0], sub)
             sens[ser] = sens[ser] + push if ser in sens else push
-    return _Measured(base.value, sens)
+    return Measured(base.value, sens)
 
 
 def u_n(fields, args, cfg: StarConfig | None = None, *,
@@ -230,20 +192,15 @@ def u_n(fields, args, cfg: StarConfig | None = None, *,
                 f"u_{n} on these degrees takes {want} arguments, "
                 f"got {len(args)}")
         return Polynomial.zero(dim)
-    return _apply_u(fields, args, cfg, _Registry()).value
+    return _apply_u(fields, args, cfg, {}).value
 
 
-def _bound_from(sens: dict, reg: _Registry, probe) -> float:
-    acc = 0.0
-    for ser, poly in sens.items():
-        acc += (reg.sigma.get(ser, 0.0) * probe_sup(poly, probe)) ** 2
-    return math.sqrt(acc)
-
-
-def _single_row_report(identity, value, sens, reg, cfg) -> ResidualReport:
-    bound = _bound_from(sens, reg, cfg.probe)
-    m = value.max_abs_coeff()
-    row = ResidualRow(0, value, m, bound, m <= cfg.policy * bound)
+def _single_row_report(identity, resid: Measured, reg: dict,
+                       cfg) -> ResidualReport:
+    bound = quadrature_bound(resid, [(s, reg[s][1]) for s in resid.sens],
+                             cfg.probe)
+    m = resid.value.max_abs_coeff()
+    row = ResidualRow(0, resid.value, m, bound, m <= cfg.policy * bound)
     return ResidualReport(identity, cfg.policy, (row,))
 
 
@@ -266,12 +223,10 @@ def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
     sign = QI((-1) ** (gi * gj))
     swapped = list(fields)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    reg = _Registry()
+    reg = {}
     a = _apply_u(list(fields), list(args), cfg, reg)
     b = _apply_u(swapped, list(args), cfg, reg)
-    resid = a.plus(b.scaled(-sign))
-    return _single_row_report("graded symmetry", resid.value, resid.sens,
-                              reg, cfg)
+    return _single_row_report("graded symmetry", a + b * -sign, reg, cfg)
 
 
 def _eps_shuffle(sigma, gs, split) -> int:
@@ -308,8 +263,8 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
         raise ConfigError("coherence check needs at least two arguments")
     gs = [f.degree - 1 for f in fields]
     msign = -1 if m % 2 else 1
-    reg = _Registry()
-    acc = _Measured.exact(Polynomial.zero(dim))
+    reg = {}
+    acc = Measured(Polynomial.zero(dim))
     for split in range(n + 1):
         for chosen in itertools.combinations(range(n), split):
             rest = tuple(t for t in range(n) if t not in chosen)
@@ -325,13 +280,13 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
                                      cfg, reg)
                     if inner.value.is_zero() and not inner.sens:
                         continue
-                    outer_args = [_Measured.exact(a) for a in args[:i]] \
+                    outer_args = [Measured(a) for a in args[:i]] \
                         + [inner] \
-                        + [_Measured.exact(a) for a in args[i + k + 1:]]
+                        + [Measured(a) for a in args[i + k + 1:]]
                     term = _apply_u_carrying(outer_fields, outer_args,
                                              cfg, reg)
                     face = -1 if (k * (i + 1)) % 2 else 1
-                    acc = acc.plus(term.scaled(QI(mult_base * face)))
+                    acc = acc + term * QI(mult_base * face)
     if n == 2:
         bracket = schouten(fields[0], fields[1])
         rhs_args_want = ghost_argument_count(1, [bracket.degree])
@@ -341,6 +296,5 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
             rhs = _u1_closed(bracket, list(args))
             eps12 = _eps_pair(0, 1, gs)
             coef = QI(-LINFTY_RHS_SIGN * eps12 * math.factorial(n - 1))
-            acc = acc.plus(_Measured.exact(rhs * coef))
-    return _single_row_report("linfty coherence", acc.value, acc.sens,
-                              reg, cfg)
+            acc = acc + Measured(rhs * coef)
+    return _single_row_report("linfty coherence", acc, reg, cfg)

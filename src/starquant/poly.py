@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ParseError
 from .rational import QI
 
 
@@ -169,37 +169,23 @@ class Polynomial:
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
-    def __call__(self, point) -> complex:
-        """Evaluate at a point (floats/complex); returns complex."""
-        pt = [complex(x) for x in point]
-        if len(pt) != self.dim:
-            raise DimensionMismatchError("evaluation point has wrong length")
-        total = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
-
     def eval_exact(self, point) -> QI:
         """Evaluate at exact rational coordinates."""
+        xs = [QI.coerce(x) for x in point]
+        powers = {}
         total = QI(0)
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(point, e):
+            for i, (x, k) in enumerate(zip(xs, e)):
                 if k:
-                    v = v * (QI.coerce(x) ** k)
+                    if (i, k) not in powers:
+                        powers[i, k] = x ** k
+                    v = v * powers[i, k]
             total = total + v
         return total
 
     def conjugate(self) -> "Polynomial":
         return Polynomial(self.dim, {e: c.conjugate() for e, c in self.terms.items()})
-
-    def abs_coeffs(self) -> "Polynomial":
-        """Coefficient-wise |.| as exact dyadic values; used for error bounds."""
-        return Polynomial(self.dim, {e: Fraction(abs(c)) for e, c in self.terms.items()})
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -230,7 +216,10 @@ class Polynomial:
     def from_json_obj(dim: int, obj: list) -> "Polynomial":
         terms = {}
         for entry in obj:
-            c = QI(Fraction(int(entry["num"]), int(entry.get("den", 1))),
-                   Fraction(int(entry.get("im_num", 0)), int(entry.get("im_den", 1))))
+            den, im_den = int(entry.get("den", 1)), int(entry.get("im_den", 1))
+            if den == 0 or im_den == 0:
+                raise ParseError(f"zero denominator in term {entry!r}")
+            c = QI(Fraction(int(entry["num"]), den),
+                   Fraction(int(entry.get("im_num", 0)), im_den))
             terms[tuple(entry["exps"])] = c
         return Polynomial(dim, terms)

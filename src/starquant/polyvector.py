@@ -47,12 +47,6 @@ def sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int] | No
     return tuple(idx), sign
 
 
-def _merge_disjoint(t1: tuple[int, ...], t2: tuple[int, ...]):
-    """Merge two increasing disjoint tuples; None if they intersect."""
-    res = sort_with_sign(t1 + t2)
-    return res
-
-
 class PolyVectorField:
     __slots__ = ("dim", "degree", "components")
 
@@ -180,7 +174,7 @@ def wedge(a: PolyVectorField, b: PolyVectorField) -> PolyVectorField:
         return PolyVectorField.zero(a.dim, min(out_degree, a.dim - 1))
     for t1, p1 in a.components.items():
         for t2, p2 in b.components.items():
-            merged = _merge_disjoint(t1, t2)
+            merged = sort_with_sign(t1 + t2)
             if merged is None:
                 continue
             key, sign = merged
@@ -213,7 +207,7 @@ def _half_bracket(a_comps, b_comps, dim: int):
                 dp2 = p2.diff(l)
                 if dp2.is_zero():
                     continue
-                merged = _merge_disjoint(t1, t2)
+                merged = sort_with_sign(t1 + t2)
                 if merged is None:
                     continue
                 key, sign = merged

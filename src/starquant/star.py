@@ -5,20 +5,22 @@ graphs of weight x operator value.  Weights come from a shared
 WeightTable; their statistical errors are pushed through every
 derived quantity, so each report carries a per-power bound.
 
-Error model.  A star coefficient is linear in the table weights and a
-composite like (f*g)*h - f*(g*h) is at most quadratic, so the exact
-first-order sensitivity to one weight is the symmetric difference
-(R(w+1) - R(w-1))/2 taken in exact arithmetic.  Independent graphs
-(independent sampling seeds) combine in quadrature; the scalar bound
-per power is the sup of the sensitivity polynomial over a probe grid,
-by default the 3^d lattice on [-1,1]^d.
-
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
 bivector, so a star graph's operator is sign x its orbit
-representative's (graphs.orbit_representative).  Operators are built,
-applied and probed once per orbit; weights stay per graph and enter
-as sign x weight, summed exactly per orbit, so results are identical
-to a graph-by-graph sum.
+representative's (graphs.orbit_representative).  Operators are built
+and applied once per orbit r, against the orbit weight
+W_r = sum of sign x weight over its members, summed exactly.
+
+Error model.  Every quantity derived here is a Measured value: an
+exact value plus, per error source, its exact first-order
+sensitivity.  A star coefficient is linear in the orbit weights and a
+composite like (f*g)*h - f*(g*h) is at most quadratic, so forward-mode
+derivatives d/dW_r carried through each star product are exact.  A
+sampled graph's sensitivity is sign x its orbit's; graphs are sampled
+with independent seeds, so quadrature_bound adds
+(std_error x probe sup of the sensitivity)^2 graph by graph, the sup
+taken over a probe grid (by default the 3^d lattice on [-1,1]^d) once
+per orbit.  formality.py carries its raw graph integrals the same way.
 """
 from __future__ import annotations
 
@@ -145,6 +147,58 @@ def probe_sup(p: Polynomial, probe=(-1, 0, 1)) -> float:
     return best
 
 
+class Measured:
+    """An exact value and its exact first-order sensitivities.
+
+    value is a Polynomial or a FormalSeries; sens maps each error
+    source to the derivative of value with respect to it, of the same
+    type, in first-seen order.  Sums and scalar multiples act on both.
+    """
+
+    __slots__ = ("value", "sens")
+
+    def __init__(self, value, sens: dict | None = None):
+        self.value = value
+        self.sens = sens or {}
+
+    def __add__(self, other: "Measured") -> "Measured":
+        sens = dict(self.sens)
+        for s, p in other.sens.items():
+            sens[s] = sens[s] + p if s in sens else p
+        return Measured(self.value + other.value, sens)
+
+    def __mul__(self, c) -> "Measured":
+        return Measured(self.value * c,
+                        {s: p * c for s, p in self.sens.items()})
+
+    def __sub__(self, other: "Measured") -> "Measured":
+        return self + other * QI(-1)
+
+    def coefficient(self, power: int) -> "Measured":
+        """The hbar^power coefficient of a series-valued measurement."""
+        return Measured(self.value.coefficient(power),
+                        {s: p.coefficient(power)
+                         for s, p in self.sens.items()})
+
+
+def quadrature_bound(m: Measured, sources, probe) -> float:
+    """sqrt of the sum over (source, sigma) pairs, in order, of
+    (sigma x probe sup of m's sensitivity to source)^2.
+
+    A source may repeat (graphs sharing an orbit); its sup is taken
+    once, and not at all when m does not depend on it.
+    """
+    sups = {}
+    acc = 0.0
+    for src, sigma in sources:
+        if src not in sups:
+            p = m.sens.get(src)
+            sups[src] = 0.0 if p is None or p.is_zero() \
+                else probe_sup(p, probe)
+        acc += (sigma * sups[src]) ** 2
+    return math.sqrt(acc)
+
+
 def _poly_key(p: Polynomial):
     return tuple(sorted((e, c.re, c.im) for e, c in p.terms.items()))
 
@@ -152,11 +206,12 @@ def _poly_key(p: Polynomial):
 class _Engine:
     """Operator cache plus weight table for one bivector and config.
 
-    Assembly is split from weight lookup so the same symbolic work can
-    be re-run under shifted weights (sensitivity passes) at the cost
-    of a dict lookup, not a re-integration.  Operators and values are
-    cached per orbit (module docstring): sound because every aerial
-    vertex carries the same antisymmetric bivector self.alpha.
+    After ensure_weights, weights holds the exact orbit weight W_r of
+    every orbit and sources lists (orbit, std_error) for each sampled
+    graph, in star_graphs order.  star_series carries d/dW_r for the
+    orbits named in sources.  Operators and values are cached per
+    orbit (module docstring): sound because every aerial vertex
+    carries the same antisymmetric bivector self.alpha.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -173,7 +228,10 @@ class _Engine:
         self.table = cfg.table if cfg.table is not None else WeightTable()
         self._rows = {}
         self._rep_ops = {}
+        self._rep_order = {}
         self._memo = {}
+        self.weights = {}
+        self.sources = []
 
     def operators(self, order: int) -> list:
         """Rows (graph, serial, orbit serial, sign) of the graphs of one
@@ -187,6 +245,7 @@ class _Engine:
                 if key not in self._rep_ops:
                     self._rep_ops[key] = build_operator(
                         rep, [self.alpha] * order)
+                    self._rep_order[key] = order
                 if self._rep_ops[key].terms:
                     rows.append((g, serialize(g), key, sign))
             self._rows[order] = rows
@@ -199,6 +258,7 @@ class _Engine:
         return out
 
     def ensure_weights(self) -> None:
+        """Fill the table, then sum orbit weights and list the sources."""
         graphs = self.contributing_graphs()
         mode = self.cfg.weights
         if mode == "exact":
@@ -211,24 +271,18 @@ class _Engine:
                     + "; use weights='auto' or 'numeric'")
         self.table.ensure(graphs, self.cfg.integration,
                           use_exact=mode in ("auto", "exact"))
+        for j in range(1, self.cfg.order + 1):
+            for g, _, rep, sign in self.operators(j):
+                est = self.table.get(g)
+                val = est.exact if est.exact is not None else Fraction(est.value)
+                self.weights[rep] = self.weights.get(rep, QI(0)) \
+                    + sign * QI(val)
+                if est.std_error:
+                    self.sources.append((rep, est.std_error))
 
-    def base_weights(self) -> dict:
-        """Serial -> exact-rational weight value (dyadic for estimates)."""
-        out = {}
-        for g in self.contributing_graphs():
-            est = self.table.get(g)
-            val = est.exact if est.exact is not None else Fraction(est.value)
-            out[serialize(g)] = QI(val)
-        return out
-
-    def sigmas(self) -> dict:
-        """Serial -> nonzero std_error, for graphs that carry one."""
-        out = {}
-        for g in self.contributing_graphs():
-            est = self.table.get(g)
-            if est.std_error:
-                out[serialize(g)] = est.std_error
-        return out
+    def exact(self, p: Polynomial) -> Measured:
+        """p as an error-free series of the engine's order."""
+        return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
 
     def _apply(self, rep: str, fk: Polynomial, gl: Polynomial):
         """Value of orbit representative `rep`'s operator on (fk, gl)."""
@@ -239,52 +293,56 @@ class _Engine:
             self._memo[key] = hit
         return hit
 
-    def star_series(self, F: FormalSeries, G: FormalSeries,
-                    wmap: dict) -> FormalSeries:
-        """Bilinear star with explicit weights, truncated at cfg.order."""
+    def _orbit_sum(self, F: FormalSeries, G: FormalSeries,
+                   weights: dict) -> FormalSeries:
+        """sum over orbits r of weights[r] x T_r(F, G), where T_r puts
+        (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l) for r of order j."""
         N = self.cfg.order
-        F = F.truncate(N)
-        G = G.truncate(N)
-        out = F * G
-        coeffs = [out.coefficient(k) for k in range(N + 1)]
-        for j in range(1, N + 1):
-            scale = _HALF_I ** j
-            orbit_w = {}
-            for _, ser, rep, sign in self.operators(j):
-                orbit_w[rep] = orbit_w.get(rep, QI(0)) + sign * wmap[ser]
-            for rep, w in orbit_w.items():
-                if w.is_zero():
+        coeffs = [Polynomial.zero(self.dim)] * (N + 1)
+        for rep, w in weights.items():
+            if w.is_zero():
+                continue
+            j = self._rep_order[rep]
+            c = _HALF_I ** j * w
+            for k in range(N - j + 1):
+                fk = F.coefficient(k)
+                if fk.is_zero():
                     continue
-                for k in range(N - j + 1):
-                    fk = F.coefficient(k)
-                    if fk.is_zero():
+                for l in range(N - j - k + 1):
+                    gl = G.coefficient(l)
+                    if gl.is_zero():
                         continue
-                    for l in range(N - j - k + 1):
-                        gl = G.coefficient(l)
-                        if gl.is_zero():
-                            continue
-                        p = self._apply(rep, fk, gl)
-                        if not p.is_zero():
-                            coeffs[j + k + l] = coeffs[j + k + l] \
-                                + p * (scale * w)
+                    p = self._apply(rep, fk, gl)
+                    if not p.is_zero():
+                        coeffs[j + k + l] = coeffs[j + k + l] + p * c
         return FormalSeries(self.dim, N, coeffs)
 
-    def probe_bounds(self, value) -> tuple:
-        """Per power j, 2^-j x the quadrature over graphs of std_error x
-        probe sup of value(orbit representative); |+-p| = |p|, so each
-        orbit is probed once."""
-        sig = self.sigmas()
-        bounds = [0.0] * (self.cfg.order + 1)
-        for j in range(1, self.cfg.order + 1):
-            sups = {}
-            acc = 0.0
-            for _, ser, rep, _ in self.operators(j):
-                if ser in sig:
-                    if rep not in sups:
-                        sups[rep] = probe_sup(value(rep), self.cfg.probe)
-                    acc += (sig[ser] * sups[rep]) ** 2
-            bounds[j] = math.sqrt(acc) / 2 ** j
-        return tuple(bounds)
+    def _star(self, F: FormalSeries, G: FormalSeries) -> FormalSeries:
+        return F * G + self._orbit_sum(F, G, self.weights)
+
+    def star_series(self, A: Measured, B: Measured) -> Measured:
+        """Bilinear star of two measured series of order cfg.order.
+
+        d(A*B)/dW_r = T_r(A, B) + dA*B + A*dB, exact because the star
+        is linear in each W_r.
+        """
+        sens = {}
+        for rep, _ in self.sources:
+            if rep in sens:
+                continue
+            d = self._orbit_sum(A.value, B.value, {rep: QI(1)})
+            if rep in A.sens:
+                d = d + self._star(A.sens[rep], B.value)
+            if rep in B.sens:
+                d = d + self._star(A.value, B.sens[rep])
+            sens[rep] = d
+        return Measured(self._star(A.value, B.value), sens)
+
+    def bounds(self, m: Measured) -> tuple:
+        """Per-power quadrature bound of a measured series."""
+        return tuple(quadrature_bound(m.coefficient(k), self.sources,
+                                      self.cfg.probe)
+                     for k in range(self.cfg.order + 1))
 
 
 def star_expansion(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
@@ -292,18 +350,13 @@ def star_expansion(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
     """Star product of two polynomials with per-power error bounds.
 
     For polynomial inputs the hbar^n coefficient touches only order-n
-    graphs, so the bound is the direct quadrature of
-    2^-n x std_error x probe sup of each operator value.
+    graphs, so its bound is the quadrature over them of
+    std_error x probe sup of (i/2)^n x the operator value.
     """
     eng = _Engine(alpha, cfg)
     eng.ensure_weights()
-    wmap = eng.base_weights()
-    N = cfg.order
-    F = FormalSeries.from_polynomial(f, N)
-    G = FormalSeries.from_polynomial(g, N)
-    series = eng.star_series(F, G, wmap)
-    bounds = eng.probe_bounds(lambda rep: eng._apply(rep, f, g))
-    return StarExpansion(series, bounds, eng.table)
+    out = eng.star_series(eng.exact(f), eng.exact(g))
+    return StarExpansion(out.value, eng.bounds(out), eng.table)
 
 
 def star(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
@@ -355,25 +408,6 @@ def moyal_reference(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
     return FormalSeries(dim, order, coeffs)
 
 
-def _sensitivity_bounds(eng: _Engine, wmap: dict, evaluate) -> tuple:
-    """Quadrature first-order bounds of evaluate(wmap) per power.
-
-    evaluate must be polynomial of degree <= 2 in each weight, which
-    makes the unit symmetric difference exact.
-    """
-    N = eng.cfg.order
-    acc = [0.0] * (N + 1)
-    for ser, sigma in eng.sigmas().items():
-        up = dict(wmap)
-        up[ser] = wmap[ser] + QI(1)
-        down = dict(wmap)
-        down[ser] = wmap[ser] - QI(1)
-        diff = (evaluate(up) - evaluate(down)) * QI(Fraction(1, 2))
-        for k in range(N + 1):
-            acc[k] += (sigma * probe_sup(diff.coefficient(k), eng.cfg.probe)) ** 2
-    return tuple(math.sqrt(a) for a in acc)
-
-
 def _verdict_rows(residual: FormalSeries, bounds, policy) -> tuple:
     rows = []
     for k in range(residual.order + 1):
@@ -389,21 +423,12 @@ def check_associativity(f: Polynomial, g: Polynomial, h: Polynomial,
     """Residual of (f*g)*h - f*(g*h) through hbar^order with bounds."""
     eng = _Engine(alpha, cfg)
     eng.ensure_weights()
-    wmap = eng.base_weights()
-    N = cfg.order
-    F = FormalSeries.from_polynomial(f, N)
-    G = FormalSeries.from_polynomial(g, N)
-    H = FormalSeries.from_polynomial(h, N)
-
-    def residual(w):
-        left = eng.star_series(eng.star_series(F, G, w), H, w)
-        right = eng.star_series(F, eng.star_series(G, H, w), w)
-        return left - right
-
-    base = residual(wmap)
-    bounds = _sensitivity_bounds(eng, wmap, residual)
+    F, G, H = (eng.exact(p) for p in (f, g, h))
+    resid = eng.star_series(eng.star_series(F, G), H) \
+        - eng.star_series(F, eng.star_series(G, H))
     return ResidualReport("associativity", cfg.policy,
-                          _verdict_rows(base, bounds, cfg.policy))
+                          _verdict_rows(resid.value, eng.bounds(resid),
+                                        cfg.policy))
 
 
 @dataclass(frozen=True)
@@ -467,11 +492,7 @@ def poisson_center_probe(f: Polynomial, g: Polynomial,
 
     eng = _Engine(alpha, cfg)
     eng.ensure_weights()
-    wmap = eng.base_weights()
-    N = cfg.order
-    F = FormalSeries.from_polynomial(f, N)
-    G = FormalSeries.from_polynomial(g, N)
-    comm = eng.star_series(F, G, wmap) - eng.star_series(G, F, wmap)
-    bounds = eng.probe_bounds(
-        lambda rep: eng._apply(rep, f, g) - eng._apply(rep, g, f))
-    return CenterProbeReport(central, tuple(gradient), comm, bounds)
+    F, G = eng.exact(f), eng.exact(g)
+    comm = eng.star_series(F, G) - eng.star_series(G, F)
+    return CenterProbeReport(central, tuple(gradient), comm.value,
+                             eng.bounds(comm))

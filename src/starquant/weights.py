@@ -44,7 +44,6 @@ from .graphs import KGraph, serialize
 TWO_PI = 2.0 * math.pi
 
 _METHODS = ("qmc", "mc", "cubature")
-_MAPPINGS = ("tan_square",)
 
 # total sample budgets by integration dimension, powers of two so the
 # 32 Sobol replicates stay balanced
@@ -71,14 +70,11 @@ class IntegrationConfig:
     n_samples: int | None = None      # total across replicates; None = auto
     seed: int = 0
     n_replicates: int = 32
-    mapping: str = "tan_square"
     error_target: float | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.mapping not in _MAPPINGS:
-            raise ConfigError(f"unknown mapping {self.mapping!r}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if self.n_replicates < 2:
@@ -487,8 +483,3 @@ class WeightTable:
             lines.append(f"{serialize(g)},{est.value!r},{est.std_error!r},"
                          f"{est.n_samples},{est.seed},{est.method}")
         return "\n".join(lines) + "\n"
-
-
-def weight_table(graphs, cfg: IntegrationConfig) -> WeightTable:
-    """Batch weights with per-graph seeds derived from cfg.seed."""
-    return WeightTable().ensure(list(graphs), cfg, use_exact=False)

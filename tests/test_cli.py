@@ -132,6 +132,28 @@ class TestStar:
                      "--f", "/nonexistent.json",
                      "--g", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("bad", [{"den": 0}, {"im_num": 1, "im_den": 0}])
+    def test_zero_denominator_poly_exit_2(self, tmp_path, sympl_file, capsys,
+                                          bad):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(
+            {"dim": 2, "poly": [{"exps": [1, 0], "num": 1, **bad}]}))
+        g = poly_file(tmp_path, "g.json", 2, Polynomial.variable(2, 1))
+        assert main(["star", "--alpha", sympl_file, "--f", str(f),
+                     "--g", g, "-N", "1"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_zero_denominator_alpha_exit_2(self, tmp_path, capsys):
+        apath = tmp_path / "alpha.json"
+        apath.write_text(json.dumps({"dim": 2, "degree": 1, "components": [
+            {"indices": [1, 2],
+             "poly": [{"exps": [0, 0], "num": 1, "den": 0}]}]}))
+        f = poly_file(tmp_path, "f.json", 2, Polynomial.variable(2, 0))
+        g = poly_file(tmp_path, "g.json", 2, Polynomial.variable(2, 1))
+        assert main(["star", "--alpha", str(apath), "--f", f, "--g", g,
+                     "-N", "1"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_deterministic_series_bytes(self, tmp_path, sympl_file, capsys):
         f = poly_file(tmp_path, "f.json", 2,
                       Polynomial.variable(2, 0) * Polynomial.variable(2, 0))

@@ -182,18 +182,20 @@ class TestStarCrossPath:
 
     def test_so3_second_order_statistical(self):
         """Argument reversal maps to mirror graphs with independent draws."""
-        from starquant.formality import _Registry, _bound_from, _u_numeric
+        from starquant.formality import _u_numeric
+        from starquant.star import quadrature_bound
 
         alpha = so3_bivector()
         x = variables()
         f, g = x[0] * x[0], x[1] * x[2]
         cfg = numeric_cfg(n_samples=131072)
         exp = star_expansion(f, g, alpha, cfg)
-        reg = _Registry()
+        reg = {}
         measured = _u_numeric([alpha, alpha], [f, g], cfg, reg)
         diag = measured.value * QI(-1)
         resid = exp.series.coefficient(2) + diag * QI(-1)
-        bound = exp.bounds[2] + _bound_from(measured.sens, reg, cfg.probe)
+        sources = [(s, reg[s][1]) for s in measured.sens]
+        bound = exp.bounds[2] + quadrature_bound(measured, sources, cfg.probe)
         assert bound > 0
         assert resid.max_abs_coeff() <= cfg.policy * bound
 

@@ -226,3 +226,23 @@ class TestReferenceAssembly:
                                   - ref.series(G, F, ref.wmap))
         assert rep.bounds == ref.probe_bounds(
             lambda op: op.apply((f, g)) - op.apply((g, f)))
+
+
+class TestProbeBudget:
+    def test_associativity_probes_each_orbit_once_per_power(
+            self, seeded, monkeypatch):
+        """A sampled graph's sensitivity is sign x its orbit's, so the
+        bound probes at most one polynomial per sampled orbit and power."""
+        alpha, (f, g, h), cfg, _ = seeded
+        calls = []
+
+        def counting(p, probe=(-1, 0, 1)):
+            calls.append(p)
+            return probe_sup(p, probe)
+
+        monkeypatch.setattr(star_mod, "probe_sup", counting)
+        check_associativity(f, g, h, alpha, cfg)
+        sampled = {orbit_representative(gr)[0] for gr, est in cfg.table
+                   if est.std_error}
+        assert calls
+        assert len(calls) <= len(sampled) * (cfg.order + 1)

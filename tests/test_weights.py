@@ -13,7 +13,7 @@ from starquant.weights import (IntegrationConfig, WeightEstimate, WeightTable,
                                _clean_values, _evaluate, det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
-                               stable_seed, weight, weight_table)
+                               stable_seed, weight)
 
 ORDER1 = parse("n=1;m=2;1:[L,R]")
 ORDER1_M = parse("n=1;m=2;1:[R,L]")
@@ -56,8 +56,6 @@ class TestConfig:
             IntegrationConfig(n_replicates=1)
         with pytest.raises(ConfigError):
             IntegrationConfig(error_target=0.0)
-        with pytest.raises(ConfigError):
-            IntegrationConfig(mapping="polar")
 
     def test_budgets(self):
         assert default_budget(2) == 1048576
@@ -208,25 +206,26 @@ class TestTable:
     def test_matches_per_graph_seeds(self):
         cfg = IntegrationConfig(seed=17, n_samples=16384)
         graphs = [ORDER1, ORDER1_M]
-        table = weight_table(graphs, cfg)
+        table = WeightTable().ensure(graphs, cfg)
         rows = list(table)
         for g, est in rows:
             direct = weight(g, cfg, seed=stable_seed(cfg.seed, serialize(g)))
             assert est == direct
 
     def test_empty(self):
-        assert len(weight_table([], IntegrationConfig())) == 0
+        assert len(WeightTable().ensure([], IntegrationConfig())) == 0
 
     def test_json_round_trip(self):
         cfg = IntegrationConfig(seed=17, n_samples=16384)
-        table = weight_table([ORDER1, parse("n=1;m=2;1:[L,L]")], cfg)
+        table = WeightTable().ensure(
+            [ORDER1, parse("n=1;m=2;1:[L,L]")], cfg)
         back = WeightTable.from_json_obj(table.to_json_obj())
         assert [(serialize(g), e) for g, e in back] \
             == [(serialize(g), e) for g, e in table]
 
     def test_csv_shape(self):
         cfg = IntegrationConfig(seed=17, n_samples=16384)
-        text = weight_table([ORDER1], cfg).to_csv()
+        text = WeightTable().ensure([ORDER1], cfg).to_csv()
         header, row, trailer = text.split("\n")
         assert header == "graph,value,std_error,n_samples,seed,method"
         assert row.startswith("n=1;m=2;1:[L,R],")
@@ -241,9 +240,9 @@ class TestTable:
     def test_thread_count_irrelevant(self, monkeypatch):
         cfg = IntegrationConfig(seed=23, n_samples=8192)
         graphs = list(star_graphs(1))
-        serial = [(serialize(g), e) for g, e in weight_table(graphs, cfg)]
+        serial = [(serialize(g), e) for g, e in WeightTable().ensure(graphs, cfg)]
         monkeypatch.setenv("STARQUANT_THREADS", "4")
-        threaded = [(serialize(g), e) for g, e in weight_table(graphs, cfg)]
+        threaded = [(serialize(g), e) for g, e in WeightTable().ensure(graphs, cfg)]
         assert serial == threaded
 
     def test_estimate_json_round_trip(self):
