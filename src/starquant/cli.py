@@ -33,6 +33,7 @@ from .errors import (
     EnumerationCapError,
     ParseError,
     SamplingError,
+    json_int,
 )
 from .formality import graded_symmetry_check, linfty_check
 from .graphs import (
@@ -95,8 +96,8 @@ def load_alpha(path: str | None) -> PolyVectorField:
 def load_poly(path: str) -> Polynomial:
     obj = _load_json(path)
     try:
-        dim = int(obj["dim"])
-        return Polynomial.from_json_obj(dim, obj["poly"])
+        return Polynomial.from_json_obj(json_int(obj["dim"], "dim"),
+                                        obj["poly"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(
             f"{path}: expected {{\"dim\": d, \"poly\": [terms]}}: {exc}"
@@ -168,7 +169,10 @@ def cmd_enumerate(ns) -> int:
 def cmd_weight(ns) -> int:
     t0 = time.monotonic()
     if ns.graphs:
-        graphs = [from_json_obj(obj) for obj in _load_json(ns.graphs)]
+        objs = _load_json(ns.graphs)
+        if not isinstance(objs, list):
+            raise ParseError(f"{ns.graphs}: expected a JSON list of graphs")
+        graphs = [from_json_obj(obj) for obj in objs]
     elif ns.n is not None:
         graphs = star_graphs(ns.n)
     else:

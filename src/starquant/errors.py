@@ -13,6 +13,13 @@ class ParseError(EngineError, ValueError):
     """Malformed graph / field / series text or JSON."""
 
 
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer; ParseError (not truncation) else."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class EnumerationCapError(EngineError, RuntimeError):
     """Graph enumeration would exceed the configured cap."""
 

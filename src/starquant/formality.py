@@ -197,8 +197,7 @@ def u_n(fields, args, cfg: StarConfig | None = None, *,
 
 def _single_row_report(identity, resid: Measured, reg: dict,
                        cfg) -> ResidualReport:
-    bound = quadrature_bound(resid, [(s, reg[s][1]) for s in resid.sens],
-                             cfg.probe)
+    bound = quadrature_bound(resid, [(s, reg[s][1]) for s in resid.sens])
     m = resid.value.max_abs_coeff()
     row = ResidualRow(0, resid.value, m, bound, m <= cfg.policy * bound)
     return ResidualReport(identity, cfg.policy, (row,))

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import EnumerationCapError, ParseError
+from .errors import EnumerationCapError, ParseError, json_int
 
 DEFAULT_CAP = 1_000_000
 
@@ -164,20 +164,17 @@ def to_json_obj(g: KGraph) -> dict:
 
 def from_json_obj(obj: dict) -> KGraph:
     try:
-        n, m, edges = int(obj["n"]), int(obj["m"]), obj["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, m, edges = obj["n"], obj["m"], obj["edges"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad graph object {obj!r}") from exc
-    rows = []
-    for targets in edges:
-        row = []
-        for t in targets:
-            if isinstance(t, int):
-                if not 1 <= t <= n:
-                    raise ParseError(f"aerial target {t} out of range")
-                row.append(t - 1)
-            else:
-                row.append(_parse_target(str(t), n, m))
-        rows.append(tuple(row))
+    n, m = json_int(n, "n"), json_int(m, "m")
+    if not (isinstance(edges, list)
+            and all(isinstance(targets, list) for targets in edges)):
+        raise ParseError(f"edges must be a list of target lists: {edges!r}")
+    # an aerial target is a JSON integer, a ground one a name like "G0"
+    rows = [tuple(_parse_target(t if isinstance(t, str) else
+                                str(json_int(t, "aerial target")), n, m)
+                  for t in targets) for targets in edges]
     return KGraph(n, m, tuple(rows))
 
 

@@ -72,10 +72,10 @@ def _as_complex(p) -> complex:
     return complex(p)
 
 
-def _check_pair(z: complex, w: complex, need_interior_z: bool = True):
+def _check_pair(z: complex, w: complex):
     if z.imag < 0 or w.imag < 0:
         raise DomainError("points must lie in the closed upper half plane")
-    if need_interior_z and z.imag <= 0:
+    if z.imag <= 0:
         raise DomainError("z must be interior (Im z > 0)")
     if z == w:
         raise DomainError("phi is undefined at z = w")
@@ -104,10 +104,9 @@ def dphi(z, w) -> AngleGradient:
     """
     zc, wc = _as_complex(z), _as_complex(w)
     _check_pair(zc, wc)
-    q = (zc - wc) * (zc - wc.conjugate())
-    a = (2.0 * zc - wc - wc.conjugate()) / q
-    d_wy = 2.0 * wc.imag * (1.0 / q).imag
-    return AngleGradient(d_zx=a.imag, d_zy=a.real, d_wx=-a.imag, d_wy=d_wy)
+    a, d_wy = angle_form(zc, wc)
+    return AngleGradient(d_zx=float(a.imag), d_zy=float(a.real),
+                         d_wx=float(-a.imag), d_wy=float(d_wy))
 
 
 def green_psi(z, w) -> float:
@@ -123,27 +122,19 @@ def green_psi(z, w) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels used by the weight integrator.  z is always a batch of
-# interior points; w may be a batch or a (possibly real) scalar.
+# The one formula for dphi's coefficients, read by dphi and weights._evaluate
 # ---------------------------------------------------------------------------
 
-def dphi_arrays(z: np.ndarray, w):
-    """(d_zx, d_zy) arrays of phi(z, w) for complex array z."""
+def angle_form(z, w):
+    """(A, d_wy) with dphi = Im A dx_z + Re A dy_z - Im A dx_w + d_wy dy_w.
+
+    z is interior.  A complex w takes the general formula; a real w is a
+    ground position, where Q = (z - w)^2, A = 2/(z - w) and d_wy = 0
+    (Neumann).  Elementwise over arrays or scalars; no domain checks.
+    """
+    # isinstance first: np.iscomplexobj is slow on Python floats
+    if isinstance(w, float) or not np.iscomplexobj(w):
+        return 2.0 / (z - w), 0.0
     q = (z - w) * (z - np.conjugate(w))
     a = (2.0 * z - w - np.conjugate(w)) / q
-    return a.imag, a.real
-
-
-def dphi_target_arrays(z: np.ndarray, w):
-    """(d_wx, d_wy) arrays; w interior (aerial target)."""
-    q = (z - w) * (z - np.conjugate(w))
-    a = (2.0 * z - w - np.conjugate(w)) / q
-    d_wy = 2.0 * np.imag(w) * (1.0 / q).imag
-    return -a.imag, d_wy
-
-
-def dphi_ground_x_array(z: np.ndarray, t):
-    """d_wx array for a real target t (moving boundary point)."""
-    q = (z - t) * (z - t)
-    a = (2.0 * z - 2.0 * t) / q
-    return -a.imag
+    return a, 2.0 * w.imag * (1.0 / q).imag

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError, json_int
 from .rational import QI
 
 
@@ -214,12 +214,17 @@ class Polynomial:
 
     @staticmethod
     def from_json_obj(dim: int, obj: list) -> "Polynomial":
+        """Inverse of to_json_obj; integer fields, exponents unique."""
         terms = {}
         for entry in obj:
-            den, im_den = int(entry.get("den", 1)), int(entry.get("im_den", 1))
+            exps = tuple(json_int(e, "exponent") for e in entry["exps"])
+            if exps in terms:
+                raise ParseError(f"repeated exponents {list(exps)}")
+            num = json_int(entry["num"], "num")
+            den = json_int(entry.get("den", 1), "den")
+            im_num = json_int(entry.get("im_num", 0), "im_num")
+            im_den = json_int(entry.get("im_den", 1), "im_den")
             if den == 0 or im_den == 0:
                 raise ParseError(f"zero denominator in term {entry!r}")
-            c = QI(Fraction(int(entry["num"]), den),
-                   Fraction(int(entry.get("im_num", 0)), im_den))
-            terms[tuple(entry["exps"])] = c
+            terms[exps] = QI(Fraction(num, den), Fraction(im_num, im_den))
         return Polynomial(dim, terms)

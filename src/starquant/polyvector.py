@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError, json_int
 from .poly import Polynomial
 
 
@@ -151,10 +151,14 @@ class PolyVectorField:
     @staticmethod
     def from_json_obj(obj: dict) -> "PolyVectorField":
         try:
-            dim, degree = int(obj["dim"]), int(obj["degree"])
+            dim = json_int(obj["dim"], "dim")
+            degree = json_int(obj["degree"], "degree")
             comps = {}
             for entry in obj["components"]:
-                idx = tuple(int(i) - 1 for i in entry["indices"])
+                idx = tuple(json_int(i, "index") - 1
+                            for i in entry["indices"])
+                if idx in comps:
+                    raise ParseError(f"repeated indices {entry['indices']}")
                 comps[idx] = Polynomial.from_json_obj(dim, entry["poly"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polyvector field object: {exc}") from exc

@@ -19,8 +19,8 @@ derivatives d/dW_r carried through each star product are exact.  A
 sampled graph's sensitivity is sign x its orbit's; graphs are sampled
 with independent seeds, so quadrature_bound adds
 (std_error x probe sup of the sensitivity)^2 graph by graph, the sup
-taken over a probe grid (by default the 3^d lattice on [-1,1]^d) once
-per orbit.  formality.py carries its raw graph integrals the same way.
+taken over the lattice PROBE^d = {-1, 0, 1}^d once per orbit.
+formality.py carries its raw graph integrals the same way.
 """
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ _JACOBI_MODES = ("require", "warn")
 
 _HALF_I = QI(0, Fraction(1, 2))
 
+PROBE = (-1, 0, 1)      # sup norms are taken over PROBE^d
+
 
 @dataclass(frozen=True)
 class StarConfig:
@@ -63,7 +65,6 @@ class StarConfig:
     policy: float = 3.0
     weights: str = "auto"
     jacobi: str = "require"
-    probe: tuple = (-1, 0, 1)
 
     def __post_init__(self):
         if self.order < 0:
@@ -74,8 +75,6 @@ class StarConfig:
             raise ConfigError(f"unknown weight mode {self.weights!r}")
         if self.jacobi not in _JACOBI_MODES:
             raise ConfigError(f"unknown jacobi mode {self.jacobi!r}")
-        if not self.probe:
-            raise ConfigError("probe grid needs at least one point")
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,12 @@ class StarExpansion:
     table: WeightTable
 
 
-def probe_sup(p: Polynomial, probe=(-1, 0, 1)) -> float:
+def probe_sup(p: Polynomial) -> float:
     """Max |p| over the probe lattice, exact evaluation per point."""
     if p.is_zero():
         return 0.0
     best = 0.0
-    for point in itertools.product(probe, repeat=p.dim):
+    for point in itertools.product(PROBE, repeat=p.dim):
         best = max(best, abs(p.eval_exact(point)))
     return best
 
@@ -181,7 +180,7 @@ class Measured:
                          for s, p in self.sens.items()})
 
 
-def quadrature_bound(m: Measured, sources, probe) -> float:
+def quadrature_bound(m: Measured, sources) -> float:
     """sqrt of the sum over (source, sigma) pairs, in order, of
     (sigma x probe sup of m's sensitivity to source)^2.
 
@@ -194,7 +193,7 @@ def quadrature_bound(m: Measured, sources, probe) -> float:
         if src not in sups:
             p = m.sens.get(src)
             sups[src] = 0.0 if p is None or p.is_zero() \
-                else probe_sup(p, probe)
+                else probe_sup(p)
         acc += (sigma * sups[src]) ** 2
     return math.sqrt(acc)
 
@@ -340,8 +339,7 @@ class _Engine:
 
     def bounds(self, m: Measured) -> tuple:
         """Per-power quadrature bound of a measured series."""
-        return tuple(quadrature_bound(m.coefficient(k), self.sources,
-                                      self.cfg.probe)
+        return tuple(quadrature_bound(m.coefficient(k), self.sources)
                      for k in range(self.cfg.order + 1))
 
 

@@ -4,7 +4,7 @@ products of angle 1-forms.
 A graph with n aerial and m >= 2 ground vertices integrates the wedge
 product over its edges e of the angle forms
 
-    dphi(z_source(e), target(e))
+    dphi(z_source(e), target(e))      (coefficients: halfplane.angle_form)
 
 over n points in the upper half plane and m-2 moving ground points
 0 < t < 1, the outer two grounds pinned at 0 and 1.  The integrand is
@@ -40,13 +40,15 @@ from scipy.stats import qmc
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      SamplingError)
 from .graphs import KGraph, serialize
-
-TWO_PI = 2.0 * math.pi
+from .halfplane import TWO_PI, angle_form
 
 _METHODS = ("qmc", "mc", "cubature")
 
+# independent replicates per integral; their spread gives the std_error
+N_REPLICATES = 32
+
 # total sample budgets by integration dimension, powers of two so the
-# 32 Sobol replicates stay balanced
+# replicates stay balanced
 _DEFAULT_BUDGET = {2: 1048576, 3: 2097152, 4: 4194304, 5: 1048576}
 _FALLBACK_BUDGET = 1048576
 
@@ -69,7 +71,6 @@ class IntegrationConfig:
     method: str = "qmc"
     n_samples: int | None = None      # total across replicates; None = auto
     seed: int = 0
-    n_replicates: int = 32
     error_target: float | None = None
 
     def __post_init__(self):
@@ -77,8 +78,6 @@ class IntegrationConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.n_replicates < 2:
-            raise ConfigError("need at least 2 replicates for a spread")
         if self.error_target is not None and not self.error_target > 0:
             raise ConfigError("error_target must be positive")
 
@@ -218,23 +217,17 @@ def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
         for i in range(n):
             zi = z[:, i]
             for tgt in graph.out_edges[i]:
-                if tgt < n:
-                    w = z[:, tgt]
-                    qf = (zi - w) * (zi - np.conjugate(w))
-                    a = (2.0 * zi - w - np.conjugate(w)) / qf
-                    mat[:, row, 2 * i] = a.imag
-                    mat[:, row, 2 * i + 1] = a.real
+                k = tgt - n                 # ground index when k >= 0
+                a, d_wy = angle_form(zi, z[:, tgt] if k < 0
+                                     else ground_pos(k))
+                mat[:, row, 2 * i] = a.imag
+                mat[:, row, 2 * i + 1] = a.real
+                # target columns: aerial x, y; moving ground t; pinned none
+                if k < 0:
                     mat[:, row, 2 * tgt] = -a.imag
-                    mat[:, row, 2 * tgt + 1] = (2.0 * w.imag
-                                                * (1.0 / qf).imag)
-                else:
-                    k = tgt - n
-                    pos = ground_pos(k)
-                    a = 2.0 / (zi - pos)
-                    mat[:, row, 2 * i] = a.imag
-                    mat[:, row, 2 * i + 1] = a.real
-                    if 0 < k < m - 1:
-                        mat[:, row, 2 * n + (k_move - k)] = -a.imag
+                    mat[:, row, 2 * tgt + 1] = d_wy
+                elif 0 < k < m - 1:
+                    mat[:, row, 2 * n + (k_move - k)] = -a.imag
                 row += 1
 
         vals = det_batch(mat) * jac / math.factorial(k_move)
@@ -284,9 +277,9 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
         return _cubature(graph, cfg, base_seed, dims)
 
     total = cfg.n_samples or default_budget(dims)
-    per_rep = max(1, total // cfg.n_replicates)
+    per_rep = max(1, total // N_REPLICATES)
     means = []
-    for r in range(cfg.n_replicates):
+    for r in range(N_REPLICATES):
         rep_seed = stable_seed(base_seed, "rep", r)
         if cfg.method == "qmc":
             sob = qmc.Sobol(d=dims, scramble=True, seed=rep_seed)
@@ -301,7 +294,7 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
         means.append(float(vals.mean()))
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-    return value, std_error, per_rep * cfg.n_replicates
+    return value, std_error, per_rep * N_REPLICATES
 
 
 def _cubature(graph: KGraph, cfg: IntegrationConfig, seed: int, dims: int

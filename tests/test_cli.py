@@ -79,6 +79,21 @@ class TestWeight:
         bad.write_text("{not json")
         assert main(["weight", "--graphs", str(bad)]) == 2
 
+    @pytest.mark.parametrize("content", [
+        7,
+        [{"n": 1, "m": 2, "edges": 5}],
+        [{"n": 1, "m": 2, "edges": [5]}],
+        [{"n": 1.5, "m": 2, "edges": [["G0", "G1"]]}],
+        [{"n": 2, "m": 2, "edges": [["G0", "G1"], [True, "G1"]]}],
+        [5],
+    ])
+    def test_malformed_graphs_file_exit_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "graphs.json"
+        bad.write_text(json.dumps(content))
+        assert main(["weight", "--graphs", str(bad),
+                     "--samples", "1024"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
     def test_bad_thread_count_exit_2(self, monkeypatch, capsys, value):
         monkeypatch.setenv("STARQUANT_THREADS", value)
@@ -142,6 +157,37 @@ class TestStar:
         assert main(["star", "--alpha", sympl_file, "--f", str(f),
                      "--g", g, "-N", "1"]) == 2
         assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim,terms", [
+        (2, [{"exps": [1.5, 0], "num": 1}]),
+        (2, [{"exps": [1, 0], "num": 1.5}]),
+        (2, [{"exps": [1, 0], "num": 1, "den": 2.0}]),
+        (2, [{"exps": [1, 0], "num": True}]),
+        (2, [{"exps": [1, 0], "num": 1}, {"exps": [1, 0], "num": 2}]),
+        (2.0, [{"exps": [1, 0], "num": 1}]),
+    ])
+    def test_malformed_poly_exit_2(self, tmp_path, sympl_file, capsys,
+                                   dim, terms):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"dim": dim, "poly": terms}))
+        g = poly_file(tmp_path, "g.json", 2, Polynomial.variable(2, 1))
+        assert main(["star", "--alpha", sympl_file, "--f", str(f),
+                     "--g", g, "-N", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("indices", [
+        [[1.5, 2]], [[1, 2.0]], [[True, 2]], [[1, 2], [1, 2]]])
+    def test_malformed_alpha_indices_exit_2(self, tmp_path, capsys,
+                                            indices):
+        apath = tmp_path / "alpha.json"
+        apath.write_text(json.dumps({"dim": 2, "degree": 1, "components": [
+            {"indices": idx, "poly": [{"exps": [0, 0], "num": 1}]}
+            for idx in indices]}))
+        f = poly_file(tmp_path, "f.json", 2, Polynomial.variable(2, 0))
+        g = poly_file(tmp_path, "g.json", 2, Polynomial.variable(2, 1))
+        assert main(["star", "--alpha", str(apath), "--f", f, "--g", g,
+                     "-N", "1"]) == 2
+        assert "bad polyvector field object" in capsys.readouterr().err
 
     def test_zero_denominator_alpha_exit_2(self, tmp_path, capsys):
         apath = tmp_path / "alpha.json"

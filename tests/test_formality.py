@@ -195,7 +195,7 @@ class TestStarCrossPath:
         diag = measured.value * QI(-1)
         resid = exp.series.coefficient(2) + diag * QI(-1)
         sources = [(s, reg[s][1]) for s in measured.sens]
-        bound = exp.bounds[2] + quadrature_bound(measured, sources, cfg.probe)
+        bound = exp.bounds[2] + quadrature_bound(measured, sources)
         assert bound > 0
         assert resid.max_abs_coeff() <= cfg.policy * bound
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starquant.errors import DomainError
-from starquant.halfplane import (TWO_PI, AngleGradient, UHPoint, angle_phi,
-                                 dphi, dphi_arrays, dphi_ground_x_array,
-                                 dphi_target_arrays, green_psi)
+from starquant.halfplane import (TWO_PI, AngleGradient, UHPoint, angle_form,
+                                 angle_phi, dphi, green_psi)
 
 # frozen expected values
 PHI_I_2I = 0.0                    # collinear above w: angle closes up
@@ -156,20 +155,21 @@ class TestVectorKernels:
     def test_match_scalar(self):
         z = np.array([1j, 0.3 + 0.9j, -0.5 + 2j])
         w = np.array([0.5 + 0.25j, -1 + 1j, 0.4 + 1.3j])
-        dzx, dzy = dphi_arrays(z, w)
-        dwx, dwy = dphi_target_arrays(z, w)
+        a, d_wy = angle_form(z, w)
         for k in range(3):
             g = dphi(complex(z[k]), complex(w[k]))
-            assert (dzx[k], dzy[k], dwx[k], dwy[k]) == pytest.approx(
-                (g.d_zx, g.d_zy, g.d_wx, g.d_wy), rel=1e-14)
+            assert (a[k].imag, a[k].real, -a[k].imag, d_wy[k]) == \
+                pytest.approx((g.d_zx, g.d_zy, g.d_wx, g.d_wy), rel=1e-14)
 
     def test_ground_kernel(self):
-        z = np.array([1j, 0.3 + 0.9j])
-        t = 0.25
-        dwx = dphi_ground_x_array(z, t)
-        for k in range(2):
-            g = dphi(complex(z[k]), t)
-            assert dwx[k] == pytest.approx(g.d_wx, rel=1e-14)
+        """A real w takes the ground branch: the same A as a complex w
+        with zero imaginary part, and d_wy exactly 0 (Neumann)."""
+        z = np.array([1j, 0.3 + 0.9j, -1.2 + 0.05j, 4.0 + 3.0j])
+        for t in (0.0, 1.0, 0.25, np.array([0.1, 0.5, 0.7, 0.95])):
+            a, d_wy = angle_form(z, t)
+            a_c, _ = angle_form(z, np.asarray(t, dtype=complex))
+            assert np.allclose(a, a_c, rtol=1e-14, atol=0.0)
+            assert np.all(d_wy == 0.0)
 
 
 class TestUHPoint:

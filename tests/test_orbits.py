@@ -111,8 +111,8 @@ class TestOperatorSigns:
 class Reference:
     """Star assembly with one operator per graph, no orbit sharing."""
 
-    def __init__(self, alpha, table, order, probe=(-1, 0, 1)):
-        self.dim, self.order, self.probe = alpha.dim, order, probe
+    def __init__(self, alpha, table, order):
+        self.dim, self.order = alpha.dim, order
         self.rows = {}
         self.wmap, self.sig = {}, {}
         self.values = {}
@@ -154,8 +154,7 @@ class Reference:
             acc = 0.0
             for op, ser in self.rows[j]:
                 if ser in self.sig:
-                    acc += (self.sig[ser] * probe_sup(value(op),
-                                                      self.probe)) ** 2
+                    acc += (self.sig[ser] * probe_sup(value(op))) ** 2
             bounds.append(math.sqrt(acc) / 2 ** j)
         return tuple(bounds)
 
@@ -167,8 +166,7 @@ class Reference:
             down[ser] = self.wmap[ser] - QI(1)
             diff = (evaluate(up) - evaluate(down)) * QI(Fraction(1, 2))
             for k in range(self.order + 1):
-                acc[k] += (sigma * probe_sup(diff.coefficient(k),
-                                             self.probe)) ** 2
+                acc[k] += (sigma * probe_sup(diff.coefficient(k))) ** 2
         return tuple(math.sqrt(a) for a in acc)
 
 
@@ -236,9 +234,9 @@ class TestProbeBudget:
         alpha, (f, g, h), cfg, _ = seeded
         calls = []
 
-        def counting(p, probe=(-1, 0, 1)):
+        def counting(p):
             calls.append(p)
-            return probe_sup(p, probe)
+            return probe_sup(p)
 
         monkeypatch.setattr(star_mod, "probe_sup", counting)
         check_associativity(f, g, h, alpha, cfg)

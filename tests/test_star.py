@@ -53,8 +53,6 @@ class TestConfig:
             StarConfig(weights="tables")
         with pytest.raises(ConfigError):
             StarConfig(jacobi="ignore")
-        with pytest.raises(ConfigError):
-            StarConfig(probe=())
 
 
 class TestStarBasics:
