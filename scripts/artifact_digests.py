@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Print the exit code and sha256 of a fixed set of CLI artifacts.
+
+Runs each invocation below in process through starquant.cli.main,
+writing its --out artifact into a temporary directory, and prints one
+line per artifact:
+
+    name exit_code sha256
+
+Primary artifacts are byte-deterministic for a fixed --seed, so
+diffing this output between two checkouts is a byte-identity check
+of a refactor:
+
+    PYTHONPATH=src python scripts/artifact_digests.py > after.txt
+
+Manifests are not hashed (they carry the wall clock).
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+from starquant.cli import main
+
+# (x0^2 + x1) d0 ^ d1; every bivector in dimension 2 is Poisson
+DIM2_ALPHA = {"dim": 2, "degree": 1, "components": [
+    {"indices": [1, 2], "poly": [{"exps": [2, 0], "num": 1},
+                                 {"exps": [0, 1], "num": 1}]}]}
+INPUTS = {
+    "so3_f.json": {"dim": 3, "poly": [{"exps": [1, 1, 1], "num": 1}]},
+    "so3_g.json": {"dim": 3, "poly": [{"exps": [2, 1, 0], "num": 1}]},
+    "dim2_alpha.json": DIM2_ALPHA,
+    "dim2_f.json": {"dim": 2, "poly": [{"exps": [1, 1], "num": 1}]},
+    "dim2_g.json": {"dim": 2, "poly": [{"exps": [2, 0], "num": 1}]},
+}
+
+
+def invocations(samples: int, work: str):
+    """(artifact name, argv without --out) pairs, in output order; input
+    files are read from the directory work."""
+    budget = ["--samples", str(samples)]
+
+    def path(name):
+        return os.path.join(work, name)
+
+    yield "weight_n2", ["weight", "-n", "2", "--seed", "0", "--format",
+                        "json"] + budget
+    for order in (2, 3):
+        yield f"star_so3_N{order}", [
+            "star", "-N", str(order), "--f", path("so3_f.json"),
+            "--g", path("so3_g.json")] + budget
+        yield f"star_dim2_N{order}", [
+            "star", "-N", str(order), "--alpha", path("dim2_alpha.json"),
+            "--f", path("dim2_f.json"), "--g", path("dim2_g.json")] + budget
+    for suite in ("assoc", "linfty", "symmetry", "center-probe"):
+        for seed in (0, 5):
+            yield f"verify_{suite}_seed{seed}", [
+                "verify", suite, "--seed", str(seed)] + budget
+
+
+def run(samples: int) -> list[str]:
+    lines = []
+    with tempfile.TemporaryDirectory() as work:
+        for name, obj in INPUTS.items():
+            with open(os.path.join(work, name), "w") as fh:
+                json.dump(obj, fh)
+        for name, argv in invocations(samples, work):
+            out = os.path.join(work, f"{name}.json")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--out", out])
+            digest = "-"
+            if os.path.exists(out):
+                with open(out, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append(f"{name} {code} {digest}")
+    return lines
+
+
+def cli():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--samples", type=int, default=4096,
+                    help="sample budget per integration (default 4096)")
+    ns = ap.parse_args()
+    for line in run(ns.samples):
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    cli()

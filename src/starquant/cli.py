@@ -23,6 +23,9 @@ import sys
 import time
 import warnings
 
+import numpy
+import scipy
+
 from . import __version__
 from .errors import (
     ConfigError,
@@ -117,6 +120,8 @@ def _write_artifact(path: str, text: str, ns, t0: float, extra=None):
         "versions": {
             "starquant": __version__,
             "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
         },
         "seed": getattr(ns, "seed", None),
         "elapsed_seconds": round(time.monotonic() - t0, 3),
@@ -414,10 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weight", help="integrate a weight table")
     p.add_argument("--graphs", help="JSON array of graph objects")
     p.add_argument("-n", type=int, help="all star graphs of this order")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--method", choices=("qmc", "mc", "cubature"),
-                   default=None)
+    common_numeric(p, order=False)
     p.add_argument("--error-target", type=float, default=None,
                    help="warn (exit 0) when std_error misses this")
     p.add_argument("--exact", action="store_true",
@@ -425,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--audit", choices=("parity",),
                    help="run the mirror-sign audit on the finished table")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_weight)
 
     p = sub.add_parser("star", help="evaluate a star product expansion")

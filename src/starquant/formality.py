@@ -16,10 +16,12 @@ star expansion: the hbar^n star coefficient is i^n u_n(a,...,a).
 The identity checks put statistical bounds on the graded symmetry of
 u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
 bracket side is the exact trivector closed form.  Values are
-star.Measured with one error source per sampled graph; a registry
-(serial -> (estimate, std_error)) shared within one check lets
-repeated occurrences of a graph reuse one estimate, so their
-sensitivities add before squaring in star.quadrature_bound.
+star.Measured with one error source per sampled graph.  A registry
+shared within one check maps each graph serial to (estimate,
+std_error), so repeated graphs reuse one estimate and their
+sensitivities add before squaring in star.quadrature_bound, and each
+(field tuple, arity) to its operators.OrbitOperators, which builds one
+operator per orbit as the star engine does; weights stay per graph.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ import math
 from fractions import Fraction
 
 from .errors import ConfigError, DegreeMismatchError, DimensionMismatchError
-from .graphs import enumerate_graphs, serialize
-from .operators import build_operator
+from .graphs import enumerate_graphs
+from .operators import OrbitOperators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
@@ -99,16 +101,16 @@ def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
     scale = TWO_PI ** edge_count
     integration = cfg.integration
     table = cfg.table if M == 2 else None
+    key = (tuple(fields), M)
+    if key not in reg:
+        reg[key] = OrbitOperators(enumerate_graphs(n, M, degrees), fields)
+    ops = reg[key]
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}
-    for g in enumerate_graphs(n, M, degrees):
-        op = build_operator(g, list(fields))
-        if not op.terms:
-            continue
-        applied = op.apply(rev)
+    for g, ser, orbit, sign in ops.rows:
+        applied = ops.apply(orbit, rev)
         if applied.is_zero():
             continue
-        ser = serialize(g)
         if ser not in reg:
             if table is not None:
                 table.ensure([g], integration, use_exact=True)
@@ -123,10 +125,9 @@ def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
                     seed=stable_seed(integration.seed, "raw", ser))
                 reg[ser] = (QI(Fraction(raw / scale)), raw_se / scale)
         est, sig = reg[ser]
-        contribution = applied * (rational * est)
-        value = value + contribution
+        grad = applied * (rational * sign)
+        value = value + grad * est
         if sig:
-            grad = applied * rational
             sens[ser] = sens[ser] + grad if ser in sens else grad
     return Measured(value, sens)
 
@@ -151,7 +152,8 @@ def _apply_u_carrying(fields, args, cfg: StarConfig,
     values = [a.value for a in args]
     base = _apply_u(fields, values, cfg, reg)
     carriers = [(slot, a) for slot, a in enumerate(args) if a.sens]
-    if not carriers:
+    if not carriers or len(values) != ghost_argument_count(
+            n, [f.degree for f in fields]):
         return base
     if n >= 2:
         raise ConfigError(
@@ -162,14 +164,7 @@ def _apply_u_carrying(fields, args, cfg: StarConfig,
         for ser, spoly in a.sens.items():
             sub = list(values)
             sub[slot] = spoly
-            if len(values) != ghost_argument_count(
-                    n, [f.degree for f in fields]):
-                continue
-            if n == 0:
-                other = values[1 - slot]
-                push = spoly * other
-            else:
-                push = _u1_closed(fields[0], sub)
+            push = _apply_u(fields, sub, cfg, reg).value
             sens[ser] = sens[ser] + push if ser in sens else push
     return Measured(base.value, sens)
 
@@ -182,17 +177,14 @@ def u_n(fields, args, cfg: StarConfig | None = None, *,
     that convention into a DegreeMismatchError for callers that want
     loud failures.
     """
-    cfg = cfg or StarConfig()
     n = len(fields)
-    dim = _check_dims(fields, args)
+    _check_dims(fields, args)
     want = ghost_argument_count(n, [f.degree for f in fields])
-    if len(args) != want:
-        if strict_arity:
-            raise DegreeMismatchError(
-                f"u_{n} on these degrees takes {want} arguments, "
-                f"got {len(args)}")
-        return Polynomial.zero(dim)
-    return _apply_u(fields, args, cfg, {}).value
+    if strict_arity and len(args) != want:
+        raise DegreeMismatchError(
+            f"u_{n} on these degrees takes {want} arguments, "
+            f"got {len(args)}")
+    return _apply_u(fields, args, cfg or StarConfig(), {}).value
 
 
 def _single_row_report(identity, resid: Measured, reg: dict,
@@ -287,13 +279,6 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
                     face = -1 if (k * (i + 1)) % 2 else 1
                     acc = acc + term * QI(mult_base * face)
     if n == 2:
-        bracket = schouten(fields[0], fields[1])
-        rhs_args_want = ghost_argument_count(1, [bracket.degree])
-        if bracket.dim != dim:
-            raise DimensionMismatchError("bracket dimension mismatch")
-        if rhs_args_want == len(args) and not bracket.is_zero():
-            rhs = _u1_closed(bracket, list(args))
-            eps12 = _eps_pair(0, 1, gs)
-            coef = QI(-LINFTY_RHS_SIGN * eps12 * math.factorial(n - 1))
-            acc = acc + Measured(rhs * coef)
+        rhs = _apply_u([schouten(*fields)], list(args), cfg, reg)
+        acc = acc + rhs * QI(-LINFTY_RHS_SIGN * _eps_pair(0, 1, gs))
     return _single_row_report("linfty coherence", acc, reg, cfg)

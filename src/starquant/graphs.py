@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, ParseError, json_int
+from .polyvector import sort_with_sign
 
 DEFAULT_CAP = 1_000_000
 
@@ -242,27 +243,30 @@ def star_graphs(order: int, *, cap: int = DEFAULT_CAP) -> list[KGraph]:
     return enumerate_graphs(order, 2, [1] * order, strict=True, cap=cap)
 
 
-def orbit_representative(g: KGraph) -> tuple[KGraph, int]:
-    """Least graph of g's orbit under aerial relabelling and out-edge
-    swaps, and sign = (-1)^swaps.  With the same antisymmetric bivector
-    at every aerial vertex, op(g) = sign x op(rep) and likewise the
-    weights; an orbit reaching a graph by swaps of both parities has
-    zero operator and weight, so the sign chosen there is immaterial.
+def orbit_representative(g: KGraph, labels=None) -> tuple[KGraph, int]:
+    """Least graph of g's orbit under out-edge permutations and the
+    aerial relabellings that keep every label (default: all equal), and
+    sign = the product of the signs of the out-edge sorts.  With equal
+    antisymmetric fields at equally labelled vertices op(g) = sign x
+    op(rep), and for star graphs likewise the weights; an orbit reaching
+    a graph with both signs has zero operator, so the sign there is
+    immaterial.  A doubled edge raises ParseError.
     """
-    if g.m != 2 or any(len(t) != 2 for t in g.out_edges):
-        raise ParseError("orbits need a star graph: m=2, two out-edges each")
     n = g.n
+    if not g.is_strict():
+        raise ParseError("orbits need a strict graph (no doubled edge)")
+    ground = tuple(range(n, n + g.m))
     best = None
     for perm in itertools.permutations(range(n)):
-        relabel = perm + (n, n + 1)
+        if labels and any(labels[p] != labels[i] for i, p in enumerate(perm)):
+            continue
+        relabel = perm + ground
         rows = [()] * n
         sign = 1
-        for i, (a, b) in enumerate(g.out_edges):
-            a, b = relabel[a], relabel[b]
-            if a > b:
-                a, b = b, a
-                sign = -sign
-            rows[perm[i]] = (a, b)
+        for i, targets in enumerate(g.out_edges):
+            rows[perm[i]], s = sort_with_sign(
+                tuple(relabel[t] for t in targets))
+            sign *= s
         if best is None or tuple(rows) < best[0]:
             best = (tuple(rows), sign)
-    return KGraph(n, 2, best[0]), best[1]
+    return KGraph(n, g.m, best[0]), best[1]

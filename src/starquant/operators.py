@@ -10,6 +10,10 @@ vertex.  Summing over all index assignments gives the operator.
 The sum is organised per vertex: only nonzero full components of each
 field are enumerated, so sparse fields cost far less than the dense
 d^(edge count) labeling sum.
+
+Graph sums (star products and u_n alike) go through OrbitOperators,
+which builds and applies one operator per graphs.orbit_representative
+orbit and hands each graph its sign.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import itertools
 
 from .errors import (ArityMismatchError, DegreeMismatchError,
                      DimensionMismatchError)
-from .graphs import KGraph
+from .graphs import KGraph, orbit_representative, serialize
 from .poly import Polynomial
 from .polyvector import PolyVectorField
 from .rational import QI
@@ -191,3 +195,30 @@ def build_operator(graph: KGraph, fields, dim: int | None = None
             for k in range(graph.m))
         terms[key] = terms[key] + coeff if key in terms else coeff
     return PolyDiffOperator(graph.m, d, terms)
+
+
+class OrbitOperators:
+    """Operators of a graph family, fields[i] at aerial vertex i, built
+    once per orbit.  rows lists (graph, serial, orbit serial, sign) of
+    the graphs with nonzero operator, in order: op(graph) = sign x
+    op(orbit).  apply(orbit, args) is memoised by argument value."""
+
+    def __init__(self, graphs, fields):
+        fields = tuple(fields)
+        labels = tuple(fields.index(f) for f in fields)  # equal fields
+        self._ops = {}
+        self._memo = {}
+        self.rows = []
+        for g in graphs:
+            rep, sign = orbit_representative(g, labels)
+            orbit = serialize(rep)
+            if orbit not in self._ops:
+                self._ops[orbit] = build_operator(rep, fields)
+            if self._ops[orbit].terms:
+                self.rows.append((g, serialize(g), orbit, sign))
+
+    def apply(self, orbit: str, args) -> Polynomial:
+        key = (orbit, tuple(args))
+        if key not in self._memo:
+            self._memo[key] = self._ops[orbit].apply(key[1])
+        return self._memo[key]

@@ -7,7 +7,7 @@ value unless asked.
 """
 from __future__ import annotations
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, json_int
 from .poly import Polynomial
 from .rational import QI
 
@@ -146,7 +146,7 @@ class FormalSeries:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "FormalSeries":
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], "dim")
         return FormalSeries(
-            dim, int(obj["order"]),
+            dim, json_int(obj["order"], "order"),
             (Polynomial.from_json_obj(dim, c) for c in obj["coeffs"]))

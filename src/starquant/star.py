@@ -8,8 +8,10 @@ derived quantity, so each report carries a per-power bound.
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
 bivector, so a star graph's operator is sign x its orbit
 representative's (graphs.orbit_representative).  Operators are built
-and applied once per orbit r, against the orbit weight
-W_r = sum of sign x weight over its members, summed exactly.
+and applied once per orbit r by operators.OrbitOperators, the family
+formality.py's u_n sums over too, against the orbit weight
+W_r = sum of sign x weight over its members, summed exactly.  The
+table still holds and integrates one weight per graph.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import orbit_representative, serialize, star_graphs
-from .operators import build_operator
+from .graphs import serialize, star_graphs
+from .operators import OrbitOperators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
 from .rational import QI
@@ -198,19 +200,14 @@ def quadrature_bound(m: Measured, sources) -> float:
     return math.sqrt(acc)
 
 
-def _poly_key(p: Polynomial):
-    return tuple(sorted((e, c.re, c.im) for e, c in p.terms.items()))
-
-
 class _Engine:
-    """Operator cache plus weight table for one bivector and config.
+    """Orbit operators plus weight table for one bivector and config.
 
-    After ensure_weights, weights holds the exact orbit weight W_r of
-    every orbit and sources lists (orbit, std_error) for each sampled
-    graph, in star_graphs order.  star_series carries d/dW_r for the
-    orbits named in sources.  Operators and values are cached per
-    orbit (module docstring): sound because every aerial vertex
-    carries the same antisymmetric bivector self.alpha.
+    One OrbitOperators per order holds the operators and values, per
+    orbit.  After ensure_weights, weights holds the exact orbit weight
+    W_r of every orbit r = (order, orbit serial) and sources lists
+    (r, std_error) for each sampled graph, in star_graphs order.
+    star_series carries d/dW_r for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -225,40 +222,22 @@ class _Engine:
         self.cfg = cfg
         self.dim = alpha.dim
         self.table = cfg.table if cfg.table is not None else WeightTable()
-        self._rows = {}
-        self._rep_ops = {}
-        self._rep_order = {}
-        self._memo = {}
+        self._orbits = {}
         self.weights = {}
         self.sources = []
 
     def operators(self, order: int) -> list:
-        """Rows (graph, serial, orbit serial, sign) of the graphs of one
-        order with nonzero operator, in star_graphs order; a graph's
-        operator is sign x the operator of its orbit representative."""
-        if order not in self._rows:
-            rows = []
-            for g in star_graphs(order):
-                rep, sign = orbit_representative(g)
-                key = serialize(rep)
-                if key not in self._rep_ops:
-                    self._rep_ops[key] = build_operator(
-                        rep, [self.alpha] * order)
-                    self._rep_order[key] = order
-                if self._rep_ops[key].terms:
-                    rows.append((g, serialize(g), key, sign))
-            self._rows[order] = rows
-        return self._rows[order]
-
-    def contributing_graphs(self) -> list:
-        out = []
-        for j in range(1, self.cfg.order + 1):
-            out.extend(row[0] for row in self.operators(j))
-        return out
+        """OrbitOperators rows of the star graphs of one order."""
+        if order not in self._orbits:
+            self._orbits[order] = OrbitOperators(star_graphs(order),
+                                                 [self.alpha] * order)
+        return self._orbits[order].rows
 
     def ensure_weights(self) -> None:
         """Fill the table, then sum orbit weights and list the sources."""
-        graphs = self.contributing_graphs()
+        rows = [((j, orbit), g, sign) for j in range(1, self.cfg.order + 1)
+                for g, _, orbit, sign in self.operators(j)]
+        graphs = [g for _, g, _ in rows]
         mode = self.cfg.weights
         if mode == "exact":
             missing = [serialize(g) for g in graphs if exact_weight(g) is None]
@@ -270,27 +249,16 @@ class _Engine:
                     + "; use weights='auto' or 'numeric'")
         self.table.ensure(graphs, self.cfg.integration,
                           use_exact=mode in ("auto", "exact"))
-        for j in range(1, self.cfg.order + 1):
-            for g, _, rep, sign in self.operators(j):
-                est = self.table.get(g)
-                val = est.exact if est.exact is not None else Fraction(est.value)
-                self.weights[rep] = self.weights.get(rep, QI(0)) \
-                    + sign * QI(val)
-                if est.std_error:
-                    self.sources.append((rep, est.std_error))
+        for r, g, sign in rows:
+            est = self.table.get(g)
+            val = est.exact if est.exact is not None else Fraction(est.value)
+            self.weights[r] = self.weights.get(r, QI(0)) + sign * QI(val)
+            if est.std_error:
+                self.sources.append((r, est.std_error))
 
     def exact(self, p: Polynomial) -> Measured:
         """p as an error-free series of the engine's order."""
         return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
-
-    def _apply(self, rep: str, fk: Polynomial, gl: Polynomial):
-        """Value of orbit representative `rep`'s operator on (fk, gl)."""
-        key = (rep, _poly_key(fk), _poly_key(gl))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._rep_ops[rep].apply((fk, gl))
-            self._memo[key] = hit
-        return hit
 
     def _orbit_sum(self, F: FormalSeries, G: FormalSeries,
                    weights: dict) -> FormalSeries:
@@ -298,10 +266,10 @@ class _Engine:
         (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l) for r of order j."""
         N = self.cfg.order
         coeffs = [Polynomial.zero(self.dim)] * (N + 1)
-        for rep, w in weights.items():
+        for (j, orbit), w in weights.items():
             if w.is_zero():
                 continue
-            j = self._rep_order[rep]
+            ops = self._orbits[j]
             c = _HALF_I ** j * w
             for k in range(N - j + 1):
                 fk = F.coefficient(k)
@@ -311,7 +279,7 @@ class _Engine:
                     gl = G.coefficient(l)
                     if gl.is_zero():
                         continue
-                    p = self._apply(rep, fk, gl)
+                    p = ops.apply(orbit, (fk, gl))
                     if not p.is_zero():
                         coeffs[j + k + l] = coeffs[j + k + l] + p * c
         return FormalSeries(self.dim, N, coeffs)
@@ -326,15 +294,15 @@ class _Engine:
         is linear in each W_r.
         """
         sens = {}
-        for rep, _ in self.sources:
-            if rep in sens:
+        for r, _ in self.sources:
+            if r in sens:
                 continue
-            d = self._orbit_sum(A.value, B.value, {rep: QI(1)})
-            if rep in A.sens:
-                d = d + self._star(A.sens[rep], B.value)
-            if rep in B.sens:
-                d = d + self._star(A.value, B.sens[rep])
-            sens[rep] = d
+            d = self._orbit_sum(A.value, B.value, {r: QI(1)})
+            if r in A.sens:
+                d = d + self._star(A.sens[r], B.value)
+            if r in B.sens:
+                d = d + self._star(A.value, B.sens[r])
+            sens[r] = d
         return Measured(self._star(A.value, B.value), sens)
 
     def bounds(self, m: Measured) -> tuple:

@@ -38,8 +38,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
-                     SamplingError)
-from .graphs import KGraph, serialize
+                     ParseError, SamplingError, json_int)
+from .graphs import KGraph, parse, serialize
 from .halfplane import TWO_PI, angle_form
 
 _METHODS = ("qmc", "mc", "cubature")
@@ -108,15 +108,22 @@ class WeightEstimate:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "WeightEstimate":
-        exact = obj.get("exact")
-        return WeightEstimate(
-            value=float(obj["value"]),
-            std_error=float(obj["std_error"]),
-            n_samples=int(obj["n_samples"]),
-            seed=int(obj["seed"]),
-            method=str(obj["method"]),
-            exact=None if exact is None else Fraction(exact[0], exact[1]),
-        )
+        """Inverse of to_json_obj; ParseError on a malformed field."""
+        try:
+            value, std_error = obj["value"], obj["std_error"]
+            if any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in (value, std_error)):
+                raise ParseError("value and std_error must be numbers")
+            exact = obj.get("exact")
+            if exact is not None:
+                num, den = (json_int(q, "exact") for q in exact)
+                exact = Fraction(num, den)
+            return WeightEstimate(float(value), float(std_error),
+                                  json_int(obj["n_samples"], "n_samples"),
+                                  json_int(obj["seed"], "seed"),
+                                  str(obj["method"]), exact)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad weight estimate {obj!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +470,14 @@ class WeightTable:
 
     @staticmethod
     def from_json_obj(obj: list) -> "WeightTable":
-        from .graphs import parse
+        if not isinstance(obj, list):
+            raise ParseError("a weight table is a JSON list of entries")
         table = WeightTable()
         for entry in obj:
-            table.put(parse(entry["graph"]),
-                      WeightEstimate.from_json_obj(entry))
+            graph = entry.get("graph") if isinstance(entry, dict) else None
+            if not isinstance(graph, str):
+                raise ParseError(f"entry without a graph: {entry!r}")
+            table.put(parse(graph), WeightEstimate.from_json_obj(entry))
         return table
 
     def to_csv(self) -> str:

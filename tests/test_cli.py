@@ -1,7 +1,13 @@
 """Command-line front end: exit codes, artifacts, determinism."""
 import json
+import os
+import tempfile
 
+import numpy
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant.cli import main
 from starquant.poly import Polynomial
@@ -44,6 +50,15 @@ class TestEnumerate:
         import hashlib
         digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
         assert manifest["outputs"][0]["sha256"] == digest
+
+    def test_manifest_records_library_versions(self, tmp_path, capsys):
+        """Sobol scrambling depends on scipy, so byte determinism is only
+        claimed together with the library versions that ran."""
+        out = str(tmp_path / "graphs.json")
+        assert main(["enumerate", "-n", "1", "-m", "2", "--out", out]) == 0
+        versions = json.loads(open(out + ".manifest.json").read())["versions"]
+        assert versions["numpy"] == numpy.__version__
+        assert versions["scipy"] == scipy.__version__
 
     def test_cap_exit_code(self, capsys):
         assert main(["enumerate", "-n", "5", "-m", "2"]) == 3
@@ -210,6 +225,59 @@ class TestStar:
                          "--g", g, "-N", "2", "--seed", "11",
                          "--samples", "65536", "--out", out]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10)
+SMALL = st.integers(min_value=-2, max_value=4)
+TERM = st.fixed_dictionaries(
+    {"exps": st.lists(st.integers(min_value=0, max_value=3), min_size=3,
+                      max_size=3),
+     "num": st.integers()},
+    optional={key: SMALL for key in ("den", "im_num", "im_den")})
+
+
+@st.composite
+def poly_files(draw):
+    """A dim-3 polynomial file (so(3) is the default alpha) with at most
+    one part replaced by arbitrary JSON."""
+    terms = draw(st.lists(TERM, max_size=3))
+    obj = {"dim": 3, "poly": terms}
+    spot = draw(st.sampled_from(["none", "file", "dim", "poly", "term",
+                                 "field"]))
+    if spot == "file":
+        return draw(JSON)
+    if spot in ("dim", "poly"):
+        obj[spot] = draw(JSON)
+    elif terms and spot != "none":
+        k = draw(st.integers(min_value=0, max_value=len(terms) - 1))
+        if spot == "term":
+            terms[k] = draw(JSON)
+        else:
+            terms[k][draw(st.sampled_from(
+                ["exps", "num", "den", "im_num", "im_den"]))] = draw(JSON)
+    return obj
+
+
+class TestStarInputFuzz:
+    @given(f=poly_files(), g=poly_files())
+    @settings(max_examples=60, deadline=None)
+    def test_any_json_exits_0_or_2(self, f, g):
+        """Arbitrary JSON in the --f/--g files ends in exit 0 or 2,
+        never in a traceback."""
+        with tempfile.TemporaryDirectory() as work:
+            paths = []
+            for name, obj in (("f.json", f), ("g.json", g)):
+                paths.append(os.path.join(work, name))
+                with open(paths[-1], "w") as fh:
+                    json.dump(obj, fh)
+            code = main(["star", "-N", "1", "--f", paths[0],
+                         "--g", paths[1]])
+        assert code in (0, 2)
 
 
 class TestVerify:

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from starquant.errors import ConfigError, DegreeMismatchError, DimensionMismatchError
 from starquant.formality import (
     LINFTY_RHS_SIGN,
+    _u_numeric,
     ghost_argument_count,
     graded_symmetry_check,
     linfty_check,
     u_n,
 )
+from starquant.graphs import enumerate_graphs, serialize
+from starquant.operators import build_operator
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, schouten
 from starquant.rational import QI
@@ -182,7 +185,6 @@ class TestStarCrossPath:
 
     def test_so3_second_order_statistical(self):
         """Argument reversal maps to mirror graphs with independent draws."""
-        from starquant.formality import _u_numeric
         from starquant.star import quadrature_bound
 
         alpha = so3_bivector()
@@ -198,6 +200,66 @@ class TestStarCrossPath:
         bound = exp.bounds[2] + quadrature_bound(measured, sources)
         assert bound > 0
         assert resid.max_abs_coeff() <= cfg.policy * bound
+
+
+def graph_by_graph_u(fields, args, reg):
+    """u_n with one build_operator per graph, no orbit sharing, reading
+    each graph's (estimate, std_error) from a registry _u_numeric filled:
+    the value and the per-graph sensitivities."""
+    n = len(fields)
+    degrees = [f.degree for f in fields]
+    rational = QI(Fraction((-1) ** n, math.factorial(n) * math.prod(
+        math.factorial(p + 1) for p in degrees)))
+    value, sens = Polynomial.zero(args[0].dim), {}
+    for g in enumerate_graphs(n, len(args), degrees):
+        applied = build_operator(g, fields).apply(tuple(reversed(args)))
+        if applied.is_zero():
+            continue
+        est, sig = reg[serialize(g)]
+        value = value + applied * (rational * est)
+        if sig:
+            sens[serialize(g)] = applied * rational
+    return value, sens
+
+
+def _vector():
+    x = variables()
+    return PolyVectorField(DIM, 0, {(0,): x[1], (2,): x[0] * x[0]})
+
+
+def _trivector():
+    x = variables()
+    return PolyVectorField(DIM, 2, {(0, 1, 2): x[0] * x[1] + x[2]})
+
+
+class TestOrbitSharedGraphSum:
+    """_u_numeric builds one operator per orbit and signs each graph."""
+
+    @pytest.mark.parametrize("case", ["so3_diagonal", "two_bivectors",
+                                      "vector_trivector",
+                                      "bivector_trivector"])
+    def test_matches_graph_by_graph_sum(self, case):
+        x = variables()
+        rng = random.Random(61)
+        fields, args = {
+            "so3_diagonal": ([so3_bivector()] * 2,
+                             [x[0] * x[0], x[1] * x[2]]),
+            "two_bivectors": ([random_linear_bivector(rng),
+                               random_linear_bivector(rng)],
+                              [x[0] * x[1], x[2] * x[2]]),
+            "vector_trivector": ([_vector(), _trivector()],
+                                 [x[0] * x[1], x[2] * x[2]]),
+            "bivector_trivector": ([so3_bivector(), _trivector()],
+                                   [x[0] * x[1], x[2], x[2]]),
+        }[case]
+        cfg = numeric_cfg(n_samples=4096)
+        reg = {}
+        got = _u_numeric(fields, args, cfg, reg)
+        value, sens = graph_by_graph_u(fields, args, reg)
+        assert sens  # sampled graphs contribute
+        assert got.value == value
+        assert got.sens == sens
+        assert list(got.sens) == list(sens)  # bounds add in this order
 
 
 class TestGradedSymmetry:

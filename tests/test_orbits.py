@@ -1,4 +1,4 @@
-"""Orbits of star graphs under aerial relabelling and out-edge swaps,
+"""Orbits of graphs under aerial relabelling and out-edge permutations,
 and the orbit-shared star assembly checked against a graph-by-graph
 reference."""
 import importlib
@@ -14,7 +14,7 @@ from starquant.graphs import (KGraph, enumerate_graphs, orbit_representative,
                               serialize, star_graphs)
 from starquant.operators import build_operator
 from starquant.poly import Polynomial
-from starquant.polyvector import PolyVectorField
+from starquant.polyvector import PolyVectorField, sort_with_sign
 from starquant.rational import QI
 from starquant.series import FormalSeries
 from starquant.star import (StarConfig, check_associativity,
@@ -25,6 +25,7 @@ from helpers import so3_alpha
 
 HALF_I = QI(0, Fraction(1, 2))
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
+operators_mod = importlib.import_module("starquant.operators")
 
 
 def dim2_alpha() -> PolyVectorField:
@@ -68,11 +69,30 @@ class TestOrbitMap:
             h = transform(g, perm, swaps)
             assert orbit_representative(h)[0] == orbit_representative(g)[0]
 
-    def test_rejects_non_star_graphs(self):
+    def test_trivector_sign_is_the_permutation_sign(self):
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        tri = PolyVectorField(3, 2, {(0, 1, 2): x[0] * x[1] + x[2]})
+        rep_op = build_operator(KGraph(1, 3, ((1, 2, 3),)), [tri])
+        assert rep_op.terms
+        for targets in itertools.permutations((1, 2, 3)):
+            g = KGraph(1, 3, (targets,))
+            rep, sign = orbit_representative(g)
+            assert rep == KGraph(1, 3, ((1, 2, 3),))
+            assert sign == sort_with_sign(targets)[1]
+            assert build_operator(g, [tri]) == rep_op * sign
+
+    def test_accepts_three_grounds_and_keeps_labels(self):
+        assert orbit_representative(enumerate_graphs(1, 3, [2])[0]) == (
+            KGraph(1, 3, ((1, 2, 3),)), 1)
+        g = KGraph(2, 3, ((4, 2), (3, 0)))
+        # equal labels may swap the vertices, distinct ones may not
+        assert orbit_representative(g) == (KGraph(2, 3, ((1, 3), (2, 4))), 1)
+        assert orbit_representative(g, labels=(0, 1)) == (
+            KGraph(2, 3, ((2, 4), (0, 3))), 1)
+
+    def test_rejects_doubled_edges(self):
         with pytest.raises(ParseError):
-            orbit_representative(enumerate_graphs(1, 3, [2])[0])
-        with pytest.raises(ParseError):
-            orbit_representative(KGraph(1, 2, ((1,),)))
+            orbit_representative(KGraph(1, 2, ((1, 1),)))
 
 
 class TestOperatorSigns:
@@ -98,7 +118,7 @@ class TestOperatorSigns:
             calls.append(graph)
             return build_operator(graph, fields, dim)
 
-        monkeypatch.setattr(star_mod, "build_operator", counting)
+        monkeypatch.setattr(operators_mod, "build_operator", counting)
         rows = star_mod._Engine(so3_alpha(), StarConfig(order=3)).operators(3)
         assert len(calls) <= 44
         ops = {rep: build_operator(rep, [so3_alpha()] * 3) for rep in calls}

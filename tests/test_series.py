@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_polynomial
-from starquant.errors import DimensionMismatchError
+from starquant.errors import DimensionMismatchError, ParseError
 from starquant.poly import Polynomial
 from starquant.rational import QI
 from starquant.series import FormalSeries
@@ -119,3 +119,12 @@ class TestJson:
         obj = s.to_json_obj()
         assert obj["coeffs"][0][0]["num"] == 1
         assert obj["coeffs"][0][0]["den"] == 3
+
+    @pytest.mark.parametrize("field,bad", [
+        ("dim", 2.7), ("dim", True), ("order", 1.9), ("order", "1")])
+    def test_rejects_non_integer_fields(self, field, bad):
+        obj = FormalSeries.from_polynomial(Polynomial.variable(2, 0),
+                                           1).to_json_obj()
+        obj[field] = bad
+        with pytest.raises(ParseError):
+            FormalSeries.from_json_obj(obj)

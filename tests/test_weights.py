@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from starquant.errors import (ConfigError, ConvergenceWarning,
-                              DegreeMismatchError)
+                              DegreeMismatchError, ParseError)
 from starquant.graphs import KGraph, parse, serialize, star_graphs
 from starquant.halfplane import dphi
 from starquant.weights import (IntegrationConfig, WeightEstimate, WeightTable,
@@ -292,3 +292,30 @@ class TestTable:
     def test_estimate_json_round_trip(self):
         est = WeightEstimate(0.5, 1e-3, 4096, 7, "qmc", exact=Fraction(1, 2))
         assert WeightEstimate.from_json_obj(est.to_json_obj()) == est
+
+    @pytest.mark.parametrize("field,bad", [
+        ("n_samples", 2.9), ("n_samples", "4096"), ("seed", True),
+        ("seed", 7.0), ("exact", [1.5, 2]), ("exact", [1, 0]),
+        ("exact", [1]), ("value", "0.5"), ("value", None),
+        ("std_error", False)])
+    def test_estimate_rejects_malformed_fields(self, field, bad):
+        obj = WeightEstimate(0.5, 1e-3, 4096, 7, "qmc",
+                             exact=Fraction(1, 2)).to_json_obj()
+        obj[field] = bad
+        with pytest.raises(ParseError):
+            WeightEstimate.from_json_obj(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"graph": "n=1;m=2;1:[L,R]"},
+        [{"value": 0.5, "std_error": 0.0, "n_samples": 1, "seed": 1,
+          "method": "qmc"}],
+        [{"graph": "n=1;m=2;1:[L,R]", "value": 0.5, "n_samples": 1,
+          "seed": 1, "method": "qmc"}],
+        [{"graph": "n=1;m=2;1:[L,R]", "value": "x", "std_error": 0.0,
+          "n_samples": 1, "seed": 1, "method": "qmc"}],
+        [{"graph": "n=1;m=2;1:[L,R]", "value": 0.5, "std_error": [],
+          "n_samples": 1, "seed": 1, "method": "qmc"}],
+        ["n=1;m=2;1:[L,R]"], None, 3])
+    def test_table_rejects_malformed_input(self, obj):
+        with pytest.raises(ParseError):
+            WeightTable.from_json_obj(obj)
