@@ -7,9 +7,10 @@ line per artifact:
 
     name exit_code sha256
 
-Primary artifacts are byte-deterministic for a fixed --seed, so
-diffing this output between two checkouts is a byte-identity check
-of a refactor:
+Every invocation takes the --samples budget except weight_n2_1048576,
+which always samples 2^20 points per graph.  Primary artifacts are
+byte-deterministic for a fixed --seed, so diffing this output between
+two checkouts is a byte-identity check of a refactor:
 
     PYTHONPATH=src python scripts/artifact_digests.py > after.txt
 
@@ -46,8 +47,14 @@ def invocations(samples: int, work: str):
     def path(name):
         return os.path.join(work, name)
 
-    yield "weight_n2", ["weight", "-n", "2", "--seed", "0", "--format",
-                        "json"] + budget
+    weight_n2 = ["weight", "-n", "2", "--seed", "0", "--format", "json"]
+    yield "weight_n2", weight_n2 + budget
+    yield "weight_n2_mc", weight_n2 + ["--method", "mc"] + budget
+    # 32768 rows per replicate: each replicate in several integrand calls
+    yield "weight_n2_1048576", weight_n2 + ["--samples", "1048576"]
+    for p in range(1, 5):
+        yield f"verify_ip_p{p}", ["verify", "ip", "-p", str(p), "--seed",
+                                  "0"] + budget
     for order in (2, 3):
         yield f"star_so3_N{order}", [
             "star", "-N", str(order), "--f", path("so3_f.json"),

@@ -66,6 +66,9 @@ from .weights import (
 
 SUITES = ("jacobi", "parity", "assoc", "moyal", "ip", "linfty", "symmetry",
           "center-probe")
+# I_p integrates over p + 1 dimensions; the integrand holds a
+# (rows, p + 1, p + 1) form matrix per call
+IP_MAX_P = 8
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +336,9 @@ def _run_suite(suite: str, ns):
         return {"suite": "moyal", "cases": cases, "ok": all_ok}, all_ok, lines
 
     if suite == "ip":
+        if not 1 <= ns.p <= IP_MAX_P:
+            raise ConfigError(f"-p must be between 1 and {IP_MAX_P}, "
+                              f"got {ns.p}")
         cfg = _integration(ns)
         est = i_p_integral(ns.p, cfg)
         target = float(TWO_PI ** (ns.p + 1) * i_p_rational(ns.p))
@@ -446,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f")
     p.add_argument("--g")
     p.add_argument("--h")
-    p.add_argument("-p", type=int, default=1, help="ip suite: which I_p")
+    p.add_argument("-p", type=int, default=1,
+                   help=f"ip suite: which I_p, 1 <= p <= {IP_MAX_P} "
+                        "(default 1)")
     p.add_argument("--policy", type=float, default=3.0)
     p.add_argument("--skip-jacobi", action="store_true")
     common_numeric(p)

@@ -23,9 +23,16 @@ uniforms (simplex sampling).  Default method is scrambled-Sobol QMC
 with 32 independent replicates; the replicate spread gives the
 standard error.  Plain Monte Carlo and a tensor-grid midpoint rule
 (n <= 2) are available as cross-checks.
+
+The replicates of one integral are drawn as one scrambled-Sobol block
+(_sobol_block), bit-identical to scipy's qmc.Sobol per replicate seed,
+and evaluated in integrand calls of at most _BLOCK_ROWS = 8192 rows.
+That byte identity across scipy versions rests on
+tests/test_weights.py::TestSobolBlock.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -53,6 +60,9 @@ _DEFAULT_BUDGET = {2: 1048576, 3: 2097152, 4: 4194304, 5: 1048576}
 _FALLBACK_BUDGET = 1048576
 
 _GUARD = 1e-12
+
+# rows per integrand call: calls on a few thousand rows cost least per row
+_BLOCK_ROWS = 8192
 
 
 def stable_seed(*parts) -> int:
@@ -180,6 +190,55 @@ def det_batch(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# scrambled Sobol' points
+# ---------------------------------------------------------------------------
+
+_SOBOL_BITS = 30                        # scipy's default resolution
+# 2^(29-k): the value of matrix column k, and of output bit 29-k
+_BIT_VALUES = np.uint32(1) << np.arange(29, -1, -1, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=None)
+def _direction_number(dims: int, j: int) -> np.ndarray:
+    """Unscrambled direction number j of each dimension: the point at
+    index 2^(j+1) - 1, whose Gray code is 2^j."""
+    sob = qmc.Sobol(d=dims, scramble=False).fast_forward(2 ** (j + 1) - 1)
+    v = (sob.random(1)[0] * 2.0 ** _SOBOL_BITS).astype(np.uint32)
+    v.setflags(write=False)
+    return v
+
+
+def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
+    """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
+    stacked to shape (len(seeds), n, dims), bit for bit."""
+    shifts, ltms = [], []
+    for s in seeds:                     # scipy's draw order
+        rng = np.random.default_rng(s)
+        shifts.append(rng.integers(0, 2, (dims, _SOBOL_BITS), np.uint32))
+        ltms.append(rng.integers(0, 2, (dims, _SOBOL_BITS, _SOBOL_BITS),
+                                 np.uint32))
+    # LMS rows as integers (last column the low bit), diagonal set to 1
+    rows = np.tril(np.array(ltms), -1) @ _BIT_VALUES + _BIT_VALUES
+    k = (n - 1).bit_length()            # direction numbers the points use
+    v = np.array([_direction_number(dims, j) for j in range(k)],
+                 dtype=np.uint32).reshape(k, dims).T
+    # scrambled v_j: bit 29-p is the parity of row p & v_j
+    par = rows[..., None] & v[None, :, None, :]
+    for step in (16, 8, 4, 2, 1):
+        par ^= par >> np.uint32(step)
+    sv = ((par & np.uint32(1)) * _BIT_VALUES[:, None]).sum(axis=2,
+                                                           dtype=np.uint32)
+    # Gray-code order by reflection: P[h:2h] = P[h-1::-1] ^ v_b
+    pts = np.empty((len(seeds), n, dims), dtype=np.uint32)
+    pts[:, 0] = np.array(shifts) @ _BIT_VALUES[::-1]
+    for b in range(k):
+        half, hi = 1 << b, min(2 << b, n)
+        pts[:, half:hi] = (pts[:, 2 * half - hi:half][:, ::-1]
+                           ^ sv[:, None, :, b])
+    return pts * 2.0 ** -_SOBOL_BITS
+
+
+# ---------------------------------------------------------------------------
 # integrand
 # ---------------------------------------------------------------------------
 
@@ -242,10 +301,12 @@ def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int
-                  ) -> np.ndarray:
-    """Evaluate, replacing guarded samples with fresh uniform draws."""
-    vals = _evaluate(graph, u)
+def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int,
+                  vals: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate u (unless its values vals are given), replacing guarded
+    samples with fresh uniform draws."""
+    if vals is None:
+        vals = _evaluate(graph, u)
     bad = np.isnan(vals)
     if not bad.any():
         return vals
@@ -285,20 +346,23 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
 
     total = cfg.n_samples or default_budget(dims)
     per_rep = max(1, total // N_REPLICATES)
+    rep_seeds = [stable_seed(base_seed, "rep", r) for r in range(N_REPLICATES)]
+    group = max(1, _BLOCK_ROWS // per_rep)
     means = []
-    for r in range(N_REPLICATES):
-        rep_seed = stable_seed(base_seed, "rep", r)
+    for first in range(0, N_REPLICATES, group):
+        seeds = rep_seeds[first:first + group]
         if cfg.method == "qmc":
-            sob = qmc.Sobol(d=dims, scramble=True, seed=rep_seed)
-            with warnings.catch_warnings():
-                # unbalanced sample counts are the user's choice
-                warnings.simplefilter("ignore", UserWarning)
-                u = sob.random(per_rep)
+            u = _sobol_block(dims, seeds, per_rep).reshape(-1, dims)
         else:
-            gen = np.random.Generator(np.random.PCG64(rep_seed))
-            u = gen.random((per_rep, dims))
-        vals = _clean_values(graph, u, stable_seed(rep_seed, "redraw"))
-        means.append(float(vals.mean()))
+            u = np.concatenate([np.random.Generator(np.random.PCG64(s))
+                                .random((per_rep, dims)) for s in seeds])
+        vals = np.concatenate([_evaluate(graph, u[i:i + _BLOCK_ROWS])
+                               for i in range(0, len(u), _BLOCK_ROWS)])
+        for k, rep_seed in enumerate(seeds):
+            rows = slice(k * per_rep, (k + 1) * per_rep)
+            clean = _clean_values(graph, u[rows],
+                                  stable_seed(rep_seed, "redraw"), vals[rows])
+            means.append(float(clean.mean()))
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     return value, std_error, per_rep * N_REPLICATES

@@ -58,3 +58,38 @@ def random_field(rng: random.Random, dim: int, degree: int,
 
 def random_bivector(rng: random.Random, dim: int, max_degree: int = 2) -> PolyVectorField:
     return random_field(rng, dim, 1, max_degree=max_degree)
+
+
+def per_replicate_integral(graph, cfg, seed=None):
+    """Reference for weights.integrate_graph_form's qmc and mc paths: one
+    scrambled-Sobol engine (or PCG64 stream) and one integrand call per
+    replicate, each replicate's guarded rows redrawn from its own seed."""
+    import math
+    import warnings
+
+    import numpy as np
+    from scipy.stats import qmc
+
+    from starquant import weights
+
+    dims = 2 * graph.n + graph.m - 2
+    base_seed = cfg.seed if seed is None else seed
+    total = cfg.n_samples or weights.default_budget(dims)
+    per_rep = max(1, total // weights.N_REPLICATES)
+    means = []
+    for r in range(weights.N_REPLICATES):
+        rep_seed = weights.stable_seed(base_seed, "rep", r)
+        if cfg.method == "qmc":
+            sob = qmc.Sobol(d=dims, scramble=True, seed=rep_seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                u = sob.random(per_rep)
+        else:
+            gen = np.random.Generator(np.random.PCG64(rep_seed))
+            u = gen.random((per_rep, dims))
+        vals = weights._clean_values(graph, u,
+                                     weights.stable_seed(rep_seed, "redraw"))
+        means.append(float(vals.mean()))
+    value = float(np.mean(means))
+    std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    return value, std_error, per_rep * weights.N_REPLICATES

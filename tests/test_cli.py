@@ -297,6 +297,22 @@ class TestVerify:
         assert obj["ok"] is True
         assert obj["std_error"] > 0
 
+    @pytest.mark.parametrize("p", ["0", "-1", "9", "50"])
+    def test_ip_order_out_of_range_exit_2(self, monkeypatch, capsys, p):
+        from starquant import weights
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled an out-of-range I_p")
+
+        monkeypatch.setattr(weights, "integrate_graph_form", no_sampling)
+        assert main(["verify", "ip", "-p", p]) == 2
+        assert "-p must be between 1 and 8" in capsys.readouterr().err
+
+    def test_ip_order_limit_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "1 <= p <= 8" in " ".join(capsys.readouterr().out.split())
+
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

@@ -1,17 +1,22 @@
 """Weight integrator: determinant kernels, calibration weights,
 moving-ground integrals, tables, determinism, and the sampling guard."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import per_replicate_integral
+from scipy.stats import qmc
 
+from starquant import weights
 from starquant.errors import (ConfigError, ConvergenceWarning,
                               DegreeMismatchError, ParseError)
 from starquant.graphs import KGraph, parse, serialize, star_graphs
 from starquant.halfplane import dphi
 from starquant.weights import (IntegrationConfig, WeightEstimate, WeightTable,
-                               _clean_values, _evaluate, det_batch,
+                               _BLOCK_ROWS, _clean_values, _evaluate,
+                               _sobol_block, det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
                                stable_seed, weight)
@@ -177,6 +182,75 @@ class TestMovingGround:
         assert i_p_rational(1) == Fraction(-1, 2)
         assert i_p_rational(2) == Fraction(1, 6)
         assert i_p_rational(3) == Fraction(-1, 24)
+
+
+class TestSobolBlock:
+    """_sobol_block reproduces scipy's LMS+shift scrambled Sobol' points
+    bit for bit; a scipy release that changes its scrambling fails here."""
+
+    SEEDS = (0, 12345, 2 ** 63, 2 ** 64 - 1, stable_seed(7, "rep", 3))
+
+    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 128, 3125, 4096, 8193])
+    def test_matches_scipy(self, dims, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = np.stack([
+                qmc.Sobol(d=dims, scramble=True, seed=s).random(n)
+                for s in self.SEEDS])
+        got = _sobol_block(dims, self.SEEDS, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestBlockedReplicates:
+    """integrate_graph_form samples and evaluates replicates in blocks;
+    the per-replicate loop in helpers is the reference, exactly."""
+
+    GRAPHS = ["n=1;m=2;1:[L,R]", "n=2;m=2;1:[2,L];2:[1,R]",
+              "n=3;m=2;1:[2,L];2:[3,R];3:[L,R]", "n=1;m=3;1:[G2,G1,G0]",
+              "n=1;m=4;1:[G3,G2,G1,G0]"]
+
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    @pytest.mark.parametrize("text", GRAPHS)
+    def test_graphs(self, text, method):
+        cfg = IntegrationConfig(method=method, seed=11, n_samples=4096)
+        graph = parse(text)
+        assert (integrate_graph_form(graph, cfg)
+                == per_replicate_integral(graph, cfg))
+
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    @pytest.mark.parametrize("n_samples", [
+        1, 31, 1000, 32 * (_BLOCK_ROWS - 1), 32 * _BLOCK_ROWS,
+        32 * (2 * _BLOCK_ROWS + 5)])
+    @pytest.mark.parametrize("text", ["n=1;m=2;1:[L,R]",
+                                      "n=1;m=3;1:[G2,G1,G0]"])
+    def test_rows_per_replicate(self, text, n_samples, method):
+        cfg = IntegrationConfig(method=method, seed=3, n_samples=n_samples)
+        graph = parse(text)
+        assert (integrate_graph_form(graph, cfg, seed=8)
+                == per_replicate_integral(graph, cfg, seed=8))
+
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    @pytest.mark.parametrize("text", ["n=1;m=2;1:[L,R]",
+                                      "n=2;m=2;1:[2,L];2:[L,R]",
+                                      "n=1;m=3;1:[G2,G1,G0]"])
+    def test_guard_redraws(self, monkeypatch, text, method):
+        monkeypatch.setattr(weights, "_GUARD", 0.5)
+        rejected = []
+        clean = weights._clean_values
+
+        def spy(graph, u, redraw_seed, vals=None):
+            if vals is not None:
+                rejected.append(int(np.isnan(vals).sum()))
+            return clean(graph, u, redraw_seed, vals)
+
+        monkeypatch.setattr(weights, "_clean_values", spy)
+        cfg = IntegrationConfig(method=method, seed=4, n_samples=8192)
+        graph = parse(text)
+        got = integrate_graph_form(graph, cfg)
+        assert len(rejected) == weights.N_REPLICATES and min(rejected) > 0
+        assert got == per_replicate_integral(graph, cfg)
 
 
 class TestGuard:
