@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Print the exit code and sha256 of a fixed set of CLI artifacts.
+"""Print the exit code, artifact sha256 and stdout sha256 of a fixed
+set of CLI invocations.
 
 Runs each invocation below in process through starquant.cli.main,
 writing its --out artifact into a temporary directory, and prints one
-line per artifact:
+line per invocation:
 
-    name exit_code sha256
+    name exit_code artifact_sha256 stdout_sha256
 
 Every invocation takes the --samples budget except weight_n2_1048576,
-which always samples 2^20 points per graph.  Primary artifacts are
-byte-deterministic for a fixed --seed, so diffing this output between
-two checkouts is a byte-identity check of a refactor:
+which always samples 2^20 points per graph, and enumerate_n2_m2, which
+samples nothing.  Primary artifacts and stdout are byte-deterministic
+for a fixed --seed, so diffing this output between two checkouts is a
+byte-identity check of a refactor:
 
     PYTHONPATH=src python scripts/artifact_digests.py > after.txt
 
@@ -50,6 +52,7 @@ def invocations(samples: int, work: str):
     weight_n2 = ["weight", "-n", "2", "--seed", "0", "--format", "json"]
     yield "weight_n2", weight_n2 + budget
     yield "weight_n2_mc", weight_n2 + ["--method", "mc"] + budget
+    yield "weight_n2_audit", weight_n2 + ["--audit", "parity"] + budget
     # 32768 rows per replicate: each replicate in several integrand calls
     yield "weight_n2_1048576", weight_n2 + ["--samples", "1048576"]
     for p in range(1, 5):
@@ -62,6 +65,9 @@ def invocations(samples: int, work: str):
         yield f"star_dim2_N{order}", [
             "star", "-N", str(order), "--alpha", path("dim2_alpha.json"),
             "--f", path("dim2_f.json"), "--g", path("dim2_g.json")] + budget
+    for suite in ("jacobi", "moyal"):
+        yield f"verify_{suite}", ["verify", suite, "--seed", "0"] + budget
+    yield "enumerate_n2_m2", ["enumerate", "-n", "2", "-m", "2"]
     for suite in ("assoc", "linfty", "symmetry", "center-probe"):
         for seed in (0, 5):
             yield f"verify_{suite}_seed{seed}", [
@@ -76,14 +82,16 @@ def run(samples: int) -> list[str]:
                 json.dump(obj, fh)
         for name, argv in invocations(samples, work):
             out = os.path.join(work, f"{name}.json")
-            with contextlib.redirect_stdout(io.StringIO()), \
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv + ["--out", out])
             digest = "-"
             if os.path.exists(out):
                 with open(out, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
-            lines.append(f"{name} {code} {digest}")
+            printed = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+            lines.append(f"{name} {code} {digest} {printed}")
     return lines
 
 

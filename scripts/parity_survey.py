@@ -1,46 +1,41 @@
 #!/usr/bin/env python3
 """Survey mirror parity of star-graph weights across seeds.
 
-For each seed the full order-n table is integrated fresh and every
-graph is compared against its mirror at 3 and 5 sigma.  The summary
-shows how the pass rate fluctuates with the draw, which is the
-statistical allowance the acceptance bound builds on.
+For each seed, runs `starquant weight -n ORDER --seed SEED --audit
+parity` through starquant.cli.main, which integrates the full order-n
+table fresh and compares every graph against its mirror at 3 and 5
+sigma, and prints the audit lines under the seed.  The summary shows
+how the pass rate fluctuates with the draw, which is the statistical
+allowance the acceptance bound builds on.
+
+    PYTHONPATH=src python scripts/parity_survey.py -n 2 --seeds 0,1,2
 """
 import argparse
-import math
+import contextlib
+import io
+import os
+import tempfile
 
-from starquant.graphs import serialize, star_graphs
-from starquant.weights import IntegrationConfig, WeightTable
+from starquant.cli import main
 
 
 def survey(order: int, seeds, n_samples):
-    graphs = star_graphs(order)
-    sign = (-1) ** order
-    print(f"order {order}: {len(graphs)} graphs, seeds {list(seeds)}")
-    for seed in seeds:
-        cfg = IntegrationConfig(seed=seed, n_samples=n_samples)
-        table = WeightTable()
-        table.ensure(graphs, cfg, use_exact=False)
-        worst = (0.0, "")
-        pass3 = pass5 = 0
-        for g in graphs:
-            est, mest = table.get(g), table.get(g.mirror())
-            diff = abs(mest.value - sign * est.value)
-            sigma = math.hypot(est.std_error, mest.std_error)
-            z = diff / sigma if sigma else math.inf
-            if z <= 3:
-                pass3 += 1
-            if z <= 5:
-                pass5 += 1
-            if z > worst[0]:
-                worst = (z, serialize(g))
-        print(f"  seed {seed}: {pass3}/{len(graphs)} at 3s, "
-              f"{pass5}/{len(graphs)} at 5s, worst {worst[0]:.2f}s "
-              f"({worst[1]})")
+    budget = [] if n_samples is None else ["--samples", str(n_samples)]
+    print(f"order {order}, seeds {list(seeds)}")
+    with tempfile.TemporaryDirectory() as work:
+        table = os.path.join(work, "table.csv")
+        for seed in seeds:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["weight", "-n", str(order), "--seed", str(seed),
+                             "--audit", "parity", "--out", table] + budget)
+            print(f"  seed {seed}: exit {code}")
+            for line in stdout.getvalue().splitlines():
+                print(f"    {line}")
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def cli():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("-n", "--order", type=int, default=2)
     ap.add_argument("--seeds", default="0,1,2",
                     help="comma list of table seeds")
@@ -50,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    cli()

@@ -64,7 +64,7 @@ from .weights import (
     i_p_rational,
 )
 
-SUITES = ("jacobi", "parity", "assoc", "moyal", "ip", "linfty", "symmetry",
+SUITES = ("jacobi", "assoc", "moyal", "ip", "linfty", "symmetry",
           "center-probe")
 # I_p integrates over p + 1 dimensions; the integrand holds a
 # (rows, p + 1, p + 1) form matrix per call
@@ -138,20 +138,20 @@ def _write_artifact(path: str, text: str, ns, t0: float, extra=None):
 
 def _integration(ns) -> IntegrationConfig:
     kw = {"seed": ns.seed}
-    if getattr(ns, "samples", None):
+    if getattr(ns, "samples", None) is not None:
         kw["n_samples"] = ns.samples
-    if getattr(ns, "method", None):
+    if getattr(ns, "method", None) is not None:
         kw["method"] = ns.method
-    if getattr(ns, "error_target", None):
+    if getattr(ns, "error_target", None) is not None:
         kw["error_target"] = ns.error_target
     return IntegrationConfig(**kw)
 
 
-def _star_config(ns, table=None) -> StarConfig:
+def _star_config(ns) -> StarConfig:
     return StarConfig(
         order=getattr(ns, "order", 2),
         integration=_integration(ns),
-        table=table if table is not None else WeightTable(),
+        table=WeightTable(),
         policy=getattr(ns, "policy", 3.0),
         jacobi="warn" if getattr(ns, "skip_jacobi", False) else "require",
     )
@@ -163,8 +163,12 @@ def _star_config(ns, table=None) -> StarConfig:
 
 def cmd_enumerate(ns) -> int:
     t0 = time.monotonic()
-    degrees = ([int(d) for d in ns.degrees.split(",")] if ns.degrees
-               else [1] * ns.n)
+    try:
+        degrees = ([int(d) for d in ns.degrees.split(",")] if ns.degrees
+                   else [1] * ns.n)
+    except ValueError as exc:
+        raise ParseError(f"--degrees {ns.degrees!r} is not a comma list "
+                         "of integers") from exc
     graphs = enumerate_graphs(ns.n, ns.m, degrees, strict=not ns.permissive)
     print(f"{len(graphs)} graphs for n={ns.n} m={ns.m} "
           f"degrees={','.join(map(str, degrees))}")
@@ -294,19 +298,15 @@ def _run_suite(suite: str, ns):
         rep = validate_poisson(alpha)
         return rep.to_json_obj(), rep.ok, [rep.summary()]
 
-    if suite == "parity":
-        graphs = star_graphs(ns.order)
-        table = WeightTable()
-        table.ensure(graphs, _integration(ns), use_exact=False)
-        code, lines = _parity_audit(table, graphs)
-        obj = {"suite": "parity", "order": ns.order, "ok": code == 0,
-               "table": table.to_json_obj()}
-        return obj, code == 0, lines
-
     if suite == "assoc":
         alpha = load_alpha(ns.alpha)
-        if ns.f and ns.g and ns.h:
-            triple = [load_poly(p) for p in (ns.f, ns.g, ns.h)]
+        paths = (ns.f, ns.g, ns.h)
+        missing = [f"--{k}" for k, p in zip("fgh", paths) if p is None]
+        if not missing:
+            triple = [load_poly(p) for p in paths]
+        elif len(missing) < 3:
+            raise ParseError("verify assoc takes --f, --g and --h together; "
+                             f"missing {', '.join(missing)}")
         else:
             base = _default_args(alpha.dim)
             triple = [base[i % alpha.dim] for i in range(3)]
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None,
                        help="total sample budget (default: per-dimension "
                             "auto, about 1e6 at order 1 and 4e6 at order 2)")
-        p.add_argument("--method", choices=("qmc", "mc", "cubature"),
+        p.add_argument("--method", choices=("qmc", "mc"),
                        default=None)
         p.add_argument("--out", help="write the primary JSON artifact here "
                                      "(manifest lands next to it)")

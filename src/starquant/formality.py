@@ -169,21 +169,9 @@ def _apply_u_carrying(fields, args, cfg: StarConfig,
     return Measured(base.value, sens)
 
 
-def u_n(fields, args, cfg: StarConfig | None = None, *,
-        strict_arity: bool = False) -> Polynomial:
-    """The n-linear graph map on polynomial arguments.
-
-    Off the ghost arity the result is exactly zero; strict_arity turns
-    that convention into a DegreeMismatchError for callers that want
-    loud failures.
-    """
-    n = len(fields)
-    _check_dims(fields, args)
-    want = ghost_argument_count(n, [f.degree for f in fields])
-    if strict_arity and len(args) != want:
-        raise DegreeMismatchError(
-            f"u_{n} on these degrees takes {want} arguments, "
-            f"got {len(args)}")
+def u_n(fields, args, cfg: StarConfig | None = None) -> Polynomial:
+    """The n-linear graph map on polynomial arguments; off the ghost
+    arity the result is exactly zero."""
     return _apply_u(fields, args, cfg or StarConfig(), {}).value
 
 

@@ -15,7 +15,6 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -67,15 +66,8 @@ class KGraph:
             for s, t in enumerate(targets):
                 yield i, s, t
 
-    def is_strict(self) -> bool:
-        return all(len(set(t)) == len(t) for t in self.out_edges)
-
     def has_doubled_edge(self) -> bool:
-        return not self.is_strict()
-
-    def in_edges(self, vertex: int) -> list[tuple[int, int]]:
-        """(source, slot) pairs of edges pointing at `vertex`."""
-        return [(i, s) for i, s, t in self.edges() if t == vertex]
+        return any(len(set(t)) != len(t) for t in self.out_edges)
 
     # -- involutions ----------------------------------------------------
     def mirror(self) -> "KGraph":
@@ -123,7 +115,7 @@ def _parse_target(token: str, n: int, m: int) -> int:
         if k >= m:
             raise ParseError(f"ground vertex {token} out of range for m={m}")
         return n + k
-    if token.isdigit():
+    if token.isdecimal():
         v = int(token)
         if not 1 <= v <= n:
             raise ParseError(f"aerial target {v} out of range for n={n}")
@@ -179,18 +171,6 @@ def from_json_obj(obj: dict) -> KGraph:
     return KGraph(n, m, tuple(rows))
 
 
-def to_json(g: KGraph) -> str:
-    return json.dumps(to_json_obj(g), sort_keys=True)
-
-
-def from_json(text: str) -> KGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
-    return from_json_obj(obj)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -199,6 +179,8 @@ def count_graphs(n: int, m: int, degrees: Sequence[int], strict: bool = True) ->
     """Closed-form count of admissible graphs with the given profile."""
     if len(degrees) != n:
         raise ParseError(f"need {n} degrees, got {len(degrees)}")
+    if any(p < 0 for p in degrees):
+        raise ParseError(f"degrees must be non-negative, got {list(degrees)}")
     total = 1
     options = n + m - 1  # everything except the vertex itself
     for p in degrees:
@@ -253,7 +235,7 @@ def orbit_representative(g: KGraph, labels=None) -> tuple[KGraph, int]:
     immaterial.  A doubled edge raises ParseError.
     """
     n = g.n
-    if not g.is_strict():
+    if g.has_doubled_edge():
         raise ParseError("orbits need a strict graph (no doubled edge)")
     ground = tuple(range(n, n + g.m))
     best = None

@@ -62,12 +62,6 @@ class PolyDiffOperator:
     def zero(cls, arity: int, dim: int) -> "PolyDiffOperator":
         return cls(arity, dim, {})
 
-    @classmethod
-    def multiplication(cls, arity: int, dim: int) -> "PolyDiffOperator":
-        """Plain product of the arguments (no derivatives)."""
-        key = ((),) * arity
-        return cls(arity, dim, {key: Polynomial.constant(dim, 1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -96,27 +90,6 @@ class PolyDiffOperator:
             if term is not None:
                 out = out + term
         return out
-
-    def _binary(self, other, sub: bool):
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
-        if other.arity != self.arity or other.dim != self.dim:
-            raise ArityMismatchError("operator shapes differ")
-        terms = dict(self.terms)
-        for key, poly in other.terms.items():
-            add = -poly if sub else poly
-            terms[key] = terms[key] + add if key in terms else add
-        return PolyDiffOperator(self.arity, self.dim, terms)
-
-    def __add__(self, other):
-        return self._binary(other, sub=False)
-
-    def __sub__(self, other):
-        return self._binary(other, sub=True)
-
-    def __neg__(self):
-        return PolyDiffOperator(
-            self.arity, self.dim, {k: -p for k, p in self.terms.items()})
 
     def __mul__(self, scalar):
         c = QI.try_coerce(scalar)

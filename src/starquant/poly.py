@@ -137,16 +137,6 @@ class Polynomial:
             out[tuple(ee)] = c * e[i]
         return Polynomial(self.dim, out)
 
-    def diff_multi(self, multi: Iterable[int]) -> "Polynomial":
-        """Apply d^multi, multi a length-dim tuple of derivative orders."""
-        p = self
-        for i, k in enumerate(multi):
-            for _ in range(k):
-                p = p.diff(i)
-                if p.is_zero():
-                    return p
-        return p
-
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms

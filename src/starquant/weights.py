@@ -19,10 +19,15 @@ Star-normalized weights divide the raw integral by (2pi)^(2n) n!.
 
 Sampling maps each aerial point from the open unit square through
 x = tan(pi (s - 1/2)), y = t/(1 - t); moving grounds are sorted
-uniforms (simplex sampling).  Default method is scrambled-Sobol QMC
-with 32 independent replicates; the replicate spread gives the
-standard error.  Plain Monte Carlo and a tensor-grid midpoint rule
-(n <= 2) are available as cross-checks.
+uniforms (simplex sampling).  Each integral is estimated from 32
+independent replicates, and their spread gives the standard error.
+There are two methods:
+
+- qmc (default): each replicate is a scrambled-Sobol point set.
+- mc: each replicate is an iid PCG64 stream.  It stays as the
+  independent cross-check: its spread does not depend on Sobol
+  scrambling, so it shows whether the qmc error bars can be trusted.
+  It costs three lines in the shared block path below.
 
 The replicates of one integral are drawn as one scrambled-Sobol block
 (_sobol_block), bit-identical to scipy's qmc.Sobol per replicate seed,
@@ -49,7 +54,7 @@ from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
 from .graphs import KGraph, parse, serialize
 from .halfplane import TWO_PI, angle_form
 
-_METHODS = ("qmc", "mc", "cubature")
+_METHODS = ("qmc", "mc")
 
 # independent replicates per integral; their spread gives the std_error
 N_REPLICATES = 32
@@ -341,9 +346,6 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     if dims == 0:
         return 1.0, 0.0, 0
     base_seed = cfg.seed if seed is None else seed
-    if cfg.method == "cubature":
-        return _cubature(graph, cfg, base_seed, dims)
-
     total = cfg.n_samples or default_budget(dims)
     per_rep = max(1, total // N_REPLICATES)
     rep_seeds = [stable_seed(base_seed, "rep", r) for r in range(N_REPLICATES)]
@@ -366,26 +368,6 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     return value, std_error, per_rep * N_REPLICATES
-
-
-def _cubature(graph: KGraph, cfg: IntegrationConfig, seed: int, dims: int
-              ) -> tuple[float, float, int]:
-    """Tensor-grid midpoint rule; error from grid-halving (heuristic)."""
-    if graph.n > 2:
-        raise ConfigError("cubature supports graphs of order n <= 2 only")
-    total = cfg.n_samples or default_budget(dims)
-    side = max(4, int(round(total ** (1.0 / dims))))
-
-    def grid_mean(g):
-        axes = [(np.arange(g) + 0.5) / g] * dims
-        mesh = np.meshgrid(*axes, indexing="ij")
-        u = np.stack([a.ravel() for a in mesh], axis=1)
-        vals = _evaluate(graph, u)
-        return float(np.nanmean(vals)), u.shape[0]
-
-    coarse, _ = grid_mean(side // 2)
-    value, n_used = grid_mean(side)
-    return value, abs(value - coarse), n_used
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starquant.cli import main
+from starquant.graphs import star_graphs, to_json_obj
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
 from starquant.rational import QI
@@ -63,6 +64,11 @@ class TestEnumerate:
     def test_cap_exit_code(self, capsys):
         assert main(["enumerate", "-n", "5", "-m", "2"]) == 3
 
+    @pytest.mark.parametrize("degrees", ["1,x", "1,,1", "x", "1.5", "-5,1"])
+    def test_bad_degrees_exit_2(self, capsys, degrees):
+        assert main(["enumerate", "-n", "2", f"--degrees={degrees}"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestWeight:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -86,6 +92,21 @@ class TestWeight:
                      "--error-target", "1e-9"]) == 0
         assert "warning" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "0"], ["--samples", "-4"],
+        ["--error-target", "0"], ["--error-target", "-1"],
+    ])
+    def test_nonpositive_numeric_flag_exit_2(self, monkeypatch, capsys,
+                                             flags):
+        from starquant import weights
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled despite a rejected flag")
+
+        monkeypatch.setattr(weights, "integrate_graph_form", no_sampling)
+        assert main(["weight", "-n", "1"] + flags) == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_needs_source(self, capsys):
         assert main(["weight", "--seed", "1"]) == 2
 
@@ -101,6 +122,7 @@ class TestWeight:
         [{"n": 1.5, "m": 2, "edges": [["G0", "G1"]]}],
         [{"n": 2, "m": 2, "edges": [["G0", "G1"], [True, "G1"]]}],
         [5],
+        [{"n": 2, "m": 2, "edges": [["G0", "G1"], ["\u00b2", "G1"]]}],
     ])
     def test_malformed_graphs_file_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "graphs.json"
@@ -263,21 +285,91 @@ def poly_files(draw):
     return obj
 
 
+GRAPHS = [g for order in (0, 1, 2) for g in star_graphs(order)]
+TARGET = st.integers(min_value=-1, max_value=4) | st.sampled_from(
+    ["L", "R", "G0", "G1", "G2", "2", "\u00b2"])
+
+
+@st.composite
+def graph_files(draw):
+    """Star graphs of order <= 2 as a --graphs list, with at most one
+    part replaced by arbitrary JSON or an arbitrary target."""
+    objs = [to_json_obj(g) for g in draw(
+        st.lists(st.sampled_from(GRAPHS), min_size=1, max_size=2))]
+    spot = draw(st.sampled_from(["none", "file", "graph", "n", "m",
+                                 "edges", "target"]))
+    k = draw(st.integers(min_value=0, max_value=len(objs) - 1))
+    if spot == "file":
+        return draw(JSON)
+    if spot == "graph":
+        objs[k] = draw(JSON)
+    elif spot in ("n", "m", "edges"):
+        objs[k][spot] = draw(JSON | st.integers(min_value=-1, max_value=4))
+    elif spot == "target" and objs[k]["edges"]:
+        row = draw(st.sampled_from(objs[k]["edges"]))
+        row[draw(st.integers(min_value=0, max_value=1))] = draw(JSON | TARGET)
+    return objs
+
+
+def exit_code(argv):
+    """main's return value, or the code of an argparse usage exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def run_with_files(argv, files):
+    """exit_code(argv + [flag, path]) with each (flag, obj) of files
+    written to a temporary JSON file."""
+    with tempfile.TemporaryDirectory() as work:
+        for k, (flag, obj) in enumerate(files):
+            path = os.path.join(work, f"{k}.json")
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+            argv = argv + [flag, path]
+        return exit_code(argv)
+
+
+class TestCliInputFuzz:
+    """Arbitrary input text and files end in a documented exit code,
+    never in a traceback."""
+
+    @given(n=st.integers(min_value=-2, max_value=3),
+           m=st.integers(min_value=-1, max_value=2),
+           degrees=st.none() | st.text(alphabet="0123-,x. ", max_size=8),
+           permissive=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_enumerate_text(self, n, m, degrees, permissive):
+        argv = ["enumerate", "-n", str(n), "-m", str(m)]
+        if degrees is not None:
+            argv.append(f"--degrees={degrees}")
+        if permissive:
+            argv.append("--permissive")
+        assert exit_code(argv) in (0, 2, 3)
+
+    @given(graphs=graph_files())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_graphs_json(self, graphs):
+        assert run_with_files(["weight", "--samples", "64"],
+                              [("--graphs", graphs)]) in (0, 2)
+
+    @given(f=poly_files(), g=poly_files(), h=poly_files())
+    @settings(max_examples=60, deadline=None)
+    def test_assoc_triple_json(self, f, g, h):
+        assert run_with_files(
+            ["verify", "assoc", "-N", "1", "--samples", "64"],
+            [("--f", f), ("--g", g), ("--h", h)]) in (0, 1, 2)
+
+
 class TestStarInputFuzz:
     @given(f=poly_files(), g=poly_files())
     @settings(max_examples=60, deadline=None)
     def test_any_json_exits_0_or_2(self, f, g):
         """Arbitrary JSON in the --f/--g files ends in exit 0 or 2,
         never in a traceback."""
-        with tempfile.TemporaryDirectory() as work:
-            paths = []
-            for name, obj in (("f.json", f), ("g.json", g)):
-                paths.append(os.path.join(work, name))
-                with open(paths[-1], "w") as fh:
-                    json.dump(obj, fh)
-            code = main(["star", "-N", "1", "--f", paths[0],
-                         "--g", paths[1]])
-        assert code in (0, 2)
+        assert run_with_files(["star", "-N", "1"],
+                              [("--f", f), ("--g", g)]) in (0, 2)
 
 
 class TestVerify:
@@ -312,6 +404,22 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         assert "1 <= p <= 8" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("given", [("f",), ("g", "h"), ("f", "h")])
+    def test_partial_assoc_triple_exit_2(self, monkeypatch, capsys, given):
+        from starquant import cli
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("checked a triple the flags did not give")
+
+        monkeypatch.setattr(cli, "check_associativity", no_check)
+        argv = ["verify", "assoc"]
+        for k in given:
+            argv += [f"--{k}", "/nonexistent.json"]
+        assert main(argv) == 2
+        missing = capsys.readouterr().err.split("missing")[-1]
+        for k in "fgh":
+            assert (f"--{k}" in missing) == (k not in given)
 
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant.errors import ConfigError, DegreeMismatchError, DimensionMismatchError
+from starquant.errors import ConfigError, DimensionMismatchError
 from starquant.formality import (
     LINFTY_RHS_SIGN,
     _u_numeric,
@@ -101,11 +101,6 @@ class TestGhostRule:
         args = [Polynomial.variable(DIM, i % DIM) for i in range(count)]
         out = u_n(fields, args)
         assert out.is_zero()
-
-    def test_strict_arity_raises(self):
-        with pytest.raises(DegreeMismatchError):
-            u_n([so3_bivector()], [Polynomial.variable(DIM, 0)],
-                strict_arity=True)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,7 +1,6 @@
 """Graph enumeration against a brute-force oracle, plus serialization
 round-trips and the mirror involution."""
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +8,8 @@ from hypothesis import strategies as st
 
 from starquant.errors import EnumerationCapError, ParseError
 from starquant.graphs import (KGraph, count_graphs, enumerate_graphs,
-                              from_json, parse, serialize, star_graphs,
-                              to_json, to_json_obj)
+                              from_json_obj, parse, serialize, star_graphs,
+                              to_json_obj)
 
 
 def brute_force_count(n, m, degrees, strict=True):
@@ -103,7 +102,7 @@ class TestSerialization:
     def test_round_trip_all_order2(self):
         for g in star_graphs(2):
             assert parse(serialize(g)) == g
-            assert from_json(to_json(g)) == g
+            assert from_json_obj(to_json_obj(g)) == g
 
     @given(st.integers(0, 3), st.integers(1, 3), st.data())
     @settings(max_examples=60, deadline=None)
@@ -114,7 +113,7 @@ class TestSerialization:
         graphs = enumerate_graphs(n, m, degrees)
         g = data.draw(st.sampled_from(graphs))
         assert parse(serialize(g)) == g
-        assert from_json(to_json(g)) == g
+        assert from_json_obj(to_json_obj(g)) == g
 
     def test_ground_names_general_m(self):
         g = enumerate_graphs(1, 3, [2])[0]
@@ -136,7 +135,7 @@ class TestSerialization:
         g = KGraph(1, 2, ((1, 2),))
         obj = to_json_obj(g)
         assert obj == {"n": 1, "m": 2, "edges": [["G0", "G1"]]}
-        assert from_json(json.dumps({"n": 1, "m": 2, "edges": [["L", "R"]]})) == g
+        assert from_json_obj({"n": 1, "m": 2, "edges": [["L", "R"]]}) == g
 
     def test_constructor_validation(self):
         with pytest.raises(ParseError):
@@ -153,11 +152,6 @@ class TestStructure:
         assert list(g.edges()) == [(0, 0, 1), (0, 1, 2), (1, 0, 0), (1, 1, 3)]
         assert g.degrees == (1, 1)
         assert g.edge_count == 4
-
-    def test_in_edges(self):
-        g = KGraph(2, 2, ((1, 2), (0, 3)))
-        assert g.in_edges(0) == [(1, 0)]
-        assert g.in_edges(2) == [(0, 1)]
 
     def test_doubled_edge_flag(self):
         g = KGraph(1, 2, ((1, 1),))

@@ -75,12 +75,6 @@ class TestPolynomialRing:
         assert z.is_zero() and z == Polynomial.zero(d)
         assert z.degree() == -1
 
-    def test_diff_multi(self):
-        d = 2
-        p = Polynomial.monomial(d, (2, 1))
-        assert p.diff_multi((1, 1)) == Polynomial.monomial(d, (1, 0), 2)
-        assert p.diff_multi((3, 0)).is_zero()
-
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Polynomial.variable(2, 0) + Polynomial.variable(3, 0)

@@ -101,17 +101,6 @@ class TestWeightCalibration:
         assert w.method == "mc"
         assert abs(w.value - 0.5) <= 5 * w.std_error
 
-    def test_cubature_route(self):
-        cfg = IntegrationConfig(method="cubature", seed=0, n_samples=262144)
-        w = weight(ORDER1, cfg)
-        assert w.method == "cubature"
-        assert abs(w.value - 0.5) <= max(3 * w.std_error, 0.02)
-
-    def test_cubature_order_cap(self):
-        g = parse("n=3;m=2;1:[L,R];2:[L,R];3:[L,R]")
-        with pytest.raises(ConfigError):
-            weight(g, IntegrationConfig(method="cubature"))
-
     def test_error_target_warning(self):
         cfg = IntegrationConfig(seed=1, n_samples=4096, error_target=1e-9)
         with pytest.warns(ConvergenceWarning):
