@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, ParseError, json_int
@@ -177,6 +177,8 @@ def from_json_obj(obj: dict) -> KGraph:
 
 def count_graphs(n: int, m: int, degrees: Sequence[int], strict: bool = True) -> int:
     """Closed-form count of admissible graphs with the given profile."""
+    if n < 0 or m < 0:
+        raise ParseError(f"vertex counts must be non-negative, got n={n}, m={m}")
     if len(degrees) != n:
         raise ParseError(f"need {n} degrees, got {len(degrees)}")
     if any(p < 0 for p in degrees):

@@ -23,7 +23,6 @@ from .errors import (ArityMismatchError, DegreeMismatchError,
                      DimensionMismatchError)
 from .graphs import KGraph, orbit_representative, serialize
 from .poly import Polynomial
-from .polyvector import PolyVectorField
 from .rational import QI
 
 

@@ -52,6 +52,8 @@ class PolyVectorField:
 
     def __init__(self, dim: int, degree: int,
                  components: Mapping[tuple[int, ...], Polynomial] | None = None):
+        if dim < 0:
+            raise DimensionMismatchError("dimension must be non-negative")
         if degree < 0:
             raise DimensionMismatchError("degree must be >= 0")
         if degree > dim - 1:

@@ -10,8 +10,11 @@ bivector, so a star graph's operator is sign x its orbit
 representative's (graphs.orbit_representative).  Operators are built
 and applied once per orbit r by operators.OrbitOperators, the family
 formality.py's u_n sums over too, against the orbit weight
-W_r = sum of sign x weight over its members, summed exactly.  The
-table still holds and integrates one weight per graph.
+W_r = sum of sign x weight over its members, summed exactly.  One
+family per (bivector, order) is kept across calls (_orbit_operators),
+so repeated products and checks on one Poisson structure build each
+orbit operator once per process.  The table still holds and integrates
+one weight per graph.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -26,6 +29,7 @@ formality.py carries its raw graph integrals the same way.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -139,12 +143,32 @@ class StarExpansion:
 
 
 def probe_sup(p: Polynomial) -> float:
-    """Max |p| over the probe lattice, exact evaluation per point."""
+    """Max |p| over the probe lattice, exact until the final abs.
+
+    On PROBE = {-1, 0, 1} the power x^k is 1 for k = 0, x for odd k
+    and x^2 (0 or 1) for even k > 0, so p's terms are first summed
+    exactly per class of exponent pattern, at most 3^d of them; each
+    lattice point is then a signed sum of class coefficients.
+    """
     if p.is_zero():
         return 0.0
+    classes = {}
+    for exps, c in p.terms.items():
+        key = tuple(0 if k == 0 else 2 - k % 2 for k in exps)  # 1 odd, 2 even
+        classes[key] = classes[key] + c if key in classes else c
     best = 0.0
     for point in itertools.product(PROBE, repeat=p.dim):
-        best = max(best, abs(p.eval_exact(point)))
+        total = QI(0)
+        for key, c in classes.items():
+            sign = 1
+            for x, cls in zip(point, key):
+                if cls and not x:
+                    break
+                if cls == 1:
+                    sign *= x
+            else:
+                total = total + c if sign > 0 else total - c
+        best = max(best, abs(total))
     return best
 
 
@@ -200,14 +224,25 @@ def quadrature_bound(m: Measured, sources) -> float:
     return math.sqrt(acc)
 
 
+@functools.lru_cache(maxsize=8)
+def _orbit_operators(alpha: PolyVectorField, order: int) -> OrbitOperators:
+    """OrbitOperators of the order-n star graphs with alpha at every
+    aerial vertex, shared by every engine on an equal bivector: the
+    operators and their memoised values are exact functions of alpha
+    and the order alone."""
+    return OrbitOperators(star_graphs(order), [alpha] * order)
+
+
 class _Engine:
     """Orbit operators plus weight table for one bivector and config.
 
-    One OrbitOperators per order holds the operators and values, per
-    orbit.  After ensure_weights, weights holds the exact orbit weight
-    W_r of every orbit r = (order, orbit serial) and sources lists
-    (r, std_error) for each sampled graph, in star_graphs order.
-    star_series carries d/dW_r for the orbits named in sources.
+    The OrbitOperators of each order come from _orbit_operators, so
+    calls on equal bivectors build each orbit operator once and reuse
+    its applied values.  After ensure_weights, weights holds the exact
+    orbit weight W_r of every orbit r = (order, orbit serial) and
+    sources lists (r, std_error) for each sampled graph, in star_graphs
+    order; both belong to this engine alone.  star_series carries
+    d/dW_r for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -229,8 +264,7 @@ class _Engine:
     def operators(self, order: int) -> list:
         """OrbitOperators rows of the star graphs of one order."""
         if order not in self._orbits:
-            self._orbits[order] = OrbitOperators(star_graphs(order),
-                                                 [self.alpha] * order)
+            self._orbits[order] = _orbit_operators(self.alpha, order)
         return self._orbits[order].rows
 
     def ensure_weights(self) -> None:

@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, artifacts, determinism."""
+import itertools
 import json
 import os
 import tempfile
@@ -60,6 +61,12 @@ class TestEnumerate:
         versions = json.loads(open(out + ".manifest.json").read())["versions"]
         assert versions["numpy"] == numpy.__version__
         assert versions["scipy"] == scipy.__version__
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "1", "-m", "-3"], ["-n", "1", "-m", "-1", "--permissive"]])
+    def test_negative_ground_count_exit_2(self, capsys, argv):
+        assert main(["enumerate"] + argv) == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_cap_exit_code(self, capsys):
         assert main(["enumerate", "-n", "5", "-m", "2"]) == 3
@@ -362,6 +369,70 @@ class TestCliInputFuzz:
             [("--f", f), ("--g", g), ("--h", h)]) in (0, 1, 2)
 
 
+@st.composite
+def alpha_files(draw):
+    """A polyvector JSON object on dimension 0..4 (bivectors mostly),
+    with at most one part replaced by arbitrary JSON or an out-of-range
+    value."""
+    dim = draw(st.integers(min_value=0, max_value=4))
+    degree = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    index_sets = [list(c) for c in itertools.combinations(
+        range(1, dim + 1), degree + 1)]
+    chosen = draw(st.lists(st.sampled_from(index_sets), unique_by=tuple,
+                           max_size=3)) if index_sets else []
+    term = st.fixed_dictionaries(
+        {"exps": st.lists(st.integers(min_value=0, max_value=2),
+                          min_size=dim, max_size=dim),
+         "num": st.integers(min_value=-3, max_value=3)},
+        optional={"den": st.integers(min_value=1, max_value=3),
+                  "im_num": st.integers(min_value=-2, max_value=2)})
+    comps = [{"indices": idx, "poly": draw(st.lists(term, max_size=2))}
+             for idx in chosen]
+    obj = {"dim": dim, "degree": degree, "components": comps}
+    spot = draw(st.sampled_from(["none", "none", "file", "dim", "degree",
+                                 "components", "indices", "poly"]))
+    if spot == "file":
+        return draw(JSON)
+    if spot in ("dim", "degree", "components"):
+        obj[spot] = draw(JSON | st.integers(min_value=-3, max_value=5))
+    elif comps and spot in ("indices", "poly"):
+        k = draw(st.integers(min_value=0, max_value=len(comps) - 1))
+        comps[k][spot] = draw(JSON | st.lists(
+            st.integers(min_value=-1, max_value=5), max_size=3))
+    return obj
+
+
+def linear_poly_file(alpha):
+    """x1 + 1 on the dimension alpha claims, when that is a small
+    integer; dimension 3 otherwise."""
+    dim = alpha.get("dim") if isinstance(alpha, dict) else None
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 0 <= dim <= 4:
+        dim = 3
+    terms = [{"exps": [0] * dim, "num": 1}]
+    if dim:
+        terms.append({"exps": [1] + [0] * (dim - 1), "num": 1})
+    return {"dim": dim, "poly": terms}
+
+
+class TestAlphaInputFuzz:
+    """Arbitrary --alpha files end in a documented exit code, never in a
+    traceback."""
+
+    @given(alpha=alpha_files())
+    @settings(max_examples=60, deadline=None)
+    def test_verify_jacobi(self, alpha):
+        assert run_with_files(["verify", "jacobi"],
+                              [("--alpha", alpha)]) in (0, 1, 2, 3)
+
+    @given(alpha=alpha_files())
+    @settings(max_examples=60, deadline=None)
+    def test_star(self, alpha):
+        f = linear_poly_file(alpha)
+        assert run_with_files(["star", "-N", "1", "--samples", "64"],
+                              [("--alpha", alpha), ("--f", f),
+                               ("--g", f)]) in (0, 1, 2, 3)
+
+
 class TestStarInputFuzz:
     @given(f=poly_files(), g=poly_files())
     @settings(max_examples=60, deadline=None)
@@ -376,6 +447,13 @@ class TestVerify:
     def test_jacobi_default_structure(self, capsys):
         assert main(["verify", "jacobi"]) == 0
         assert "jacobi" in capsys.readouterr().out
+
+    def test_jacobi_negative_dimension_exit_2(self, tmp_path, capsys):
+        apath = tmp_path / "alpha.json"
+        apath.write_text(json.dumps({"dim": -2, "degree": 1,
+                                     "components": []}))
+        assert main(["verify", "jacobi", "--alpha", str(apath)]) == 2
+        assert "dimension must be non-negative" in capsys.readouterr().err
 
     def test_moyal_exact(self, capsys):
         assert main(["verify", "moyal", "--seed", "1"]) == 0

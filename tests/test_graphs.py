@@ -56,6 +56,15 @@ class TestCounts:
         assert strict < loose
         assert len(loose) == 4  # (L,L),(L,R),(R,L),(R,R)
 
+    @pytest.mark.parametrize("n,m,degrees", [
+        (1, -1, [1]), (1, -3, [1]), (2, -2, [0, 0]), (-1, 2, [])])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_negative_vertex_counts_rejected(self, n, m, degrees, strict):
+        with pytest.raises(ParseError):
+            count_graphs(n, m, degrees, strict=strict)
+        with pytest.raises(ParseError):
+            enumerate_graphs(n, m, degrees, strict=strict)
+
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_graphs(4, 2, [1, 1, 1, 1], cap=1000)

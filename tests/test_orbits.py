@@ -95,6 +95,22 @@ class TestOrbitMap:
             orbit_representative(KGraph(1, 2, ((1, 1),)))
 
 
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Graphs passed to build_operator, with the star engine's operator
+    memo empty at the start and cleared again at the end."""
+    calls = []
+
+    def counting(graph, fields, dim=None):
+        calls.append(graph)
+        return build_operator(graph, fields, dim)
+
+    monkeypatch.setattr(operators_mod, "build_operator", counting)
+    star_mod._orbit_operators.cache_clear()
+    yield calls
+    star_mod._orbit_operators.cache_clear()
+
+
 class TestOperatorSigns:
     @pytest.mark.parametrize("order,alpha", [
         (2, so3_alpha()), (2, dim2_alpha()), (3, dim2_alpha())])
@@ -111,19 +127,25 @@ class TestOperatorSigns:
             nonzero += bool(op.terms)
         assert nonzero  # the check is not vacuous
 
-    def test_engine_builds_one_operator_per_orbit(self, monkeypatch):
-        calls = []
-
-        def counting(graph, fields, dim=None):
-            calls.append(graph)
-            return build_operator(graph, fields, dim)
-
-        monkeypatch.setattr(operators_mod, "build_operator", counting)
+    def test_engine_builds_one_operator_per_orbit(self, build_calls):
         rows = star_mod._Engine(so3_alpha(), StarConfig(order=3)).operators(3)
-        assert len(calls) <= 44
-        ops = {rep: build_operator(rep, [so3_alpha()] * 3) for rep in calls}
+        assert len(build_calls) <= 44
+        ops = {rep: build_operator(rep, [so3_alpha()] * 3)
+               for rep in build_calls}
         assert [r[0] for r in rows] == [
             g for g in star_graphs(3) if ops[orbit_representative(g)[0]].terms]
+
+    def test_equal_bivectors_share_operators_across_calls(self, build_calls):
+        """Two order-3 products on equal but distinct so(3) objects build
+        each of the 1 + 6 + 44 orbit operators once, not twice."""
+        cfg = StarConfig(order=3, table=WeightTable(),
+                         integration=IntegrationConfig(seed=5, n_samples=256))
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        first = star_expansion(x[0] * x[1], x[2], so3_alpha(), cfg)
+        assert len(build_calls) == 51
+        again = star_expansion(x[0] * x[1], x[2], so3_alpha(), cfg)
+        assert len(build_calls) == 51
+        assert again == first
 
 
 # -- graph-by-graph reference assembly ------------------------------------

@@ -162,3 +162,8 @@ class TestFieldStructure:
     def test_overflow_storage_is_zero(self):
         f = PolyVectorField(2, 2, {})
         assert f.is_zero()
+
+    @pytest.mark.parametrize("dim", [-1, -2])
+    def test_negative_dimension_rejected(self, dim):
+        with pytest.raises(DimensionMismatchError):
+            PolyVectorField(dim, 1, {})

@@ -1,9 +1,12 @@
 """Star assembly: exact low orders, the constant-coefficient oracle,
 conjugation parity, associativity reports, and the center probe."""
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant.errors import (ConfigError, DimensionMismatchError,
                               DomainError)
@@ -11,9 +14,9 @@ from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
 from starquant.rational import QI
 from starquant.series import FormalSeries
-from starquant.star import (StarConfig, check_associativity, moyal_reference,
-                            poisson_center_probe, probe_sup, star,
-                            star_expansion)
+from starquant.star import (PROBE, StarConfig, check_associativity,
+                            moyal_reference, poisson_center_probe, probe_sup,
+                            star, star_expansion)
 from starquant.weights import IntegrationConfig, WeightTable
 
 from helpers import broken_alpha, random_polynomial, so3_alpha
@@ -254,3 +257,22 @@ class TestProbeSup:
     def test_modulus_of_complex_coefficients(self):
         p = Polynomial.constant(2, QI(3, 4))
         assert probe_sup(p) == 5.0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pointwise_exact_evaluation(self, data):
+        """The class-folded sup equals the max of |p| evaluated exactly
+        at each lattice point, bit for bit."""
+        dim = data.draw(st.integers(1, 4))
+        big = st.integers(-10**12, 10**12)
+        den = st.integers(1, 10**15)
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 6)] * dim),
+            st.builds(lambda a, b, c, d: QI(Fraction(a, b), Fraction(c, d)),
+                      big, den, big, den),
+            max_size=12))
+        p = Polynomial(dim, terms)
+        want = max((abs(p.eval_exact(pt))
+                    for pt in itertools.product(PROBE, repeat=dim)),
+                   default=0.0)
+        assert probe_sup(p).hex() == want.hex()
