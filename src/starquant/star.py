@@ -10,11 +10,11 @@ bivector, so a star graph's operator is sign x its orbit
 representative's (graphs.orbit_representative).  Operators are built
 and applied once per orbit r by operators.OrbitOperators, the family
 formality.py's u_n sums over too, against the orbit weight
-W_r = sum of sign x weight over its members, summed exactly.  One
-family per (bivector, order) is kept across calls (_orbit_operators),
-so repeated products and checks on one Poisson structure build each
-orbit operator once per process.  The table still holds and integrates
-one weight per graph.
+W_r = sum of sign x weight over its members, summed exactly.  The
+families of the last few (bivector, order) pairs are kept across calls
+(_orbit_operators), so repeated products and checks on one Poisson
+structure build each orbit operator once.  The table still holds and
+integrates one weight per graph.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
