@@ -17,6 +17,7 @@ orbit and hands each graph its sign.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 
 from .errors import (ArityMismatchError, DegreeMismatchError,
@@ -188,6 +189,12 @@ class OrbitOperators:
                 self._ops[orbit] = build_operator(rep, fields)
             if self._ops[orbit].terms:
                 self.rows.append((g, serialize(g), orbit, sign))
+
+    def fresh(self) -> OrbitOperators:
+        """The same operators and rows with an empty memo of values."""
+        other = copy.copy(self)
+        other._memo = {}
+        return other
 
     def apply(self, orbit: str, args) -> Polynomial:
         key = (orbit, tuple(args))

@@ -11,9 +11,10 @@ representative's (graphs.orbit_representative).  Operators are built
 and applied once per orbit r by operators.OrbitOperators, the family
 formality.py's u_n sums over too, against the orbit weight
 W_r = sum of sign x weight over its members, summed exactly.  The
-families of the last few (bivector, order) pairs are kept across calls
-(_orbit_operators), so repeated products and checks on one Poisson
-structure build each orbit operator once.  The table still holds and
+built operators of the last few (bivector, order) pairs are kept
+across calls (_orbit_operators), so repeated products and checks on
+one Poisson structure build each orbit operator once; the memo of
+applied values belongs to one call.  The table still holds and
 integrates one weight per graph.
 
 Error model.  Every quantity derived here is a Measured value: an
@@ -228,21 +229,22 @@ def quadrature_bound(m: Measured, sources) -> float:
 def _orbit_operators(alpha: PolyVectorField, order: int) -> OrbitOperators:
     """OrbitOperators of the order-n star graphs with alpha at every
     aerial vertex, shared by every engine on an equal bivector: the
-    operators and their memoised values are exact functions of alpha
-    and the order alone."""
+    operators are exact functions of alpha and the order alone.  Never
+    applied itself; each engine applies its own fresh() copy, so no
+    applied value outlives a call."""
     return OrbitOperators(star_graphs(order), [alpha] * order)
 
 
 class _Engine:
     """Orbit operators plus weight table for one bivector and config.
 
-    The OrbitOperators of each order come from _orbit_operators, so
-    calls on equal bivectors build each orbit operator once and reuse
-    its applied values.  After ensure_weights, weights holds the exact
-    orbit weight W_r of every orbit r = (order, orbit serial) and
-    sources lists (r, std_error) for each sampled graph, in star_graphs
-    order; both belong to this engine alone.  star_series carries
-    d/dW_r for the orbits named in sources.
+    The operators of each order come from _orbit_operators, so calls
+    on equal bivectors build each orbit operator once; the memo of
+    applied values is this engine's own.  After ensure_weights, weights
+    holds the exact orbit weight W_r of every orbit r = (order, orbit
+    serial) and sources lists (r, std_error) for each sampled graph, in
+    star_graphs order; both belong to this engine alone.  star_series
+    carries d/dW_r for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -264,7 +266,7 @@ class _Engine:
     def operators(self, order: int) -> list:
         """OrbitOperators rows of the star graphs of one order."""
         if order not in self._orbits:
-            self._orbits[order] = _orbit_operators(self.alpha, order)
+            self._orbits[order] = _orbit_operators(self.alpha, order).fresh()
         return self._orbits[order].rows
 
     def ensure_weights(self) -> None:

@@ -147,6 +147,19 @@ class TestOperatorSigns:
         assert len(build_calls) == 51
         assert again == first
 
+    def test_shared_operators_keep_no_applied_values(self, build_calls):
+        """Applied values live in each call's engine: after a product
+        returns, the shared families hold operators only."""
+        cfg = StarConfig(order=2, table=WeightTable(),
+                         integration=IntegrationConfig(seed=5, n_samples=256))
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        star_expansion(x[0] * x[1], x[2] * x[0], so3_alpha(), cfg)
+        hits = star_mod._orbit_operators.cache_info().hits
+        for order in (1, 2):
+            shared = star_mod._orbit_operators(so3_alpha(), order)
+            assert shared.rows and not shared._memo
+        assert star_mod._orbit_operators.cache_info().hits == hits + 2
+
 
 # -- graph-by-graph reference assembly ------------------------------------
 
