@@ -11,11 +11,11 @@ representative's (graphs.orbit_representative).  Operators are built
 and applied once per orbit r by operators.OrbitOperators, the family
 formality.py's u_n sums over too, against the orbit weight
 W_r = sum of sign x weight over its members, summed exactly.  The
-built operators of the last few (bivector, order) pairs are kept
-across calls (_orbit_operators), so repeated products and checks on
-one Poisson structure build each orbit operator once; the memo of
-applied values belongs to one call.  The table still holds and
-integrates one weight per graph.
+built operators of the last few (bivector, order) pairs and their
+Jacobi reports are kept across calls (_orbit_operators, _jacobi_report),
+so products and checks on one Poisson structure build each orbit
+operator and prove Jacobi once; applied values belong to one call.
+The table still holds and integrates one weight per graph.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -235,6 +235,12 @@ def _orbit_operators(alpha: PolyVectorField, order: int) -> OrbitOperators:
     return OrbitOperators(star_graphs(order), [alpha] * order)
 
 
+@functools.lru_cache(maxsize=8)
+def _jacobi_report(alpha: PolyVectorField):
+    """validate_poisson(alpha), proved once per equal bivector."""
+    return validate_poisson(alpha)
+
+
 class _Engine:
     """Orbit operators plus weight table for one bivector and config.
 
@@ -250,7 +256,7 @@ class _Engine:
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
         if alpha.degree != 1:
             raise DimensionMismatchError("star products need a bivector")
-        report = validate_poisson(alpha)
+        report = _jacobi_report(alpha)
         if not report.ok:
             if cfg.jacobi == "require":
                 raise DomainError(report.summary())

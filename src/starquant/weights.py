@@ -32,8 +32,12 @@ There are two methods:
 The replicates of one integral are drawn as one scrambled-Sobol block
 (_sobol_block), bit-identical to scipy's qmc.Sobol per replicate seed,
 and evaluated in integrand calls of at most _BLOCK_ROWS = 8192 rows.
-That byte identity across scipy versions rests on
-tests/test_weights.py::TestSobolBlock.
+It rebuilds scipy's LMS + digital-shift scrambling from the top bit of
+each 32-bit half of raw PCG64 words, which is what default_rng(seed)
+.integers(0, 2) draws, and one GF(2) matrix product.  That byte
+identity across numpy and scipy versions rests on
+tests/test_weights.py::TestSobolBlock, whose bit-source test pins the
+draw.
 """
 from __future__ import annotations
 
@@ -201,41 +205,43 @@ def det_batch(m: np.ndarray) -> np.ndarray:
 _SOBOL_BITS = 30                        # scipy's default resolution
 # 2^(29-k): the value of matrix column k, and of output bit 29-k
 _BIT_VALUES = np.uint32(1) << np.arange(29, -1, -1, dtype=np.uint32)
+# where an LMS matrix keeps its random bits; scipy sets the diagonal to 1
+_STRICT_LOWER = np.tril(np.ones((_SOBOL_BITS, _SOBOL_BITS), np.float32), -1)
 
 
 @functools.lru_cache(maxsize=None)
-def _direction_number(dims: int, j: int) -> np.ndarray:
-    """Unscrambled direction number j of each dimension: the point at
-    index 2^(j+1) - 1, whose Gray code is 2^j."""
-    sob = qmc.Sobol(d=dims, scramble=False).fast_forward(2 ** (j + 1) - 1)
-    v = (sob.random(1)[0] * 2.0 ** _SOBOL_BITS).astype(np.uint32)
-    v.setflags(write=False)
-    return v
+def _direction_bits(dims: int, k: int) -> np.ndarray:
+    """Bits of the unscrambled direction numbers v_0..v_{k-1}, shape
+    (dims, 30, k), bit 29-p in row p.  v_j is the point at index
+    2^(j+1) - 1, whose Gray code is 2^j."""
+    v = np.array([qmc.Sobol(d=dims, scramble=False).fast_forward(
+        2 ** (j + 1) - 1).random(1)[0] for j in range(k)]).reshape(k, dims)
+    v = (v.T * 2.0 ** _SOBOL_BITS).astype(np.uint32)
+    vb = ((v[:, None] & _BIT_VALUES[:, None]) != 0).astype(np.float32)
+    vb.setflags(write=False)
+    return vb
 
 
 def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
     """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
     stacked to shape (len(seeds), n, dims), bit for bit."""
-    shifts, ltms = [], []
-    for s in seeds:                     # scipy's draw order
-        rng = np.random.default_rng(s)
-        shifts.append(rng.integers(0, 2, (dims, _SOBOL_BITS), np.uint32))
-        ltms.append(rng.integers(0, 2, (dims, _SOBOL_BITS, _SOBOL_BITS),
-                                 np.uint32))
-    # LMS rows as integers (last column the low bit), diagonal set to 1
-    rows = np.tril(np.array(ltms), -1) @ _BIT_VALUES + _BIT_VALUES
+    # scipy draws dims shift rows, then dims 30-row LMS matrices, as
+    # default_rng(s).integers(0, 2, ..., np.uint32): the top bit of each
+    # 32-bit half of a PCG64 word, low half first
+    bits = np.empty((len(seeds), dims * 31 * _SOBOL_BITS), dtype=np.uint8)
+    for i, s in enumerate(seeds):
+        raw = np.random.PCG64(s).random_raw(bits.shape[1] // 2)
+        bits[i] = raw.astype("<u8", copy=False).view("<u4") >> np.uint32(31)
+    bits = bits.reshape(len(seeds), dims * 31, _SOBOL_BITS)
+    lms = bits[:, dims:].reshape(-1, dims, _SOBOL_BITS, _SOBOL_BITS)
     k = (n - 1).bit_length()            # direction numbers the points use
-    v = np.array([_direction_number(dims, j) for j in range(k)],
-                 dtype=np.uint32).reshape(k, dims).T
-    # scrambled v_j: bit 29-p is the parity of row p & v_j
-    par = rows[..., None] & v[None, :, None, :]
-    for step in (16, 8, 4, 2, 1):
-        par ^= par >> np.uint32(step)
-    sv = ((par & np.uint32(1)) * _BIT_VALUES[:, None]).sum(axis=2,
-                                                           dtype=np.uint32)
+    vb = _direction_bits(dims, k)
+    # scrambled v_j: bit 29-p is row p of (LMS @ v_j's bits) mod 2; the
+    # float32 sums count at most 30 ones, so they are exact
+    sv = _BIT_VALUES @ (((lms * _STRICT_LOWER) @ vb + vb).astype(np.uint8) & 1)
     # Gray-code order by reflection: P[h:2h] = P[h-1::-1] ^ v_b
     pts = np.empty((len(seeds), n, dims), dtype=np.uint32)
-    pts[:, 0] = np.array(shifts) @ _BIT_VALUES[::-1]
+    pts[:, 0] = bits[:, :dims] @ _BIT_VALUES[::-1]
     for b in range(k):
         half, hi = 1 << b, min(2 << b, n)
         pts[:, half:hi] = (pts[:, 2 * half - hi:half][:, ::-1]
@@ -359,12 +365,13 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
             u = np.concatenate([np.random.Generator(np.random.PCG64(s))
                                 .random((per_rep, dims)) for s in seeds])
         vals = np.concatenate([_evaluate(graph, u[i:i + _BLOCK_ROWS])
-                               for i in range(0, len(u), _BLOCK_ROWS)])
-        for k, rep_seed in enumerate(seeds):
-            rows = slice(k * per_rep, (k + 1) * per_rep)
-            clean = _clean_values(graph, u[rows],
-                                  stable_seed(rep_seed, "redraw"), vals[rows])
-            means.append(float(clean.mean()))
+                               for i in range(0, len(u), _BLOCK_ROWS)]
+                              ).reshape(len(seeds), per_rep)
+        # redraw guarded rows in place, replicate by replicate
+        for k in np.flatnonzero(np.isnan(vals).any(axis=1)):
+            vals[k] = _clean_values(graph, u[k * per_rep:(k + 1) * per_rep],
+                                    stable_seed(seeds[k], "redraw"), vals[k])
+        means.extend(vals.mean(axis=1).tolist())
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     return value, std_error, per_rep * N_REPLICATES

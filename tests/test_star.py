@@ -1,5 +1,6 @@
 """Star assembly: exact low orders, the constant-coefficient oracle,
 conjugation parity, associativity reports, and the center probe."""
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from starquant.errors import (ConfigError, DimensionMismatchError,
                               DomainError)
 from starquant.poly import Polynomial
-from starquant.polyvector import PolyVectorField
+from starquant.polyvector import PolyVectorField, validate_poisson
 from starquant.rational import QI
 from starquant.series import FormalSeries
 from starquant.star import (PROBE, StarConfig, check_associativity,
@@ -20,6 +21,8 @@ from starquant.star import (PROBE, StarConfig, check_associativity,
 from starquant.weights import IntegrationConfig, WeightTable
 
 from helpers import broken_alpha, random_polynomial, so3_alpha
+
+star_mod = importlib.import_module("starquant.star")  # star() shadows it
 
 HALF_I = QI(0, Fraction(1, 2))
 
@@ -99,6 +102,43 @@ class TestStarBasics:
         with pytest.warns(UserWarning, match="jacobi"):
             s = star(f, g, bad, cfg)
         assert s.coefficient(1) == first_order_term(f, g, bad)
+
+    @pytest.fixture
+    def jacobi_calls(self, monkeypatch):
+        """Bivectors passed to validate_poisson, with the star module's
+        Jacobi memo empty at the start and cleared again at the end."""
+        calls = []
+
+        def counting(alpha):
+            calls.append(alpha)
+            return validate_poisson(alpha)
+
+        monkeypatch.setattr(star_mod, "validate_poisson", counting)
+        star_mod._jacobi_report.cache_clear()
+        yield calls
+        star_mod._jacobi_report.cache_clear()
+
+    def test_jacobi_proved_once_per_bivector(self, jacobi_calls):
+        """Two checks on equal but distinct so(3) objects prove the
+        Jacobi identity once."""
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        cfg = StarConfig(order=1, weights="exact")
+        for _ in range(2):
+            assert check_associativity(x[0], x[1], x[2], so3_alpha(), cfg).ok
+        assert jacobi_calls == [so3_alpha()]
+
+    def test_jacobi_gate_on_every_call(self, jacobi_calls):
+        f = Polynomial.variable(3, 0)
+        g = Polynomial.variable(3, 1)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="jacobi"):
+                star(f, g, broken_alpha(), StarConfig(order=1,
+                                                      weights="exact"))
+        cfg = StarConfig(order=1, weights="exact", jacobi="warn")
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="jacobi"):
+                star(f, g, broken_alpha(), cfg)
+        assert len(jacobi_calls) == 1
 
     def test_exact_mode_needs_closed_forms(self):
         x = Polynomial.variable(3, 0)

@@ -179,17 +179,39 @@ class TestSobolBlock:
 
     SEEDS = (0, 12345, 2 ** 63, 2 ** 64 - 1, stable_seed(7, "rep", 3))
 
-    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6, 7, 8, 9])
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 128, 3125, 4096, 8193])
     def test_matches_scipy(self, dims, n):
+        self.check(dims, self.SEEDS, n)
+
+    def test_order3_block(self):
+        """The block of every order-3 star integral at 4096 samples: all
+        replicate seeds, 128 rows each, 6 dims."""
+        seeds = [stable_seed(7, "rep", r) for r in range(weights.N_REPLICATES)]
+        self.check(6, seeds, 4096 // weights.N_REPLICATES)
+
+    @staticmethod
+    def check(dims, seeds, n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             want = np.stack([
                 qmc.Sobol(d=dims, scramble=True, seed=s).random(n)
-                for s in self.SEEDS])
-        got = _sobol_block(dims, self.SEEDS, n)
+                for s in seeds])
+        got = _sobol_block(dims, seeds, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_integers_are_top_bits_of_raw_pcg64_halves(self, seed):
+        """scipy draws its scrambling bits with default_rng(s).integers(0,
+        2, size, np.uint32); _sobol_block reads them as the top bit of each
+        32-bit half of PCG64(s).random_raw words, low half first.  A numpy
+        release that draws bounded integers differently fails here."""
+        size = 9 * 30 * 31
+        want = np.random.default_rng(seed).integers(0, 2, size, np.uint32)
+        raw = np.random.PCG64(seed).random_raw(size // 2)
+        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        assert np.array_equal(halves >> 31, want)
 
 
 class TestBlockedReplicates:
@@ -220,25 +242,47 @@ class TestBlockedReplicates:
         assert (integrate_graph_form(graph, cfg, seed=8)
                 == per_replicate_integral(graph, cfg, seed=8))
 
-    @pytest.mark.parametrize("method", ["qmc", "mc"])
-    @pytest.mark.parametrize("text", ["n=1;m=2;1:[L,R]",
-                                      "n=2;m=2;1:[2,L];2:[L,R]",
-                                      "n=1;m=3;1:[G2,G1,G0]"])
-    def test_guard_redraws(self, monkeypatch, text, method):
-        monkeypatch.setattr(weights, "_GUARD", 0.5)
-        rejected = []
+    @pytest.fixture
+    def rejected(self, monkeypatch):
+        """Guarded-row count of each replicate passed to _clean_values."""
+        counts = []
         clean = weights._clean_values
 
         def spy(graph, u, redraw_seed, vals=None):
             if vals is not None:
-                rejected.append(int(np.isnan(vals).sum()))
+                counts.append(int(np.isnan(vals).sum()))
             return clean(graph, u, redraw_seed, vals)
 
         monkeypatch.setattr(weights, "_clean_values", spy)
+        return counts
+
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    @pytest.mark.parametrize("text", ["n=1;m=2;1:[L,R]",
+                                      "n=2;m=2;1:[2,L];2:[L,R]",
+                                      "n=1;m=3;1:[G2,G1,G0]"])
+    def test_guard_redraws(self, monkeypatch, rejected, text, method):
+        monkeypatch.setattr(weights, "_GUARD", 0.5)
         cfg = IntegrationConfig(method=method, seed=4, n_samples=8192)
         graph = parse(text)
         got = integrate_graph_form(graph, cfg)
         assert len(rejected) == weights.N_REPLICATES and min(rejected) > 0
+        assert got == per_replicate_integral(graph, cfg)
+
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    @pytest.mark.parametrize("guard,every", [(0.5, True), (0.05, False)])
+    def test_guard_redraws_order3(self, monkeypatch, rejected, guard, every,
+                                  method):
+        """The shape of every order-3 star integral at 4096 samples, with
+        guarded rows in every replicate or in only some of them."""
+        monkeypatch.setattr(weights, "_GUARD", guard)
+        cfg = IntegrationConfig(method=method, seed=4, n_samples=4096)
+        graph = parse("n=3;m=2;1:[2,L];2:[3,R];3:[L,R]")
+        got = integrate_graph_form(graph, cfg)
+        assert min(rejected) > 0
+        if every:
+            assert len(rejected) == weights.N_REPLICATES
+        else:
+            assert 0 < len(rejected) < weights.N_REPLICATES
         assert got == per_replicate_integral(graph, cfg)
 
 
