@@ -4,17 +4,20 @@ figures to a JSON file.
 
     python scripts/bench_integrator.py --parent OTHER/src --out BENCH.json
 
-Three points, each a fixed set of graphs at one sample budget:
+Three points, each a fixed set of graphs at one sample budget, timed
+a fixed number of times per graph and round:
 
-    order3_4096      six order-3 star graphs at 4096 samples (fixed
-                     per-integration cost dominates)
-    order2_131072    three order-2 star graphs at 2^17 samples
-    order2_default   the same three at the default budget (2^22)
+    order3_4096      six order-3 star graphs at 4096 samples, 5 times
+                     each (fixed per-integration cost dominates)
+    order2_131072    three order-2 star graphs at 2^17 samples, 3 times
+    order2_default   the same three at the default budget (2^22), once
 
 Each round runs one fresh interpreter per side, alternating which side
 goes first.  A worker integrates the first graph of each point once
-untimed (imports, lazy set-up), then every graph once timed, with
-single-threaded BLAS.  Per point and side the file records the median
+untimed (imports, lazy set-up), then times every graph, with
+single-threaded BLAS; a graph's time in the round is the minimum over
+its repeats, so one noisy moment on a shared host does not decide a
+round.  Per point and side the file records the median
 and quartiles over rounds of seconds per integration and samples per
 second; the median std_error of the star-normalised weights obtained
 and the median seconds per integration it took to obtain them (the
@@ -37,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 POINTS = {
-    "order3_4096": (4096, [
+    "order3_4096": (4096, 5, [
         "n=3;m=2;1:[2,L];2:[L,R];3:[L,R]",
         "n=3;m=2;1:[2,L];2:[3,R];3:[L,R]",
         "n=3;m=2;1:[2,3];2:[L,R];3:[L,R]",
@@ -45,12 +48,12 @@ POINTS = {
         "n=3;m=2;1:[2,3];2:[3,L];3:[L,R]",
         "n=3;m=2;1:[2,R];2:[3,L];3:[1,L]",
     ]),
-    "order2_131072": (131072, [
+    "order2_131072": (131072, 3, [
         "n=2;m=2;1:[2,L];2:[1,R]",
         "n=2;m=2;1:[2,L];2:[L,R]",
         "n=2;m=2;1:[2,R];2:[L,R]",
     ]),
-    "order2_default": (None, [
+    "order2_default": (None, 1, [
         "n=2;m=2;1:[2,L];2:[1,R]",
         "n=2;m=2;1:[2,L];2:[L,R]",
         "n=2;m=2;1:[2,R];2:[L,R]",
@@ -60,8 +63,8 @@ SEED = 0
 
 
 def worker() -> dict:
-    """One round in this interpreter: per point, timed seconds and the
-    (value, std_error, n_samples) of each graph."""
+    """One round in this interpreter: per point, the summed minimum
+    seconds of its graphs and the (value, std_error, n_samples) of each."""
     from starquant.graphs import parse
     from starquant.halfplane import TWO_PI
     from starquant.weights import (IntegrationConfig, integrate_graph_form,
@@ -72,16 +75,20 @@ def worker() -> dict:
         return integrate_graph_form(parse(text), cfg,
                                     seed=stable_seed(SEED, text))
 
-    for n, texts in POINTS.values():
+    for n, _, texts in POINTS.values():
         run(texts[0], n)
     out = {}
-    for name, (n, texts) in POINTS.items():
+    for name, (n, repeats, texts) in POINTS.items():
         graphs = [parse(t) for t in texts]
         results, seconds = [], 0.0
         for text in texts:
-            t0 = time.perf_counter()
-            results.append(run(text, n))
-            seconds += time.perf_counter() - t0
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                result = run(text, n)
+                times.append(time.perf_counter() - t0)
+            results.append(result)
+            seconds += min(times)
         norm = [TWO_PI ** (2 * g.n) * math.factorial(g.n) for g in graphs]
         out[name] = {"seconds": seconds, "results": results,
                      "std_errors": [r[1] / z for r, z in zip(results, norm)]}
@@ -114,7 +121,7 @@ def spread(xs) -> dict:
 
 
 def summarise(rounds: list, name: str) -> dict:
-    per = [r[name]["seconds"] / len(POINTS[name][1]) for r in rounds]
+    per = [r[name]["seconds"] / len(POINTS[name][2]) for r in rounds]
     samples = rounds[0][name]["results"][0][2]
     return {"s_per_integration": spread(per),
             "samples_per_s": spread([samples / s for s in per]),
@@ -152,19 +159,21 @@ def main():
     identical = all(r[p]["results"] == rounds["parent"][0][p]["results"]
                     for side in sides for r in rounds[side] for p in POINTS)
     points = []
-    for name, (n_samples, graphs) in POINTS.items():
+    for name, (n_samples, repeats, graphs) in POINTS.items():
         wins = sum(c[name]["seconds"] < p[name]["seconds"]
                    for p, c in zip(rounds["parent"], rounds["change"]))
         points.append({
-            "name": name, "n_samples": n_samples, "graphs": graphs,
+            "name": name, "n_samples": n_samples, "repeats": repeats,
+            "graphs": graphs,
             "parent": summarise(rounds["parent"], name),
             "change": summarise(rounds["change"], name),
             "change_faster_rounds": f"{wins}/{ns.rounds}"})
     record = {
         "harness": "scripts/bench_integrator.py",
-        "what": "seconds per weights.integrate_graph_form call, median "
-                "and quartiles over rounds; one fresh interpreter per "
-                "side and round, sides alternating",
+        "what": "seconds per weights.integrate_graph_form call, the "
+                "in-process minimum over repeats, median and quartiles "
+                "over rounds; one fresh interpreter per side and round, "
+                "sides alternating",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "rounds": ns.rounds,
         "versions": {side: versions(src) for side, src in sides.items()},

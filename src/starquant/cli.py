@@ -13,6 +13,7 @@ integer >= 1) caps the integration thread pool.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import importlib.resources
 import json
@@ -24,7 +25,6 @@ import time
 import warnings
 
 import numpy
-import scipy
 
 from . import __version__
 from .errors import (
@@ -124,7 +124,6 @@ def _write_artifact(path: str, text: str, ns, t0: float, extra=None):
             "starquant": __version__,
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
         },
         "seed": getattr(ns, "seed", None),
         "elapsed_seconds": round(time.monotonic() - t0, 3),
@@ -463,7 +462,21 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _keep_freed_blocks():
+    """Fix glibc's malloc thresholds where its dynamic rule tops out, so a
+    freed integrand block stays mapped for the next one instead of
+    faulting its pages back in.  No-op off glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    mallopt(-1, 64 << 20)                   # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)                   # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)

@@ -1,4 +1,4 @@
-"""Angle and Green functions on the upper half plane.
+"""The propagator angle on the upper half plane.
 
 The propagator angle between two points z, w of the closed upper half
 plane H is
@@ -7,13 +7,9 @@ plane H is
 
 the angle at z between the geodesics to w and to its mirror image wbar.
 Its exterior differential d phi is a single-valued 1-form even though
-phi itself jumps across the branch cut.  The companion Green function
-
-    psi(z, w) =. log |z - w| - log |z - wbar|
-
-vanishes when w sits on the real axis (Dirichlet), while d phi has no
-normal component there (Neumann): moving a ground point vertically does
-not change the angle to first order.
+phi itself jumps across the branch cut.  d phi has no normal component
+on the real axis (Neumann): moving a ground point vertically does not
+change the angle to first order.
 
 Since Q(z, w) = (z - w)(z - wbar) is holomorphic in z,
 
@@ -37,26 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class UHPoint:
-    """A point x + i y of the closed upper half plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.y < 0:
-            raise DomainError(f"point {self.x}+{self.y}i lies below the real axis")
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-    @property
-    def interior(self) -> bool:
-        return self.y > 0
-
-
-@dataclass(frozen=True)
 class AngleGradient:
     """Partial derivatives of phi(z, w) in (x_z, y_z, x_w, y_w)."""
 
@@ -64,12 +40,6 @@ class AngleGradient:
     d_zy: float
     d_wx: float
     d_wy: float
-
-
-def _as_complex(p) -> complex:
-    if isinstance(p, UHPoint):
-        return p.as_complex
-    return complex(p)
 
 
 def _check_pair(z: complex, w: complex):
@@ -89,7 +59,7 @@ def angle_phi(z, w) -> float:
     z must be interior; w may sit anywhere in the closed half plane
     except at z or its mirror image.
     """
-    zc, wc = _as_complex(z), _as_complex(w)
+    zc, wc = complex(z), complex(w)
     _check_pair(zc, wc)
     val = cmath.phase((zc - wc) * (zc - wc.conjugate())) % TWO_PI
     # the mod of a tiny negative phase can round up to exactly 2*pi
@@ -102,23 +72,11 @@ def dphi(z, w) -> AngleGradient:
     w may be a boundary (ground) point: the y_w derivative then
     vanishes identically, which is the Neumann condition.
     """
-    zc, wc = _as_complex(z), _as_complex(w)
+    zc, wc = complex(z), complex(w)
     _check_pair(zc, wc)
     a, d_wy = angle_form(zc, wc)
     return AngleGradient(d_zx=float(a.imag), d_zy=float(a.real),
                          d_wx=float(-a.imag), d_wy=float(d_wy))
-
-
-def green_psi(z, w) -> float:
-    """Dirichlet Green function log|z - w| - log|z - wbar| (<= 0)."""
-    zc, wc = _as_complex(z), _as_complex(w)
-    if zc.imag < 0 or wc.imag < 0:
-        raise DomainError("points must lie in the closed upper half plane")
-    if zc == wc:
-        raise DomainError("psi is undefined at z = w")
-    if zc.imag == 0 and wc.imag == 0:
-        raise DomainError("psi needs at least one interior point")
-    return math.log(abs(zc - wc)) - math.log(abs(zc - wc.conjugate()))
 
 
 # ---------------------------------------------------------------------------

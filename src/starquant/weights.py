@@ -32,12 +32,12 @@ There are two methods:
 The replicates of one integral are drawn as one scrambled-Sobol block
 (_sobol_block), bit-identical to scipy's qmc.Sobol per replicate seed,
 and evaluated in integrand calls of at most _BLOCK_ROWS = 8192 rows.
-It rebuilds scipy's LMS + digital-shift scrambling from the top bit of
-each 32-bit half of raw PCG64 words, which is what default_rng(seed)
-.integers(0, 2) draws, and one GF(2) matrix product.  That byte
-identity across numpy and scipy versions rests on
-tests/test_weights.py::TestSobolBlock, whose bit-source test pins the
-draw.
+Direction numbers follow Joe and Kuo's recurrence from the table
+_JOE_KUO (at most MAX_DIMS = 32 dimensions; more raise ConfigError);
+the LMS + digital-shift scrambling is the top bit of each 32-bit half
+of raw PCG64 words, as default_rng(seed).integers(0, 2) draws, and one
+GF(2) product.  tests/test_weights.py::TestSobolBlock pins the bit
+identity with scipy: every table row, the bit source, whole blocks.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, SamplingError, json_int)
@@ -208,15 +207,45 @@ _BIT_VALUES = np.uint32(1) << np.arange(29, -1, -1, dtype=np.uint32)
 # where an LMS matrix keeps its random bits; scipy sets the diagonal to 1
 _STRICT_LOWER = np.tril(np.ones((_SOBOL_BITS, _SOBOL_BITS), np.float32), -1)
 
+MAX_DIMS = 32                           # the most dimensions qmc samples
+# Joe and Kuo's (2008) parameters of Sobol' dimensions 2..MAX_DIMS as scipy
+# ships them: (primitive polynomial, leading and constant bits set; m_1..m_s)
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+
 
 @functools.lru_cache(maxsize=None)
 def _direction_bits(dims: int, k: int) -> np.ndarray:
-    """Bits of the unscrambled direction numbers v_0..v_{k-1}, shape
-    (dims, 30, k), bit 29-p in row p.  v_j is the point at index
-    2^(j+1) - 1, whose Gray code is 2^j."""
-    v = np.array([qmc.Sobol(d=dims, scramble=False).fast_forward(
-        2 ** (j + 1) - 1).random(1)[0] for j in range(k)]).reshape(k, dims)
-    v = (v.T * 2.0 ** _SOBOL_BITS).astype(np.uint32)
+    """Bits of the unscrambled direction numbers v_j = m_j 2^(29-j),
+    j < k, shape (dims, 30, k), bit 29-p in row p.  The first dimension
+    has every m_j = 1; the others follow Joe and Kuo's recurrence."""
+    if dims > MAX_DIMS:
+        raise ConfigError(f"qmc sampling covers at most {MAX_DIMS} "
+                          f"dimensions, got {dims}; use method mc")
+    m = np.ones((dims, k), dtype=np.uint32)
+    for d, (poly, init) in enumerate(_JOE_KUO[:dims - 1], start=1):
+        s, mj = len(init), list(init)
+        for j in range(s, k):
+            new = mj[j - s]
+            for i in range(1, s + 1):
+                if poly >> (s - i) & 1:
+                    new ^= mj[j - i] << i
+            mj.append(new)
+        m[d] = mj[:k]
+    v = m << np.arange(29, 29 - k, -1, dtype=np.uint32)
     vb = ((v[:, None] & _BIT_VALUES[:, None]) != 0).astype(np.float32)
     vb.setflags(write=False)
     return vb
@@ -225,6 +254,8 @@ def _direction_bits(dims: int, k: int) -> np.ndarray:
 def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
     """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
     stacked to shape (len(seeds), n, dims), bit for bit."""
+    k = (n - 1).bit_length()            # direction numbers the points use
+    vb = _direction_bits(dims, k)
     # scipy draws dims shift rows, then dims 30-row LMS matrices, as
     # default_rng(s).integers(0, 2, ..., np.uint32): the top bit of each
     # 32-bit half of a PCG64 word, low half first
@@ -234,8 +265,6 @@ def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
         bits[i] = raw.astype("<u8", copy=False).view("<u4") >> np.uint32(31)
     bits = bits.reshape(len(seeds), dims * 31, _SOBOL_BITS)
     lms = bits[:, dims:].reshape(-1, dims, _SOBOL_BITS, _SOBOL_BITS)
-    k = (n - 1).bit_length()            # direction numbers the points use
-    vb = _direction_bits(dims, k)
     # scrambled v_j: bit 29-p is row p of (LMS @ v_j's bits) mod 2; the
     # float32 sums count at most 30 ones, so they are exact
     sv = _BIT_VALUES @ (((lms * _STRICT_LOWER) @ vb + vb).astype(np.uint8) & 1)

@@ -2,11 +2,13 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,13 +56,14 @@ class TestEnumerate:
         assert manifest["outputs"][0]["sha256"] == digest
 
     def test_manifest_records_library_versions(self, tmp_path, capsys):
-        """Sobol scrambling depends on scipy, so byte determinism is only
-        claimed together with the library versions that ran."""
+        """Byte determinism is only claimed together with the library
+        versions that ran; numpy is the only runtime dependency."""
         out = str(tmp_path / "graphs.json")
         assert main(["enumerate", "-n", "1", "-m", "2", "--out", out]) == 0
         versions = json.loads(open(out + ".manifest.json").read())["versions"]
         assert versions["numpy"] == numpy.__version__
-        assert versions["scipy"] == scipy.__version__
+        assert "python" in versions
+        assert "scipy" not in versions
 
     @pytest.mark.parametrize("argv", [
         ["-n", "1", "-m", "-3"], ["-n", "1", "-m", "-1", "--permissive"]])
@@ -75,6 +78,18 @@ class TestEnumerate:
     def test_bad_degrees_exit_2(self, capsys, degrees):
         assert main(["enumerate", "-n", "2", f"--degrees={degrees}"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the package and its
+    CLI in a fresh interpreter loads no scipy module."""
+    import starquant
+    src = str(Path(starquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, starquant.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestWeight:
@@ -137,6 +152,18 @@ class TestWeight:
         assert main(["weight", "--graphs", str(bad),
                      "--samples", "1024"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_qmc_dimension_cap_exit_2(self, tmp_path, capsys):
+        """17 aerial vertices sample 34 dimensions, beyond the Sobol'
+        table: a usage error, not a traceback."""
+        edges = [[i + 2, "G0"] for i in range(16)] + [["G0", "G1"]]
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps([{"n": 17, "m": 2, "edges": edges}]))
+        assert main(["weight", "--graphs", str(path),
+                     "--samples", "1024"]) == 2
+        err = capsys.readouterr().err
+        assert "at most 32 dimensions" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
     def test_bad_thread_count_exit_2(self, monkeypatch, capsys, value):

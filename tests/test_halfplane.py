@@ -1,4 +1,4 @@
-"""Half-plane angle/Green function checks against frozen values and a
+"""Half-plane angle checks against frozen values and a
 finite-difference oracle."""
 import math
 
@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starquant.errors import DomainError
-from starquant.halfplane import (TWO_PI, AngleGradient, UHPoint, angle_form,
-                                 angle_phi, dphi, green_psi)
+from starquant.halfplane import (TWO_PI, AngleGradient, angle_form, angle_phi,
+                                 dphi)
 
 # frozen expected values
 PHI_I_2I = 0.0                    # collinear above w: angle closes up
 PHI_I_0 = math.pi                 # straight under z
 DPHI_I_0 = (-2.0, 0.0, 2.0, 0.0)  # derived: Im/Re of (2i)/(-1) and mirror
-PSI_I_2I = math.log(1.0 / 3.0)
 
 
 def _wrap_diff(a, b):
@@ -125,32 +124,6 @@ class TestDphi:
         assert row[0] * row[1] - row[1] * row[0] == 0.0
 
 
-class TestGreenPsi:
-    def test_frozen_value(self):
-        assert green_psi(1j, 2j) == pytest.approx(PSI_I_2I, rel=1e-14)
-
-    @given(z=interior, w=interior)
-    @settings(max_examples=100)
-    def test_symmetric_and_nonpositive(self, z, w):
-        if z == w:
-            return
-        a, b = green_psi(z, w), green_psi(w, z)
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-        assert a <= 0.0
-
-    def test_dirichlet_boundary(self):
-        assert green_psi(1j, 0.7) == 0.0
-        assert abs(green_psi(0.4 + 1.1j, complex(-0.3, 1e-12))) < 1e-11
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            green_psi(1j, 1j)
-        with pytest.raises(DomainError):
-            green_psi(0.5, 0.7)
-        with pytest.raises(DomainError):
-            green_psi(1j, complex(0, -1))
-
-
 class TestVectorKernels:
     def test_match_scalar(self):
         z = np.array([1j, 0.3 + 0.9j, -0.5 + 2j])
@@ -170,16 +143,3 @@ class TestVectorKernels:
             a_c, _ = angle_form(z, np.asarray(t, dtype=complex))
             assert np.allclose(a, a_c, rtol=1e-14, atol=0.0)
             assert np.all(d_wy == 0.0)
-
-
-class TestUHPoint:
-    def test_interior_flag(self):
-        assert UHPoint(0.0, 1.0).interior
-        assert not UHPoint(0.5, 0.0).interior
-
-    def test_below_axis_rejected(self):
-        with pytest.raises(DomainError):
-            UHPoint(0.0, -0.1)
-
-    def test_accepted_by_functions(self):
-        assert angle_phi(UHPoint(0, 1), UHPoint(0, 2)) == pytest.approx(0.0, abs=1e-14)

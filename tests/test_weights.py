@@ -14,9 +14,10 @@ from starquant.errors import (ConfigError, ConvergenceWarning,
                               DegreeMismatchError, ParseError)
 from starquant.graphs import KGraph, parse, serialize, star_graphs
 from starquant.halfplane import dphi
-from starquant.weights import (IntegrationConfig, WeightEstimate, WeightTable,
-                               _BLOCK_ROWS, _clean_values, _evaluate,
-                               _sobol_block, det_batch,
+from starquant.weights import (MAX_DIMS, IntegrationConfig, WeightEstimate,
+                               WeightTable, _BLOCK_ROWS, _clean_values,
+                               _direction_bits, _evaluate, _sobol_block,
+                               det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
                                stable_seed, weight)
@@ -179,7 +180,7 @@ class TestSobolBlock:
 
     SEEDS = (0, 12345, 2 ** 63, 2 ** 64 - 1, stable_seed(7, "rep", 3))
 
-    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("dims", [2, 3, 4, 5, 6, 7, 8, 9, MAX_DIMS])
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 128, 3125, 4096, 8193])
     def test_matches_scipy(self, dims, n):
         self.check(dims, self.SEEDS, n)
@@ -189,6 +190,17 @@ class TestSobolBlock:
         replicate seeds, 128 rows each, 6 dims."""
         seeds = [stable_seed(7, "rep", r) for r in range(weights.N_REPLICATES)]
         self.check(6, seeds, 4096 // weights.N_REPLICATES)
+
+    def test_direction_table_matches_scipy(self):
+        """Every row of the Joe-Kuo table: all 30 unscrambled direction
+        numbers of all MAX_DIMS dimensions, against scipy's own."""
+        sv = qmc.Sobol(d=MAX_DIMS, scramble=False)._sv.astype(np.int64)
+        want = (sv[:, None, :] >> np.arange(29, -1, -1)[:, None]) & 1
+        assert np.array_equal(_direction_bits(MAX_DIMS, 30), want)
+
+    def test_dimension_cap(self):
+        with pytest.raises(ConfigError, match=f"at most {MAX_DIMS}"):
+            _sobol_block(MAX_DIMS + 1, [0], 4)
 
     @staticmethod
     def check(dims, seeds, n):
