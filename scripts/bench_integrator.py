@@ -17,14 +17,29 @@ goes first.  A worker integrates the first graph of each point once
 untimed (imports, lazy set-up), then times every graph, with
 single-threaded BLAS; a graph's time in the round is the minimum over
 its repeats, so one noisy moment on a shared host does not decide a
-round.  Per point and side the file records the median
-and quartiles over rounds of seconds per integration and samples per
-second; the median std_error of the star-normalised weights obtained
-and the median seconds per integration it took to obtain them (the
-figure to compare when a change alters the noise, not samples per
-second); and in how many rounds the change was faster.  Both sides
-must return identical (value, std_error, n_samples) for every graph,
-else the script exits 1.
+round.  Per point and side the file records the median and quartiles
+over rounds of seconds per integration and samples per second, the
+median std_error of the star-normalised weights obtained, and in how
+many rounds the change was faster.
+
+Time to a stated std_error (the figure to compare when a change alters
+the noise, not samples per second), at the first two points.  One
+std_error estimate is heavy-tailed, so a graph's noise is the RMS of
+its star-normalised std_error over NOISE_SEEDS seeds.  Per graph the
+target is the parent's noise at the point's budget N.  A side whose
+noise there is s needs about N (s / target)^2 samples, as std_error
+falls like N^-1/2; that count, rounded up to a power of two and at
+least MIN_BUDGET, starts the side's budget for the graph, which is
+doubled until its noise meets the target (up to 64 N; the file marks
+a graph that never does).  A second series of rounds times each side
+at its budgets, and the file records the budgets, the noise they gave
+and the seconds per integration.
+
+Both sides must return identical (value, std_error, n_samples) for
+every graph, else the script exits 1.  With --moved-results (for a
+change that alters the estimates on purpose) each graph's two values
+must instead agree within 4 joint standard errors, with equal
+n_samples; the file records which check ran and its worst z.
 """
 import argparse
 import json
@@ -59,29 +74,49 @@ POINTS = {
         "n=2;m=2;1:[2,R];2:[L,R]",
     ]),
 }
+TO_STD_ERROR = ("order3_4096", "order2_131072")
+MIN_BUDGET = 256                        # 8 rows per replicate
 SEED = 0
+NOISE_SEEDS = 8
+AGREE_SIGMAS = 4.0
 
 
-def worker() -> dict:
+def worker(budgets: dict | None, noise: bool) -> dict:
     """One round in this interpreter: per point, the summed minimum
-    seconds of its graphs and the (value, std_error, n_samples) of each."""
+    seconds of its graphs, and the (value, std_error, n_samples) and
+    star-normalised std_error of each.  budgets maps point names to a
+    budget per graph; by default every point at its own budget.  With
+    noise, per point only each graph's noise, untimed."""
     from starquant.graphs import parse
     from starquant.halfplane import TWO_PI
     from starquant.weights import (IntegrationConfig, integrate_graph_form,
                                    stable_seed)
 
-    def run(text, n_samples):
-        cfg = IntegrationConfig(seed=SEED, n_samples=n_samples)
+    def run(text, n_samples, seed=SEED):
+        cfg = IntegrationConfig(seed=seed, n_samples=n_samples)
         return integrate_graph_form(parse(text), cfg,
-                                    seed=stable_seed(SEED, text))
+                                    seed=stable_seed(seed, text))
 
-    for n, _, texts in POINTS.values():
-        run(texts[0], n)
+    def normalised(text, std_error):
+        g = parse(text)
+        return std_error / (TWO_PI ** (2 * g.n) * math.factorial(g.n))
+
+    if budgets is None:
+        budgets = {name: [n] * len(texts)
+                   for name, (n, _, texts) in POINTS.items()}
+    if noise:
+        return {name: [math.sqrt(statistics.fmean(
+            normalised(text, run(text, n, seed)[1]) ** 2
+            for seed in range(NOISE_SEEDS)))
+            for text, n in zip(POINTS[name][2], per_graph)]
+            for name, per_graph in budgets.items()}
+    for name in budgets:
+        run(POINTS[name][2][0], budgets[name][0])
     out = {}
-    for name, (n, repeats, texts) in POINTS.items():
-        graphs = [parse(t) for t in texts]
+    for name, per_graph in budgets.items():
+        _, repeats, texts = POINTS[name]
         results, seconds = [], 0.0
-        for text in texts:
+        for text, n in zip(texts, per_graph):
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
@@ -89,19 +124,40 @@ def worker() -> dict:
                 times.append(time.perf_counter() - t0)
             results.append(result)
             seconds += min(times)
-        norm = [TWO_PI ** (2 * g.n) * math.factorial(g.n) for g in graphs]
         out[name] = {"seconds": seconds, "results": results,
-                     "std_errors": [r[1] / z for r, z in zip(results, norm)]}
+                     "std_errors": [normalised(t, r[1])
+                                    for t, r in zip(texts, results)]}
     return out
 
 
-def run_side(src: Path) -> dict:
+def run_side(src: Path, budgets: dict | None = None,
+             noise: bool = False) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     env.pop("STARQUANT_THREADS", None)
-    proc = subprocess.run([sys.executable, __file__, "--worker"], env=env,
-                          capture_output=True, text=True, check=True)
+    argv = [sys.executable, __file__, "--worker"]
+    if budgets is not None:
+        argv += ["--budgets", json.dumps(budgets)]
+    if noise:
+        argv.append("--noise")
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_rounds(sides: dict, n_rounds: int, budgets: dict) -> dict:
+    """Alternating rounds; budgets maps each side to its worker budgets."""
+    rounds = {side: [] for side in sides}
+    for k in range(n_rounds):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for side in order:
+            rounds[side].append(run_side(sides[side], budgets[side]))
+        print(f"round {k + 1}/{n_rounds}: " + ", ".join(
+            f"{p} {rounds['parent'][-1][p]['seconds']:.3f}s -> "
+            f"{rounds['change'][-1][p]['seconds']:.3f}s"
+            for p in rounds["parent"][-1]),
+            file=sys.stderr, flush=True)
+    return rounds
 
 
 def versions(src: Path) -> dict:
@@ -125,59 +181,127 @@ def summarise(rounds: list, name: str) -> dict:
     samples = rounds[0][name]["results"][0][2]
     return {"s_per_integration": spread(per),
             "samples_per_s": spread([samples / s for s in per]),
-            "to_std_error": {
-                "std_error": statistics.median(rounds[0][name]["std_errors"]),
-                "seconds": statistics.median(per)}}
+            "std_error": statistics.median(rounds[0][name]["std_errors"])}
+
+
+def budget_for(n: int, std_error: float, target: float) -> int:
+    """Samples to reach target from std_error at n, as N^-1/2 predicts."""
+    need = n * (std_error / target) ** 2
+    return max(MIN_BUDGET, 1 << max(0, math.ceil(math.log2(need))))
+
+
+def worst_z(parent: list, change: list) -> float:
+    """Largest |value difference| over joint std_error across graphs;
+    inf when the sample counts differ."""
+    worst = 0.0
+    for (pv, ps, pn), (cv, cs, cn) in zip(parent, change):
+        if pn != cn:
+            return math.inf
+        joint = math.hypot(ps, cs)
+        z = abs(pv - cv) / joint if joint else (0.0 if pv == cv else math.inf)
+        worst = max(worst, z)
+    return worst
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--budgets", type=json.loads, help=argparse.SUPPRESS)
+    ap.add_argument("--noise", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--parent", type=Path,
                     help="src/ directory of the checkout to compare against")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="src/ directory of the change (default: this "
                          "checkout's)")
     ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--moved-results", action="store_true",
+                    help="the change alters the estimates on purpose: "
+                         "require agreement within 4 joint standard "
+                         "errors per graph instead of identical results")
     ap.add_argument("--out", type=Path)
     ns = ap.parse_args()
     if ns.worker:
-        print(json.dumps(worker()))
+        print(json.dumps(worker(ns.budgets, ns.noise)))
         return 0
     if ns.parent is None or ns.out is None:
         ap.error("--parent and --out are required")
     sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
-    rounds = {side: [] for side in sides}
-    for k in range(ns.rounds):
-        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        for side in order:
-            rounds[side].append(run_side(sides[side]))
-        print(f"round {k + 1}/{ns.rounds}: " + ", ".join(
-            f"{p} {rounds['parent'][-1][p]['seconds']:.3f}s -> "
-            f"{rounds['change'][-1][p]['seconds']:.3f}s" for p in POINTS),
-            file=sys.stderr, flush=True)
-    identical = all(r[p]["results"] == rounds["parent"][0][p]["results"]
-                    for side in sides for r in rounds[side] for p in POINTS)
+    rounds = run_rounds(sides, ns.rounds, {side: None for side in sides})
+    # every round of a side must repeat that side's first round
+    repeatable = all(r[p]["results"] == rounds[side][0][p]["results"]
+                     for side in sides for r in rounds[side] for p in POINTS)
+    first = {side: rounds[side][0] for side in sides}
+    identical = repeatable and all(
+        first["change"][p]["results"] == first["parent"][p]["results"]
+        for p in POINTS)
+
+    # second series: each side at the budgets that reach the targets
+    own = {p: [POINTS[p][0]] * len(POINTS[p][2]) for p in TO_STD_ERROR}
+    noise = {side: run_side(src, own, noise=True)
+             for side, src in sides.items()}
+    targets = noise["parent"]
+    budgets = {side: {p: [budget_for(POINTS[p][0], s, t) for s, t in
+                          zip(noise[side][p], targets[p])]
+                      for p in TO_STD_ERROR}
+               for side in sides}
+    reached = {}
+    for side, src in sides.items():
+        while True:
+            got = run_side(src, budgets[side], noise=True)
+            short = [(p, g) for p in TO_STD_ERROR
+                     for g, (s, t) in enumerate(zip(got[p], targets[p]))
+                     if s > t and budgets[side][p][g] < 64 * POINTS[p][0]]
+            if not short:
+                break
+            for p, g in short:
+                budgets[side][p][g] *= 2
+        reached[side] = got
+    reach = run_rounds(sides, ns.rounds, budgets)
+
     points = []
     for name, (n_samples, repeats, graphs) in POINTS.items():
         wins = sum(c[name]["seconds"] < p[name]["seconds"]
                    for p, c in zip(rounds["parent"], rounds["change"]))
-        points.append({
+        point = {
             "name": name, "n_samples": n_samples, "repeats": repeats,
             "graphs": graphs,
             "parent": summarise(rounds["parent"], name),
             "change": summarise(rounds["change"], name),
-            "change_faster_rounds": f"{wins}/{ns.rounds}"})
+            "worst_z": worst_z(first["parent"][name]["results"],
+                               first["change"][name]["results"]),
+            "change_faster_rounds": f"{wins}/{ns.rounds}"}
+        if name in TO_STD_ERROR:
+            point["to_std_error"] = {"noise_target": targets[name]}
+            for side in sides:
+                point["to_std_error"][side] = {
+                    "noise_at_point_budget": noise[side][name],
+                    "n_samples": budgets[side][name],
+                    "noise": reached[side][name],
+                    "reached": all(s <= t for s, t in zip(
+                        reached[side][name], targets[name])),
+                    "s_per_integration": spread(
+                        [r[name]["seconds"] / len(graphs)
+                         for r in reach[side]])}
+        points.append(point)
+    if ns.moved_results:
+        check = f"agree within {AGREE_SIGMAS:g} joint std_errors"
+        passed = repeatable and all(pt["worst_z"] <= AGREE_SIGMAS
+                                    for pt in points)
+    else:
+        check, passed = "identical results", identical
     record = {
         "harness": "scripts/bench_integrator.py",
         "what": "seconds per weights.integrate_graph_form call, the "
                 "in-process minimum over repeats, median and quartiles "
                 "over rounds; one fresh interpreter per side and round, "
-                "sides alternating",
+                "sides alternating; to_std_error: each side timed at the "
+                "budgets that reach the parent's noise (RMS std_error over "
+                f"{NOISE_SEEDS} seeds)",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "rounds": ns.rounds,
         "versions": {side: versions(src) for side, src in sides.items()},
         "identical_results": identical,
+        "check": {"what": check, "passed": passed},
         "points": points,
     }
     ns.out.write_text(json.dumps(record, indent=2) + "\n")
@@ -185,8 +309,16 @@ def main():
         p, c = pt["parent"], pt["change"]
         print(f"{pt['name']}: {p['s_per_integration']['median']:.4f} s -> "
               f"{c['s_per_integration']['median']:.4f} s per integration, "
-              f"faster in {pt['change_faster_rounds']} rounds")
-    return 0 if identical else 1
+              f"faster in {pt['change_faster_rounds']} rounds; worst z "
+              f"{pt['worst_z']:.2f}")
+        if "to_std_error" in pt:
+            reach_p, reach_c = (pt["to_std_error"][s] for s in sides)
+            print(f"  to the parent's std_errors: "
+                  f"{reach_p['s_per_integration']['median']:.4f} s -> "
+                  f"{reach_c['s_per_integration']['median']:.4f} s per "
+                  f"integration (change budgets {reach_c['n_samples']})")
+    print(f"check ({check}): {'pass' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

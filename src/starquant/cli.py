@@ -307,8 +307,10 @@ def _run_suite(suite: str, ns):
             raise ParseError("verify assoc takes --f, --g and --h together; "
                              f"missing {', '.join(missing)}")
         else:
-            base = _default_args(alpha.dim)
-            triple = [base[i % alpha.dim] for i in range(3)]
+            # quadratic, so the hbar^2 residual depends on sampled weights
+            x = _default_args(alpha.dim)
+            triple = [x[i % alpha.dim] * x[(i + 1) % alpha.dim]
+                      for i in range(3)]
         rep = check_associativity(*triple, alpha, _star_config(ns))
         return rep.to_json_obj(), rep.ok, [rep.summary()]
 

@@ -18,6 +18,16 @@ Since Q(z, w) = (z - w)(z - wbar) is holomorphic in z,
 with A = (2z - w - wbar)/Q.  The x_w coefficient is minus the x_z one
 because phi is invariant under simultaneous real translation of both
 points.
+
+Integrating z over H in the wedge of two such forms gives, for a and b
+in the closed half plane,
+
+    F(a, b) = int_H dphi(z, a) ^ dphi(z, b) = 4 pi arg(a - bbar) - 2 pi^2,
+
+arg in [0, pi] (Stokes on phi(z, a) dphi(z, b), with
+phi(a, b) - phi(b, a) = 2 arg(a - bbar)).  F(0, 1) = 2 pi^2 is the
+order-1 weight 1/2; F(a, a) = 0, and the mirror z -> 1 - zbar negates
+F.  weights._evaluate integrates every source vertex out with it.
 """
 from __future__ import annotations
 
@@ -96,3 +106,15 @@ def angle_form(z, w):
     q = (z - w) * (z - np.conjugate(w))
     a = (2.0 * z - w - np.conjugate(w)) / q
     return a, 2.0 * w.imag * (1.0 / q).imag
+
+
+def source_form(a, b):
+    """F(a, b) = int_H dphi(z, a) ^ dphi(z, b), z over H in dx ^ dy.
+
+    a, b lie in the closed half plane (complex or real ground
+    positions); a = b gives 0, including the real a = b where arg is
+    undefined.  Elementwise over arrays or scalars; no domain checks.
+    """
+    d = a - np.conjugate(b)
+    return np.where(d == 0, 0.0, 4.0 * math.pi * np.angle(d)
+                    - 2.0 * math.pi ** 2)

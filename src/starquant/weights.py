@@ -17,6 +17,19 @@ the graph 1:[L,R]).
 
 Star-normalized weights divide the raw integral by (2pi)^(2n) n!.
 
+Source vertices are integrated out exactly.  A source (_sources) has
+out-degree 2 and no incoming edge, so its two rows hold the only
+entries of its two columns: det M = det B_v det M', M' without v's rows
+and columns and free of z_v, and z_v integrates to
+halfplane.source_form(a_v, b_v) at its targets' positions.  The
+integrand is therefore prod_v source_form(a_v, b_v) det M' over
+sampled_dims(graph) = 2(n - #sources) + m - 2 coordinates, the
+remaining aerial points in vertex order, then the moving grounds.  A
+graph whose every aerial vertex is a source (the derivative-free
+graphs) keeps the full integrand, so its weight still carries a
+sampled std_error.  Default budgets stay keyed by the form degree
+2n + m - 2, and MAX_DIMS caps the sampled count.
+
 Sampling maps each aerial point from the open unit square through
 x = tan(pi (s - 1/2)), y = t/(1 - t); moving grounds are sorted
 uniforms (simplex sampling).  Each integral is estimated from 32
@@ -55,7 +68,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, SamplingError, json_int)
 from .graphs import KGraph, parse, serialize
-from .halfplane import TWO_PI, angle_form
+from .halfplane import TWO_PI, angle_form, source_form
 
 _METHODS = ("qmc", "mc")
 
@@ -282,14 +295,35 @@ def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
 # integrand
 # ---------------------------------------------------------------------------
 
+def _sources(graph: KGraph) -> tuple[int, ...]:
+    """Aerial vertices that _evaluate integrates out in closed form: out-
+    degree 2 and no incoming edge.  Empty when every aerial vertex is one
+    (the derivative-free graphs keep their sampled integrand and spread)."""
+    hit = {t for targets in graph.out_edges for t in targets}
+    found = tuple(v for v, targets in enumerate(graph.out_edges)
+                  if len(targets) == 2 and v not in hit)
+    return () if len(found) == graph.n else found
+
+
+def sampled_dims(graph: KGraph) -> int:
+    """Dimensions _evaluate samples: 2 per aerial vertex that is not a
+    source, plus the m - 2 moving grounds."""
+    return 2 * (graph.n - len(_sources(graph))) + graph.m - 2
+
+
 def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
     """Integrand values for unit-cube samples u; NaN marks rejected rows."""
     n, m = graph.n, graph.m
     k_move = m - 2
+    sources = _sources(graph)
+    # sampled aerial vertices in order; point[v] is v's column pair
+    point = {v: i for i, v in enumerate(
+        v for v in range(n) if v not in sources)}
+    ns = len(point)
     nrows = u.shape[0]
     with np.errstate(all="ignore"):
-        s = u[:, 0:2 * n:2]
-        t = u[:, 1:2 * n:2]
+        s = u[:, 0:2 * ns:2]
+        t = u[:, 1:2 * ns:2]
         x = np.tan(np.pi * (s - 0.5))
         y = t / (1.0 - t)
         z = x + 1j * y
@@ -299,7 +333,7 @@ def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
         bad |= np.any(y <= 0.0, axis=1)
 
         if k_move:
-            tg = np.sort(u[:, 2 * n:], axis=1)      # ascending positions
+            tg = np.sort(u[:, 2 * ns:], axis=1)     # ascending positions
         else:
             tg = np.empty((nrows, 0))
 
@@ -310,33 +344,42 @@ def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
                 return 1.0
             return tg[:, k - 1]
 
+        def position(tgt):
+            return z[:, point[tgt]] if tgt < n else ground_pos(tgt - n)
+
         # coincidence / anchor guard on the mapped points
-        for i in range(n):
-            for j in range(i + 1, n):
+        for i in range(ns):
+            for j in range(i + 1, ns):
                 bad |= np.abs(z[:, i] - z[:, j]) < _GUARD
                 bad |= np.abs(z[:, i] - np.conjugate(z[:, j])) < _GUARD
             for k in range(m):
                 bad |= np.abs(z[:, i] - ground_pos(k)) < _GUARD
 
-        mat = np.zeros((nrows, 2 * n + k_move, 2 * n + k_move))
+        # a source's two rows are the only entries in its two columns, so
+        # det M = det B_v det M' with M' free of z_v, and z_v integrates
+        # to source_form (Laplace expansion; sign +1)
+        factor = jac / math.factorial(k_move)
+        for v in sources:
+            factor = factor * source_form(*map(position, graph.out_edges[v]))
+
+        mat = np.zeros((nrows, 2 * ns + k_move, 2 * ns + k_move))
         row = 0
-        for i in range(n):
-            zi = z[:, i]
+        for i, ci in point.items():
+            zi = z[:, ci]
             for tgt in graph.out_edges[i]:
                 k = tgt - n                 # ground index when k >= 0
-                a, d_wy = angle_form(zi, z[:, tgt] if k < 0
-                                     else ground_pos(k))
-                mat[:, row, 2 * i] = a.imag
-                mat[:, row, 2 * i + 1] = a.real
+                a, d_wy = angle_form(zi, position(tgt))
+                mat[:, row, 2 * ci] = a.imag
+                mat[:, row, 2 * ci + 1] = a.real
                 # target columns: aerial x, y; moving ground t; pinned none
                 if k < 0:
-                    mat[:, row, 2 * tgt] = -a.imag
-                    mat[:, row, 2 * tgt + 1] = d_wy
+                    mat[:, row, 2 * point[tgt]] = -a.imag
+                    mat[:, row, 2 * point[tgt] + 1] = d_wy
                 elif 0 < k < m - 1:
-                    mat[:, row, 2 * n + (k_move - k)] = -a.imag
+                    mat[:, row, 2 * ns + (k_move - k)] = -a.imag
                 row += 1
 
-        vals = det_batch(mat) * jac / math.factorial(k_move)
+        vals = det_batch(mat) * factor
         vals = np.where(bad | ~np.isfinite(vals), np.nan, vals)
     return vals
 
@@ -368,20 +411,22 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
 
     The form degree (edge count) must equal the domain dimension
     2n + m - 2, and at least two ground vertices are needed to pin the
-    translation-dilation gauge.
+    translation-dilation gauge.  The default budget follows the form
+    degree; the points have sampled_dims(graph) coordinates.
     """
     n, m = graph.n, graph.m
     if m < 2:
         raise DegreeMismatchError(
             f"gauge fixing needs at least 2 ground vertices, graph has {m}")
-    dims = 2 * n + m - 2
-    if graph.edge_count != dims:
+    degree = 2 * n + m - 2
+    if graph.edge_count != degree:
         raise DegreeMismatchError(
-            f"form degree {graph.edge_count} != domain dimension {dims}")
-    if dims == 0:
+            f"form degree {graph.edge_count} != domain dimension {degree}")
+    if degree == 0:
         return 1.0, 0.0, 0
     base_seed = cfg.seed if seed is None else seed
-    total = cfg.n_samples or default_budget(dims)
+    total = cfg.n_samples or default_budget(degree)
+    dims = sampled_dims(graph)
     per_rep = max(1, total // N_REPLICATES)
     rep_seeds = [stable_seed(base_seed, "rep", r) for r in range(N_REPLICATES)]
     group = max(1, _BLOCK_ROWS // per_rep)

@@ -72,9 +72,9 @@ def per_replicate_integral(graph, cfg, seed=None):
 
     from starquant import weights
 
-    dims = 2 * graph.n + graph.m - 2
     base_seed = cfg.seed if seed is None else seed
-    total = cfg.n_samples or weights.default_budget(dims)
+    total = cfg.n_samples or weights.default_budget(2 * graph.n + graph.m - 2)
+    dims = weights.sampled_dims(graph)
     per_rep = max(1, total // weights.N_REPLICATES)
     means = []
     for r in range(weights.N_REPLICATES):

@@ -154,9 +154,10 @@ class TestWeight:
         assert "error:" in capsys.readouterr().err
 
     def test_qmc_dimension_cap_exit_2(self, tmp_path, capsys):
-        """17 aerial vertices sample 34 dimensions, beyond the Sobol'
-        table: a usage error, not a traceback."""
-        edges = [[i + 2, "G0"] for i in range(16)] + [["G0", "G1"]]
+        """17 aerial vertices on a closed chain, none of them a source,
+        sample 34 dimensions, beyond the Sobol' table: a usage error, not
+        a traceback."""
+        edges = [[i + 2, "G0"] for i in range(16)] + [[1, "G1"]]
         path = tmp_path / "graphs.json"
         path.write_text(json.dumps([{"n": 17, "m": 2, "edges": edges}]))
         assert main(["weight", "--graphs", str(path),
@@ -509,6 +510,16 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         assert "1 <= p <= 8" in " ".join(capsys.readouterr().out.split())
+
+    def test_default_assoc_reaches_sampled_weights(self, tmp_path):
+        """The default triple is quadratic: its hbar^2 residual carries a
+        nonzero error bound, so a wrong sampled weight could fail it."""
+        out = tmp_path / "assoc.json"
+        assert main(["verify", "assoc", "--seed", "0", "--samples", "4096",
+                     "--out", str(out)]) == 0
+        powers = {r["power"]: r for r in json.loads(out.read_text())["powers"]}
+        assert powers[2]["bound"] > 0
+        assert powers[2]["residual_max"] > 0
 
     @pytest.mark.parametrize("given", [("f",), ("g", "h"), ("f", "h")])
     def test_partial_assoc_triple_exit_2(self, monkeypatch, capsys, given):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from starquant.errors import DomainError
 from starquant.halfplane import (TWO_PI, AngleGradient, angle_form, angle_phi,
-                                 dphi)
+                                 dphi, source_form)
 
 # frozen expected values
 PHI_I_2I = 0.0                    # collinear above w: angle closes up
@@ -143,3 +143,61 @@ class TestVectorKernels:
             a_c, _ = angle_form(z, np.asarray(t, dtype=complex))
             assert np.allclose(a, a_c, rtol=1e-14, atol=0.0)
             assert np.all(d_wy == 0.0)
+
+
+def _wedge_integral(a, b, n=1000):
+    """int_H dphi(z, a) ^ dphi(z, b) by the midpoint rule on an n x n
+    grid of the unit square, mapped as the weights sampler maps it:
+    x = tan(pi (s - 1/2)), y = t / (1 - t)."""
+    grid = (np.arange(n) + 0.5) / n
+    total = 0.0
+    for s in np.array_split(grid, 8):
+        s, t = np.meshgrid(s, grid, indexing="ij")
+        x, y = np.tan(np.pi * (s - 0.5)), t / (1 - t)
+        fa, _ = angle_form(x + 1j * y, a)
+        fb, _ = angle_form(x + 1j * y, b)
+        jac = np.pi * (1 + x * x) / (1 - t) ** 2
+        total += float(((fa.imag * fb.real - fa.real * fb.imag) * jac).sum())
+    return total / n ** 2
+
+
+class TestSourceForm:
+    """F(a, b) = int_H dphi(z, a) ^ dphi(z, b) = 4 pi arg(a - bbar) - 2 pi^2,
+    the closed form weights._evaluate puts in place of a source vertex."""
+
+    @pytest.mark.parametrize("a,b", [
+        (0.3 + 0.8j, 0.0), (1.0, -0.4 + 0.5j),         # aerial-ground
+        (0.2 + 0.7j, -0.5 + 1.3j), (1.1 + 0.4j, 0.6 + 2.0j),
+        (0.25, 0.75)])
+    def test_matches_direct_integration(self, a, b):
+        # the grid rule is good to about 0.05 here; a constant off by
+        # pi^2 would miss by about 10
+        assert float(source_form(a, b)) == pytest.approx(
+            _wedge_integral(a, b), abs=0.1)
+
+    def test_exact_values(self):
+        two_pi_sq = 2 * math.pi ** 2
+        assert float(source_form(0.0, 1.0)) == pytest.approx(two_pi_sq,
+                                                             rel=1e-15)
+        assert float(source_form(1.0, 0.0)) == pytest.approx(-two_pi_sq,
+                                                             rel=1e-15)
+        for a in (0.3 + 0.8j, 0.5, 0.0, 1.0):
+            assert float(source_form(a, a)) == 0.0
+
+    def test_mirror_negates(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=50) + 1j * rng.exponential(size=50)
+        b = rng.normal(size=50) + 1j * rng.exponential(size=50)
+        b[:10] = b[:10].real                            # ground targets
+        mirrored = source_form(1 - np.conjugate(a), 1 - np.conjugate(b))
+        np.testing.assert_allclose(mirrored, -source_form(a, b),
+                                   rtol=0, atol=1e-12)
+
+    def test_arrays_and_scalars_mix(self):
+        z = np.array([0.3 + 0.8j, -1 + 0.1j])
+        for b in (0.0, 1.0, np.array([0.2, 0.6])):
+            got = source_form(z, b)
+            want = [source_form(complex(z[k]),
+                                b if np.ndim(b) == 0 else float(b[k]))
+                    for k in range(2)]
+            np.testing.assert_allclose(got, want, rtol=1e-15)

@@ -1,6 +1,7 @@
 """Weight integrator: determinant kernels, calibration weights,
 moving-ground integrals, tables, determinism, and the sampling guard."""
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from starquant.weights import (MAX_DIMS, IntegrationConfig, WeightEstimate,
                                det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
-                               stable_seed, weight)
+                               sampled_dims, stable_seed, weight)
 
 ORDER1 = parse("n=1;m=2;1:[L,R]")
 ORDER1_M = parse("n=1;m=2;1:[R,L]")
@@ -186,8 +187,8 @@ class TestSobolBlock:
         self.check(dims, self.SEEDS, n)
 
     def test_order3_block(self):
-        """The block of every order-3 star integral at 4096 samples: all
-        replicate seeds, 128 rows each, 6 dims."""
+        """The block of an order-3 star integral without a source vertex
+        at 4096 samples: all replicate seeds, 128 rows each, 6 dims."""
         seeds = [stable_seed(7, "rep", r) for r in range(weights.N_REPLICATES)]
         self.check(6, seeds, 4096 // weights.N_REPLICATES)
 
@@ -284,8 +285,8 @@ class TestBlockedReplicates:
     @pytest.mark.parametrize("guard,every", [(0.5, True), (0.05, False)])
     def test_guard_redraws_order3(self, monkeypatch, rejected, guard, every,
                                   method):
-        """The shape of every order-3 star integral at 4096 samples, with
-        guarded rows in every replicate or in only some of them."""
+        """An order-3 star integral at 4096 samples (one source, 4 sampled
+        dims), with guarded rows in every replicate or in only some."""
         monkeypatch.setattr(weights, "_GUARD", guard)
         cfg = IntegrationConfig(method=method, seed=4, n_samples=4096)
         graph = parse("n=3;m=2;1:[2,L];2:[3,R];3:[L,R]")
@@ -300,7 +301,8 @@ class TestBlockedReplicates:
 
 class TestGuard:
     def test_coincidence_marked(self):
-        g = parse("n=2;m=2;1:[2,L];2:[L,R]")
+        # a graph without a source vertex samples both aerial points
+        g = parse("n=2;m=2;1:[2,L];2:[1,R]")
         # identical aerial points in the first two sample rows
         u = np.full((3, 4), 0.3)
         u[2] = (0.2, 0.4, 0.6, 0.8)
@@ -318,6 +320,105 @@ class TestGuard:
         u[0, 1] = 0.0
         vals = _clean_values(ORDER1, u, redraw_seed=11)
         assert np.isfinite(vals).all()
+
+
+def _linear_fields_reach(graph):
+    """No aerial vertex receives two edges: the graph's operator can be
+    nonzero for a linear bivector such as so(3)."""
+    hits = [t for targets in graph.out_edges for t in targets if t < graph.n]
+    return len(hits) == len(set(hits))
+
+
+# one fixed sample of the order-3 graphs with a source that so(3) reaches
+ORDER3_SO3_SAMPLE = random.Random(3).sample(
+    [g for g in star_graphs(3)
+     if weights._sources(g) and _linear_fields_reach(g)], 8)
+
+
+class TestSourceReduction:
+    """_evaluate integrates source vertices out with halfplane.source_form;
+    with the source finder patched to find none it samples every vertex.
+    The two estimates of one integral agree."""
+
+    @staticmethod
+    def both(monkeypatch, graph, n_samples):
+        cfg = IntegrationConfig(seed=5, n_samples=n_samples)
+        reduced = integrate_graph_form(graph, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(weights, "_sources", lambda graph: ())
+            full = integrate_graph_form(graph, cfg)
+        return reduced, full
+
+    def check(self, monkeypatch, graph, n_samples):
+        (rv, rse, rn), (fv, fse, fn) = self.both(monkeypatch, graph,
+                                                 n_samples)
+        assert rn == fn == n_samples
+        assert abs(rv - fv) <= 4 * math.hypot(rse, fse), serialize(graph)
+
+    @pytest.mark.parametrize("graph", [
+        g for g in star_graphs(2) if weights._sources(g)], ids=serialize)
+    def test_order2_source_graphs(self, monkeypatch, graph):
+        assert sampled_dims(graph) == 2
+        self.check(monkeypatch, graph, 65536)
+
+    @pytest.mark.parametrize("graph", ORDER3_SO3_SAMPLE, ids=serialize)
+    def test_order3_so3_sample(self, monkeypatch, graph):
+        assert sampled_dims(graph) in (2, 4)
+        self.check(monkeypatch, graph, 16384)
+
+    def test_moving_ground_target(self, monkeypatch):
+        """The source's targets are an aerial vertex and the moving
+        ground G1."""
+        graph = parse("n=2;m=3;1:[2,G1];2:[G2,G1,G0]")
+        assert sampled_dims(graph) == 3
+        self.check(monkeypatch, graph, 131072)
+
+    def test_order2_source_orbits_exact(self):
+        """The two order-2 orbits with a source are +-1/24."""
+        cfg = IntegrationConfig(seed=2, n_samples=262144)
+        for text, want in (("n=2;m=2;1:[2,L];2:[L,R]", -1 / 24),
+                           ("n=2;m=2;1:[2,R];2:[L,R]", 1 / 24)):
+            est = weight(parse(text), cfg)
+            assert abs(est.value - want) <= 4 * est.std_error
+
+    def test_only_out_degree_two_sources(self):
+        assert weights._sources(parse("n=2;m=2;1:[2,L];2:[L,R]")) == (0,)
+        assert weights._sources(parse("n=2;m=2;1:[2,L];2:[1,R]")) == ()
+        assert weights._sources(parse("n=3;m=2;1:[2,L];2:[L,R];3:[L,R]")) \
+            == (0, 2)
+        # out-degree 3: sampled, as is every I_p vertex
+        assert weights._sources(parse("n=2;m=3;1:[2,G2,G1];2:[G1,G0]")) == ()
+        assert weights._sources(parse("n=1;m=4;1:[G3,G2,G1,G0]")) == ()
+
+    @pytest.mark.parametrize("text", ["n=1;m=2;1:[L,R]",
+                                      "n=2;m=2;1:[L,R];2:[R,L]",
+                                      "n=1;m=3;1:[G2,G1,G0]"])
+    def test_all_source_graphs_stay_sampled(self, text):
+        """A graph whose every vertex is a source keeps its full integrand
+        and a nonzero sampled std_error."""
+        graph = parse(text)
+        assert weights._sources(graph) == ()
+        assert sampled_dims(graph) == 2 * graph.n + graph.m - 2
+        _, se, _ = integrate_graph_form(
+            graph, IntegrationConfig(seed=1, n_samples=4096))
+        assert se > 0
+
+    def test_budget_keyed_by_form_degree(self):
+        """The default budget follows 2n + m - 2, not the sampled count."""
+        graph = parse("n=2;m=2;1:[2,L];2:[L,R]")
+        _, _, n_used = integrate_graph_form(
+            graph, IntegrationConfig(seed=1, n_samples=None))
+        assert n_used == default_budget(4)
+
+    def test_dimension_cap_counts_sampled_dims(self):
+        """17 aerial vertices, 16 of them on a chain from a source: 32
+        sampled dimensions, within MAX_DIMS."""
+        chain = ";".join(f"{i}:[{i + 1},L]" for i in range(1, 17))
+        graph = parse(f"n=17;m=2;{chain};17:[L,R]")
+        assert sampled_dims(graph) == MAX_DIMS
+        _, _, n_used = integrate_graph_form(
+            graph, IntegrationConfig(seed=1, n_samples=64))
+        assert n_used == 64
 
 
 def _hand_integrand(graph, row):
