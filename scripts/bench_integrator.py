@@ -225,6 +225,8 @@ def main():
         return 0
     if ns.parent is None or ns.out is None:
         ap.error("--parent and --out are required")
+    if ns.rounds < 2:
+        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
     sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
     rounds = run_rounds(sides, ns.rounds, {side: None for side in sides})
     # every round of a side must repeat that side's first round

@@ -16,8 +16,8 @@ each, and whether every float agreed bit for bit.
 Builds.  Two order-3 star products of the star_o3_so3 workload's cubic
 pair (seed --seed) on equal but distinct so(3) objects, sharing a table
 that starts empty, once as the engine runs them and once with the
-operator memo cleared before each product (what one engine per call
-costs).
+operators.orbit_operators cache cleared before each product (what
+building the operators afresh per call costs).
 
 Exits 1 when a float or a product disagrees.
 """
@@ -121,19 +121,19 @@ def count_builds(seed: int, shared: bool) -> tuple:
                      integration=IntegrationConfig(
                          seed=seed, n_samples=workloads.STAR_SAMPLES))
     operators_mod.build_operator = counting
-    star_mod._orbit_operators.cache_clear()
+    operators_mod.orbit_operators.cache_clear()
     per_call, blobs = [], []
     try:
         for _ in range(2):
             if not shared:
-                star_mod._orbit_operators.cache_clear()
+                operators_mod.orbit_operators.cache_clear()
             before = len(calls)
             exp = star_mod.star_expansion(f, g, workloads.so3(), cfg)
             per_call.append(len(calls) - before)
             blobs.append(workloads.expansion_bytes(exp))
     finally:
         operators_mod.build_operator = build
-        star_mod._orbit_operators.cache_clear()
+        operators_mod.orbit_operators.cache_clear()
     return {"per_product": per_call, "total": len(calls),
             "same_bytes": blobs[0] == blobs[1]}, blobs[0]
 
@@ -144,6 +144,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--rounds", type=int, default=10)
     ns = ap.parse_args(argv)
+    if ns.rounds < 2:
+        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
 
     with contextlib.redirect_stdout(io.StringIO()):
         polys = recorded_probes(ns.seed)
@@ -158,7 +160,7 @@ def main(argv=None) -> int:
                 "one verify_o2_warm unit, folded onto exponent classes "
                 "against pointwise exact evaluation; build_operator calls "
                 "of two order-3 so(3) star products with the operator "
-                "memo shared across calls and cleared before each",
+                "family cache shared across calls and cleared before each",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "seed": ns.seed,

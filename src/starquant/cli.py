@@ -7,8 +7,9 @@ Primary artifacts are byte-deterministic for a fixed explicit --seed;
 the manifest carries the only wall-clock-dependent field.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 resource cap exceeded, 4 sampling failure.  STARQUANT_THREADS (an
-integer >= 1) caps the integration thread pool.
+3 resource cap exceeded (the enumeration cap, or out of memory),
+4 sampling failure.  STARQUANT_THREADS (an integer >= 1) caps the
+integration thread pool.
 """
 from __future__ import annotations
 
@@ -263,6 +264,9 @@ def cmd_star(ns) -> int:
 
 
 def _default_args(dim: int) -> list[Polynomial]:
+    if dim < 1:
+        raise ConfigError(f"default arguments need dimension >= 1, "
+                          f"got {dim}")
     return [Polynomial.variable(dim, i) for i in range(dim)]
 
 
@@ -484,6 +488,10 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; lower the sample budget or order",
+              file=sys.stderr)
         return 3
     except (ParseError, ConfigError, DegreeMismatchError,
             DimensionMismatchError) as exc:

@@ -19,9 +19,10 @@ bracket side is the exact trivector closed form.  Values are
 star.Measured with one error source per sampled graph.  A registry
 shared within one check maps each graph serial to (estimate,
 std_error), so repeated graphs reuse one estimate and their
-sensitivities add before squaring in star.quadrature_bound, and each
-(field tuple, arity) to its operators.OrbitOperators, which builds one
-operator per orbit as the star engine does; weights stay per graph.
+sensitivities add before squaring in star.quadrature_bound; it holds
+weights only.  Operators come from operators.orbit_operators, the
+family cache the star engine reads too, so equal field tuples build
+each orbit operator once across checks; weights stay per graph.
 """
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConfigError, DegreeMismatchError, DimensionMismatchError
-from .graphs import enumerate_graphs
-from .operators import OrbitOperators
+from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
@@ -101,15 +101,13 @@ def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
     scale = TWO_PI ** edge_count
     integration = cfg.integration
     table = cfg.table if M == 2 else None
-    key = (tuple(fields), M)
-    if key not in reg:
-        reg[key] = OrbitOperators(enumerate_graphs(n, M, degrees), fields)
-    ops = reg[key]
+    ops = orbit_operators(tuple(fields), M)
+    applied = {orbit: ops.apply(orbit, rev)   # rows of an orbit share it
+               for orbit in dict.fromkeys(row[2] for row in ops.rows)}
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}
     for g, ser, orbit, sign in ops.rows:
-        applied = ops.apply(orbit, rev)
-        if applied.is_zero():
+        if applied[orbit].is_zero():
             continue
         if ser not in reg:
             if table is not None:
@@ -125,7 +123,7 @@ def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
                     seed=stable_seed(integration.seed, "raw", ser))
                 reg[ser] = (QI(Fraction(raw / scale)), raw_se / scale)
         est, sig = reg[ser]
-        grad = applied * (rational * sign)
+        grad = applied[orbit] * (rational * sign)
         value = value + grad * est
         if sig:
             sens[ser] = sens[ser] + grad if ser in sens else grad

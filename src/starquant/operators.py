@@ -11,18 +11,20 @@ The sum is organised per vertex: only nonzero full components of each
 field are enumerated, so sparse fields cost far less than the dense
 d^(edge count) labeling sum.
 
-Graph sums (star products and u_n alike) go through OrbitOperators,
-which builds and applies one operator per graphs.orbit_representative
-orbit and hands each graph its sign.
+Graph sums (star products and u_n alike) go through orbit_operators,
+which builds one operator per graphs.orbit_representative orbit of a
+graph family and hands each graph its sign.  Its cache is the one place
+where built operators outlive a call; applied values are never kept.
 """
 from __future__ import annotations
 
-import copy
+import functools
 import itertools
 
 from .errors import (ArityMismatchError, DegreeMismatchError,
                      DimensionMismatchError)
-from .graphs import KGraph, orbit_representative, serialize
+from .graphs import (KGraph, enumerate_graphs, orbit_representative,
+                     serialize)
 from .poly import Polynomial
 from .rational import QI
 
@@ -174,30 +176,32 @@ class OrbitOperators:
     """Operators of a graph family, fields[i] at aerial vertex i, built
     once per orbit.  rows lists (graph, serial, orbit serial, sign) of
     the graphs with nonzero operator, in order: op(graph) = sign x
-    op(orbit).  apply(orbit, args) is memoised by argument value."""
+    op(orbit).  Immutable once built, so one family serves every
+    caller."""
 
     def __init__(self, graphs, fields):
         fields = tuple(fields)
         labels = tuple(fields.index(f) for f in fields)  # equal fields
         self._ops = {}
-        self._memo = {}
-        self.rows = []
+        rows = []
         for g in graphs:
             rep, sign = orbit_representative(g, labels)
             orbit = serialize(rep)
             if orbit not in self._ops:
                 self._ops[orbit] = build_operator(rep, fields)
             if self._ops[orbit].terms:
-                self.rows.append((g, serialize(g), orbit, sign))
-
-    def fresh(self) -> OrbitOperators:
-        """The same operators and rows with an empty memo of values."""
-        other = copy.copy(self)
-        other._memo = {}
-        return other
+                rows.append((g, serialize(g), orbit, sign))
+        self.rows = tuple(rows)
 
     def apply(self, orbit: str, args) -> Polynomial:
-        key = (orbit, tuple(args))
-        if key not in self._memo:
-            self._memo[key] = self._ops[orbit].apply(key[1])
-        return self._memo[key]
+        return self._ops[orbit].apply(args)
+
+
+@functools.lru_cache(maxsize=8)
+def orbit_operators(fields: tuple, m: int) -> OrbitOperators:
+    """OrbitOperators of every admissible graph with fields[i] at aerial
+    vertex i and m ground vertices, kept for the last few (fields, m)
+    pairs: the operators are exact functions of them, so star products
+    and u_n on equal fields build each orbit operator once."""
+    return OrbitOperators(
+        enumerate_graphs(len(fields), m, [f.degree for f in fields]), fields)

@@ -7,15 +7,14 @@ derived quantity, so each report carries a per-power bound.
 
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
 bivector, so a star graph's operator is sign x its orbit
-representative's (graphs.orbit_representative).  Operators are built
-and applied once per orbit r by operators.OrbitOperators, the family
-formality.py's u_n sums over too, against the orbit weight
-W_r = sum of sign x weight over its members, summed exactly.  The
-built operators of the last few (bivector, order) pairs and their
-Jacobi reports are kept across calls (_orbit_operators, _jacobi_report),
-so products and checks on one Poisson structure build each orbit
-operator and prove Jacobi once; applied values belong to one call.
-The table still holds and integrates one weight per graph.
+representative's (graphs.orbit_representative).  Operators come from
+operators.orbit_operators, the shared family cache formality.py's u_n
+reads too, and each star product applies each orbit once per argument
+pair against the orbit weight W_r = sum of sign x weight over its
+members, summed exactly.  Jacobi reports are kept across calls
+(_jacobi_report), so products and checks on one Poisson structure
+build each orbit operator and prove Jacobi once.  The table still
+holds and integrates one weight per graph.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -38,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import serialize, star_graphs
-from .operators import OrbitOperators
+from .graphs import serialize
+from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
 from .rational import QI
@@ -226,16 +225,6 @@ def quadrature_bound(m: Measured, sources) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _orbit_operators(alpha: PolyVectorField, order: int) -> OrbitOperators:
-    """OrbitOperators of the order-n star graphs with alpha at every
-    aerial vertex, shared by every engine on an equal bivector: the
-    operators are exact functions of alpha and the order alone.  Never
-    applied itself; each engine applies its own fresh() copy, so no
-    applied value outlives a call."""
-    return OrbitOperators(star_graphs(order), [alpha] * order)
-
-
-@functools.lru_cache(maxsize=8)
 def _jacobi_report(alpha: PolyVectorField):
     """validate_poisson(alpha), proved once per equal bivector."""
     return validate_poisson(alpha)
@@ -244,13 +233,12 @@ def _jacobi_report(alpha: PolyVectorField):
 class _Engine:
     """Orbit operators plus weight table for one bivector and config.
 
-    The operators of each order come from _orbit_operators, so calls
-    on equal bivectors build each orbit operator once; the memo of
-    applied values is this engine's own.  After ensure_weights, weights
-    holds the exact orbit weight W_r of every orbit r = (order, orbit
-    serial) and sources lists (r, std_error) for each sampled graph, in
-    star_graphs order; both belong to this engine alone.  star_series
-    carries d/dW_r for the orbits named in sources.
+    families[j] is orbit_operators((alpha,) * j, 2), the order-j family
+    every call on an equal bivector shares.  After ensure_weights,
+    weights holds the exact orbit weight W_r of every orbit
+    r = (order, orbit serial) and sources lists (r, std_error) for each
+    sampled graph, in star_graphs order; both belong to this engine
+    alone.  star_series carries d/dW_r for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -261,24 +249,18 @@ class _Engine:
             if cfg.jacobi == "require":
                 raise DomainError(report.summary())
             warnings.warn(report.summary(), stacklevel=3)
-        self.alpha = alpha
         self.cfg = cfg
         self.dim = alpha.dim
         self.table = cfg.table if cfg.table is not None else WeightTable()
-        self._orbits = {}
+        self.families = {j: orbit_operators((alpha,) * j, 2)
+                         for j in range(1, cfg.order + 1)}
         self.weights = {}
         self.sources = []
 
-    def operators(self, order: int) -> list:
-        """OrbitOperators rows of the star graphs of one order."""
-        if order not in self._orbits:
-            self._orbits[order] = _orbit_operators(self.alpha, order).fresh()
-        return self._orbits[order].rows
-
     def ensure_weights(self) -> None:
         """Fill the table, then sum orbit weights and list the sources."""
-        rows = [((j, orbit), g, sign) for j in range(1, self.cfg.order + 1)
-                for g, _, orbit, sign in self.operators(j)]
+        rows = [((j, orbit), g, sign) for j, ops in self.families.items()
+                for g, _, orbit, sign in ops.rows]
         graphs = [g for _, g, _ in rows]
         mode = self.cfg.weights
         if mode == "exact":
@@ -302,50 +284,59 @@ class _Engine:
         """p as an error-free series of the engine's order."""
         return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
 
-    def _orbit_sum(self, F: FormalSeries, G: FormalSeries,
-                   weights: dict) -> FormalSeries:
-        """sum over orbits r of weights[r] x T_r(F, G), where T_r puts
-        (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l) for r of order j."""
-        N = self.cfg.order
+    def _orbit_term(self, r: tuple, F: FormalSeries,
+                    G: FormalSeries) -> FormalSeries:
+        """T_r(F, G): (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l), r of
+        order j."""
+        j, orbit = r
+        N, ops, c = self.cfg.order, self.families[j], _HALF_I ** j
         coeffs = [Polynomial.zero(self.dim)] * (N + 1)
-        for (j, orbit), w in weights.items():
-            if w.is_zero():
+        for k in range(N - j + 1):
+            fk = F.coefficient(k)
+            if fk.is_zero():
                 continue
-            ops = self._orbits[j]
-            c = _HALF_I ** j * w
-            for k in range(N - j + 1):
-                fk = F.coefficient(k)
-                if fk.is_zero():
+            for l in range(N - j - k + 1):
+                gl = G.coefficient(l)
+                if gl.is_zero():
                     continue
-                for l in range(N - j - k + 1):
-                    gl = G.coefficient(l)
-                    if gl.is_zero():
-                        continue
-                    p = ops.apply(orbit, (fk, gl))
-                    if not p.is_zero():
-                        coeffs[j + k + l] = coeffs[j + k + l] + p * c
+                p = ops.apply(orbit, (fk, gl))
+                if not p.is_zero():
+                    coeffs[j + k + l] = coeffs[j + k + l] + p * c
         return FormalSeries(self.dim, N, coeffs)
 
-    def _star(self, F: FormalSeries, G: FormalSeries) -> FormalSeries:
-        return F * G + self._orbit_sum(F, G, self.weights)
+    def _star(self, F: FormalSeries, G: FormalSeries,
+              terms: dict | None = None) -> FormalSeries:
+        """F*G + sum over orbits r of W_r T_r(F, G), with T_r read from
+        terms when given (it then holds every orbit with W_r != 0)."""
+        out = F * G
+        for r, w in self.weights.items():
+            if not w.is_zero():
+                out = out + (terms[r] if terms is not None
+                             else self._orbit_term(r, F, G)) * w
+        return out
 
     def star_series(self, A: Measured, B: Measured) -> Measured:
         """Bilinear star of two measured series of order cfg.order.
 
         d(A*B)/dW_r = T_r(A, B) + dA*B + A*dB, exact because the star
-        is linear in each W_r.
+        is linear in each W_r; each T_r(A, B) is computed once and
+        serves both the value and d/dW_r.
         """
+        sampled = {r for r, _ in self.sources}
+        terms = {r: self._orbit_term(r, A.value, B.value)
+                 for r, w in self.weights.items()
+                 if r in sampled or not w.is_zero()}
         sens = {}
         for r, _ in self.sources:
             if r in sens:
                 continue
-            d = self._orbit_sum(A.value, B.value, {r: QI(1)})
+            d = terms[r]
             if r in A.sens:
                 d = d + self._star(A.sens[r], B.value)
             if r in B.sens:
                 d = d + self._star(A.value, B.sens[r])
             sens[r] = d
-        return Measured(self._star(A.value, B.value), sens)
+        return Measured(self._star(A.value, B.value, terms), sens)
 
     def bounds(self, m: Measured) -> tuple:
         """Per-power quadrature bound of a measured series."""

@@ -46,7 +46,8 @@ The replicates of one integral are drawn as one scrambled-Sobol block
 (_sobol_block), bit-identical to scipy's qmc.Sobol per replicate seed,
 and evaluated in integrand calls of at most _BLOCK_ROWS = 8192 rows.
 Direction numbers follow Joe and Kuo's recurrence from the table
-_JOE_KUO (at most MAX_DIMS = 32 dimensions; more raise ConfigError);
+_JOE_KUO (at most MAX_DIMS = 32 dimensions and 2^30 points per
+replicate; more raise ConfigError);
 the LMS + digital-shift scrambling is the top bit of each 32-bit half
 of raw PCG64 words, as default_rng(seed).integers(0, 2) draws, and one
 GF(2) product.  tests/test_weights.py::TestSobolBlock pins the bit
@@ -248,6 +249,10 @@ def _direction_bits(dims: int, k: int) -> np.ndarray:
     if dims > MAX_DIMS:
         raise ConfigError(f"qmc sampling covers at most {MAX_DIMS} "
                           f"dimensions, got {dims}; use method mc")
+    if k > _SOBOL_BITS:     # later columns would be all zero: points repeat
+        raise ConfigError(f"qmc sampling draws at most 2^{_SOBOL_BITS} "
+                          f"points per replicate, got up to 2^{k}; "
+                          f"lower the sample budget")
     m = np.ones((dims, k), dtype=np.uint32)
     for d, (poly, init) in enumerate(_JOE_KUO[:dims - 1], start=1):
         s, mj = len(init), list(init)

@@ -101,6 +101,22 @@ class TestWeight:
                      "--samples", "65536", "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_sample_budget_past_the_sobol_resolution_exit_2(self, capsys):
+        """2^36 samples would need 2^31 qmc points per replicate, past the
+        30-bit direction numbers; rejected before any block is drawn."""
+        assert main(["weight", "-n", "1", "--samples", str(2 ** 36)]) == 2
+        assert "2^30 points per replicate" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_3(self, monkeypatch, capsys):
+        from starquant import weights
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(weights, "integrate_graph_form", exhausted)
+        assert main(["weight", "-n", "1", "--samples", "64"]) == 3
+        assert "out of memory" in capsys.readouterr().err
+
     def test_parity_audit_line(self, capsys):
         assert main(["weight", "-n", "1", "--seed", "9",
                      "--samples", "65536", "--audit", "parity"]) == 0
@@ -459,6 +475,22 @@ class TestAlphaInputFuzz:
         assert run_with_files(["star", "-N", "1", "--samples", "64"],
                               [("--alpha", alpha), ("--f", f),
                                ("--g", f)]) in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("suite", ["assoc", "center-probe"])
+    @given(alpha=alpha_files())
+    @settings(max_examples=60, deadline=None)
+    def test_verify_default_arguments(self, suite, alpha):
+        """The suites that build default arguments from the coordinates
+        of --alpha, dimension 0 included."""
+        assert run_with_files(["verify", suite, "-N", "1", "--samples",
+                               "64"], [("--alpha", alpha)]) in (0, 1, 2, 3)
+
+    def test_zero_dimensional_alpha_exit_2(self, capsys):
+        alpha = {"dim": 0, "degree": 1, "components": []}
+        for suite in ("assoc", "center-probe"):
+            assert run_with_files(["verify", suite],
+                                  [("--alpha", alpha)]) == 2
+            assert "dimension >= 1" in capsys.readouterr().err
 
 
 class TestStarInputFuzz:

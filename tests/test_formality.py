@@ -1,4 +1,5 @@
 """Closed forms, ghost gating and coherence checks for the graph maps."""
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from starquant.star import StarConfig, star_expansion
 from starquant.weights import IntegrationConfig, WeightTable
 
 DIM = 3
+operators_mod = importlib.import_module("starquant.operators")
 
 
 def variables(dim=DIM):
@@ -341,6 +343,34 @@ class TestCoherence:
         row = rep.rows[0]
         assert row.residual_max == 0.0
         assert row.bound == 0.0
+
+    def test_repeated_check_builds_no_operator(self, monkeypatch):
+        """Operators are shared across checks: a second linfty_check on
+        equal (but distinct) fields builds nothing and agrees exactly."""
+        calls = []
+        build = operators_mod.build_operator
+
+        def counting(graph, fields, dim=None):
+            calls.append(graph)
+            return build(graph, fields, dim)
+
+        def fields():
+            rng = random.Random(7)
+            return [random_linear_bivector(rng), random_linear_bivector(rng)]
+
+        monkeypatch.setattr(operators_mod, "build_operator", counting)
+        operators_mod.orbit_operators.cache_clear()
+        try:
+            first = linfty_check(fields(), variables(),
+                                 numeric_cfg(n_samples=1024))
+            assert calls
+            built = len(calls)
+            again = linfty_check(fields(), variables(),
+                                 numeric_cfg(n_samples=1024))
+            assert len(calls) == built
+            assert again == first
+        finally:
+            operators_mod.orbit_operators.cache_clear()
 
     def test_rhs_sign_is_frozen(self):
         assert LINFTY_RHS_SIGN == -1

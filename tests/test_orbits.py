@@ -97,8 +97,8 @@ class TestOrbitMap:
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """Graphs passed to build_operator, with the star engine's operator
-    memo empty at the start and cleared again at the end."""
+    """Graphs passed to build_operator, with the shared orbit-operator
+    family cache empty at the start and cleared again at the end."""
     calls = []
 
     def counting(graph, fields, dim=None):
@@ -106,9 +106,14 @@ def build_calls(monkeypatch):
         return build_operator(graph, fields, dim)
 
     monkeypatch.setattr(operators_mod, "build_operator", counting)
-    star_mod._orbit_operators.cache_clear()
+    operators_mod.orbit_operators.cache_clear()
     yield calls
-    star_mod._orbit_operators.cache_clear()
+    operators_mod.orbit_operators.cache_clear()
+
+
+def family_state(family) -> tuple:
+    """Everything an OrbitOperators family holds, by value."""
+    return family.rows, dict(family._ops), sorted(vars(family))
 
 
 class TestOperatorSigns:
@@ -128,12 +133,18 @@ class TestOperatorSigns:
         assert nonzero  # the check is not vacuous
 
     def test_engine_builds_one_operator_per_orbit(self, build_calls):
-        rows = star_mod._Engine(so3_alpha(), StarConfig(order=3)).operators(3)
-        assert len(build_calls) <= 44
-        ops = {rep: build_operator(rep, [so3_alpha()] * 3)
+        """The engine's families of orders 1..3 build each of the
+        1 + 6 + 44 orbit operators at most once, and list exactly the
+        star graphs whose operator is nonzero."""
+        families = star_mod._Engine(so3_alpha(), StarConfig(order=3)).families
+        assert len(build_calls) <= 1 + 6 + 44
+        assert len(set(build_calls)) == len(build_calls)
+        ops = {rep: build_operator(rep, [so3_alpha()] * rep.n)
                for rep in build_calls}
-        assert [r[0] for r in rows] == [
-            g for g in star_graphs(3) if ops[orbit_representative(g)[0]].terms]
+        for order, family in families.items():
+            assert [r[0] for r in family.rows] == [
+                g for g in star_graphs(order)
+                if ops[orbit_representative(g)[0]].terms]
 
     def test_equal_bivectors_share_operators_across_calls(self, build_calls):
         """Two order-3 products on equal but distinct so(3) objects build
@@ -148,17 +159,19 @@ class TestOperatorSigns:
         assert again == first
 
     def test_shared_operators_keep_no_applied_values(self, build_calls):
-        """Applied values live in each call's engine: after a product
-        returns, the shared families hold operators only."""
+        """A product reads the cached families without changing them: no
+        applied value, row or operator is added by applying them."""
         cfg = StarConfig(order=2, table=WeightTable(),
                          integration=IntegrationConfig(seed=5, n_samples=256))
         x = [Polynomial.variable(3, i) for i in range(3)]
+        families = [operators_mod.orbit_operators((so3_alpha(),) * order, 2)
+                    for order in (1, 2)]
+        before = [family_state(f) for f in families]
+        built = len(build_calls)
         star_expansion(x[0] * x[1], x[2] * x[0], so3_alpha(), cfg)
-        hits = star_mod._orbit_operators.cache_info().hits
-        for order in (1, 2):
-            shared = star_mod._orbit_operators(so3_alpha(), order)
-            assert shared.rows and not shared._memo
-        assert star_mod._orbit_operators.cache_info().hits == hits + 2
+        assert len(build_calls) == built
+        assert [family_state(f) for f in families] == before
+        assert all(f.rows for f in families)
 
 
 # -- graph-by-graph reference assembly ------------------------------------
@@ -299,3 +312,22 @@ class TestProbeBudget:
                    if est.std_error}
         assert calls
         assert len(calls) <= len(sampled) * (cfg.order + 1)
+
+
+class TestApplyBudget:
+    def test_associativity_applies_each_orbit_once_per_argument_pair(
+            self, seeded, monkeypatch):
+        """Each T_r(A, B) serves both a product's value and its d/dW_r,
+        so no (orbit, arguments) pair is applied twice in one check."""
+        alpha, (f, g, h), cfg, _ = seeded
+        applied = []
+        apply = operators_mod.OrbitOperators.apply
+
+        def recording(self, orbit, args):
+            applied.append((orbit, tuple(args)))
+            return apply(self, orbit, args)
+
+        monkeypatch.setattr(operators_mod.OrbitOperators, "apply", recording)
+        check_associativity(f, g, h, alpha, cfg)
+        assert applied
+        assert len(set(applied)) == len(applied)

@@ -203,6 +203,13 @@ class TestSobolBlock:
         with pytest.raises(ConfigError, match=f"at most {MAX_DIMS}"):
             _sobol_block(MAX_DIMS + 1, [0], 4)
 
+    def test_point_cap(self):
+        """Direction numbers have 30 bits: a 31st column would be zero
+        and repeat points, so k = 31 is refused before any allocation."""
+        assert _direction_bits(2, 30).shape == (2, 30, 30)
+        with pytest.raises(ConfigError, match="2\\^30 points"):
+            _direction_bits(2, 31)
+
     @staticmethod
     def check(dims, seeds, n):
         with warnings.catch_warnings():
