@@ -53,6 +53,7 @@ def invocations(samples: int, work: str):
     yield "weight_n2", weight_n2 + budget
     yield "weight_n2_mc", weight_n2 + ["--method", "mc"] + budget
     yield "weight_n2_audit", weight_n2 + ["--audit", "parity"] + budget
+    yield "weight_n2_exact", weight_n2 + ["--exact"] + budget
     # 32768 rows per replicate: each replicate in several integrand calls
     yield "weight_n2_1048576", weight_n2 + ["--samples", "1048576"]
     for p in range(1, 5):

@@ -6,25 +6,30 @@ WeightTable; their statistical errors are pushed through every
 derived quantity, so each report carries a per-power bound.
 
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
-bivector, so a star graph's operator is sign x its orbit
-representative's (graphs.orbit_representative).  Operators come from
-operators.orbit_operators, the shared family cache formality.py's u_n
-reads too, and each star product applies each orbit once per argument
-pair against the orbit weight W_r = sum of sign x weight over its
-members, summed exactly.  Jacobi reports are kept across calls
-(_jacobi_report), so products and checks on one Poisson structure
-build each orbit operator and prove Jacobi once.  The table still
-holds and integrates one weight per graph.
+bivector, so a star graph's operator and its weight are sign x its
+orbit representative's (graphs.orbit_representative).  Operators come
+from operators.orbit_operators, the shared family cache formality.py's
+u_n reads too, and each star product applies each orbit once per
+argument pair against the orbit weight W_r = sum of sign x weight over
+its members, summed exactly.  Weights are read per table entry: a
+member keeps its own entry or closed form when it has one, and the
+other members of an orbit read their representative's entry, which
+the table integrates once at the summed budget of the members it
+stands in for.  Jacobi reports are kept across calls (_jacobi_report),
+so products and checks on one Poisson structure build each orbit
+operator and prove Jacobi once.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
 sensitivity.  A star coefficient is linear in the orbit weights and a
 composite like (f*g)*h - f*(g*h) is at most quadratic, so forward-mode
 derivatives d/dW_r carried through each star product are exact.  A
-sampled graph's sensitivity is sign x its orbit's; graphs are sampled
-with independent seeds, so quadrature_bound adds
-(std_error x probe sup of the sensitivity)^2 graph by graph, the sup
-taken over the lattice PROBE^d = {-1, 0, 1}^d once per orbit.
+sampled table entry e enters W_r with coefficient c_e, the sum of the
+signs of the members reading it, so its sensitivity is c_e x d/dW_r.
+Entries are sampled with independent seeds, so quadrature_bound adds
+(|c_e| std_error x probe sup of d/dW_r)^2 entry by entry, the sup
+taken over the lattice PROBE^d = {-1, 0, 1}^d once per orbit: an
+entry shared by k members counts (k sigma)^2, not k sigma^2.
 formality.py carries its raw graph integrals the same way.
 """
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import serialize
+from .graphs import parse, serialize
 from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
@@ -236,9 +241,10 @@ class _Engine:
     families[j] is orbit_operators((alpha,) * j, 2), the order-j family
     every call on an equal bivector shares.  After ensure_weights,
     weights holds the exact orbit weight W_r of every orbit
-    r = (order, orbit serial) and sources lists (r, std_error) for each
-    sampled graph, in star_graphs order; both belong to this engine
-    alone.  star_series carries d/dW_r for the orbits named in sources.
+    r = (order, orbit serial) and sources lists (r, |c_e| std_error)
+    once per distinct sampled table entry e, in the order rows first
+    read them; both belong to this engine alone.  star_series carries
+    d/dW_r for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -258,27 +264,54 @@ class _Engine:
         self.sources = []
 
     def ensure_weights(self) -> None:
-        """Fill the table, then sum orbit weights and list the sources."""
-        rows = [((j, orbit), g, sign) for j, ops in self.families.items()
-                for g, _, orbit, sign in ops.rows]
-        graphs = [g for _, g, _ in rows]
+        """Fill the table, then sum orbit weights and list the sources.
+
+        A row reads its graph's own table entry or closed form when there
+        is one.  Otherwise it reads its orbit representative's entry: its
+        weight is sign x the representative's, so it adds that entry to
+        W_r with coefficient sign x sign = 1, and the table integrates the
+        entry once, at k times the per-graph budget for the k rows that
+        read it.  An entry e enters W_r with coefficient c_e, the sum over
+        its reads, and is one error source (r, |c_e| x std_error)."""
+        rows = [((j, orbit), g, ser, sign)
+                for j, ops in self.families.items()
+                for g, ser, orbit, sign in ops.rows]
         mode = self.cfg.weights
+        use_exact = mode in ("auto", "exact")
         if mode == "exact":
-            missing = [serialize(g) for g in graphs if exact_weight(g) is None]
+            missing = [ser for _, g, ser, _ in rows if exact_weight(g) is None]
             if missing:
                 raise ConfigError(
                     "no closed-form weight for "
                     + ", ".join(missing[:4])
                     + ("..." if len(missing) > 4 else "")
                     + "; use weights='auto' or 'numeric'")
-        self.table.ensure(graphs, self.cfg.integration,
-                          use_exact=mode in ("auto", "exact"))
-        for r, g, sign in rows:
+        # (r, entry graph, its serial, coefficient, entry if already held)
+        reads, reps, pooled = [], {}, {}
+        for r, g, ser, sign in rows:
             est = self.table.get(g)
+            if est is not None or (use_exact and exact_weight(g) is not None):
+                reads.append((r, g, ser, sign, est))
+                continue
+            orbit = r[1]
+            if orbit not in reps:
+                reps[orbit] = parse(orbit)
+            pooled[orbit] = pooled.get(orbit, 0) + 1
+            reads.append((r, reps[orbit], orbit, 1, None))
+        self.table.ensure(list({ser: g for _, g, ser, _, _ in reads}.values()),
+                          self.cfg.integration, use_exact=use_exact,
+                          pooled=pooled)
+        shares, sigma = {}, {}
+        for r, g, ser, c, est in reads:
+            if est is None:
+                est = self.table.get(g)
             val = est.exact if est.exact is not None else Fraction(est.value)
-            self.weights[r] = self.weights.get(r, QI(0)) + sign * QI(val)
+            self.weights[r] = self.weights.get(r, QI(0)) + c * QI(val)
             if est.std_error:
-                self.sources.append((r, est.std_error))
+                shares[r, ser] = shares.get((r, ser), 0) + c
+                sigma[r, ser] = est.std_error
+        self.sources = [(r, abs(c) * sigma[r, ser])
+                        for (r, ser), c in shares.items()]
 
     def exact(self, p: Polynomial) -> Measured:
         """p as an error-free series of the engine's order."""

@@ -42,9 +42,12 @@ There are two methods:
   scrambling, so it shows whether the qmc error bars can be trusted.
   It costs three lines in the shared block path below.
 
-The replicates of one integral are drawn as one scrambled-Sobol block
-(_sobol_block), bit-identical to scipy's qmc.Sobol per replicate seed,
-and evaluated in integrand calls of at most _BLOCK_ROWS = 8192 rows.
+Replicates of at most _BLOCK_ROWS = 8192 rows are drawn together as
+one scrambled-Sobol block (_sobol_block), bit-identical to scipy's
+qmc.Sobol per replicate seed, and evaluated in one integrand call.  A
+longer replicate is drawn and evaluated in chunks of _BLOCK_ROWS rows
+(_sobol_chunks, bit-identical to its whole block), so an integral of
+any budget holds one chunk of points and one replicate's values.
 Direction numbers follow Joe and Kuo's recurrence from the table
 _JOE_KUO (at most MAX_DIMS = 32 dimensions and 2^30 points per
 replicate; more raise ConfigError);
@@ -57,11 +60,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -269,10 +273,10 @@ def _direction_bits(dims: int, k: int) -> np.ndarray:
     return vb
 
 
-def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
-    """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
-    stacked to shape (len(seeds), n, dims), bit for bit."""
-    k = (n - 1).bit_length()            # direction numbers the points use
+def _scramble(dims: int, seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digital shift (the first point) and the first k scrambled direction
+    numbers of qmc.Sobol(d=dims, scramble=True, seed=s) for each seed, as
+    uint32 arrays of shape (len(seeds), dims) and (len(seeds), dims, k)."""
     vb = _direction_bits(dims, k)
     # scipy draws dims shift rows, then dims 30-row LMS matrices, as
     # default_rng(s).integers(0, 2, ..., np.uint32): the top bit of each
@@ -286,14 +290,42 @@ def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
     # scrambled v_j: bit 29-p is row p of (LMS @ v_j's bits) mod 2; the
     # float32 sums count at most 30 ones, so they are exact
     sv = _BIT_VALUES @ (((lms * _STRICT_LOWER) @ vb + vb).astype(np.uint8) & 1)
-    # Gray-code order by reflection: P[h:2h] = P[h-1::-1] ^ v_b
-    pts = np.empty((len(seeds), n, dims), dtype=np.uint32)
-    pts[:, 0] = bits[:, :dims] @ _BIT_VALUES[::-1]
-    for b in range(k):
+    return bits[:, :dims] @ _BIT_VALUES[::-1], sv
+
+
+def _gray_points(shift: np.ndarray, sv: np.ndarray, n: int) -> np.ndarray:
+    """Points 0..n-1 in Gray-code order from _scramble's arrays, uint32 of
+    shape (len(shift), n, dims), by reflection: P[h:2h] = P[h-1::-1] ^ v_b."""
+    pts = np.empty((len(shift), n, shift.shape[1]), dtype=np.uint32)
+    pts[:, 0] = shift
+    for b in range((n - 1).bit_length()):
         half, hi = 1 << b, min(2 << b, n)
         pts[:, half:hi] = (pts[:, 2 * half - hi:half][:, ::-1]
                            ^ sv[:, None, :, b])
-    return pts * 2.0 ** -_SOBOL_BITS
+    return pts
+
+
+def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
+    """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
+    stacked to shape (len(seeds), n, dims), bit for bit."""
+    shift, sv = _scramble(dims, seeds, (n - 1).bit_length())
+    return _gray_points(shift, sv, n) * 2.0 ** -_SOBOL_BITS
+
+
+def _sobol_chunks(dims: int, seed: int, n: int):
+    """_sobol_block(dims, [seed], n)[0] in consecutive chunks of at most
+    L = _BLOCK_ROWS rows, bit for bit, holding L points at a time.
+
+    A chunk starts at a multiple c of L, a power of two, and gray(c + i) =
+    gray(c) ^ gray(i) for i < L, so it is the first L points XOR the
+    scrambled direction numbers that the bits of gray(c) pick."""
+    shift, sv = _scramble(dims, [seed], (n - 1).bit_length())
+    head = _gray_points(shift, sv, min(n, _BLOCK_ROWS))[0]
+    for c in range(0, n, _BLOCK_ROWS):
+        gray = c ^ (c >> 1)
+        picked = [b for b in range(gray.bit_length()) if gray >> b & 1]
+        step = np.bitwise_xor.reduce(sv[0][:, picked], axis=1)
+        yield (head[:n - c] ^ step) * 2.0 ** -_SOBOL_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +423,8 @@ def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
 
 def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int,
                   vals: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate u (unless its values vals are given), replacing guarded
-    samples with fresh uniform draws."""
+    """Evaluate u (unless its values vals are given, when only u's width
+    is read), replacing guarded samples with fresh uniform draws."""
     if vals is None:
         vals = _evaluate(graph, u)
     bad = np.isnan(vals)
@@ -407,6 +439,24 @@ def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int,
             return vals
     raise SamplingError(
         f"sample redraws for {serialize(graph)} failed to escape the guard")
+
+
+def _sample_chunks(method: str, dims: int, seeds, per_rep: int):
+    """Consecutive chunks of at most _BLOCK_ROWS sample rows covering
+    per_rep points of each replicate seed, replicate after replicate: one
+    chunk for a group that fits, else one replicate drawn chunk by chunk
+    (a PCG64 stream's doubles come out the same in any split)."""
+    if len(seeds) * per_rep <= _BLOCK_ROWS:
+        if method == "qmc":
+            return [_sobol_block(dims, seeds, per_rep).reshape(-1, dims)]
+        return [np.concatenate([np.random.Generator(np.random.PCG64(s))
+                                .random((per_rep, dims)) for s in seeds])]
+    (seed,) = seeds
+    if method == "qmc":
+        return _sobol_chunks(dims, seed, per_rep)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return (gen.random((min(_BLOCK_ROWS, per_rep - c), dims))
+            for c in range(0, per_rep, _BLOCK_ROWS))
 
 
 def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
@@ -434,21 +484,22 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     dims = sampled_dims(graph)
     per_rep = max(1, total // N_REPLICATES)
     rep_seeds = [stable_seed(base_seed, "rep", r) for r in range(N_REPLICATES)]
+    if cfg.method == "qmc":     # past the Sobol' caps: refuse before allocating
+        _direction_bits(dims, (per_rep - 1).bit_length())
     group = max(1, _BLOCK_ROWS // per_rep)
+    buf = np.empty((group, per_rep))        # one block's values, reused
     means = []
     for first in range(0, N_REPLICATES, group):
         seeds = rep_seeds[first:first + group]
-        if cfg.method == "qmc":
-            u = _sobol_block(dims, seeds, per_rep).reshape(-1, dims)
-        else:
-            u = np.concatenate([np.random.Generator(np.random.PCG64(s))
-                                .random((per_rep, dims)) for s in seeds])
-        vals = np.concatenate([_evaluate(graph, u[i:i + _BLOCK_ROWS])
-                               for i in range(0, len(u), _BLOCK_ROWS)]
-                              ).reshape(len(seeds), per_rep)
-        # redraw guarded rows in place, replicate by replicate
+        vals = buf[:len(seeds)]
+        rows, pos = vals.reshape(-1), 0
+        for u in _sample_chunks(cfg.method, dims, seeds, per_rep):
+            rows[pos:pos + len(u)] = _evaluate(graph, u)
+            pos += len(u)
+        # redraw guarded rows in place, replicate by replicate; with the
+        # values given, _clean_values reads only the width of its points
         for k in np.flatnonzero(np.isnan(vals).any(axis=1)):
-            vals[k] = _clean_values(graph, u[k * per_rep:(k + 1) * per_rep],
+            vals[k] = _clean_values(graph, np.empty((0, dims)),
                                     stable_seed(seeds[k], "redraw"), vals[k])
         means.extend(vals.mean(axis=1).tolist())
     value = float(np.mean(means))
@@ -493,12 +544,17 @@ def exact_weight(graph: KGraph) -> Fraction | None:
     """Closed-form star weight when one is known, else None.
 
     Covers: repeated-edge degeneracy, the order-0 and order-1 graphs,
-    and derivative-free graphs (every edge lands on a ground vertex),
-    whose integral factorizes into order-1 blocks.
+    derivative-free graphs (every edge lands on a ground vertex), whose
+    integral factorizes into order-1 blocks, and the vanishing lemma
+    (Kontsevich, q-alg/9709040 section 7): zero when some set S of
+    aerial vertices sends every out-edge into S plus at most one ground.
+    S's angle forms are then invariant under dilation about that ground,
+    so their rows of the form matrix all annihilate the dilation field:
+    they are dependent and the integrand is zero pointwise.
     """
     if graph.m != 2 or graph.edge_count != 2 * graph.n:
         return None
-    if graph.has_doubled_edge():
+    if graph.has_doubled_edge() or _collapsing_set(graph):
         return Fraction(0)
     if graph.n == 0:
         return Fraction(1)
@@ -512,6 +568,18 @@ def exact_weight(graph: KGraph) -> Fraction | None:
             continue
         return None
     return Fraction(sign, 2 ** graph.n * math.factorial(graph.n))
+
+
+def _collapsing_set(graph: KGraph) -> bool:
+    """Does some set S of aerial vertices send every out-edge into S plus
+    at most one ground vertex?"""
+    n = graph.n
+    for size in range(2, n + 1):
+        for s in itertools.combinations(range(n), size):
+            out = {t for v in s for t in graph.out_edges[v]}.difference(s)
+            if len(out) <= 1 and all(t >= n for t in out):
+                return True
+    return False
 
 
 def i_p_integral(p: int, cfg: IntegrationConfig,
@@ -563,12 +631,18 @@ class WeightTable:
         self._entries[serialize(graph)] = (graph, est)
 
     def ensure(self, graphs, cfg: IntegrationConfig,
-               use_exact: bool = False) -> "WeightTable":
+               use_exact: bool = False, *,
+               pooled: dict | None = None) -> "WeightTable":
         """Fill in missing graphs; existing entries are kept.
 
         With use_exact, graphs with a known closed form get exact
-        entries instead of sampling.  Numeric work is spread over
-        STARQUANT_THREADS threads (results independent of the count).
+        entries instead of sampling.  pooled maps a graph's
+        serialization to the number k of graphs its one entry stands in
+        for; a missing graph listed there is integrated once at k times
+        the per-graph budget (cfg.n_samples or default_budget).  Every
+        integral is seeded by stable_seed(cfg.seed, serialization).
+        Numeric work is spread over STARQUANT_THREADS threads (results
+        independent of the count).
         """
         pending = [g for g in graphs if serialize(g) not in self._entries]
         jobs = []
@@ -586,8 +660,14 @@ class WeightTable:
             if workers < 1:
                 raise ConfigError(
                     f"STARQUANT_THREADS must be an integer >= 1, got {raw!r}")
-            fn = (lambda g: weight(
-                g, cfg, seed=stable_seed(cfg.seed, serialize(g))))
+
+            def fn(g):
+                ser = serialize(g)
+                k = (pooled or {}).get(ser, 1)
+                use = cfg if k == 1 else replace(cfg, n_samples=k * (
+                    cfg.n_samples or default_budget(2 * g.n + g.m - 2)))
+                return weight(g, use, seed=stable_seed(cfg.seed, ser))
+
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(fn, jobs))

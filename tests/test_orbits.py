@@ -1,8 +1,11 @@
 """Orbits of graphs under aerial relabelling and out-edge permutations,
 and the orbit-shared star assembly checked against a graph-by-graph
 reference."""
+import dataclasses
+import hashlib
 import importlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +14,7 @@ import pytest
 
 from starquant.errors import ParseError
 from starquant.graphs import (KGraph, enumerate_graphs, orbit_representative,
-                              serialize, star_graphs)
+                              parse, serialize, star_graphs)
 from starquant.operators import build_operator
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, sort_with_sign
@@ -19,13 +22,14 @@ from starquant.rational import QI
 from starquant.series import FormalSeries
 from starquant.star import (StarConfig, check_associativity,
                             poisson_center_probe, probe_sup, star_expansion)
-from starquant.weights import IntegrationConfig, WeightTable
+from starquant.weights import IntegrationConfig, WeightTable, exact_weight
 
 from helpers import so3_alpha
 
 HALF_I = QI(0, Fraction(1, 2))
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
 operators_mod = importlib.import_module("starquant.operators")
+weights_mod = importlib.import_module("starquant.weights")
 
 
 def dim2_alpha() -> PolyVectorField:
@@ -177,12 +181,23 @@ class TestOperatorSigns:
 # -- graph-by-graph reference assembly ------------------------------------
 
 class Reference:
-    """Star assembly with one operator per graph, no orbit sharing."""
+    """Star assembly with one operator per graph, no orbit sharing.
+
+    A graph reads its own table entry, else its orbit representative's
+    times its orbit sign, the way the engine resolves them; wmap holds
+    every graph's weight.  entries lists each distinct sampled entry once,
+    as (order, std_error, c, readers): readers pairs each graph reading it
+    with the factor its weight takes of the entry's, and c = sum over
+    readers of factor x orbit sign is how often the entry enters its orbit
+    weight.  The bounds perturb each entry as one source, by 1/c so that
+    the float arithmetic of the engine's (|c| std_error sup)^2 terms is
+    repeated term for term."""
 
     def __init__(self, alpha, table, order):
         self.dim, self.order = alpha.dim, order
         self.rows = {}
-        self.wmap, self.sig = {}, {}
+        self.wmap = {}
+        self.entries = {}
         self.values = {}
         for j in range(1, order + 1):
             self.rows[j] = []
@@ -192,12 +207,21 @@ class Reference:
                     continue
                 ser = serialize(g)
                 self.rows[j].append((op, ser))
+                rep, sign = orbit_representative(g)
+                key, factor = ser, 1
                 est = table.get(g)
+                if est is None:
+                    key, factor = serialize(rep), sign
+                    est = table.get(rep)
                 exact = est.exact if est.exact is not None else Fraction(
                     est.value)
-                self.wmap[ser] = QI(exact)
+                self.wmap[ser] = QI(exact * factor)
                 if est.std_error:
-                    self.sig[ser] = est.std_error
+                    _, sigma, c, readers = self.entries.get(
+                        key, (j, est.std_error, 0, []))
+                    readers.append((ser, factor))
+                    self.entries[key] = (j, sigma, c + factor * sign,
+                                         readers)
 
     def series(self, F, G, wmap):
         N = self.order
@@ -217,44 +241,62 @@ class Reference:
         return FormalSeries(self.dim, N, coeffs)
 
     def probe_bounds(self, value):
-        bounds = [0.0]
-        for j in range(1, self.order + 1):
-            acc = 0.0
-            for op, ser in self.rows[j]:
-                if ser in self.sig:
-                    acc += (self.sig[ser] * probe_sup(value(op))) ** 2
-            bounds.append(math.sqrt(acc) / 2 ** j)
-        return tuple(bounds)
+        ops = {ser: op for j in self.rows for op, ser in self.rows[j]}
+        acc = [0.0] * (self.order + 1)
+        for j, sigma, c, readers in self.entries.values():
+            p = Polynomial.zero(self.dim)
+            for ser, factor in readers:
+                p = p + value(ops[ser]) * QI(Fraction(factor, c))
+            acc[j] += (abs(c) * sigma * probe_sup(p)) ** 2
+        return (0.0,) + tuple(math.sqrt(acc[j]) / 2 ** j
+                              for j in range(1, self.order + 1))
 
     def sensitivity_bounds(self, evaluate):
         acc = [0.0] * (self.order + 1)
-        for ser, sigma in self.sig.items():
+        for _, sigma, c, readers in self.entries.values():
             up, down = dict(self.wmap), dict(self.wmap)
-            up[ser] = self.wmap[ser] + QI(1)
-            down[ser] = self.wmap[ser] - QI(1)
+            for ser, factor in readers:
+                step = QI(Fraction(factor, c))
+                up[ser] = self.wmap[ser] + step
+                down[ser] = self.wmap[ser] - step
             diff = (evaluate(up) - evaluate(down)) * QI(Fraction(1, 2))
             for k in range(self.order + 1):
-                acc[k] += (sigma * probe_sup(diff.coefficient(k))) ** 2
+                acc[k] += (abs(c) * sigma * probe_sup(diff.coefficient(k))) ** 2
         return tuple(math.sqrt(a) for a in acc)
 
 
 CASES = {"so3": so3_alpha, "dim2": dim2_alpha}
 
 
-@pytest.fixture(scope="module", params=sorted(CASES))
+@pytest.fixture(scope="module", params=sorted(
+    [*CASES, *(f"{case}-per-graph" for case in CASES)]))
 def seeded(request):
     """A bivector, its input polynomials, and a small seeded order-2
-    table filled by one star product."""
-    alpha = CASES[request.param]()
+    table filled by one star product: with one pooled entry per sampled
+    orbit, or ("-per-graph") pre-filled with every graph's own entry."""
+    case, _, per_graph = request.param.partition("-")
+    alpha = CASES[case]()
     x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
     polys = (x[0] * x[1], x[1], x[0] * x[0])
     cfg = StarConfig(order=2, table=WeightTable(),
                      integration=IntegrationConfig(seed=17, n_samples=4096))
+    if per_graph:
+        cfg.table.ensure(star_graphs(1) + star_graphs(2), cfg.integration,
+                         use_exact=True)
     star_expansion(polys[0], polys[1], alpha, cfg)
     return alpha, polys, cfg, Reference(alpha, cfg.table, 2)
 
 
 class TestReferenceAssembly:
+    def test_tables_pool_or_not(self, seeded):
+        """The pooled tables share an entry among an orbit's members; the
+        per-graph tables give every member its own."""
+        *_, cfg, ref = seeded
+        shares = [abs(c) for _, _, c, _ in ref.entries.values()]
+        own = all(cfg.table.get(parse(ser)) is not None
+                  for rows in ref.rows.values() for _, ser in rows)
+        assert shares and (max(shares) == 1) == own
+
     def test_star_expansion(self, seeded):
         alpha, (f, g, _), cfg, ref = seeded
         exp = star_expansion(f, g, alpha, cfg)
@@ -331,3 +373,173 @@ class TestApplyBudget:
         check_associativity(f, g, h, alpha, cfg)
         assert applied
         assert len(set(applied)) == len(applied)
+
+
+# -- one pooled integral per sampled orbit ---------------------------------
+
+def so3_pair():
+    """x0 x1 x2 and x0^2 x1, the pair of perfbench's order-3 workload."""
+    x = [Polynomial.variable(3, i) for i in range(3)]
+    return x[0] * x[1] * x[2], x[0] * x[0] * x[1]
+
+
+def so3_config(order, seed, per_graph):
+    """An order-N so(3) config at 4096 samples on an empty table, or on
+    one holding every nonzero-operator star graph's own sampled entry."""
+    integration = IntegrationConfig(seed=seed, n_samples=4096)
+    table = WeightTable()
+    if per_graph:
+        eng = star_mod._Engine(so3_alpha(), StarConfig(order=order))
+        table.ensure([g for family in eng.families.values()
+                      for g, *_ in family.rows], integration)
+    return StarConfig(order=order, table=table, integration=integration)
+
+
+def orbit_weights(cfg):
+    """Per orbit r: (W_r, sigma of W_r) after the engine fills cfg.table."""
+    eng = star_mod._Engine(so3_alpha(), cfg)
+    eng.ensure_weights()
+    var = {}
+    for r, sigma in eng.sources:
+        var[r] = var.get(r, 0.0) + sigma ** 2
+    return {r: (complex(w.to_complex()).real, math.sqrt(var.get(r, 0.0)))
+            for r, w in eng.weights.items()}
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Graphs passed to weights.integrate_graph_form."""
+    calls = []
+    integrate = weights_mod.integrate_graph_form
+
+    def counting(graph, cfg, seed=None):
+        calls.append(graph)
+        return integrate(graph, cfg, seed)
+
+    monkeypatch.setattr(weights_mod, "integrate_graph_form", counting)
+    return calls
+
+
+class TestPooledWeights:
+    def test_cold_order3_integrates_each_sampled_orbit_once(
+            self, integrations):
+        """The 430 so(3) star graphs of orders 1-3 with a nonzero operator
+        fall in 17 orbits; the 10 without a closed form are integrated
+        once each, at (members) x 4096 samples, and a warm product
+        integrates nothing."""
+        cfg = so3_config(3, 3, per_graph=False)
+        f, g = so3_pair()
+        cold = star_expansion(f, g, so3_alpha(), cfg)
+        members = {}
+        for family in star_mod._Engine(so3_alpha(), cfg).families.values():
+            for _, _, orbit, _ in family.rows:
+                members[orbit] = members.get(orbit, 0) + 1
+        assert (len(members), sum(members.values())) == (17, 430)
+        assert len(integrations) == 10
+        assert {serialize(rep) for rep in integrations} == {
+            orbit for orbit in members if exact_weight(parse(orbit)) is None}
+        for rep in integrations:
+            assert cfg.table.get(rep).n_samples == \
+                members[serialize(rep)] * 4096
+        warm = star_expansion(f, g, so3_alpha(), cfg)
+        assert len(integrations) == 10
+        assert warm == cold
+
+    def test_numeric_fill_is_one_ensure_call_for_any_thread_count(
+            self, integrations, monkeypatch):
+        """Without closed forms every orbit of the order-2 families is
+        sampled once (1 order-1 and 6 order-2 so(3) orbits), in one
+        WeightTable.ensure call whose jobs spread over STARQUANT_THREADS
+        threads; the table is the same for any count."""
+        calls = []
+        ensure = WeightTable.ensure
+
+        def counting(table, graphs, *args, **kwargs):
+            calls.append(len(graphs))
+            return ensure(table, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(WeightTable, "ensure", counting)
+        tables = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("STARQUANT_THREADS", threads)
+            cfg = StarConfig(order=2, table=WeightTable(), weights="numeric",
+                             integration=IntegrationConfig(seed=3,
+                                                           n_samples=256))
+            star_expansion(*so3_pair(), so3_alpha(), cfg)
+            tables.append(cfg.table.to_json_obj())
+        assert sorted(g.n for g in integrations) == [1] * 2 + [2] * 12
+        assert calls == [7, 7]
+        assert tables[0] == tables[1]
+
+    @pytest.fixture(scope="class")
+    def both_tables(self):
+        return {per_graph: orbit_weights(so3_config(3, 11, per_graph))
+                for per_graph in (False, True)}
+
+    def test_pooled_orbit_weights_agree_with_per_graph_sums(
+            self, both_tables):
+        """Every so(3) orbit weight of orders 2-3, pooled (or closed form)
+        against the sum of its members' own sampled estimates, within 4
+        joint sigma at one seed."""
+        pooled, summed = both_tables[False], both_tables[True]
+        assert pooled.keys() == summed.keys()
+        sampled = 0
+        for r, (w, sigma) in pooled.items():
+            if r[0] < 2:
+                continue
+            sampled += bool(sigma)
+            joint = math.hypot(sigma, summed[r][1])
+            assert abs(w - summed[r][0]) <= 4 * joint + 1e-12, r
+        assert sampled == 10
+
+    def test_per_graph_table_keeps_the_per_graph_bytes(self):
+        """With every member's own entry in the table, each entry is its
+        own source with coefficient +-1, in row order: the series and
+        bounds are byte-identical to those of a graph-by-graph engine
+        (digests recorded from the engine before pooling)."""
+        f, g = so3_pair()
+        exp = star_expansion(f, g, so3_alpha(), so3_config(3, 5, True))
+        blob = json.dumps({"series": exp.series.to_json_obj(),
+                           "bounds": list(exp.bounds)}, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "3a004b9cae4ec45334fbb4a39ed74d77b62e5607a252099f1cf44ec33d80da9a")
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        rep = check_associativity(x[0] * x[1], x[1] * x[2], x[2] * x[0],
+                                  so3_alpha(), so3_config(2, 5, True))
+        blob = json.dumps(rep.to_json_obj(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "6d057191f1b21fb08b5b024e9db3187c974aba8241b4aafe2075b9ed0f8a88a9")
+
+    def test_shared_entry_counts_k_sigma_squared(self):
+        """An entry read by k members is one source: the hbar^2 bound is
+        the quadrature over distinct entries of std_error x the probe sup
+        of the symmetric difference when that entry alone moves by +-1,
+        all its readers together, so it counts (k sigma)^2, not k sigma^2."""
+        f, g = so3_pair()
+        cfg = so3_config(2, 7, per_graph=False)
+        bound = star_expansion(f, g, so3_alpha(), cfg).bounds[2]
+        family = star_mod._Engine(so3_alpha(), cfg).families[2]
+        readers = {}            # the table started empty: every member
+        for _, _, orbit, _ in family.rows:
+            readers[orbit] = readers.get(orbit, 0) + 1
+        entries = [(gr, est) for gr, est in cfg.table if est.std_error]
+        assert entries and all(serialize(gr) in readers for gr, _ in entries)
+        perturbed, per_member = 0.0, 0.0
+        for gr, est in entries:
+            moved = []
+            for step in (1, -1):
+                table = WeightTable()
+                for h, e in cfg.table:
+                    table.put(h, e)
+                table.put(gr, dataclasses.replace(
+                    est, std_error=0.0, exact=Fraction(est.value) + step))
+                moved.append(star_expansion(
+                    f, g, so3_alpha(), dataclasses.replace(cfg, table=table))
+                    .series.coefficient(2))
+            sup = probe_sup((moved[0] - moved[1]) * QI(Fraction(1, 2)))
+            perturbed += (est.std_error * sup) ** 2
+            k = readers[serialize(gr)]
+            per_member += k * (est.std_error * sup / k) ** 2
+        assert max(readers.values()) == 8
+        assert bound == pytest.approx(math.sqrt(perturbed), rel=1e-12)
+        assert bound > 1.5 * math.sqrt(per_member)

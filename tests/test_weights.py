@@ -2,6 +2,7 @@
 moving-ground integrals, tables, determinism, and the sampling guard."""
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from scipy.stats import qmc
 from starquant import weights
 from starquant.errors import (ConfigError, ConvergenceWarning,
                               DegreeMismatchError, ParseError)
-from starquant.graphs import KGraph, parse, serialize, star_graphs
+from starquant.graphs import (KGraph, orbit_representative, parse,
+                              serialize, star_graphs)
 from starquant.halfplane import dphi
 from starquant.weights import (MAX_DIMS, IntegrationConfig, WeightEstimate,
                                WeightTable, _BLOCK_ROWS, _clean_values,
                                _direction_bits, _evaluate, _sobol_block,
+                               _sobol_chunks,
                                det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
@@ -151,6 +154,43 @@ class TestExactWeights:
         assert exact_weight(parse("n=1;m=3;1:[G2,G1,G0]")) is None
 
 
+def lemma_graphs(order):
+    """Star graphs that exact_weight sets to 0 by the vanishing lemma
+    (strict star graphs have no doubled edge)."""
+    return [g for g in star_graphs(order) if exact_weight(g) == 0]
+
+
+class TestVanishingLemma:
+    """A set S of aerial vertices whose out-edges all land in S plus at
+    most one ground has a zero weight."""
+
+    @pytest.mark.parametrize("order,graphs,orbits", [
+        (1, 0, 0), (2, 8, 2), (3, 568, 17)])
+    def test_counts(self, order, graphs, orbits):
+        found = lemma_graphs(order)
+        assert len(found) == graphs
+        assert len({orbit_representative(g)[0] for g in found}) == orbits
+
+    def test_cases(self):
+        for text in ("n=2;m=2;1:[2,L];2:[1,L]",        # S = {1, 2} and L
+                     "n=3;m=2;1:[2,3];2:[3,1];3:[1,2]",  # S = {1, 2, 3}
+                     "n=3;m=2;1:[2,3];2:[3,R];3:[2,R]"):  # S = {2, 3} and R
+            assert exact_weight(parse(text)) == 0, text
+        for text in ("n=2;m=2;1:[2,L];2:[1,R]",          # two grounds
+                     "n=3;m=2;1:[2,L];2:[3,L];3:[1,R]"):
+            assert exact_weight(parse(text)) is None, text
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_orbits_integrate_to_zero(self, order):
+        """One member of each lemma orbit, integrated at 4096 samples:
+        the integrand vanishes pointwise up to rounding."""
+        reps = {orbit_representative(g)[0] for g in lemma_graphs(order)}
+        for rep in sorted(reps, key=serialize):
+            est = weight(rep, IntegrationConfig(seed=1, n_samples=4096))
+            assert abs(est.value) <= 1e-12, serialize(rep)
+            assert est.std_error <= 1e-12, serialize(rep)
+
+
 class TestMovingGround:
     def test_i1_closed_form(self):
         est = i_p_integral(1, IntegrationConfig(seed=3))
@@ -191,6 +231,20 @@ class TestSobolBlock:
         at 4096 samples: all replicate seeds, 128 rows each, 6 dims."""
         seeds = [stable_seed(7, "rep", r) for r in range(weights.N_REPLICATES)]
         self.check(6, seeds, 4096 // weights.N_REPLICATES)
+
+    @pytest.mark.parametrize("dims", [1, 4, 6])
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS,
+                                   5 * _BLOCK_ROWS + 77])
+    def test_chunks_match_the_whole_block(self, dims, n):
+        """A replicate longer than _BLOCK_ROWS, drawn chunk by chunk from
+        the first chunk and the Gray code of each chunk's start, equals
+        its whole block bit for bit."""
+        seed = stable_seed(5, "rep", 2)
+        chunks = list(_sobol_chunks(dims, seed, n))
+        assert [len(c) for c in chunks[:-1]] == [_BLOCK_ROWS] * (
+            len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks),
+                              _sobol_block(dims, [seed], n)[0])
 
     def test_direction_table_matches_scipy(self):
         """Every row of the Joe-Kuo table: all 30 unscrambled direction
@@ -261,6 +315,24 @@ class TestBlockedReplicates:
         graph = parse(text)
         assert (integrate_graph_form(graph, cfg, seed=8)
                 == per_replicate_integral(graph, cfg, seed=8))
+
+    def test_memory_holds_one_replicate_of_values(self):
+        """Past _BLOCK_ROWS rows per replicate the points are drawn chunk
+        by chunk: going from 2^14 to 2^16 rows per replicate raises the
+        traced peak by less than 1.5 x the 8 bytes per added row of the
+        values buffer; a replicate's points, float64 plus their uint32
+        bits, would add 12 bytes per row and dimension."""
+        graph = parse("n=2;m=2;1:[2,L];2:[1,R]")        # 4 sampled dims
+        peaks = []
+        for rows in (2 ** 14, 2 ** 16):
+            cfg = IntegrationConfig(seed=2, n_samples=32 * rows)
+            tracemalloc.start()
+            try:
+                integrate_graph_form(graph, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1.5 * 8 * (2 ** 16 - 2 ** 14)
 
     @pytest.fixture
     def rejected(self, monkeypatch):
