@@ -18,9 +18,12 @@ untimed (imports, lazy set-up), then times every graph, with
 single-threaded BLAS; a graph's time in the round is the minimum over
 its repeats, so one noisy moment on a shared host does not decide a
 round.  Per point and side the file records the median and quartiles
-over rounds of seconds per integration and samples per second, the
-median std_error of the star-normalised weights obtained, and in how
-many rounds the change was faster.
+over rounds of seconds per integration, samples per second and minor
+page faults per integration (the ru_minflt delta over the timed runs
+over their number; a worker is a library caller, so glibc's malloc
+thresholds are its defaults), the median std_error of the
+star-normalised weights obtained, and in how many rounds the change was
+faster.
 
 Time to a stated std_error (the figure to compare when a change alters
 the noise, not samples per second), at the first two points.  One
@@ -46,6 +49,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -83,8 +87,9 @@ AGREE_SIGMAS = 4.0
 
 def worker(budgets: dict | None, noise: bool) -> dict:
     """One round in this interpreter: per point, the summed minimum
-    seconds of its graphs, and the (value, std_error, n_samples) and
-    star-normalised std_error of each.  budgets maps point names to a
+    seconds of its graphs, the minor page faults per timed integration,
+    and the (value, std_error, n_samples) and star-normalised std_error
+    of each.  budgets maps point names to a
     budget per graph; by default every point at its own budget.  With
     noise, per point only each graph's noise, untimed."""
     from starquant.graphs import parse
@@ -115,16 +120,20 @@ def worker(budgets: dict | None, noise: bool) -> dict:
     out = {}
     for name, per_graph in budgets.items():
         _, repeats, texts = POINTS[name]
-        results, seconds = [], 0.0
+        results, seconds, faults = [], 0.0, 0
         for text, n in zip(texts, per_graph):
             times = []
             for _ in range(repeats):
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 result = run(text, n)
                 times.append(time.perf_counter() - t0)
+                faults += (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                           - f0)
             results.append(result)
             seconds += min(times)
         out[name] = {"seconds": seconds, "results": results,
+                     "faults": faults / (repeats * len(texts)),
                      "std_errors": [normalised(t, r[1])
                                     for t, r in zip(texts, results)]}
     return out
@@ -181,6 +190,8 @@ def summarise(rounds: list, name: str) -> dict:
     samples = rounds[0][name]["results"][0][2]
     return {"s_per_integration": spread(per),
             "samples_per_s": spread([samples / s for s in per]),
+            "minor_faults_per_integration": spread(
+                [r[name]["faults"] for r in rounds]),
             "std_error": statistics.median(rounds[0][name]["std_errors"])}
 
 
@@ -294,7 +305,8 @@ def main():
     record = {
         "harness": "scripts/bench_integrator.py",
         "what": "seconds per weights.integrate_graph_form call, the "
-                "in-process minimum over repeats, median and quartiles "
+                "in-process minimum over repeats, and minor page faults "
+                "per timed call, median and quartiles "
                 "over rounds; one fresh interpreter per side and round, "
                 "sides alternating; to_std_error: each side timed at the "
                 "budgets that reach the parent's noise (RMS std_error over "
@@ -311,8 +323,10 @@ def main():
         p, c = pt["parent"], pt["change"]
         print(f"{pt['name']}: {p['s_per_integration']['median']:.4f} s -> "
               f"{c['s_per_integration']['median']:.4f} s per integration, "
-              f"faster in {pt['change_faster_rounds']} rounds; worst z "
-              f"{pt['worst_z']:.2f}")
+              f"faster in {pt['change_faster_rounds']} rounds; minor faults "
+              f"{p['minor_faults_per_integration']['median']:.0f} -> "
+              f"{c['minor_faults_per_integration']['median']:.0f} per "
+              f"integration; worst z {pt['worst_z']:.2f}")
         if "to_std_error" in pt:
             reach_p, reach_c = (pt["to_std_error"][s] for s in sides)
             print(f"  to the parent's std_errors: "

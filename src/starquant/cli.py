@@ -470,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _keep_freed_blocks():
     """Fix glibc's malloc thresholds where its dynamic rule tops out, so a
-    freed integrand block stays mapped for the next one instead of
-    faulting its pages back in.  No-op off glibc."""
+    freed integrand workspace stays mapped for the next integral instead
+    of faulting its pages back in.  No-op off glibc."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

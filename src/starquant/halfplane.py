@@ -27,7 +27,7 @@ in the closed half plane,
 arg in [0, pi] (Stokes on phi(z, a) dphi(z, b), with
 phi(a, b) - phi(b, a) = 2 arg(a - bbar)).  F(0, 1) = 2 pi^2 is the
 order-1 weight 1/2; F(a, a) = 0, and the mirror z -> 1 - zbar negates
-F.  weights._evaluate integrates every source vertex out with it.
+F.  The weights integrand integrates every source vertex out with it.
 """
 from __future__ import annotations
 
@@ -90,7 +90,7 @@ def dphi(z, w) -> AngleGradient:
 
 
 # ---------------------------------------------------------------------------
-# The one formula for dphi's coefficients, read by dphi and weights._evaluate
+# The one formula for dphi's coefficients, read by dphi and weights._Plan
 # ---------------------------------------------------------------------------
 
 def angle_form(z, w):

@@ -44,8 +44,8 @@ There are two methods:
 
 Replicates of at most _BLOCK_ROWS = 8192 rows are drawn together as
 one scrambled-Sobol block (_sobol_block), bit-identical to scipy's
-qmc.Sobol per replicate seed, and evaluated in one integrand call.  A
-longer replicate is drawn and evaluated in chunks of _BLOCK_ROWS rows
+qmc.Sobol per replicate seed, and evaluated in one block.  A longer
+replicate is drawn and evaluated in chunks of _BLOCK_ROWS rows
 (_sobol_chunks, bit-identical to its whole block), so an integral of
 any budget holds one chunk of points and one replicate's values.
 Direction numbers follow Joe and Kuo's recurrence from the table
@@ -55,6 +55,19 @@ the LMS + digital-shift scrambling is the top bit of each 32-bit half
 of raw PCG64 words, as default_rng(seed).integers(0, 2) draws, and one
 GF(2) product.  tests/test_weights.py::TestSobolBlock pins the bit
 identity with scipy: every table row, the bit source, whole blocks.
+
+Each integral builds one integrand plan (_Plan) from its graph: the
+sources, each sampled point's columns, and each row's nonzero entries
+of M (Im A, Re A, -Im A or d_wy).  A block is evaluated on contiguous
+per-coordinate vectors of one transposed copy of the points.  For at
+most 5 sampled dimensions det M is det_batch's Laplace expansion
+without its structurally zero terms, compiled once to a list of ufunc
+calls; 6 or more keep a dense matrix and np.linalg.det.  The plan, the
+points and the values are written through out= into buffers allocated
+once per integral, so evaluating a block allocates only inside
+angle_form and source_form.  Every integrand float equals the dense
+evaluation's (tests/test_weights.py::TestIntegrandPlan against
+tests/helpers.py).
 """
 from __future__ import annotations
 
@@ -87,7 +100,7 @@ _FALLBACK_BUDGET = 1048576
 
 _GUARD = 1e-12
 
-# rows per integrand call: calls on a few thousand rows cost least per row
+# rows per integrand block: blocks of a few thousand rows cost least per row
 _BLOCK_ROWS = 8192
 
 
@@ -165,24 +178,27 @@ class WeightEstimate:
 # ---------------------------------------------------------------------------
 # batched determinants
 # ---------------------------------------------------------------------------
+# The Laplace expansions read entry (i, j) through e(i, j) and use only
+# +, - and *: det_batch feeds them dense matrix columns, an integrand plan
+# symbolic _Terms that drop structural zeros, so both share one term order.
 
-def _det2(m):
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-
-
-def _det3(m):
-    return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]))
+def _det2(e):
+    return e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)
 
 
-def _det4(m):
+def _det3(e):
+    return (e(0, 0) * (e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1))
+            - e(0, 1) * (e(1, 0) * e(2, 2) - e(1, 2) * e(2, 0))
+            + e(0, 2) * (e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0)))
+
+
+def _det4(e):
     # Laplace expansion on the top two rows against the bottom two
     def p(i, j):
-        return m[:, 0, i] * m[:, 1, j] - m[:, 0, j] * m[:, 1, i]
+        return e(0, i) * e(1, j) - e(0, j) * e(1, i)
 
     def q(i, j):
-        return m[:, 2, i] * m[:, 3, j] - m[:, 2, j] * m[:, 3, i]
+        return e(2, i) * e(3, j) - e(2, j) * e(3, i)
 
     return (p(0, 1) * q(2, 3) - p(0, 2) * q(1, 3) + p(0, 3) * q(1, 2)
             + p(1, 2) * q(0, 3) - p(1, 3) * q(0, 2) + p(2, 3) * q(0, 1))
@@ -191,28 +207,29 @@ def _det4(m):
 _KEEP4 = [[j for j in range(5) if j != c] for c in range(5)]
 
 
-def _det5(m):
+def _det5(e):
     total = None
     for c in range(5):
-        minor = _det4(m[:, 1:, :][:, :, _KEEP4[c]])
-        term = m[:, 0, c] * minor
+        keep = _KEEP4[c]
+        minor = _det4(lambda i, j, keep=keep: e(1 + i, keep[j]))
+        term = e(0, c) * minor
         if c % 2:
             term = -term
         total = term if total is None else total + term
     return total
 
 
+_LAPLACE = {2: _det2, 3: _det3, 4: _det4, 5: _det5}
+
+
 def det_batch(m: np.ndarray) -> np.ndarray:
-    k = m.shape[1]
-    if k == 2:
-        return _det2(m)
-    if k == 3:
-        return _det3(m)
-    if k == 4:
-        return _det4(m)
-    if k == 5:
-        return _det5(m)
-    return np.linalg.det(m)
+    """Determinants of a (rows, k, k) stack: the Laplace expansions for
+    k <= 5, np.linalg.det above.  An integrand plan calls it only for a
+    dense matrix (k >= 6, or every expansion term structurally zero)."""
+    expand = _LAPLACE.get(m.shape[1])
+    if expand is None:
+        return np.linalg.det(m)
+    return expand(lambda i, j: m[:, i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -305,27 +322,34 @@ def _gray_points(shift: np.ndarray, sv: np.ndarray, n: int) -> np.ndarray:
     return pts
 
 
-def _sobol_block(dims: int, seeds, n: int) -> np.ndarray:
+def _sobol_block(dims: int, seeds, n: int, out=None) -> np.ndarray:
     """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
-    stacked to shape (len(seeds), n, dims), bit for bit."""
+    stacked to shape (len(seeds), n, dims), bit for bit; written into out
+    when it is given."""
     shift, sv = _scramble(dims, seeds, (n - 1).bit_length())
-    return _gray_points(shift, sv, n) * 2.0 ** -_SOBOL_BITS
+    return np.multiply(_gray_points(shift, sv, n), 2.0 ** -_SOBOL_BITS,
+                       out=out)
 
 
-def _sobol_chunks(dims: int, seed: int, n: int):
+def _sobol_chunks(dims: int, seed: int, n: int, out: np.ndarray):
     """_sobol_block(dims, [seed], n)[0] in consecutive chunks of at most
-    L = _BLOCK_ROWS rows, bit for bit, holding L points at a time.
+    L = _BLOCK_ROWS rows, bit for bit, holding L points at a time: each
+    chunk is a view of out (at least min(n, L) rows of dims), valid until
+    the next one.
 
     A chunk starts at a multiple c of L, a power of two, and gray(c + i) =
     gray(c) ^ gray(i) for i < L, so it is the first L points XOR the
     scrambled direction numbers that the bits of gray(c) pick."""
     shift, sv = _scramble(dims, [seed], (n - 1).bit_length())
     head = _gray_points(shift, sv, min(n, _BLOCK_ROWS))[0]
+    bits = np.empty_like(head)
     for c in range(0, n, _BLOCK_ROWS):
         gray = c ^ (c >> 1)
         picked = [b for b in range(gray.bit_length()) if gray >> b & 1]
         step = np.bitwise_xor.reduce(sv[0][:, picked], axis=1)
-        yield (head[:n - c] ^ step) * 2.0 ** -_SOBOL_BITS
+        rows = min(n - c, _BLOCK_ROWS)
+        np.bitwise_xor(head[:rows], step, out=bits[:rows])
+        yield np.multiply(bits[:rows], 2.0 ** -_SOBOL_BITS, out=out[:rows])
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +357,10 @@ def _sobol_chunks(dims: int, seed: int, n: int):
 # ---------------------------------------------------------------------------
 
 def _sources(graph: KGraph) -> tuple[int, ...]:
-    """Aerial vertices that _evaluate integrates out in closed form: out-
-    degree 2 and no incoming edge.  Empty when every aerial vertex is one
-    (the derivative-free graphs keep their sampled integrand and spread)."""
+    """Aerial vertices that the integrand integrates out in closed form:
+    out-degree 2 and no incoming edge.  Empty when every aerial vertex is
+    one (the derivative-free graphs keep their sampled integrand and
+    spread)."""
     hit = {t for targets in graph.out_edges for t in targets}
     found = tuple(v for v, targets in enumerate(graph.out_edges)
                   if len(targets) == 2 and v not in hit)
@@ -343,82 +368,271 @@ def _sources(graph: KGraph) -> tuple[int, ...]:
 
 
 def sampled_dims(graph: KGraph) -> int:
-    """Dimensions _evaluate samples: 2 per aerial vertex that is not a
-    source, plus the m - 2 moving grounds."""
+    """Dimensions the integrand samples: 2 per aerial vertex that is not
+    a source, plus the m - 2 moving grounds."""
     return 2 * (graph.n - len(_sources(graph))) + graph.m - 2
 
 
-def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
-    """Integrand values for unit-cube samples u; NaN marks rejected rows."""
-    n, m = graph.n, graph.m
-    k_move = m - 2
-    sources = _sources(graph)
-    # sampled aerial vertices in order; point[v] is v's column pair
-    point = {v: i for i, v in enumerate(
-        v for v in range(n) if v not in sources)}
-    ns = len(point)
-    nrows = u.shape[0]
-    with np.errstate(all="ignore"):
-        s = u[:, 0:2 * ns:2]
-        t = u[:, 1:2 * ns:2]
-        x = np.tan(np.pi * (s - 0.5))
-        y = t / (1.0 - t)
-        z = x + 1j * y
-        jac = (np.prod(np.pi * (1.0 + x * x), axis=1)
-               / np.prod(1.0 - t, axis=1) ** 2)
-        bad = ~np.isfinite(jac)
-        bad |= np.any(y <= 0.0, axis=1)
+class _Term:
+    """A symbolic value in a Laplace expansion over a plan's matrix
+    entries: key is a nested tuple of operations on ("e", row, column)
+    leaves, or None for a structural zero, which products absorb and sums
+    drop.  Dropping changes at most the sign of an exactly zero result,
+    and only when every kept term is zero (see _Plan)."""
+    __slots__ = ("key",)
 
-        if k_move:
-            tg = np.sort(u[:, 2 * ns:], axis=1)     # ascending positions
+    def __init__(self, key):
+        self.key = key
+
+    def __mul__(self, other):
+        if self.key is None or other.key is None:
+            return _ZERO
+        return _Term(("mul", self.key, other.key))
+
+    def __add__(self, other):
+        if other.key is None:
+            return self
+        if self.key is None:
+            return other
+        return _Term(("add", self.key, other.key))
+
+    def __sub__(self, other):
+        if other.key is None:
+            return self
+        if self.key is None:
+            return -other
+        return _Term(("sub", self.key, other.key))
+
+    def __neg__(self):
+        return self if self.key is None else _Term(("neg", self.key))
+
+
+_ZERO = _Term(None)
+_UFUNCS = {"mul": np.multiply, "add": np.add, "sub": np.subtract,
+           "neg": np.negative}
+
+
+class _Plan:
+    """One graph's integrand, laid out once and evaluated in blocks of at
+    most `rows` sample rows into buffers allocated here.
+
+    Row r of the form matrix M is the r-th edge of a sampled vertex; its
+    nonzero entries are Im A and Re A in the source's columns, -Im A and
+    d_wy in an aerial target's, -Im A in a moving ground's (A, d_wy from
+    halfplane.angle_form).  For k <= 5 columns det M is _det2.._det5 over
+    symbolic entries: terms with a structural zero are dropped, equal
+    subterms computed once, and what is left compiled to a list of ufunc
+    calls on reused registers.  Dense M (k >= 6, or no term left) goes to
+    det_batch.  Floats equal the dense evaluation's: on a row that passes
+    the guard a dropped term is +-0, which can change a sum only in the
+    sign of an exact zero and only when every kept term is zero, so a plan
+    with no kept term is dense (pinned by TestIntegrandPlan)."""
+
+    def __init__(self, graph: KGraph, rows: int):
+        n, m = graph.n, graph.m
+        sources = _sources(graph)
+        # sampled aerial vertices in order; point[v] is v's column pair
+        point = {v: i for i, v in enumerate(
+            v for v in range(n) if v not in sources)}
+        ns, k_move = len(point), m - 2
+        k = 2 * ns + k_move
+        self.ns, self.m, self.k_move = ns, m, k_move
+
+        def where(tgt):     # ("z", point) or ("g", ground index)
+            return ("z", point[tgt]) if tgt < n else ("g", tgt - n)
+
+        self.sources = [tuple(map(where, graph.out_edges[v]))
+                        for v in sources]
+        # each sampled edge: (source point, target, {column: kind})
+        self.edges = []
+        for v, ci in point.items():
+            for tgt in graph.out_edges[v]:
+                cols = {2 * ci: "im", 2 * ci + 1: "re"}
+                if tgt < n:
+                    cols[2 * point[tgt]] = "nim"
+                    cols[2 * point[tgt] + 1] = "dwy"
+                elif 0 < tgt - n < m - 1:
+                    cols[2 * ns + (k_move - (tgt - n))] = "nim"
+                self.edges.append((ci, where(tgt), cols))
+
+        expand = _LAPLACE.get(k)
+        root = expand(lambda r, c: _Term(("e", r, c))
+                      if c in self.edges[r][2] else _ZERO).key \
+            if expand else None
+        if root is None:        # dense: every entry is a leaf
+            self.program, self.n_regs = None, 0
+            self.leaves = [(r, c, kind) for r, (_, _, cols) in
+                           enumerate(self.edges) for c, kind in cols.items()]
         else:
-            tg = np.empty((nrows, 0))
+            self.program = self._compile(root)
+        self.n_neg = sum(kind == "nim" for _, _, kind in self.leaves)
 
-        def ground_pos(k):
-            if k == 0:
-                return 0.0
-            if k == m - 1:
-                return 1.0
-            return tg[:, k - 1]
+        # one workspace per plan, so malloc sees one block to keep for the
+        # next plan (glibc raises its mmap threshold past a freed chunk):
+        # complex z and a temporary; u transposed, jac, den, tmp, negated
+        # leaves, registers and a dense plan's matrix; two flag rows
+        n_work = self.n_neg + self.n_regs
+        n_mat = k * k if self.program is None else 0
+        n_c, n_f = 2 * (ns + 1) * rows, (k + 3 + n_work + n_mat) * rows
+        ws = np.empty(n_c + n_f + rows // 4 + 1)
+        cplx = ws[:n_c].view(complex).reshape(ns + 1, rows)
+        self.z, self.ctmp = cplx[:ns], cplx[ns]
+        flt = ws[n_c:n_c + n_f].reshape(-1, rows)
+        self.ut = flt[:k]                       # u transposed
+        self.jac, self.den, self.tmp = flt[k:k + 3]
+        self.work = flt[k + 3:k + 3 + n_work]   # negated leaves, registers
+        if self.program is None:
+            self.mat = flt[k + 3 + n_work:].reshape(rows, k, k)
+            self.mat[:] = 0.0
+        self.bad, self.btmp = ws[n_c + n_f:].view(bool)[:2 * rows].reshape(
+            2, rows)
 
-        def position(tgt):
-            return z[:, point[tgt]] if tgt < n else ground_pos(tgt - n)
+    def _compile(self, root):
+        """Leaves, ufunc calls and register count for the expansion root:
+        post-order without repeats, a register freed after its last read."""
+        order, seen = [], set()
 
+        def visit(key):
+            if key not in seen:
+                seen.add(key)
+                if key[0] != "e":
+                    for arg in key[1:]:
+                        visit(arg)
+                order.append(key)
+
+        visit(root)
+        slot = {key: i for i, key in enumerate(
+            key for key in order if key[0] == "e")}
+        self.leaves = [(r, c, self.edges[r][2][c]) for _, r, c in slot]
+        last = {arg: i for i, key in enumerate(order) if key[0] != "e"
+                for arg in key[1:]}
+        free, self.n_regs, program = [], 0, []
+        for i, key in enumerate(order):
+            if key[0] == "e":
+                continue
+            free += [slot[arg] for arg in set(key[1:])
+                     if arg[0] != "e" and last[arg] == i]
+            if not free:
+                free.append(len(self.leaves) + self.n_regs)
+                self.n_regs += 1
+            slot[key] = free.pop()
+            program.append((_UFUNCS[key[0]],
+                            tuple(slot[arg] for arg in key[1:]), slot[key]))
+        self.root = slot[root]
+        return program
+
+    def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Integrand values of unit-cube samples u into out; NaN marks
+        rejected rows."""
+        step = self.ut.shape[1]
+        with np.errstate(all="ignore"):
+            for c in range(0, len(u), step):
+                self._block(u[c:c + step], out[c:c + step])
+        return out
+
+    def _block(self, u, out):
+        r, ns, m, k_move = len(u), self.ns, self.m, self.k_move
+        ut = self.ut[:, :r]
+        np.copyto(ut, u.T)
+        # moving grounds in ascending position: a compare-exchange network
+        tg, lo = ut[2 * ns:], self.tmp[:r]
+        for end in range(k_move - 1, 0, -1):
+            for j in range(end):
+                np.minimum(tg[j], tg[j + 1], out=lo)
+                np.maximum(tg[j], tg[j + 1], out=tg[j + 1])
+                np.copyto(tg[j], lo)
+
+        z, jac, den, tmp = self.z[:, :r], self.jac[:r], self.den[:r], \
+            self.tmp[:r]
+        for i in range(ns):
+            x, y = ut[2 * i], ut[2 * i + 1]     # from s and t, in place
+            np.subtract(x, 0.5, out=x)
+            np.multiply(np.pi, x, out=x)
+            np.tan(x, out=x)
+            omt = tmp if i else den             # 1 - t
+            np.subtract(1.0, y, out=omt)
+            np.divide(y, omt, out=y)
+            np.copyto(z[i].real, x)
+            np.copyto(z[i].imag, y)
+            # Jacobian: prod pi (1 + x^2) / prod (1 - t), squared
+            if i:
+                np.multiply(den, tmp, out=den)
+            term = tmp if i else jac
+            np.multiply(x, x, out=term)
+            np.add(1.0, term, out=term)
+            np.multiply(np.pi, term, out=term)
+            if i:
+                np.multiply(jac, tmp, out=jac)
+        np.multiply(den, den, out=den)
+        np.divide(jac, den, out=jac)
+
+        def position(where):
+            kind, j = where
+            if kind == "z":
+                return z[j]
+            return 0.0 if j == 0 else 1.0 if j == m - 1 else tg[j - 1]
+
+        bad, btmp, ct = self.bad[:r], self.btmp[:r], self.ctmp[:r]
+
+        def reject_near():          # bad |= |ct| < _GUARD
+            np.abs(ct, out=tmp)
+            np.less(tmp, _GUARD, out=btmp)
+            np.logical_or(bad, btmp, out=bad)
+
+        np.isfinite(jac, out=bad)
+        np.logical_not(bad, out=bad)
+        for i in range(ns):
+            np.less_equal(ut[2 * i + 1], 0.0, out=btmp)
+            np.logical_or(bad, btmp, out=bad)
         # coincidence / anchor guard on the mapped points
         for i in range(ns):
             for j in range(i + 1, ns):
-                bad |= np.abs(z[:, i] - z[:, j]) < _GUARD
-                bad |= np.abs(z[:, i] - np.conjugate(z[:, j])) < _GUARD
-            for k in range(m):
-                bad |= np.abs(z[:, i] - ground_pos(k)) < _GUARD
+                np.subtract(z[i], z[j], out=ct)
+                reject_near()
+                np.conjugate(z[j], out=ct)
+                np.subtract(z[i], ct, out=ct)
+                reject_near()
+            for g in range(m):
+                np.subtract(z[i], position(("g", g)), out=ct)
+                reject_near()
 
         # a source's two rows are the only entries in its two columns, so
         # det M = det B_v det M' with M' free of z_v, and z_v integrates
         # to source_form (Laplace expansion; sign +1)
-        factor = jac / math.factorial(k_move)
-        for v in sources:
-            factor = factor * source_form(*map(position, graph.out_edges[v]))
+        np.divide(jac, math.factorial(k_move), out=jac)
+        for a, b in self.sources:
+            np.multiply(jac, source_form(position(a), position(b)), out=jac)
 
-        mat = np.zeros((nrows, 2 * ns + k_move, 2 * ns + k_move))
-        row = 0
-        for i, ci in point.items():
-            zi = z[:, ci]
-            for tgt in graph.out_edges[i]:
-                k = tgt - n                 # ground index when k >= 0
-                a, d_wy = angle_form(zi, position(tgt))
-                mat[:, row, 2 * ci] = a.imag
-                mat[:, row, 2 * ci + 1] = a.real
-                # target columns: aerial x, y; moving ground t; pinned none
-                if k < 0:
-                    mat[:, row, 2 * point[tgt]] = -a.imag
-                    mat[:, row, 2 * point[tgt] + 1] = d_wy
-                elif 0 < k < m - 1:
-                    mat[:, row, 2 * ns + (k_move - k)] = -a.imag
-                row += 1
+        # entry values: views of angle_form's output, negations in work
+        bufs = [None] * len(self.leaves) + list(self.work[self.n_neg:, :r])
+        negs, forms = iter(self.work[:self.n_neg, :r]), {}
+        for i, (row, _, kind) in enumerate(self.leaves):
+            if row not in forms:
+                ci, tgt, _ = self.edges[row]
+                forms[row] = angle_form(z[ci], position(tgt))
+            a, d_wy = forms[row]
+            bufs[i] = np.negative(a.imag, out=next(negs)) if kind == "nim" \
+                else {"im": a.imag, "re": a.real, "dwy": d_wy}[kind]
+        if self.program is None:
+            mat = self.mat[:r]
+            for (row, col, _), value in zip(self.leaves, bufs):
+                mat[:, row, col] = value
+            det = det_batch(mat)
+        else:
+            for ufunc, args, dst in self.program:
+                ufunc(*(bufs[a] for a in args), out=bufs[dst])
+            det = bufs[self.root]
+        np.multiply(det, jac, out=out)
+        np.isfinite(out, out=btmp)
+        np.logical_not(btmp, out=btmp)
+        np.logical_or(bad, btmp, out=bad)
+        np.copyto(out, np.nan, where=bad)
 
-        vals = det_batch(mat) * factor
-        vals = np.where(bad | ~np.isfinite(vals), np.nan, vals)
-    return vals
+
+def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
+    """Integrand values for unit-cube samples u; NaN marks rejected rows."""
+    plan = _Plan(graph, max(1, min(len(u), _BLOCK_ROWS)))
+    return plan(u, np.empty(len(u)))
 
 
 def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int,
@@ -441,21 +655,28 @@ def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int,
         f"sample redraws for {serialize(graph)} failed to escape the guard")
 
 
-def _sample_chunks(method: str, dims: int, seeds, per_rep: int):
+def _sample_chunks(method: str, dims: int, seeds, per_rep: int,
+                   out: np.ndarray):
     """Consecutive chunks of at most _BLOCK_ROWS sample rows covering
     per_rep points of each replicate seed, replicate after replicate: one
     chunk for a group that fits, else one replicate drawn chunk by chunk
-    (a PCG64 stream's doubles come out the same in any split)."""
+    (a PCG64 stream's doubles come out the same in any split).  Each
+    chunk is a view of out, a (rows, dims) buffer holding one chunk,
+    valid until the next chunk is drawn."""
     if len(seeds) * per_rep <= _BLOCK_ROWS:
+        pts = out[:len(seeds) * per_rep]
+        block = pts.reshape(len(seeds), per_rep, dims)
         if method == "qmc":
-            return [_sobol_block(dims, seeds, per_rep).reshape(-1, dims)]
-        return [np.concatenate([np.random.Generator(np.random.PCG64(s))
-                                .random((per_rep, dims)) for s in seeds])]
+            _sobol_block(dims, seeds, per_rep, out=block)
+        else:
+            for s, rep in zip(seeds, block):
+                np.random.Generator(np.random.PCG64(s)).random(out=rep)
+        return [pts]
     (seed,) = seeds
     if method == "qmc":
-        return _sobol_chunks(dims, seed, per_rep)
+        return _sobol_chunks(dims, seed, per_rep, out)
     gen = np.random.Generator(np.random.PCG64(seed))
-    return (gen.random((min(_BLOCK_ROWS, per_rep - c), dims))
+    return (gen.random(out=out[:min(_BLOCK_ROWS, per_rep - c)])
             for c in range(0, per_rep, _BLOCK_ROWS))
 
 
@@ -487,14 +708,17 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     if cfg.method == "qmc":     # past the Sobol' caps: refuse before allocating
         _direction_bits(dims, (per_rep - 1).bit_length())
     group = max(1, _BLOCK_ROWS // per_rep)
+    chunk = min(_BLOCK_ROWS, group * per_rep)
+    plan = _Plan(graph, chunk)
+    points = np.empty((chunk, dims))        # one chunk of points, reused
     buf = np.empty((group, per_rep))        # one block's values, reused
     means = []
     for first in range(0, N_REPLICATES, group):
         seeds = rep_seeds[first:first + group]
         vals = buf[:len(seeds)]
         rows, pos = vals.reshape(-1), 0
-        for u in _sample_chunks(cfg.method, dims, seeds, per_rep):
-            rows[pos:pos + len(u)] = _evaluate(graph, u)
+        for u in _sample_chunks(cfg.method, dims, seeds, per_rep, points):
+            plan(u, rows[pos:pos + len(u)])
             pos += len(u)
         # redraw guarded rows in place, replicate by replicate; with the
         # values given, _clean_values reads only the width of its points

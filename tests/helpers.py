@@ -93,3 +93,115 @@ def per_replicate_integral(graph, cfg, seed=None):
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     return value, std_error, per_rep * weights.N_REPLICATES
+
+
+def _dense_det(m):
+    """Determinants of a (rows, k, k) stack as the dense integrand took
+    them: Laplace expansions for k <= 5, np.linalg.det above."""
+    import numpy as np
+
+    k = m.shape[1]
+    if k == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    if k == 3:
+        return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2]
+                              - m[:, 1, 2] * m[:, 2, 1])
+                - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2]
+                                - m[:, 1, 2] * m[:, 2, 0])
+                + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1]
+                                - m[:, 1, 1] * m[:, 2, 0]))
+    if k == 4:
+        def p(i, j):
+            return m[:, 0, i] * m[:, 1, j] - m[:, 0, j] * m[:, 1, i]
+
+        def q(i, j):
+            return m[:, 2, i] * m[:, 3, j] - m[:, 2, j] * m[:, 3, i]
+
+        return (p(0, 1) * q(2, 3) - p(0, 2) * q(1, 3) + p(0, 3) * q(1, 2)
+                + p(1, 2) * q(0, 3) - p(1, 3) * q(0, 2) + p(2, 3) * q(0, 1))
+    if k == 5:
+        total = None
+        for c in range(5):
+            keep = [j for j in range(5) if j != c]
+            term = m[:, 0, c] * _dense_det(m[:, 1:, :][:, :, keep])
+            if c % 2:
+                term = -term
+            total = term if total is None else total + term
+        return total
+    return np.linalg.det(m)
+
+
+def dense_integrand(graph, u):
+    """Reference for weights' integrand plan: the form matrix filled
+    densely, one (rows, k, k) array per call, and _dense_det on it."""
+    import math
+
+    import numpy as np
+
+    from starquant import weights
+    from starquant.halfplane import angle_form, source_form
+
+    n, m = graph.n, graph.m
+    k_move = m - 2
+    sources = weights._sources(graph)
+    # sampled aerial vertices in order; point[v] is v's column pair
+    point = {v: i for i, v in enumerate(
+        v for v in range(n) if v not in sources)}
+    ns = len(point)
+    nrows = u.shape[0]
+    with np.errstate(all="ignore"):
+        s = u[:, 0:2 * ns:2]
+        t = u[:, 1:2 * ns:2]
+        x = np.tan(np.pi * (s - 0.5))
+        y = t / (1.0 - t)
+        z = x + 1j * y
+        jac = (np.prod(np.pi * (1.0 + x * x), axis=1)
+               / np.prod(1.0 - t, axis=1) ** 2)
+        bad = ~np.isfinite(jac)
+        bad |= np.any(y <= 0.0, axis=1)
+
+        if k_move:
+            tg = np.sort(u[:, 2 * ns:], axis=1)     # ascending positions
+        else:
+            tg = np.empty((nrows, 0))
+
+        def ground_pos(k):
+            if k == 0:
+                return 0.0
+            if k == m - 1:
+                return 1.0
+            return tg[:, k - 1]
+
+        def position(tgt):
+            return z[:, point[tgt]] if tgt < n else ground_pos(tgt - n)
+
+        for i in range(ns):
+            for j in range(i + 1, ns):
+                bad |= np.abs(z[:, i] - z[:, j]) < weights._GUARD
+                bad |= np.abs(z[:, i] - np.conjugate(z[:, j])) < weights._GUARD
+            for k in range(m):
+                bad |= np.abs(z[:, i] - ground_pos(k)) < weights._GUARD
+
+        factor = jac / math.factorial(k_move)
+        for v in sources:
+            factor = factor * source_form(*map(position, graph.out_edges[v]))
+
+        mat = np.zeros((nrows, 2 * ns + k_move, 2 * ns + k_move))
+        row = 0
+        for i, ci in point.items():
+            zi = z[:, ci]
+            for tgt in graph.out_edges[i]:
+                k = tgt - n                 # ground index when k >= 0
+                a, d_wy = angle_form(zi, position(tgt))
+                mat[:, row, 2 * ci] = a.imag
+                mat[:, row, 2 * ci + 1] = a.real
+                if k < 0:
+                    mat[:, row, 2 * point[tgt]] = -a.imag
+                    mat[:, row, 2 * point[tgt] + 1] = d_wy
+                elif 0 < k < m - 1:
+                    mat[:, row, 2 * ns + (k_move - k)] = -a.imag
+                row += 1
+
+        vals = _dense_det(mat) * factor
+        vals = np.where(bad | ~np.isfinite(vals), np.nan, vals)
+    return vals

@@ -194,8 +194,9 @@ class TestWeight:
         from starquant import weights
         from starquant.errors import EngineError, SamplingError
         assert issubclass(SamplingError, EngineError)
-        monkeypatch.setattr(weights, "_evaluate",
-                            lambda graph, u: np.full(len(u), np.nan))
+        # every block of every integrand plan, redraws included, guarded
+        monkeypatch.setattr(weights._Plan, "_block",
+                            lambda plan, u, out: out.fill(np.nan))
         assert main(["weight", "-n", "1", "--samples", "1024"]) == 4
         assert "sampling failure" in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import per_replicate_integral
+from helpers import dense_integrand, per_replicate_integral
 from scipy.stats import qmc
 
 from starquant import weights
@@ -238,9 +238,13 @@ class TestSobolBlock:
     def test_chunks_match_the_whole_block(self, dims, n):
         """A replicate longer than _BLOCK_ROWS, drawn chunk by chunk from
         the first chunk and the Gray code of each chunk's start, equals
-        its whole block bit for bit."""
+        its whole block bit for bit.  Every chunk is a view of one
+        buffer, so each is copied before the next is drawn."""
         seed = stable_seed(5, "rep", 2)
-        chunks = list(_sobol_chunks(dims, seed, n))
+        out = np.empty((_BLOCK_ROWS, dims))
+        chunks = [c.copy() for c in _sobol_chunks(dims, seed, n, out)]
+        assert all(np.shares_memory(c, out)
+                   for c in _sobol_chunks(dims, seed, n, out))
         assert [len(c) for c in chunks[:-1]] == [_BLOCK_ROWS] * (
             len(chunks) - 1)
         assert np.array_equal(np.concatenate(chunks),
@@ -421,11 +425,26 @@ class TestSourceReduction:
 
     @staticmethod
     def both(monkeypatch, graph, n_samples):
+        """Reduced and full estimates; a spy on _sample_chunks checks that
+        each run sampled its own dimension count, so a plan or layout
+        cached past the patch fails here instead of comparing a reduced
+        estimate with itself."""
         cfg = IntegrationConfig(seed=5, n_samples=n_samples)
-        reduced = integrate_graph_form(graph, cfg)
+        sampled = []
+        chunks = weights._sample_chunks
+
+        def spy(method, dims, *args):
+            sampled.append(dims)
+            return chunks(method, dims, *args)
+
         with monkeypatch.context() as patch:
+            patch.setattr(weights, "_sample_chunks", spy)
+            reduced = integrate_graph_form(graph, cfg)
+            assert set(sampled) == {sampled_dims(graph)}
+            sampled.clear()
             patch.setattr(weights, "_sources", lambda graph: ())
             full = integrate_graph_form(graph, cfg)
+            assert set(sampled) == {2 * graph.n + graph.m - 2}
         return reduced, full
 
     def check(self, monkeypatch, graph, n_samples):
@@ -498,6 +517,86 @@ class TestSourceReduction:
         _, _, n_used = integrate_graph_form(
             graph, IntegrationConfig(seed=1, n_samples=64))
         assert n_used == 64
+
+
+def _i_p_graph(p):
+    """i_p_integral's graph: one aerial vertex, edges to p + 1 grounds in
+    descending position."""
+    return KGraph(1, p + 1, (tuple(1 + k for k in reversed(range(p + 1))),))
+
+
+# order-3 star graphs with 2, 4 and 6 sampled dimensions
+ORDER3_PLAN_SAMPLE = random.Random(15).sample(star_graphs(3), 24)
+
+
+class TestIntegrandPlan:
+    """The integrand plan (entry-major layout, Laplace expansions without
+    structurally zero terms, buffers reused across blocks) reproduces the
+    dense integrand of helpers.dense_integrand bit for bit: every value,
+    NaN position and sign bit."""
+
+    @staticmethod
+    def check(graph, u):
+        got = _evaluate(graph, u)
+        want = dense_integrand(graph, u)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def sobol(graph, rows=2048):
+        return _sobol_block(sampled_dims(graph), [stable_seed(15, "plan")],
+                            rows)[0]
+
+    @pytest.mark.parametrize("graph", star_graphs(2), ids=serialize)
+    def test_order2_star_graphs(self, graph):
+        self.check(graph, self.sobol(graph))
+
+    def test_order3_sample_covers_2_4_6_dims(self):
+        assert {sampled_dims(g) for g in ORDER3_PLAN_SAMPLE} == {2, 4, 6}
+
+    @pytest.mark.parametrize("graph", ORDER3_PLAN_SAMPLE, ids=serialize)
+    def test_order3_sample(self, graph):
+        self.check(graph, self.sobol(graph, 1024))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_i_p_moving_grounds(self, p):
+        graph = _i_p_graph(p)
+        assert sampled_dims(graph) == p + 1
+        self.check(graph, self.sobol(graph))
+
+    def test_source_targets_a_moving_ground(self):
+        graph = parse("n=2;m=3;1:[2,G1];2:[G2,G1,G0]")
+        self.check(graph, self.sobol(graph))
+
+    def test_structurally_singular_matrix_is_dense(self):
+        """No edge reaches the moving ground G1, so every expansion term
+        has a structural zero: the plan keeps the dense matrix, whose
+        expansion fixes the signs of the zeros."""
+        graph = parse("n=2;m=3;1:[2,G0];2:[G0,G2,1]")
+        assert weights._Plan(graph, 8).program is None
+        assert weights._Plan(_i_p_graph(4), 8).program is not None
+        self.check(graph, self.sobol(graph))
+
+    @pytest.mark.parametrize("text,rows", [
+        ("n=2;m=2;1:[2,L];2:[1,R]", [(0.3, 0.3, 0.3, 0.3),     # coincident
+                                     (0.2, 0.4, 0.6, 0.8),
+                                     (0.2, 0.0, 0.6, 0.8),     # t = 0
+                                     (0.2, 0.4, 0.6, 1.0)]),   # t = 1
+        ("n=1;m=2;1:[L,R]", [(0.5, 0.0), (0.5, 1.0), (0.5, 0.5),
+                             (0.0, 0.5)]),
+        ("n=1;m=3;1:[G2,G1,G0]", [(0.5, 0.5, 0.0), (0.5, 0.5, 1.0),
+                                  (0.5, 0.0, 0.5), (0.3, 0.6, 0.4)]),
+    ])
+    def test_guard_rows(self, text, rows):
+        self.check(parse(text), np.array(rows))
+
+    @pytest.mark.parametrize("rows", [1, 7, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("graph", [
+        parse("n=2;m=2;1:[2,L];2:[1,R]"), _i_p_graph(4),
+        parse("n=3;m=2;1:[2,L];2:[3,L];3:[1,R]")], ids=serialize)
+    def test_redraw_sized_inputs(self, graph, rows):
+        gen = np.random.Generator(np.random.PCG64(rows))
+        self.check(graph, gen.random((rows, sampled_dims(graph))))
 
 
 def _hand_integrand(graph, row):
