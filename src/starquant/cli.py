@@ -70,6 +70,9 @@ SUITES = ("jacobi", "assoc", "moyal", "ip", "linfty", "symmetry",
 # I_p integrates over p + 1 dimensions; the integrand holds a
 # (rows, p + 1, p + 1) form matrix per call
 IP_MAX_P = 8
+# center-probe's default --f has one dense exponent tuple per coordinate,
+# dim^2 integers in all
+SQUARES_MAX_DIM = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +266,12 @@ def cmd_star(ns) -> int:
     return 0
 
 
-def _default_args(dim: int) -> list[Polynomial]:
+def _default_args(dim: int, n: int | None = None) -> list[Polynomial]:
+    """The coordinates x_1 .. x_n of R^dim, all dim of them by default."""
     if dim < 1:
         raise ConfigError(f"default arguments need dimension >= 1, "
                           f"got {dim}")
-    return [Polynomial.variable(dim, i) for i in range(dim)]
+    return [Polynomial.variable(dim, i) for i in range(min(dim, n or dim))]
 
 
 def _seeded_bivector(rng: random.Random, dim: int) -> PolyVectorField:
@@ -312,7 +316,7 @@ def _run_suite(suite: str, ns):
                              f"missing {', '.join(missing)}")
         else:
             # quadratic, so the hbar^2 residual depends on sampled weights
-            x = _default_args(alpha.dim)
+            x = _default_args(alpha.dim, 4)
             triple = [x[i % alpha.dim] * x[(i + 1) % alpha.dim]
                       for i in range(3)]
         rep = check_associativity(*triple, alpha, _star_config(ns))
@@ -375,13 +379,17 @@ def _run_suite(suite: str, ns):
 
     if suite == "center-probe":
         alpha = load_alpha(ns.alpha)
-        x = _default_args(alpha.dim)
         if ns.f:
+            x = _default_args(alpha.dim, 2)
             f = load_poly(ns.f)
-        else:
-            f = Polynomial.zero(alpha.dim)
-            for v in x:
-                f = f + v * v
+        elif alpha.dim > SQUARES_MAX_DIM:
+            raise ConfigError(
+                f"the default --f, the sum of squares, takes dimension <= "
+                f"{SQUARES_MAX_DIM} (its dense terms grow as dim^2), got "
+                f"{alpha.dim}; pass --f")
+        else:               # sum of squares, one term per coordinate
+            x = _default_args(alpha.dim)
+            f = Polynomial(alpha.dim, {e: 1 for v in x for e in (v * v).terms})
         g = load_poly(ns.g) if ns.g else x[min(1, alpha.dim - 1)]
         rep = poisson_center_probe(f, g, alpha, _star_config(ns))
         return rep.to_json_obj(), rep.ok, [rep.summary()]

@@ -513,12 +513,15 @@ def poisson_center_probe(f: Polynomial, g: Polynomial,
     if alpha.dim != f.dim or alpha.dim != g.dim:
         raise DimensionMismatchError("argument dimensions disagree")
     dim = alpha.dim
+    row = {}                # i -> the j with a^{ij} != 0, ascending
+    for i, j in sorted(alpha.components):
+        row.setdefault(i, []).append(j)
+        row.setdefault(j, []).append(i)
     gradient = []
     for i in range(dim):
         comp = Polynomial.zero(dim)
-        for j in range(dim):
-            if i != j:
-                comp = comp + alpha.component((i, j)) * f.diff(j)
+        for j in sorted(row.get(i, ())):
+            comp = comp + alpha.component((i, j)) * f.diff(j)
         gradient.append(comp)
     central = all(p.is_zero() for p in gradient)
 

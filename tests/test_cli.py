@@ -2,6 +2,7 @@
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -363,12 +364,30 @@ def graph_files(draw):
     return objs
 
 
+CALL_LIMIT_S = 120
+
+
+class Stalled(BaseException):
+    """A CLI call ran past CALL_LIMIT_S.  Not an Exception, so neither the
+    CLI's handlers nor hypothesis's shrinker take it for an exit code or
+    a failing example to retry: the test fails at once."""
+
+
 def exit_code(argv):
-    """main's return value, or the code of an argparse usage exit."""
+    """main's return value, or the code of an argparse usage exit; a call
+    past CALL_LIMIT_S fails the test instead of stalling the run."""
+    def stall(signum, frame):
+        raise Stalled(f"{argv!r} ran past {CALL_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, stall)
+    signal.alarm(CALL_LIMIT_S)
     try:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_with_files(argv, files):
@@ -485,6 +504,29 @@ class TestAlphaInputFuzz:
         of --alpha, dimension 0 included."""
         assert run_with_files(["verify", suite, "-N", "1", "--samples",
                                "64"], [("--alpha", alpha)]) in (0, 1, 2, 3)
+
+    def test_large_dimension_jacobi_check(self):
+        """JSON may claim any dimension: the Jacobi check that star and
+        verify jacobi run first costs what the components cost, not
+        dim^4, so a zero bivector on R^4096 is checked at once."""
+        alpha = {"dim": 4096, "degree": 1, "components": []}
+        assert run_with_files(["verify", "jacobi"], [("--alpha", alpha)]) == 0
+        f = linear_poly_file(alpha)
+        assert run_with_files(["star", "-N", "1", "--samples", "64"],
+                              [("--alpha", alpha), ("--f", f),
+                               ("--g", f)]) in (0, 1, 2, 3)
+
+    def test_large_dimension_default_arguments(self, capsys):
+        """assoc builds only the coordinates its default triple reads;
+        center-probe's default --f, dense in every coordinate, is refused
+        past SQUARES_MAX_DIM with exit 2."""
+        alpha = {"dim": 8192, "degree": 1, "components": []}
+        assert run_with_files(["verify", "assoc", "-N", "1", "--samples",
+                               "64"], [("--alpha", alpha)]) == 0
+        capsys.readouterr()
+        assert run_with_files(["verify", "center-probe"],
+                              [("--alpha", alpha)]) == 2
+        assert "pass --f" in capsys.readouterr().err
 
     def test_zero_dimensional_alpha_exit_2(self, capsys):
         alpha = {"dim": 0, "degree": 1, "components": []}

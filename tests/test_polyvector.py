@@ -142,6 +142,63 @@ class TestJacobi:
         assert obj["ok"] is False and obj["dim"] == 3
         assert obj["residuals"]
 
+    @given(st.integers(0, 10 ** 6), st.integers(0, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_dense_loops(self, seed, dim):
+        """The sparse walk finds the residuals of the dense dim^4 loops,
+        in the same order."""
+        alpha = random_bivector(random.Random(seed), dim)
+        assert (list(validate_poisson(alpha).residuals.items())
+                == list(dense_jacobi_residuals(alpha).items()))
+
+    @pytest.mark.parametrize("dim", [3, 400])
+    def test_cost_follows_components(self, monkeypatch, dim):
+        """A bivector on a few coordinates of a large space is checked
+        without visiting every index triple: the component lookups stay
+        as few as on R^3, and the residuals are those of R^3, padded."""
+        small = validate_poisson(broken_alpha()).residuals
+        component, calls = PolyVectorField.component, []
+
+        def counted(self, indices):
+            calls.append(indices)
+            assert len(calls) <= 1000, "the check visits every index triple"
+            return component(self, indices)
+
+        monkeypatch.setattr(PolyVectorField, "component", counted)
+        big = validate_poisson(pad(broken_alpha(), dim)).residuals
+        assert validate_poisson(PolyVectorField.zero(10 ** 6, 1)).ok
+        monkeypatch.undo()
+        assert list(big) == list(small)
+        assert all(big[ijk] == pad_poly(small[ijk], dim) for ijk in small)
+
+
+def dense_jacobi_residuals(alpha: PolyVectorField) -> dict:
+    """R^{ijk} over every index triple and column, as a reference."""
+    d = alpha.dim
+    residuals = {}
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                r = Polynomial.zero(d)
+                for l in range(d):
+                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                        r = r + alpha.component((x, l)) * alpha.component(
+                            (y, z)).diff(l)
+                if not r.is_zero():
+                    residuals[(i, j, k)] = r
+    return residuals
+
+
+def pad_poly(p: Polynomial, dim: int) -> Polynomial:
+    return Polynomial(dim, {e + (0,) * (dim - p.dim): c
+                            for e, c in p.terms.items()})
+
+
+def pad(alpha: PolyVectorField, dim: int) -> PolyVectorField:
+    """alpha on the first coordinates of R^dim."""
+    return PolyVectorField(dim, alpha.degree, {
+        k: pad_poly(p, dim) for k, p in alpha.components.items()})
+
 
 class TestFieldStructure:
     def test_json_round_trip(self):
