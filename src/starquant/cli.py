@@ -453,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "so(3) structure)")
     p.add_argument("--f", required=True, help="polynomial JSON file")
     p.add_argument("--g", required=True, help="polynomial JSON file")
-    p.add_argument("--policy", type=float, default=3.0)
     p.add_argument("--skip-jacobi", action="store_true",
                    help="downgrade the Poisson check to a warning")
     common_numeric(p)

@@ -115,8 +115,11 @@ class ResidualReport:
         return all(r.passed for r in self.rows)
 
     def summary(self) -> str:
+        """One line: the verdict and the row with the largest residual,
+        among the failing rows when some row fails."""
         verdict = "pass" if self.ok else "FAIL"
-        worst = max(self.rows, key=lambda r: r.residual_max, default=None)
+        rows = self.rows if self.ok else [r for r in self.rows if not r.passed]
+        worst = max(rows, key=lambda r: r.residual_max, default=None)
         if worst is None:
             return f"{self.identity}: {verdict} (no powers)"
         return (f"{self.identity}: {verdict} at policy {self.policy:g} "
@@ -314,7 +317,11 @@ class _Engine:
                         for (r, ser), c in shares.items()]
 
     def exact(self, p: Polynomial) -> Measured:
-        """p as an error-free series of the engine's order."""
+        """p as an error-free series of the engine's order; p must live
+        on the bivector's space."""
+        if p.dim != self.dim:
+            raise DimensionMismatchError(
+                f"argument on R^{p.dim}, bivector on R^{self.dim}")
         return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
 
     def _orbit_term(self, r: tuple, F: FormalSeries,
@@ -386,8 +393,9 @@ def star_expansion(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
     std_error x probe sup of (i/2)^n x the operator value.
     """
     eng = _Engine(alpha, cfg)
+    F, G = eng.exact(f), eng.exact(g)
     eng.ensure_weights()
-    out = eng.star_series(eng.exact(f), eng.exact(g))
+    out = eng.star_series(F, G)
     return StarExpansion(out.value, eng.bounds(out), eng.table)
 
 
@@ -454,8 +462,8 @@ def check_associativity(f: Polynomial, g: Polynomial, h: Polynomial,
                         cfg: StarConfig) -> ResidualReport:
     """Residual of (f*g)*h - f*(g*h) through hbar^order with bounds."""
     eng = _Engine(alpha, cfg)
-    eng.ensure_weights()
     F, G, H = (eng.exact(p) for p in (f, g, h))
+    eng.ensure_weights()
     resid = eng.star_series(eng.star_series(F, G), H) \
         - eng.star_series(F, eng.star_series(G, H))
     return ResidualReport("associativity", cfg.policy,

@@ -40,21 +40,21 @@ There are two methods:
 - mc: each replicate is an iid PCG64 stream.  It stays as the
   independent cross-check: its spread does not depend on Sobol
   scrambling, so it shows whether the qmc error bars can be trusted.
-  It costs three lines in the shared block path below.
+  It costs one branch of the shared draw path below.
 
-Replicates of at most _BLOCK_ROWS = 8192 rows are drawn together as
-one scrambled-Sobol block (_sobol_block), bit-identical to scipy's
-qmc.Sobol per replicate seed, and evaluated in one block.  A longer
-replicate is drawn and evaluated in chunks of _BLOCK_ROWS rows
-(_sobol_chunks, bit-identical to its whole block), so an integral of
-any budget holds one chunk of points and one replicate's values.
-Direction numbers follow Joe and Kuo's recurrence from the table
-_JOE_KUO (at most MAX_DIMS = 32 dimensions and 2^30 points per
-replicate; more raise ConfigError);
+One generator (_point_chunks) draws every integral's points: a group of
+replicates that fits in _BLOCK_ROWS = 8192 rows comes out as one chunk,
+a longer replicate in chunks of _BLOCK_ROWS rows, so an integral of any
+budget holds one chunk of points and one group's values.  A qmc chunk
+is bit-identical to scipy's qmc.Sobol per replicate seed: the first is
+the Gray-code head block, a later one the head XOR the scrambled
+direction numbers its start picks.  Direction numbers follow Joe and
+Kuo's recurrence from the table _JOE_KUO (at most MAX_DIMS = 32
+dimensions and 2^30 points per replicate; more raise ConfigError);
 the LMS + digital-shift scrambling is the top bit of each 32-bit half
 of raw PCG64 words, as default_rng(seed).integers(0, 2) draws, and one
 GF(2) product.  tests/test_weights.py::TestSobolBlock pins the bit
-identity with scipy: every table row, the bit source, whole blocks.
+identity with scipy: every table row, the bit source, the chunks.
 
 Each integral builds one integrand plan (_Plan) from its graph: the
 sources, each sampled point's columns, and each row's nonzero entries
@@ -67,7 +67,9 @@ points and the values are written through out= into buffers allocated
 once per integral, so evaluating a block allocates only inside
 angle_form and source_form.  Every integrand float equals the dense
 evaluation's (tests/test_weights.py::TestIntegrandPlan against
-tests/helpers.py).
+tests/helpers.py).  Guarded rows are redrawn through the same plan
+(_redraw): a replicate's rejected samples are replaced by uniform draws
+from a PCG64 stream of its own redraw seed until none is rejected.
 """
 from __future__ import annotations
 
@@ -322,34 +324,42 @@ def _gray_points(shift: np.ndarray, sv: np.ndarray, n: int) -> np.ndarray:
     return pts
 
 
-def _sobol_block(dims: int, seeds, n: int, out=None) -> np.ndarray:
-    """qmc.Sobol(d=dims, scramble=True, seed=s).random(n) for each seed,
-    stacked to shape (len(seeds), n, dims), bit for bit; written into out
-    when it is given."""
-    shift, sv = _scramble(dims, seeds, (n - 1).bit_length())
-    return np.multiply(_gray_points(shift, sv, n), 2.0 ** -_SOBOL_BITS,
-                       out=out)
+def _point_chunks(method: str, dims: int, seeds, per_rep: int,
+                  out: np.ndarray):
+    """The first per_rep sample points of each replicate seed, in chunks
+    of at most L = _BLOCK_ROWS rows per seed.  Each chunk is a view of
+    out (at least len(seeds) * min(per_rep, L) rows of dims) of shape
+    (len(seeds), rows, dims), valid until the next one.
 
-
-def _sobol_chunks(dims: int, seed: int, n: int, out: np.ndarray):
-    """_sobol_block(dims, [seed], n)[0] in consecutive chunks of at most
-    L = _BLOCK_ROWS rows, bit for bit, holding L points at a time: each
-    chunk is a view of out (at least min(n, L) rows of dims), valid until
-    the next one.
-
-    A chunk starts at a multiple c of L, a power of two, and gray(c + i) =
-    gray(c) ^ gray(i) for i < L, so it is the first L points XOR the
-    scrambled direction numbers that the bits of gray(c) pick."""
-    shift, sv = _scramble(dims, [seed], (n - 1).bit_length())
-    head = _gray_points(shift, sv, min(n, _BLOCK_ROWS))[0]
-    bits = np.empty_like(head)
-    for c in range(0, n, _BLOCK_ROWS):
-        gray = c ^ (c >> 1)
-        picked = [b for b in range(gray.bit_length()) if gray >> b & 1]
-        step = np.bitwise_xor.reduce(sv[0][:, picked], axis=1)
-        rows = min(n - c, _BLOCK_ROWS)
-        np.bitwise_xor(head[:rows], step, out=bits[:rows])
-        yield np.multiply(bits[:rows], 2.0 ** -_SOBOL_BITS, out=out[:rows])
+    qmc yields qmc.Sobol(d=dims, scramble=True, seed=s).random(per_rep)
+    per seed, bit for bit.  The first chunk is the head, points 0..L-1 in
+    Gray-code order.  A later chunk starts at a multiple c of L, a power
+    of two, and gray(c + i) = gray(c) ^ gray(i) for i < L, so it is the
+    head XOR the scrambled direction numbers that the bits of gray(c)
+    pick.  mc reads one PCG64 stream per seed, whose doubles come out the
+    same in any split."""
+    n = len(seeds)
+    if method == "qmc":
+        shift, sv = _scramble(dims, seeds, (per_rep - 1).bit_length())
+        head = _gray_points(shift, sv, min(per_rep, _BLOCK_ROWS))
+        bits = np.empty_like(head) if per_rep > _BLOCK_ROWS else None
+    else:
+        gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    for c in range(0, per_rep, _BLOCK_ROWS):
+        rows = min(per_rep - c, _BLOCK_ROWS)
+        pts = out[:n * rows].reshape(n, rows, dims)
+        if method == "mc":
+            for gen, rep in zip(gens, pts):
+                gen.random(out=rep)
+        elif c == 0:
+            np.multiply(head, 2.0 ** -_SOBOL_BITS, out=pts)
+        else:
+            gray = c ^ (c >> 1)
+            picked = [b for b in range(gray.bit_length()) if gray >> b & 1]
+            step = np.bitwise_xor.reduce(sv[:, :, picked], axis=2)
+            np.bitwise_xor(head[:, :rows], step[:, None], out=bits[:, :rows])
+            np.multiply(bits[:, :rows], 2.0 ** -_SOBOL_BITS, out=pts)
+        yield pts
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +446,7 @@ class _Plan:
             v for v in range(n) if v not in sources)}
         ns, k_move = len(point), m - 2
         k = 2 * ns + k_move
+        self.graph, self.dims = graph, k
         self.ns, self.m, self.k_move = ns, m, k_move
 
         def where(tgt):     # ("z", point) or ("g", ground index)
@@ -629,55 +640,20 @@ class _Plan:
         np.copyto(out, np.nan, where=bad)
 
 
-def _evaluate(graph: KGraph, u: np.ndarray) -> np.ndarray:
-    """Integrand values for unit-cube samples u; NaN marks rejected rows."""
-    plan = _Plan(graph, max(1, min(len(u), _BLOCK_ROWS)))
-    return plan(u, np.empty(len(u)))
-
-
-def _clean_values(graph: KGraph, u: np.ndarray, redraw_seed: int,
-                  vals: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate u (unless its values vals are given, when only u's width
-    is read), replacing guarded samples with fresh uniform draws."""
-    if vals is None:
-        vals = _evaluate(graph, u)
+def _redraw(plan: _Plan, vals: np.ndarray, seed: int) -> None:
+    """Refill one replicate's guarded values (NaN in vals) in place with
+    the plan's values at fresh uniform draws from PCG64(seed), round by
+    round until none is left."""
+    gen = np.random.Generator(np.random.PCG64(seed))
     bad = np.isnan(vals)
-    if not bad.any():
-        return vals
-    gen = np.random.Generator(np.random.PCG64(redraw_seed))
     for _ in range(64):
-        fresh = gen.random((int(bad.sum()), u.shape[1]))
-        vals[bad] = _evaluate(graph, fresh)
+        fresh = gen.random((int(bad.sum()), plan.dims))
+        vals[bad] = plan(fresh, np.empty(len(fresh)))
         bad = np.isnan(vals)
         if not bad.any():
-            return vals
-    raise SamplingError(
-        f"sample redraws for {serialize(graph)} failed to escape the guard")
-
-
-def _sample_chunks(method: str, dims: int, seeds, per_rep: int,
-                   out: np.ndarray):
-    """Consecutive chunks of at most _BLOCK_ROWS sample rows covering
-    per_rep points of each replicate seed, replicate after replicate: one
-    chunk for a group that fits, else one replicate drawn chunk by chunk
-    (a PCG64 stream's doubles come out the same in any split).  Each
-    chunk is a view of out, a (rows, dims) buffer holding one chunk,
-    valid until the next chunk is drawn."""
-    if len(seeds) * per_rep <= _BLOCK_ROWS:
-        pts = out[:len(seeds) * per_rep]
-        block = pts.reshape(len(seeds), per_rep, dims)
-        if method == "qmc":
-            _sobol_block(dims, seeds, per_rep, out=block)
-        else:
-            for s, rep in zip(seeds, block):
-                np.random.Generator(np.random.PCG64(s)).random(out=rep)
-        return [pts]
-    (seed,) = seeds
-    if method == "qmc":
-        return _sobol_chunks(dims, seed, per_rep, out)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    return (gen.random(out=out[:min(_BLOCK_ROWS, per_rep - c)])
-            for c in range(0, per_rep, _BLOCK_ROWS))
+            return
+    raise SamplingError(f"sample redraws for {serialize(plan.graph)} "
+                        "failed to escape the guard")
 
 
 def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
@@ -711,20 +687,20 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     chunk = min(_BLOCK_ROWS, group * per_rep)
     plan = _Plan(graph, chunk)
     points = np.empty((chunk, dims))        # one chunk of points, reused
-    buf = np.empty((group, per_rep))        # one block's values, reused
+    buf = np.empty((group, per_rep))        # one group's values, reused
     means = []
     for first in range(0, N_REPLICATES, group):
         seeds = rep_seeds[first:first + group]
         vals = buf[:len(seeds)]
+        # a chunk is the whole group or a run of one replicate, so its
+        # values follow the previous chunk's in vals
         rows, pos = vals.reshape(-1), 0
-        for u in _sample_chunks(cfg.method, dims, seeds, per_rep, points):
+        for u in _point_chunks(cfg.method, dims, seeds, per_rep, points):
+            u = u.reshape(-1, dims)
             plan(u, rows[pos:pos + len(u)])
             pos += len(u)
-        # redraw guarded rows in place, replicate by replicate; with the
-        # values given, _clean_values reads only the width of its points
         for k in np.flatnonzero(np.isnan(vals).any(axis=1)):
-            vals[k] = _clean_values(graph, np.empty((0, dims)),
-                                    stable_seed(seeds[k], "redraw"), vals[k])
+            _redraw(plan, vals[k], stable_seed(seeds[k], "redraw"))
         means.extend(vals.mean(axis=1).tolist())
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))

@@ -62,8 +62,9 @@ def random_bivector(rng: random.Random, dim: int, max_degree: int = 2) -> PolyVe
 
 def per_replicate_integral(graph, cfg, seed=None):
     """Reference for weights.integrate_graph_form's qmc and mc paths: one
-    scrambled-Sobol engine (or PCG64 stream) and one integrand call per
-    replicate, each replicate's guarded rows redrawn from its own seed."""
+    scrambled-Sobol engine (or PCG64 stream) and one integrand plan per
+    replicate, each replicate's guarded rows redrawn from a PCG64 stream
+    of its own redraw seed, round by round, by the loop here."""
     import math
     import warnings
 
@@ -76,6 +77,11 @@ def per_replicate_integral(graph, cfg, seed=None):
     total = cfg.n_samples or weights.default_budget(2 * graph.n + graph.m - 2)
     dims = weights.sampled_dims(graph)
     per_rep = max(1, total // weights.N_REPLICATES)
+
+    def evaluate(u):
+        plan = weights._Plan(graph, max(1, min(len(u), weights._BLOCK_ROWS)))
+        return plan(u, np.empty(len(u)))
+
     means = []
     for r in range(weights.N_REPLICATES):
         rep_seed = weights.stable_seed(base_seed, "rep", r)
@@ -87,8 +93,15 @@ def per_replicate_integral(graph, cfg, seed=None):
         else:
             gen = np.random.Generator(np.random.PCG64(rep_seed))
             u = gen.random((per_rep, dims))
-        vals = weights._clean_values(graph, u,
-                                     weights.stable_seed(rep_seed, "redraw"))
+        vals = evaluate(u)
+        redraw = np.random.Generator(np.random.PCG64(
+            weights.stable_seed(rep_seed, "redraw")))
+        for _ in range(64):
+            bad = np.isnan(vals)
+            if not bad.any():
+                break
+            vals[bad] = evaluate(redraw.random((int(bad.sum()), dims)))
+        assert not np.isnan(vals).any()
         means.append(float(vals.mean()))
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))

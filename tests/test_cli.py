@@ -232,6 +232,17 @@ class TestStar:
             {"den": 1, "exps": [3, 0], "num": 1}]
         assert obj["series"]["coeffs"][1] == []
 
+    def test_arguments_off_the_bivector_space_exit_2(self, capsys):
+        """A zero bivector has no operator to catch --f and --g on
+        another space: the engine refuses them before any product."""
+        alpha = {"dim": 4096, "degree": 1, "components": []}
+        f = {"dim": 3, "poly": [{"exps": [0, 0, 0], "num": 1},
+                                {"exps": [1, 0, 0], "num": 1}]}
+        assert run_with_files(["star", "-N", "1", "--samples", "64"],
+                              [("--alpha", alpha), ("--f", f),
+                               ("--g", f)]) == 2
+        assert "R^3" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, sympl_file, capsys):
         assert main(["star", "--alpha", sympl_file,
                      "--f", "/nonexistent.json",

@@ -15,7 +15,8 @@ from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, validate_poisson
 from starquant.rational import QI
 from starquant.series import FormalSeries
-from starquant.star import (PROBE, StarConfig, check_associativity,
+from starquant.star import (PROBE, ResidualReport, ResidualRow,
+                            StarConfig, check_associativity,
                             moyal_reference, poisson_center_probe, probe_sup,
                             star, star_expansion)
 from starquant.weights import IntegrationConfig, WeightTable
@@ -91,6 +92,22 @@ class TestStarBasics:
         v = PolyVectorField(3, 0, {(0,): Polynomial.constant(3, 1)})
         with pytest.raises(DimensionMismatchError):
             star(f, f, v, StarConfig(order=1))
+
+    @pytest.mark.parametrize("alpha", [PolyVectorField.zero(4096, 1),
+                                       so3_alpha()], ids=["zero", "so3"])
+    def test_rejects_arguments_off_the_bivector_space(self, alpha):
+        """x1 + 1 on R^2 is refused by star_expansion and
+        check_associativity, with a zero bivector too, before any weight
+        is integrated."""
+        f = Polynomial.variable(2, 0) + Polynomial.constant(2, 1)
+        table = WeightTable()
+        cfg = StarConfig(order=2, weights="numeric", table=table,
+                         integration=IntegrationConfig(seed=1, n_samples=64))
+        with pytest.raises(DimensionMismatchError, match="R\\^2"):
+            star_expansion(f, f, alpha, cfg)
+        with pytest.raises(DimensionMismatchError, match="R\\^2"):
+            check_associativity(f, f, f, alpha, cfg)
+        assert len(table) == 0
 
     def test_jacobi_gate(self):
         f = Polynomial.variable(3, 0)
@@ -250,6 +267,27 @@ class TestAssociativity:
         assert obj["ok"] is True and len(obj["powers"]) == 3
         assert {"power", "residual_max", "bound", "passed", "residual"} \
             <= set(obj["powers"][0])
+
+
+class TestResidualSummary:
+    @staticmethod
+    def report(*rows):
+        return ResidualReport("associativity", 3.0, tuple(
+            ResidualRow(k, Polynomial.zero(3), m, b, m <= 3.0 * b)
+            for k, m, b in rows))
+
+    def test_names_the_failing_row(self):
+        """The passing hbar^3 row has the larger residual; the failing
+        hbar^2 row is the one named."""
+        rep = self.report((2, 0.003, 0.0), (3, 0.1, 0.05))
+        assert not rep.ok
+        assert rep.summary() == ("associativity: FAIL at policy 3 (worst "
+                                 "power 2: residual 0.003 vs bound 0)")
+
+    def test_passing_report_names_the_largest_residual(self):
+        rep = self.report((2, 0.003, 0.01), (3, 0.1, 0.05))
+        assert rep.ok
+        assert "worst power 3: residual 0.1 vs bound 0.05" in rep.summary()
 
 
 class TestCenterProbe:

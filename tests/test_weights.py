@@ -18,16 +18,29 @@ from starquant.graphs import (KGraph, orbit_representative, parse,
                               serialize, star_graphs)
 from starquant.halfplane import dphi
 from starquant.weights import (MAX_DIMS, IntegrationConfig, WeightEstimate,
-                               WeightTable, _BLOCK_ROWS, _clean_values,
-                               _direction_bits, _evaluate, _sobol_block,
-                               _sobol_chunks,
-                               det_batch,
+                               WeightTable, _BLOCK_ROWS, _direction_bits,
+                               _point_chunks, det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
                                sampled_dims, stable_seed, weight)
 
 ORDER1 = parse("n=1;m=2;1:[L,R]")
 ORDER1_M = parse("n=1;m=2;1:[R,L]")
+
+
+def plan_values(graph, u):
+    """Integrand values of unit-cube samples u from one integrand plan;
+    NaN marks guarded rows."""
+    plan = weights._Plan(graph, max(1, min(len(u), _BLOCK_ROWS)))
+    return plan(u, np.empty(len(u)))
+
+
+def sobol_points(dims, seeds, n):
+    """The qmc points of _point_chunks, each seed's chunks concatenated:
+    shape (len(seeds), n, dims)."""
+    out = np.empty((len(seeds) * min(n, _BLOCK_ROWS), dims))
+    return np.concatenate([c.copy() for c in _point_chunks(
+        "qmc", dims, seeds, n, out)], axis=1)
 
 
 class TestStableSeed:
@@ -216,8 +229,10 @@ class TestMovingGround:
 
 
 class TestSobolBlock:
-    """_sobol_block reproduces scipy's LMS+shift scrambled Sobol' points
-    bit for bit; a scipy release that changes its scrambling fails here."""
+    """_point_chunks reproduces scipy's LMS+shift scrambled Sobol' points
+    bit for bit, chunks concatenated; a scipy release that changes its
+    scrambling fails here.  n = 8193 takes a second chunk for every
+    seed."""
 
     SEEDS = (0, 12345, 2 ** 63, 2 ** 64 - 1, stable_seed(7, "rep", 3))
 
@@ -237,18 +252,16 @@ class TestSobolBlock:
                                    5 * _BLOCK_ROWS + 77])
     def test_chunks_match_the_whole_block(self, dims, n):
         """A replicate longer than _BLOCK_ROWS, drawn chunk by chunk from
-        the first chunk and the Gray code of each chunk's start, equals
-        its whole block bit for bit.  Every chunk is a view of one
-        buffer, so each is copied before the next is drawn."""
+        the head and the Gray code of each chunk's start, equals scipy's
+        points bit for bit.  Every chunk is a view of one buffer, so each
+        is copied before the next is drawn."""
         seed = stable_seed(5, "rep", 2)
         out = np.empty((_BLOCK_ROWS, dims))
-        chunks = [c.copy() for c in _sobol_chunks(dims, seed, n, out)]
-        assert all(np.shares_memory(c, out)
-                   for c in _sobol_chunks(dims, seed, n, out))
-        assert [len(c) for c in chunks[:-1]] == [_BLOCK_ROWS] * (
+        chunks = list(_point_chunks("qmc", dims, [seed], n, out))
+        assert all(np.shares_memory(c, out) for c in chunks)
+        assert [c.shape[1] for c in chunks[:-1]] == [_BLOCK_ROWS] * (
             len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks),
-                              _sobol_block(dims, [seed], n)[0])
+        self.check(dims, [seed], n)
 
     def test_direction_table_matches_scipy(self):
         """Every row of the Joe-Kuo table: all 30 unscrambled direction
@@ -259,7 +272,7 @@ class TestSobolBlock:
 
     def test_dimension_cap(self):
         with pytest.raises(ConfigError, match=f"at most {MAX_DIMS}"):
-            _sobol_block(MAX_DIMS + 1, [0], 4)
+            sobol_points(MAX_DIMS + 1, [0], 4)
 
     def test_point_cap(self):
         """Direction numbers have 30 bits: a 31st column would be zero
@@ -275,14 +288,14 @@ class TestSobolBlock:
             want = np.stack([
                 qmc.Sobol(d=dims, scramble=True, seed=s).random(n)
                 for s in seeds])
-        got = _sobol_block(dims, seeds, n)
+        got = sobol_points(dims, seeds, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_integers_are_top_bits_of_raw_pcg64_halves(self, seed):
         """scipy draws its scrambling bits with default_rng(s).integers(0,
-        2, size, np.uint32); _sobol_block reads them as the top bit of each
+        2, size, np.uint32); _scramble reads them as the top bit of each
         32-bit half of PCG64(s).random_raw words, low half first.  A numpy
         release that draws bounded integers differently fails here."""
         size = 9 * 30 * 31
@@ -340,16 +353,15 @@ class TestBlockedReplicates:
 
     @pytest.fixture
     def rejected(self, monkeypatch):
-        """Guarded-row count of each replicate passed to _clean_values."""
+        """Guarded-row count of each replicate passed to _redraw."""
         counts = []
-        clean = weights._clean_values
+        redraw = weights._redraw
 
-        def spy(graph, u, redraw_seed, vals=None):
-            if vals is not None:
-                counts.append(int(np.isnan(vals).sum()))
-            return clean(graph, u, redraw_seed, vals)
+        def spy(plan, vals, seed):
+            counts.append(int(np.isnan(vals).sum()))
+            return redraw(plan, vals, seed)
 
-        monkeypatch.setattr(weights, "_clean_values", spy)
+        monkeypatch.setattr(weights, "_redraw", spy)
         return counts
 
     @pytest.mark.parametrize("method", ["qmc", "mc"])
@@ -381,6 +393,25 @@ class TestBlockedReplicates:
             assert 0 < len(rejected) < weights.N_REPLICATES
         assert got == per_replicate_integral(graph, cfg)
 
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    def test_guard_redraws_reuse_the_plan(self, monkeypatch, method):
+        """Redraws go through the integral's own plan: with guarded rows
+        in every replicate (test_guard_redraws), one integral builds
+        exactly one _Plan."""
+        monkeypatch.setattr(weights, "_GUARD", 0.5)
+        built = []
+        init = weights._Plan.__init__
+
+        def spy(plan, *args):
+            built.append(args)
+            init(plan, *args)
+
+        monkeypatch.setattr(weights._Plan, "__init__", spy)
+        integrate_graph_form(parse("n=2;m=2;1:[2,L];2:[L,R]"),
+                             IntegrationConfig(method=method, seed=4,
+                                               n_samples=8192))
+        assert len(built) == 1
+
 
 class TestGuard:
     def test_coincidence_marked(self):
@@ -389,19 +420,22 @@ class TestGuard:
         # identical aerial points in the first two sample rows
         u = np.full((3, 4), 0.3)
         u[2] = (0.2, 0.4, 0.6, 0.8)
-        vals = _evaluate(g, u)
+        vals = plan_values(g, u)
         assert np.isnan(vals[0]) and np.isnan(vals[1])
         assert np.isfinite(vals[2])
 
     def test_boundary_sample_marked(self):
         u = np.array([[0.5, 0.0], [0.5, 0.5]])
-        vals = _evaluate(ORDER1, u)
+        vals = plan_values(ORDER1, u)
         assert np.isnan(vals[0]) and np.isfinite(vals[1])
 
     def test_redraw_replaces_all(self):
         u = np.full((5, 2), 0.5)
         u[0, 1] = 0.0
-        vals = _clean_values(ORDER1, u, redraw_seed=11)
+        plan = weights._Plan(ORDER1, 8)
+        vals = plan(u, np.empty(len(u)))
+        assert np.isnan(vals[0])
+        weights._redraw(plan, vals, seed=11)
         assert np.isfinite(vals).all()
 
 
@@ -419,26 +453,26 @@ ORDER3_SO3_SAMPLE = random.Random(3).sample(
 
 
 class TestSourceReduction:
-    """_evaluate integrates source vertices out with halfplane.source_form;
+    """The plan integrates source vertices out with halfplane.source_form;
     with the source finder patched to find none it samples every vertex.
     The two estimates of one integral agree."""
 
     @staticmethod
     def both(monkeypatch, graph, n_samples):
-        """Reduced and full estimates; a spy on _sample_chunks checks that
+        """Reduced and full estimates; a spy on _point_chunks checks that
         each run sampled its own dimension count, so a plan or layout
         cached past the patch fails here instead of comparing a reduced
         estimate with itself."""
         cfg = IntegrationConfig(seed=5, n_samples=n_samples)
         sampled = []
-        chunks = weights._sample_chunks
+        chunks = weights._point_chunks
 
         def spy(method, dims, *args):
             sampled.append(dims)
             return chunks(method, dims, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(weights, "_sample_chunks", spy)
+            patch.setattr(weights, "_point_chunks", spy)
             reduced = integrate_graph_form(graph, cfg)
             assert set(sampled) == {sampled_dims(graph)}
             sampled.clear()
@@ -537,14 +571,14 @@ class TestIntegrandPlan:
 
     @staticmethod
     def check(graph, u):
-        got = _evaluate(graph, u)
+        got = plan_values(graph, u)
         want = dense_integrand(graph, u)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @staticmethod
     def sobol(graph, rows=2048):
-        return _sobol_block(sampled_dims(graph), [stable_seed(15, "plan")],
+        return sobol_points(sampled_dims(graph), [stable_seed(15, "plan")],
                             rows)[0]
 
     @pytest.mark.parametrize("graph", star_graphs(2), ids=serialize)
@@ -624,7 +658,7 @@ def _hand_integrand(graph, row):
 
 
 class TestAssembly:
-    """Column placement and orientation of _evaluate, point by point."""
+    """Column placement and orientation of the plan, point by point."""
 
     @pytest.mark.parametrize("text,rows", [
         ("n=2;m=2;1:[2,L];2:[1,R]", [(0.31, 0.42, 0.77, 0.58),
@@ -638,7 +672,7 @@ class TestAssembly:
     ])
     def test_matches_hand_built_matrix(self, text, rows):
         graph = parse(text)
-        got = _evaluate(graph, np.array(rows))
+        got = plan_values(graph, np.array(rows))
         want = [_hand_integrand(graph, row) for row in rows]
         assert np.all(want)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
