@@ -1,0 +1,216 @@
+#!/usr/bin/env python3
+"""Compare the exact Q[i] layer in two checkouts and write the figures
+to a JSON file.
+
+    python scripts/bench_exact.py --parent OTHER/src --out BENCH.json
+
+Inputs are those of one perfbench verify_o2_warm unit (seed --seed):
+the so(3) bivector, its six argument triples (f, g, h) and the pinned
+order-2 weight table.  A worker builds the star engine for them and
+times five operations, each over a fixed list of operands:
+
+    apply       OrbitOperators.apply of every orbit with a nonzero
+                weight on (f, g), (g, h), (f g, h) and (f, g h) of
+                every triple
+    poly_mul    Polynomial * Polynomial over all pairs of
+                [f, g, h, f g, g h] of every triple
+    poly_diff   Polynomial.diff(i) of every nonzero apply result, for
+                every coordinate i
+    qi_mul      QI * QI and
+    qi_add      QI + QI over all ordered pairs of the first QI_VALUES
+                distinct scalars among the orbit weights and the
+                coefficients of the apply results
+    unit        the whole verify_o2_warm unit: six associativity
+                checks and one L-infinity check
+
+Timing.  Each round runs one fresh interpreter per side, alternating
+which side goes first.  A worker runs every operation once untimed
+(imports, caches), then REPEATS times, keeping each operation's
+minimum, so one noisy moment on a shared host does not decide a
+round.  The file records per operation the seconds per call (median
+and quartiles over rounds, per side), the median speed-up and in how
+many rounds the change was faster.
+
+Results.  The untimed pass also hashes the repr of every result; the
+check passes when both sides' hashes agree for every operation, and
+the script exits 1 otherwise.
+"""
+import argparse
+import hashlib
+import itertools
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+REPEATS = 5
+QI_VALUES = 80
+OPERATIONS = ("apply", "poly_mul", "poly_diff", "qi_mul", "qi_add", "unit")
+
+
+def build(seed: int) -> dict:
+    """The operations of one worker: name -> (calls, thunk)."""
+    import importlib
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    star = importlib.import_module("starquant.star")
+    bench = workloads.VerifyO2Warm()
+    state = bench.setup(seed, Path(tempfile.gettempdir()))
+    eng = star._Engine(state["alpha"], state["cfg"])
+    eng.ensure_weights()
+    orbits = [r for r, w in eng.weights.items() if not w.is_zero()]
+
+    applies, muls, polys = [], [], []
+    for f, g, h in state["triples"]:
+        fg, gh = f * g, g * h
+        for args in ((f, g), (g, h), (fg, h), (f, gh)):
+            applies += [(eng.families[j], orbit, args) for j, orbit in orbits]
+        muls += list(itertools.product((f, g, h, fg, gh), repeat=2))
+    for ops, orbit, args in applies:
+        p = ops.apply(orbit, args)
+        if not p.is_zero():
+            polys.append(p)
+    diffs = [(p, i) for p in polys for i in range(p.dim)]
+    values = list(dict.fromkeys(
+        [w for _, w in sorted(eng.weights.items())]
+        + [c for p in polys for c in p.terms.values()]))[:QI_VALUES]
+    pairs = list(itertools.product(values, repeat=2))
+
+    def unit():
+        return bench.unit(state, workloads.Checks())
+
+    return {
+        "apply": (len(applies), lambda: [
+            ops.apply(orbit, args) for ops, orbit, args in applies]),
+        "poly_mul": (len(muls), lambda: [p * q for p, q in muls]),
+        "poly_diff": (len(diffs), lambda: [p.diff(i) for p, i in diffs]),
+        "qi_mul": (len(pairs), lambda: [x * y for x, y in pairs]),
+        "qi_add": (len(pairs), lambda: [x + y for x, y in pairs]),
+        "unit": (1, unit),
+    }
+
+
+def worker(seed: int) -> dict:
+    ops = build(seed)
+    out = {}
+    for name, (calls, thunk) in ops.items():
+        digest = hashlib.sha256(repr(thunk()).encode()).hexdigest()
+        out[name] = {"calls": calls, "sha256": digest, "seconds": None}
+    for _ in range(REPEATS):
+        for name, (_, thunk) in ops.items():
+            t0 = time.perf_counter()
+            thunk()
+            dt = time.perf_counter() - t0
+            best = out[name]["seconds"]
+            out[name]["seconds"] = dt if best is None else min(best, dt)
+    return out
+
+
+def run_side(src: Path, seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    env.pop("STARQUANT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", "--seed", str(seed)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def versions(src: Path) -> dict:
+    code = "import starquant; print(starquant.__version__)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    return {"python": platform.python_version(), "starquant": out.strip()}
+
+
+def spread(xs) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--parent", type=Path,
+                    help="src/ directory of the checkout to compare against")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="src/ directory of the change (default: this "
+                         "checkout's)")
+    ap.add_argument("--seed", type=int, default=4,
+                    help="verify_o2_warm seed of the inputs (default 4)")
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--out", type=Path)
+    ns = ap.parse_args()
+    if ns.worker:
+        print(json.dumps(worker(ns.seed)))
+        return 0
+    if ns.parent is None or ns.out is None:
+        ap.error("--parent and --out are required")
+    if ns.rounds < 2:
+        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
+    sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
+
+    rounds = {side: [] for side in sides}
+    for k in range(ns.rounds):
+        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            rounds[side].append(run_side(sides[side], ns.seed))
+        print(f"round {k + 1}/{ns.rounds}: unit "
+              f"{rounds['parent'][-1]['unit']['seconds']:.3f}s -> "
+              f"{rounds['change'][-1]['unit']['seconds']:.3f}s",
+              file=sys.stderr, flush=True)
+
+    identical = all(
+        len({r[name]["sha256"] for side in sides for r in rounds[side]}) == 1
+        for name in OPERATIONS)
+    results = {}
+    for name in OPERATIONS:
+        per_call = {side: [r[name]["seconds"] / r[name]["calls"]
+                           for r in rounds[side]] for side in sides}
+        wins = sum(c < p for p, c in zip(per_call["parent"],
+                                         per_call["change"]))
+        results[name] = {
+            "calls": rounds["change"][0][name]["calls"],
+            **{side: {"s_per_call": spread(per_call[side])}
+               for side in sides},
+            "speedup_median": (statistics.median(per_call["parent"])
+                               / statistics.median(per_call["change"])),
+            "change_faster_rounds": f"{wins}/{ns.rounds}",
+        }
+    record = {
+        "harness": "scripts/bench_exact.py",
+        "what": "seconds per call of OrbitOperators.apply, Polynomial "
+                "mul and diff, QI mul and add and one whole unit on the "
+                f"inputs of a verify_o2_warm unit (seed {ns.seed}): "
+                f"in-process minimum of {REPEATS}, median and quartiles "
+                "over rounds, one fresh interpreter per side and round, "
+                "sides alternating",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+        "rounds": ns.rounds,
+        "versions": {side: versions(src) for side, src in sides.items()},
+        "identical_results": identical,
+        "check": {"what": "identical results", "passed": identical},
+        "operations": results,
+    }
+    ns.out.write_text(json.dumps(record, indent=2) + "\n")
+    for name, res in results.items():
+        print(f"{name}: {res['calls']} calls, "
+              f"{res['parent']['s_per_call']['median'] * 1e6:.1f} us -> "
+              f"{res['change']['s_per_call']['median'] * 1e6:.1f} us per "
+              f"call ({res['speedup_median']:.1f}x), change faster in "
+              f"{res['change_faster_rounds']} rounds")
+    print(f"results identical: {identical}")
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

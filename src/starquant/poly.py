@@ -3,19 +3,23 @@
 Terms map exponent tuples to :class:`QI` coefficients; zero
 coefficients are dropped eagerly so equality and is_zero are exact
 structural checks.  Scalars may be given as int, Fraction, float
-(converted exactly), complex or QI.
+(converted exactly), complex or QI; exponents must be non-negative
+ints.  Polynomial(dim, terms) validates and coerces every term; the
+ring operations and diff, whose results already hold nonzero QI values
+on valid exponent tuples, build them through the unchecked _trusted.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, ParseError, json_int
-from .rational import QI
+from .rational import QI, ZERO
 
 
 def _exp_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class Polynomial:
@@ -26,16 +30,17 @@ class Polynomial:
             raise DimensionMismatchError("dimension must be non-negative")
         clean: dict[tuple[int, ...], QI] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != dim or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != dim or not all(type(e) is int and e >= 0
+                                           for e in exps):
                 raise DimensionMismatchError(f"bad exponent tuple {exps} for dim {dim}")
             q = QI.coerce(c)
             if not q.is_zero():
                 clean[exps] = clean[exps] + q if exps in clean else q
                 if clean[exps].is_zero():
                     del clean[exps]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        _set_dim(self, dim)
+        _set_terms(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -74,17 +79,20 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, QI(0)) + c
-            if s.is_zero():
-                terms.pop(e, None)
+            if e in terms:
+                s = terms[e] + c
+                if s.is_zero():
+                    del terms[e]
+                else:
+                    terms[e] = s
             else:
-                terms[e] = s
-        return Polynomial(self.dim, terms)
+                terms[e] = c
+        return _trusted(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -103,18 +111,22 @@ class Polynomial:
                 return NotImplemented
             if c.is_zero():
                 return Polynomial.zero(self.dim)
-            return Polynomial(self.dim, {e: q * c for e, q in self.terms.items()})
+            return _trusted(self.dim, {e: q * c for e, q in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], QI] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _exp_add(e1, e2)
-                s = out.get(e, QI(0)) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
+                c = c1 * c2     # nonzero: Q[i] is a field
+                if e in out:
+                    s = out[e] + c
+                    if s.is_zero():
+                        del out[e]
+                    else:
+                        out[e] = s
                 else:
-                    out[e] = s
-        return Polynomial(self.dim, out)
+                    out[e] = c
+        return _trusted(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -135,7 +147,7 @@ class Polynomial:
             ee = list(e)
             ee[i] -= 1
             out[tuple(ee)] = c * e[i]
-        return Polynomial(self.dim, out)
+        return _trusted(self.dim, out)
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -148,13 +160,13 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if QI.try_coerce(other) is None:
-                return NotImplemented
-            if self.terms and len(self.terms) > 1:
-                return False
-            return self == Polynomial.constant(self.dim, other)
-        return self.dim == other.dim and self.terms == other.terms
+        if isinstance(other, Polynomial):
+            return self.dim == other.dim and self.terms == other.terms
+        origin = (0,) * self.dim
+        eq = self.terms.get(origin, ZERO).__eq__(other)
+        if eq is NotImplemented:
+            return NotImplemented
+        return eq and self.terms.keys() <= {origin}
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
@@ -218,3 +230,16 @@ class Polynomial:
                 raise ParseError(f"zero denominator in term {entry!r}")
             terms[exps] = QI(Fraction(num, den), Fraction(im_num, im_den))
         return Polynomial(dim, terms)
+
+
+_set_dim = Polynomial.dim.__set__
+_set_terms = Polynomial.terms.__set__
+
+
+def _trusted(dim: int, terms: dict) -> Polynomial:
+    """Polynomial(dim, terms) without re-checking: terms already maps
+    valid exponent tuples to nonzero QI values, and is not shared."""
+    p = object.__new__(Polynomial)
+    _set_dim(p, dim)
+    _set_terms(p, terms)
+    return p

@@ -1,37 +1,58 @@
 """Exact Gaussian-rational scalars.
 
-All symbolic coefficients in the engine live in Q[i]: pairs of
-`fractions.Fraction` with a formal imaginary unit.  Floats entering from
-numeric weight estimates are converted exactly (every float is a dyadic
-rational), so downstream arithmetic stays exact and reproducible.
+All symbolic coefficients in the engine live in Q[i].  A QI stores one
+normalised integer triple (a, b, d) with value (a + b i)/d, d > 0 and
+gcd(a, b, d) == 1, so zero is 0/1 and equal values have equal triples.
+A ring operation is a few integer products and one gcd.  Floats
+entering from numeric weight estimates are converted exactly (every
+float is a dyadic rational), so downstream arithmetic stays exact and
+reproducible.
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):  # includes int
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact real scalar; a float is
+    read exactly, and NaN or an infinity raises as Fraction(x) does."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, float):
-        return Fraction(x)  # exact dyadic value
+        return x.as_integer_ratio()
+    if isinstance(x, Rational):  # includes bool, Fraction
+        f = Fraction(x)
+        return int(f.numerator), int(f.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
 class QI:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b i)/d in normal form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        a, da = _ratio(re)
+        b, db = _ratio(im)
+        a, b, d = a * db, b * da, da * db
+        g = gcd(a, b, d)
+        _set(self, (a, b, d) if g == 1 else (a // g, b // g, d // g))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     # -- coercion -----------------------------------------------------
     @staticmethod
@@ -40,9 +61,9 @@ class QI:
         if isinstance(x, QI):
             return x
         if isinstance(x, complex):
-            return QI(Fraction(x.real), Fraction(x.imag))
+            return QI(x.real, x.imag)
         if isinstance(x, (Rational, float)):
-            return QI(_as_fraction(x))
+            return QI(x)
         return None
 
     @staticmethod
@@ -55,57 +76,63 @@ class QI:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        t = other._abd if type(other) is QI else _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(self.re + o.re, self.im + o.im)
+        a, b, d = self._abd
+        c, e, f = t
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
+        a, b, d = self._abd
+        c, e, f = t
+        return _make(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return o - self
+        a, b, d = self._abd
+        c, e, f = t
+        return _make(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        t = other._abd if type(other) is QI else _triple(other)
+        if t is None:
             return NotImplemented
-        return QI(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        a, b, d = self._abd
+        c, e, f = t
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q[i]")
-        return QI((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
+        return _divide(self._abd, t)
 
     def __rtruediv__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return o / self
+        return _divide(t, self._abd)
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("QI powers must be non-negative integers")
-        out = QI(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -116,32 +143,71 @@ class QI:
 
     # -- structure ------------------------------------------------------
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        a, b, d = self._abd
+        return _make(a, -b, d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._abd == _ZERO_ABD
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
 
     def __eq__(self, other):
-        o = QI.try_coerce(other)
-        if o is None:
+        if type(other) is QI:
+            return self._abd == other._abd
+        if isinstance(other, (float, complex)) and not cmath.isfinite(other):
+            return False
+        t = _triple(other)
+        if t is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._abd == t
 
     def __hash__(self):
-        if self.im == 0:
+        if self._abd[1] == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
+        if self._abd[1] == 0:
             return f"QI({self.re})"
         return f"QI({self.re}, {self.im})"
+
+
+_new = object.__new__
+_set = QI._abd.__set__
+_ZERO_ABD = (0, 0, 1)
+
+
+def _make(a: int, b: int, d: int) -> QI:
+    """The QI (a + b i)/d for d > 0, in normal form."""
+    g = gcd(a, b, d)
+    q = _new(QI)
+    _set(q, (a, b, d) if g == 1 else (a // g, b // g, d // g))
+    return q
+
+
+def _triple(x) -> tuple | None:
+    """The normal triple of a scalar, or None if x is no scalar."""
+    if type(x) is int:
+        return x, 0, 1
+    q = QI.try_coerce(x)
+    return None if q is None else q._abd
+
+
+def _divide(s: tuple, t: tuple) -> QI:
+    """s / t on normal triples: (a + b i)/d over (c + e i)/f is
+    (a + b i)(c - e i) f / (d (c^2 + e^2))."""
+    a, b, d = s
+    c, e, f = t
+    n = c * c + e * e
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q[i]")
+    return _make((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
 
 I = QI(0, 1)

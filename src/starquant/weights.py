@@ -165,6 +165,10 @@ class WeightEstimate:
             if any(isinstance(x, bool) or not isinstance(x, (int, float))
                    for x in (value, std_error)):
                 raise ParseError("value and std_error must be numbers")
+            if not (math.isfinite(value) and math.isfinite(std_error)):
+                raise ParseError("value and std_error must be finite")
+            if std_error < 0:
+                raise ParseError("std_error must be non-negative")
             exact = obj.get("exact")
             if exact is not None:
                 num, den = (json_int(q, "exact") for q in exact)
@@ -173,7 +177,8 @@ class WeightEstimate:
                                   json_int(obj["n_samples"], "n_samples"),
                                   json_int(obj["seed"], "seed"),
                                   str(obj["method"]), exact)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
             raise ParseError(f"bad weight estimate {obj!r}: {exc}") from exc
 
 

@@ -1,9 +1,13 @@
-"""Shared fixtures-in-code for the test suite: canned Poisson structures
-and seeded random generators for polynomials and fields."""
+"""Shared fixtures-in-code for the test suite: canned Poisson structures,
+seeded random generators for polynomials and fields, and reference
+implementations that production code is checked against."""
 import random
+from fractions import Fraction
+from numbers import Rational
 
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
+from starquant.rational import QI
 
 
 def so3_alpha() -> PolyVectorField:
@@ -218,3 +222,131 @@ def dense_integrand(graph, u):
         vals = _dense_det(mat) * factor
         vals = np.where(bad | ~np.isfinite(vals), np.nan, vals)
     return vals
+
+
+class FractionQI:
+    """Reference for rational.QI: a Gaussian rational kept as a pair of
+    Fractions, re + im*i, with every operation done in Fraction
+    arithmetic (the engine's scalar before it stored integer triples)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", self._fraction(re))
+        object.__setattr__(self, "im", self._fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionQI is immutable")
+
+    @staticmethod
+    def _fraction(x) -> Fraction:
+        if isinstance(x, (Rational, float)):
+            return Fraction(x)
+        raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+
+    @staticmethod
+    def try_coerce(x):
+        if isinstance(x, FractionQI):
+            return x
+        if isinstance(x, QI):
+            return FractionQI(x.re, x.im)
+        if isinstance(x, complex):
+            return FractionQI(Fraction(x.real), Fraction(x.imag))
+        if isinstance(x, (Rational, float)):
+            return FractionQI(x)
+        return None
+
+    def __add__(self, other):
+        o = FractionQI.try_coerce(other)
+        return FractionQI(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, other):
+        o = FractionQI.try_coerce(other)
+        return FractionQI(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, other):
+        o = FractionQI.try_coerce(other)
+        return FractionQI(self.re * o.re - self.im * o.im,
+                          self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, other):
+        o = FractionQI.try_coerce(other)
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q[i]")
+        return FractionQI((self.re * o.re + self.im * o.im) / n,
+                          (self.im * o.re - self.re * o.im) / n)
+
+    def __neg__(self):
+        return FractionQI(-self.re, -self.im)
+
+    def __pow__(self, k: int):
+        out = FractionQI(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return FractionQI(self.re, -self.im)
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __abs__(self) -> float:
+        return abs(self.to_complex())
+
+    def __eq__(self, other):
+        o = FractionQI.try_coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+
+# Reference Polynomial ring operations: each accumulates into a fresh
+# dict from QI(0) and hands the result to the validating constructor.
+
+def _accumulate(terms: dict, e, c) -> None:
+    s = terms.get(e, QI(0)) + c
+    if s.is_zero():
+        terms.pop(e, None)
+    else:
+        terms[e] = s
+
+
+def reference_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        _accumulate(terms, e, c)
+    return Polynomial(p.dim, terms)
+
+
+def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            _accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return Polynomial(p.dim, out)
+
+
+def reference_scale(p: Polynomial, c) -> Polynomial:
+    c = QI.coerce(c)
+    return Polynomial(p.dim, {e: q * c for e, q in p.terms.items()})
+
+
+def reference_neg(p: Polynomial) -> Polynomial:
+    return Polynomial(p.dim, {e: -c for e, c in p.terms.items()})
+
+
+def reference_diff(p: Polynomial, i: int) -> Polynomial:
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            ee = list(e)
+            ee[i] -= 1
+            out[tuple(ee)] = c * e[i]
+    return Polynomial(p.dim, out)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_polynomial
+from helpers import (random_polynomial, reference_add, reference_diff,
+                     reference_mul, reference_neg, reference_scale)
 from starquant.errors import DimensionMismatchError
 from starquant.poly import Polynomial
 from starquant.rational import QI, I
@@ -16,6 +17,15 @@ def polys(dim=2):
     return st.builds(
         lambda seed: random_polynomial(random.Random(seed), dim),
         st.integers(0, 10 ** 6))
+
+
+# few coefficients and exponents, so sums and products cancel often
+coeffs = st.builds(QI, st.sampled_from([-1, Fraction(1, 2), 2]),
+                   st.sampled_from([0, 0, -1, Fraction(1, 3)]))
+gaussian_polys = st.builds(
+    lambda terms: Polynomial(2, terms),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    coeffs, max_size=6))
 
 
 class TestQI:
@@ -75,6 +85,13 @@ class TestPolynomialRing:
         assert z.is_zero() and z == Polynomial.zero(d)
         assert z.degree() == -1
 
+    @pytest.mark.parametrize("exps", [
+        (1.5, 0), (1.0, 0), (True, 0), (0, False), (Fraction(1), 0),
+        ("1", 0), (-1, 0), (1,), (1, 0, 0)])
+    def test_rejects_bad_exponents(self, exps):
+        with pytest.raises(DimensionMismatchError):
+            Polynomial(2, {exps: 1})
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
@@ -101,3 +118,39 @@ class TestPolynomialRing:
     def test_abs_coeffs(self):
         p = Polynomial.constant(1, QI(-2, 0)) + Polynomial.variable(1, 0) * I
         assert p.max_abs_coeff() == pytest.approx(2.0)
+
+
+def identical(p: Polynomial, q: Polynomial) -> bool:
+    """Equal dim and equal terms in equal iteration order."""
+    return p.dim == q.dim and list(p.terms.items()) == list(q.terms.items())
+
+
+class TestTrustedOps:
+    """Ring operations skip re-validating their results; each must
+    still return what the validating constructor and the reference
+    accumulation give, term order included."""
+
+    @given(gaussian_polys, gaussian_polys, coeffs, st.integers(-2, 2))
+    @settings(max_examples=200)
+    def test_matches_the_validating_constructor(self, p, q, c, n):
+        cases = [(p + q, reference_add(p, q)),
+                 (p + (-p), reference_add(p, reference_neg(p))),
+                 (-p, reference_neg(p)),
+                 (p * q, reference_mul(p, q)),
+                 (p * c, reference_scale(p, c)),
+                 (n * p, reference_scale(p, n)),
+                 (p.diff(0), reference_diff(p, 0)),
+                 (p.diff(1), reference_diff(p, 1))]
+        for got, want in cases:
+            assert identical(got, want)
+            assert identical(got, Polynomial(got.dim, got.terms))
+            assert all(type(v) is QI and not v.is_zero()
+                       for v in got.terms.values())
+            assert all(type(e) is tuple and all(type(k) is int for k in e)
+                       for e in got.terms)
+
+    def test_results_do_not_share_terms(self):
+        p = Polynomial.variable(2, 0)
+        one = Polynomial.constant(2, 1)
+        for r in (p + Polynomial.zero(2), p * 1, -(-p), p * one):
+            assert r == p and r.terms is not p.terms

@@ -1,10 +1,12 @@
 """Weight integrator: determinant kernels, calibration weights,
 moving-ground integrals, tables, determinism, and the sampling guard."""
+import json
 import math
 import random
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -729,13 +731,24 @@ class TestTable:
         ("n_samples", 2.9), ("n_samples", "4096"), ("seed", True),
         ("seed", 7.0), ("exact", [1.5, 2]), ("exact", [1, 0]),
         ("exact", [1]), ("value", "0.5"), ("value", None),
-        ("std_error", False)])
+        ("std_error", False), ("value", math.nan), ("value", math.inf),
+        ("value", -math.inf), ("value", 10 ** 400), ("std_error", math.nan),
+        ("std_error", math.inf), ("std_error", -math.inf),
+        ("std_error", -1e-3)])
     def test_estimate_rejects_malformed_fields(self, field, bad):
         obj = WeightEstimate(0.5, 1e-3, 4096, 7, "qmc",
                              exact=Fraction(1, 2)).to_json_obj()
         obj[field] = bad
         with pytest.raises(ParseError):
             WeightEstimate.from_json_obj(obj)
+
+    def test_pinned_benchmark_table_loads(self):
+        path = (Path(__file__).resolve().parent.parent / "perfbench"
+                / "data" / "o2_table.json")
+        table = WeightTable.from_json_obj(json.loads(path.read_text()))
+        assert len(table)
+        assert all(math.isfinite(est.value) and est.std_error >= 0
+                   for _, est in table)
 
     @pytest.mark.parametrize("obj", [
         {"graph": "n=1;m=2;1:[L,R]"},
@@ -747,7 +760,9 @@ class TestTable:
           "n_samples": 1, "seed": 1, "method": "qmc"}],
         [{"graph": "n=1;m=2;1:[L,R]", "value": 0.5, "std_error": [],
           "n_samples": 1, "seed": 1, "method": "qmc"}],
-        ["n=1;m=2;1:[L,R]"], None, 3])
+        ["n=1;m=2;1:[L,R]"], None, 3,
+        [{"graph": "n=1;m=2;1:[L,R]", "value": math.nan, "std_error": 0.0,
+          "n_samples": 1, "seed": 1, "method": "qmc"}]])
     def test_table_rejects_malformed_input(self, obj):
         with pytest.raises(ParseError):
             WeightTable.from_json_obj(obj)
