@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -168,9 +169,11 @@ class QI:
         return self._abd == t
 
     def __hash__(self):
-        if self._abd[1] == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # CPython's complex hash, so QI(1, 2) hashes like 1+2j: hash(re)
+        # + imag hash(im) wrapped to a signed word, -1 taken to -2
+        h = (hash(self.re) + _HASH.imag * hash(self.im)) % _WORD
+        h -= _WORD if h >= _WORD >> 1 else 0
+        return -2 if h == -1 else h
 
     def __repr__(self):
         if self._abd[1] == 0:
@@ -181,6 +184,8 @@ class QI:
 _new = object.__new__
 _set = QI._abd.__set__
 _ZERO_ABD = (0, 0, 1)
+_HASH = sys.hash_info
+_WORD = 1 << _HASH.width
 
 
 def _make(a: int, b: int, d: int) -> QI:

@@ -42,31 +42,36 @@ There are two methods:
   scrambling, so it shows whether the qmc error bars can be trusted.
   It costs one branch of the shared draw path below.
 
-One generator (_point_chunks) draws every integral's points: a group of
-replicates that fits in _BLOCK_ROWS = 8192 rows comes out as one chunk,
-a longer replicate in chunks of _BLOCK_ROWS rows, so an integral of any
-budget holds one chunk of points and one group's values.  A qmc chunk
-is bit-identical to scipy's qmc.Sobol per replicate seed: the first is
-the Gray-code head block, a later one the head XOR the scrambled
-direction numbers its start picks.  Direction numbers follow Joe and
-Kuo's recurrence from the table _JOE_KUO (at most MAX_DIMS = 32
-dimensions and 2^30 points per replicate; more raise ConfigError);
-the LMS + digital-shift scrambling is the top bit of each 32-bit half
-of raw PCG64 words, as default_rng(seed).integers(0, 2) draws, and one
-GF(2) product.  tests/test_weights.py::TestSobolBlock pins the bit
-identity with scipy: every table row, the bit source, the chunks.
+One draw path (_draws) fills every integral's points, straight into
+its integrand plan's column workspace (_Plan.ut): a chunk is laid out
+(dims, replicates, rows), a group of replicates that fits in
+_BLOCK_ROWS = 8192 rows as one chunk, a longer replicate as chunks of
+_BLOCK_ROWS rows.  A qmc chunk is bit-identical to scipy's qmc.Sobol
+per replicate seed.  Each integral scrambles once for all its seeds and
+builds two small Gray-code tables per seed by reflection, high (2^hi
+rows) and low (2^lo rows, lo + hi bits per replicate); any run of
+points is high[h] ^ low[l], one broadcast XOR scaled by 2^-30 into the
+columns.  Direction numbers follow Joe and Kuo's recurrence from the
+table _JOE_KUO (at most MAX_DIMS = 32 dimensions and 2^30 points per
+replicate; more raise ConfigError); the LMS + digital-shift scrambling
+is the top bit of each 32-bit half of raw PCG64 words, as
+default_rng(seed).integers(0, 2) draws, and one GF(2) product.
+tests/test_weights.py::TestSobolBlock pins the bit identity with scipy:
+every table row, the bit source, the chunks and any split of them.  An
+mc chunk holds the same PCG64 doubles a row-major draw would.
 
 Each integral builds one integrand plan (_Plan) from its graph: the
 sources, each sampled point's columns, and each row's nonzero entries
 of M (Im A, Re A, -Im A or d_wy).  A block is evaluated on contiguous
-per-coordinate vectors of one transposed copy of the points.  For at
-most 5 sampled dimensions det M is det_batch's Laplace expansion
-without its structurally zero terms, compiled once to a list of ufunc
-calls; 6 or more keep a dense matrix and np.linalg.det.  The plan, the
-points and the values are written through out= into buffers allocated
-once per integral, so evaluating a block allocates only inside
-angle_form and source_form.  Every integrand float equals the dense
-evaluation's (tests/test_weights.py::TestIntegrandPlan against
+per-coordinate vectors, the plan's columns.  For at most 5 sampled
+dimensions det M is det_batch's Laplace expansion without its
+structurally zero terms, compiled once to a list of ufunc calls; 6 or
+more keep a dense matrix and np.linalg.det.  The plan, the points and
+the values are written through out= into buffers allocated once per
+integral, so evaluating a block allocates only inside angle_form and
+source_form.  _Plan.__call__ takes sample rows (redraws, tests) and
+copies each block into the columns.  Every integrand float equals the
+dense evaluation's (tests/test_weights.py::TestIntegrandPlan against
 tests/helpers.py).  Guarded rows are redrawn through the same plan
 (_redraw): a replicate's rejected samples are replaced by uniform draws
 from a PCG64 stream of its own redraw seed until none is rejected.
@@ -169,14 +174,17 @@ class WeightEstimate:
                 raise ParseError("value and std_error must be finite")
             if std_error < 0:
                 raise ParseError("std_error must be non-negative")
+            n_samples, method = json_int(obj["n_samples"], "n_samples"), \
+                obj["method"]
+            if n_samples < 0 or method not in _METHODS:
+                raise ParseError("n_samples must be non-negative and method "
+                                 f"one of {_METHODS}")
             exact = obj.get("exact")
             if exact is not None:
                 num, den = (json_int(q, "exact") for q in exact)
                 exact = Fraction(num, den)
-            return WeightEstimate(float(value), float(std_error),
-                                  json_int(obj["n_samples"], "n_samples"),
-                                  json_int(obj["seed"], "seed"),
-                                  str(obj["method"]), exact)
+            return WeightEstimate(float(value), float(std_error), n_samples,
+                                  json_int(obj["seed"], "seed"), method, exact)
         except (KeyError, TypeError, ValueError, OverflowError,
                 ZeroDivisionError) as exc:
             raise ParseError(f"bad weight estimate {obj!r}: {exc}") from exc
@@ -317,54 +325,61 @@ def _scramble(dims: int, seeds, k: int) -> tuple[np.ndarray, np.ndarray]:
     return bits[:, :dims] @ _BIT_VALUES[::-1], sv
 
 
-def _gray_points(shift: np.ndarray, sv: np.ndarray, n: int) -> np.ndarray:
-    """Points 0..n-1 in Gray-code order from _scramble's arrays, uint32 of
-    shape (len(shift), n, dims), by reflection: P[h:2h] = P[h-1::-1] ^ v_b."""
-    pts = np.empty((len(shift), n, shift.shape[1]), dtype=np.uint32)
-    pts[:, 0] = shift
-    for b in range((n - 1).bit_length()):
-        half, hi = 1 << b, min(2 << b, n)
-        pts[:, half:hi] = (pts[:, 2 * half - hi:half][:, ::-1]
-                           ^ sv[:, None, :, b])
-    return pts
+def _reflect(start: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Gray-code table along a new last axis, by reflection from T[0] =
+    start: T[h:2h] = T[h-1::-1] ^ dirs[..., b] for h = 2^b."""
+    t = np.empty(start.shape + (1 << dirs.shape[-1],), dtype=np.uint32)
+    t[..., 0] = start
+    for b in range(dirs.shape[-1]):
+        h = 1 << b
+        np.bitwise_xor(t[..., h - 1::-1], dirs[..., b, None],
+                       out=t[..., h:2 * h])
+    return t
 
 
-def _point_chunks(method: str, dims: int, seeds, per_rep: int,
-                  out: np.ndarray):
-    """The first per_rep sample points of each replicate seed, in chunks
-    of at most L = _BLOCK_ROWS rows per seed.  Each chunk is a view of
-    out (at least len(seeds) * min(per_rep, L) rows of dims) of shape
-    (len(seeds), rows, dims), valid until the next one.
+def _draws(method: str, dims: int, seeds, per_rep: int):
+    """fill(first, start, cols) writes points start..start+rows-1 of the
+    replicate seeds first..first+n-1 into cols, shape (dims, n, rows);
+    a seed's points must be asked for in order (mc reads one stream).
 
-    qmc yields qmc.Sobol(d=dims, scramble=True, seed=s).random(per_rep)
-    per seed, bit for bit.  The first chunk is the head, points 0..L-1 in
-    Gray-code order.  A later chunk starts at a multiple c of L, a power
-    of two, and gray(c + i) = gray(c) ^ gray(i) for i < L, so it is the
-    head XOR the scrambled direction numbers that the bits of gray(c)
-    pick.  mc reads one PCG64 stream per seed, whose doubles come out the
-    same in any split."""
-    n = len(seeds)
-    if method == "qmc":
-        shift, sv = _scramble(dims, seeds, (per_rep - 1).bit_length())
-        head = _gray_points(shift, sv, min(per_rep, _BLOCK_ROWS))
-        bits = np.empty_like(head) if per_rep > _BLOCK_ROWS else None
-    else:
+    qmc writes qmc.Sobol(d=dims, scramble=True, seed=s).random(per_rep)
+    bit for bit, from one _scramble of every seed.  With k = lo + hi
+    bits, point i = h 2^lo + l in Gray-code order is high[h] ^ low[l],
+    as gray(i) = gray(h) 2^lo ^ gray(l) ^ (h & 1) 2^(lo-1): low reflects
+    the first lo directions from 0, high the rest, each XOR direction
+    lo-1, from the shift.  A run of whole high rows is one broadcast
+    XOR; a part of one row costs one more (a chunk's stop, or past 2^26
+    points per replicate its start, can fall off a multiple of 2^lo)."""
+    if method == "mc":
         gens = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-    for c in range(0, per_rep, _BLOCK_ROWS):
-        rows = min(per_rep - c, _BLOCK_ROWS)
-        pts = out[:n * rows].reshape(n, rows, dims)
-        if method == "mc":
-            for gen, rep in zip(gens, pts):
-                gen.random(out=rep)
-        elif c == 0:
-            np.multiply(head, 2.0 ** -_SOBOL_BITS, out=pts)
-        else:
-            gray = c ^ (c >> 1)
-            picked = [b for b in range(gray.bit_length()) if gray >> b & 1]
-            step = np.bitwise_xor.reduce(sv[:, :, picked], axis=2)
-            np.bitwise_xor(head[:, :rows], step[:, None], out=bits[:, :rows])
-            np.multiply(bits[:, :rows], 2.0 ** -_SOBOL_BITS, out=pts)
-        yield pts
+
+        def fill(first, start, cols):
+            for gen, col in zip(gens[first:], cols.swapaxes(0, 1)):
+                np.copyto(col, gen.random(col.shape[::-1]).T)
+        return fill
+    k = (per_rep - 1).bit_length()
+    shift, sv = _scramble(dims, seeds, k)
+    shift, sv = shift.T, sv.transpose(1, 0, 2)      # dims leading
+    lo = k - k // 2
+    low = _reflect(np.zeros_like(shift), sv[..., :lo])
+    high = _reflect(shift, sv[..., lo:] ^ sv[..., lo - 1:lo])
+    nl = low.shape[-1]
+
+    def fill(first, start, cols):
+        n, stop = cols.shape[1], start + cols.shape[2]
+        hi_t, lo_t = high[:, first:first + n], low[:, first:first + n]
+        a = min(stop, -(-start // nl) * nl)         # whole rows in [a, b)
+        b = max(a, stop // nl * nl)
+        for p, q in ((start, a), (b, stop)):
+            if p < q:
+                np.bitwise_xor(hi_t[..., p // nl, None],
+                               lo_t[..., p % nl:p % nl + q - p],
+                               out=cols[..., p - start:q - start])
+        np.bitwise_xor(hi_t[..., a // nl:b // nl, None], lo_t[..., None, :],
+                       out=cols[..., a - start:b - start].reshape(
+                           dims, n, -1, nl))
+        np.multiply(cols, 2.0 ** -_SOBOL_BITS, out=cols)
+    return fill
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +500,7 @@ class _Plan:
 
         # one workspace per plan, so malloc sees one block to keep for the
         # next plan (glibc raises its mmap threshold past a freed chunk):
-        # complex z and a temporary; u transposed, jac, den, tmp, negated
+        # complex z and a temporary; the columns, jac, den, tmp, negated
         # leaves, registers and a dense plan's matrix; two flag rows
         n_work = self.n_neg + self.n_regs
         n_mat = k * k if self.program is None else 0
@@ -494,7 +509,7 @@ class _Plan:
         cplx = ws[:n_c].view(complex).reshape(ns + 1, rows)
         self.z, self.ctmp = cplx[:ns], cplx[ns]
         flt = ws[n_c:n_c + n_f].reshape(-1, rows)
-        self.ut = flt[:k]                       # u transposed
+        self.ut = flt[:k]                       # one column per sample
         self.jac, self.den, self.tmp = flt[k:k + 3]
         self.work = flt[k + 3:k + 3 + n_work]   # negated leaves, registers
         if self.program is None:
@@ -538,18 +553,21 @@ class _Plan:
         return program
 
     def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Integrand values of unit-cube samples u into out; NaN marks
+        """Integrand values of unit-cube sample rows u into out; NaN marks
         rejected rows."""
         step = self.ut.shape[1]
-        with np.errstate(all="ignore"):
-            for c in range(0, len(u), step):
-                self._block(u[c:c + step], out[c:c + step])
+        for c in range(0, len(u), step):
+            rows = u[c:c + step]
+            np.copyto(self.ut[:, :len(rows)], rows.T)
+            self._block(out[c:c + step])
         return out
 
-    def _block(self, u, out):
-        r, ns, m, k_move = len(u), self.ns, self.m, self.k_move
+    @np.errstate(all="ignore")
+    def _block(self, out):
+        """Integrand values of the first len(out) samples in ut, one per
+        column, into out; ut is overwritten."""
+        r, ns, m, k_move = len(out), self.ns, self.m, self.k_move
         ut = self.ut[:, :r]
-        np.copyto(ut, u.T)
         # moving grounds in ascending position: a compare-exchange network
         tg, lo = ut[2 * ns:], self.tmp[:r]
         for end in range(k_move - 1, 0, -1):
@@ -686,24 +704,23 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     dims = sampled_dims(graph)
     per_rep = max(1, total // N_REPLICATES)
     rep_seeds = [stable_seed(base_seed, "rep", r) for r in range(N_REPLICATES)]
-    if cfg.method == "qmc":     # past the Sobol' caps: refuse before allocating
-        _direction_bits(dims, (per_rep - 1).bit_length())
+    # qmc past the Sobol' caps raises here, before the plan is allocated
+    fill = _draws(cfg.method, dims, rep_seeds, per_rep)
     group = max(1, _BLOCK_ROWS // per_rep)
-    chunk = min(_BLOCK_ROWS, group * per_rep)
-    plan = _Plan(graph, chunk)
-    points = np.empty((chunk, dims))        # one chunk of points, reused
+    plan = _Plan(graph, min(_BLOCK_ROWS, group * per_rep))
     buf = np.empty((group, per_rep))        # one group's values, reused
     means = []
     for first in range(0, N_REPLICATES, group):
         seeds = rep_seeds[first:first + group]
-        vals = buf[:len(seeds)]
-        # a chunk is the whole group or a run of one replicate, so its
-        # values follow the previous chunk's in vals
-        rows, pos = vals.reshape(-1), 0
-        for u in _point_chunks(cfg.method, dims, seeds, per_rep, points):
-            u = u.reshape(-1, dims)
-            plan(u, rows[pos:pos + len(u)])
-            pos += len(u)
+        n, vals = len(seeds), buf[:len(seeds)]
+        # a chunk is the whole group or a run of one replicate, drawn
+        # into the plan's columns; its values follow the previous
+        # chunk's in vals
+        rows = vals.reshape(-1)
+        for c in range(0, per_rep, _BLOCK_ROWS):
+            size = min(per_rep - c, _BLOCK_ROWS)
+            fill(first, c, plan.ut[:, :n * size].reshape(dims, n, size))
+            plan._block(rows[n * c:n * (c + size)])
         for k in np.flatnonzero(np.isnan(vals).any(axis=1)):
             _redraw(plan, vals[k], stable_seed(seeds[k], "redraw"))
         means.extend(vals.mean(axis=1).tolist())

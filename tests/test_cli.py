@@ -197,7 +197,7 @@ class TestWeight:
         assert issubclass(SamplingError, EngineError)
         # every block of every integrand plan, redraws included, guarded
         monkeypatch.setattr(weights._Plan, "_block",
-                            lambda plan, u, out: out.fill(np.nan))
+                            lambda plan, out: out.fill(np.nan))
         assert main(["weight", "-n", "1", "--samples", "1024"]) == 4
         assert "sampling failure" in capsys.readouterr().err
 

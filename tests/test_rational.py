@@ -2,6 +2,7 @@
 import math
 import operator
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,9 +89,26 @@ class TestAgainstFractionPairs:
         q, ref = QI.coerce(s), FractionQI.try_coerce(s)
         assert same(q, ref)
         assert q == s and s == q and not q != s
-        assert hash(q) == hash(ref)
-        if not isinstance(s, complex) or s.imag == 0:
-            assert hash(q) == hash(s)
+        assert hash(q) == hash(s)
+        if ref.im == 0:
+            assert hash(q) == hash(ref)
+
+    @given(st.integers(-10 ** 20, 10 ** 20), st.integers(-10 ** 20, 10 ** 20),
+           st.integers(0, 60))
+    def test_hash_is_the_complex_hash(self, a, b, e):
+        """Equal values hash alike: a QI equal to a complex with dyadic
+        parts hashes as it does (hash(re) + sys.hash_info.imag hash(im),
+        wrapped to a signed word), so either finds the other in a dict."""
+        z = complex(a / 2 ** e, b / 2 ** e)
+        q = QI.coerce(z)
+        assert q == z and hash(q) == hash(z)
+        assert {z: "z"}.get(q) == "z" and {q: "q"}.get(z) == "q"
+
+    def test_hash_wraps_like_complex(self):
+        """hash(re) + imag hash(im) == -1 maps to -2, as for a complex."""
+        z = complex(-1 - sys.hash_info.imag, 1)
+        assert hash(z) == -2 and hash(QI(-1 - sys.hash_info.imag, 1)) == -2
+        assert hash(QI(1, 2)) == hash(1 + 2j)
 
     @given(pairs, scalars)
     def test_eq_agrees_with_the_reference(self, x, s):

@@ -21,7 +21,7 @@ from starquant.graphs import (KGraph, orbit_representative, parse,
 from starquant.halfplane import dphi
 from starquant.weights import (MAX_DIMS, IntegrationConfig, WeightEstimate,
                                WeightTable, _BLOCK_ROWS, _direction_bits,
-                               _point_chunks, det_batch,
+                               _draws, det_batch,
                                default_budget, exact_weight, i_p_integral,
                                i_p_rational, integrate_graph_form,
                                sampled_dims, stable_seed, weight)
@@ -38,11 +38,14 @@ def plan_values(graph, u):
 
 
 def sobol_points(dims, seeds, n):
-    """The qmc points of _point_chunks, each seed's chunks concatenated:
-    shape (len(seeds), n, dims)."""
-    out = np.empty((len(seeds) * min(n, _BLOCK_ROWS), dims))
-    return np.concatenate([c.copy() for c in _point_chunks(
-        "qmc", dims, seeds, n, out)], axis=1)
+    """The qmc points of _draws, written in chunks of _BLOCK_ROWS rows
+    into one buffer of columns laid out (dims, seeds, rows) as in
+    integrate_graph_form; returned as shape (len(seeds), n, dims)."""
+    fill = _draws("qmc", dims, seeds, n)
+    cols = np.empty((dims, len(seeds), n))
+    for c in range(0, n, _BLOCK_ROWS):
+        fill(0, c, cols[..., c:c + _BLOCK_ROWS])
+    return cols.transpose(1, 2, 0)
 
 
 class TestStableSeed:
@@ -231,8 +234,8 @@ class TestMovingGround:
 
 
 class TestSobolBlock:
-    """_point_chunks reproduces scipy's LMS+shift scrambled Sobol' points
-    bit for bit, chunks concatenated; a scipy release that changes its
+    """_draws reproduces scipy's LMS+shift scrambled Sobol' points bit
+    for bit, chunks concatenated; a scipy release that changes its
     scrambling fails here.  n = 8193 takes a second chunk for every
     seed."""
 
@@ -251,19 +254,41 @@ class TestSobolBlock:
 
     @pytest.mark.parametrize("dims", [1, 4, 6])
     @pytest.mark.parametrize("n", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS,
-                                   5 * _BLOCK_ROWS + 77])
+                                   5 * _BLOCK_ROWS + 77, 2 ** 17])
     def test_chunks_match_the_whole_block(self, dims, n):
-        """A replicate longer than _BLOCK_ROWS, drawn chunk by chunk from
-        the head and the Gray code of each chunk's start, equals scipy's
-        points bit for bit.  Every chunk is a view of one buffer, so each
-        is copied before the next is drawn."""
+        """A replicate longer than _BLOCK_ROWS, drawn chunk by chunk into
+        the columns of one workspace (rows strided like a plan's ut), equals
+        scipy's points bit for bit; k = 14, 15, 16 and 17 bits.  Each chunk
+        is copied before the next overwrites it."""
         seed = stable_seed(5, "rep", 2)
-        out = np.empty((_BLOCK_ROWS, dims))
-        chunks = list(_point_chunks("qmc", dims, [seed], n, out))
-        assert all(np.shares_memory(c, out) for c in chunks)
-        assert [c.shape[1] for c in chunks[:-1]] == [_BLOCK_ROWS] * (
-            len(chunks) - 1)
-        self.check(dims, [seed], n)
+        fill = _draws("qmc", dims, [seed], n)
+        work = np.empty((dims, _BLOCK_ROWS + 3))
+        chunks = []
+        for c in range(0, n, _BLOCK_ROWS):
+            size = min(n - c, _BLOCK_ROWS)
+            cols = work[:, :size].reshape(dims, 1, size)
+            assert np.shares_memory(cols, work)
+            fill(0, c, cols)
+            chunks.append(work[:, :size].T.copy())
+        assert np.array_equal(np.concatenate(chunks),
+                              self.scipy(dims, [seed], n)[0])
+
+    @pytest.mark.parametrize("dims,n", [(1, 5), (2, 3125), (3, 8193),
+                                        (5, 4096), (6, 3 * _BLOCK_ROWS)])
+    def test_any_split_matches_scipy(self, dims, n):
+        """Runs of points whose start or stop is off a multiple of 2^lo:
+        parts of one high row, alone or around whole rows, drawn for a
+        subset of the seeds, equal scipy's points."""
+        k = (n - 1).bit_length()
+        nl = 1 << (k - k // 2)                  # rows of the low table
+        cuts = sorted({0, n} | {c for c in (1, 3, nl + 1, 2 * nl + 1)
+                                if c < n})
+        fill = _draws("qmc", dims, self.SEEDS, n)
+        cols = np.empty((dims, len(self.SEEDS) - 1, n))
+        for p, q in zip(cuts, cuts[1:]):
+            fill(1, p, cols[..., p:q])
+        assert np.array_equal(cols.transpose(1, 2, 0),
+                              self.scipy(dims, self.SEEDS, n)[1:])
 
     def test_direction_table_matches_scipy(self):
         """Every row of the Joe-Kuo table: all 30 unscrambled direction
@@ -284,12 +309,15 @@ class TestSobolBlock:
             _direction_bits(2, 31)
 
     @staticmethod
-    def check(dims, seeds, n):
+    def scipy(dims, seeds, n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            want = np.stack([
+            return np.stack([
                 qmc.Sobol(d=dims, scramble=True, seed=s).random(n)
                 for s in seeds])
+
+    def check(self, dims, seeds, n):
+        want = self.scipy(dims, seeds, n)
         got = sobol_points(dims, seeds, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -334,6 +362,45 @@ class TestBlockedReplicates:
         graph = parse(text)
         assert (integrate_graph_form(graph, cfg, seed=8)
                 == per_replicate_integral(graph, cfg, seed=8))
+
+    @pytest.mark.parametrize("n_samples", [2 ** 17,
+                                           32 * (2 * _BLOCK_ROWS + 5)])
+    def test_one_scramble_per_integral(self, monkeypatch, n_samples):
+        """Every replicate's Sobol' points come from one _scramble of all
+        the seeds, whether the replicates go in groups (2^17 samples: 16
+        groups of 2) or one at a time in chunks (2 _BLOCK_ROWS + 5 rows
+        each)."""
+        calls = []
+        scramble = weights._scramble
+
+        def spy(dims, seeds, k):
+            calls.append(len(seeds))
+            return scramble(dims, seeds, k)
+
+        monkeypatch.setattr(weights, "_scramble", spy)
+        integrate_graph_form(parse("n=2;m=2;1:[2,L];2:[1,R]"),
+                             IntegrationConfig(seed=6, n_samples=n_samples))
+        assert calls == [weights.N_REPLICATES]
+
+    @pytest.mark.parametrize("method", ["qmc", "mc"])
+    def test_columns_match_rows(self, monkeypatch, method):
+        """The column path (_draws into a plan's ut, then _block) and
+        _Plan.__call__ on the same points as rows give bit-equal floats,
+        guarded rows included."""
+        monkeypatch.setattr(weights, "_GUARD", 0.05)
+        graph = parse("n=3;m=2;1:[2,L];2:[3,R];3:[L,R]")
+        dims, n, per_rep = sampled_dims(graph), 4, 300
+        seeds = [stable_seed(3, "rep", r) for r in range(n)]
+        plan = weights._Plan(graph, n * per_rep)
+        cols = plan.ut[:, :n * per_rep].reshape(dims, n, per_rep)
+        _draws(method, dims, seeds, per_rep)(0, 0, cols)
+        rows = cols.transpose(1, 2, 0).reshape(-1, dims).copy()
+        got = np.empty(n * per_rep)
+        plan._block(got)
+        want = plan(rows, np.empty(n * per_rep))
+        assert 0 < np.isnan(want).sum() < len(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_memory_holds_one_replicate_of_values(self):
         """Past _BLOCK_ROWS rows per replicate the points are drawn chunk
@@ -461,20 +528,20 @@ class TestSourceReduction:
 
     @staticmethod
     def both(monkeypatch, graph, n_samples):
-        """Reduced and full estimates; a spy on _point_chunks checks that
-        each run sampled its own dimension count, so a plan or layout
-        cached past the patch fails here instead of comparing a reduced
-        estimate with itself."""
+        """Reduced and full estimates; a spy on _draws checks that each
+        run sampled its own dimension count, so a plan or layout cached
+        past the patch fails here instead of comparing a reduced estimate
+        with itself."""
         cfg = IntegrationConfig(seed=5, n_samples=n_samples)
         sampled = []
-        chunks = weights._point_chunks
+        draws = weights._draws
 
         def spy(method, dims, *args):
             sampled.append(dims)
-            return chunks(method, dims, *args)
+            return draws(method, dims, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(weights, "_point_chunks", spy)
+            patch.setattr(weights, "_draws", spy)
             reduced = integrate_graph_form(graph, cfg)
             assert set(sampled) == {sampled_dims(graph)}
             sampled.clear()
@@ -734,7 +801,9 @@ class TestTable:
         ("std_error", False), ("value", math.nan), ("value", math.inf),
         ("value", -math.inf), ("value", 10 ** 400), ("std_error", math.nan),
         ("std_error", math.inf), ("std_error", -math.inf),
-        ("std_error", -1e-3)])
+        ("std_error", -1e-3), ("n_samples", -1), ("n_samples", -7),
+        ("method", "bogus"), ("method", "QMC"), ("method", ""),
+        ("method", None), ("method", ["qmc"]), ("method", 1)])
     def test_estimate_rejects_malformed_fields(self, field, bad):
         obj = WeightEstimate(0.5, 1e-3, 4096, 7, "qmc",
                              exact=Fraction(1, 2)).to_json_obj()
