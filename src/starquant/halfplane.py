@@ -13,21 +13,28 @@ change the angle to first order.
 
 Since Q(z, w) = (z - w)(z - wbar) is holomorphic in z,
 
-    dphi = Im(A) dx_z + Re(A) dy_z - Im(A) dx_w + 2 y_w Im(1/Q) dy_w,
+    dphi = Im(A) dx_z + Re(A) dy_z - Im(A) dx_w + d_wy dy_w,
 
-with A = (2z - w - wbar)/Q.  The x_w coefficient is minus the x_z one
-because phi is invariant under simultaneous real translation of both
-points.
+with A = d_z log Q = 1/(z - w) + 1/(z - wbar), two simple poles.  In
+dx = x_z - x_w, y_z -+ y_w, ia = 1/|z - w|^2 and ib = 1/|z - wbar|^2,
+
+    Re A = dx (ia + ib),   Im A = -((y_z - y_w) ia + (y_z + y_w) ib),
+    d_wy = 2 y_w Im(1/Q) = dx (ib - ia),
+
+as 2 i y_w / Q = 1/(z - w) - 1/(z - wbar); at a ground y_w = 0, ia = ib
+and d_wy is exactly 0.  The x_w coefficient is minus the x_z one:
+phi is invariant under simultaneous real translation of both points.
 
 Integrating z over H in the wedge of two such forms gives, for a and b
 in the closed half plane,
 
     F(a, b) = int_H dphi(z, a) ^ dphi(z, b) = 4 pi arg(a - bbar) - 2 pi^2,
 
-arg in [0, pi] (Stokes on phi(z, a) dphi(z, b), with
-phi(a, b) - phi(b, a) = 2 arg(a - bbar)).  F(0, 1) = 2 pi^2 is the
-order-1 weight 1/2; F(a, a) = 0, and the mirror z -> 1 - zbar negates
-F.  The weights integrand integrates every source vertex out with it.
+arg(a - bbar) = arctan2(y_a + y_b, x_a - x_b) in [0, pi] (Stokes on
+phi(z, a) dphi(z, b), with phi(a, b) - phi(b, a) = 2 arg(a - bbar)).
+F(0, 1) = 2 pi^2 is the order-1 weight 1/2; F(a, a) = 0, and the mirror
+z -> 1 - zbar negates F.  The weights integrand integrates every source
+vertex out with it.
 """
 from __future__ import annotations
 
@@ -84,37 +91,37 @@ def dphi(z, w) -> AngleGradient:
     """
     zc, wc = complex(z), complex(w)
     _check_pair(zc, wc)
-    a, d_wy = angle_form(zc, wc)
-    return AngleGradient(d_zx=float(a.imag), d_zy=float(a.real),
-                         d_wx=float(-a.imag), d_wy=float(d_wy))
+    dx, ym, yp = zc.real - wc.real, zc.imag - wc.imag, zc.imag + wc.imag
+    re, im, d_wy = angle_form(dx, ym, yp, 1.0 / (dx * dx + ym * ym),
+                              1.0 / (dx * dx + yp * yp))
+    return AngleGradient(d_zx=im, d_zy=re, d_wx=-im, d_wy=d_wy)
 
 
 # ---------------------------------------------------------------------------
 # The one formula for dphi's coefficients, read by dphi and weights._Plan
 # ---------------------------------------------------------------------------
 
-def angle_form(z, w):
-    """(A, d_wy) with dphi = Im A dx_z + Re A dy_z - Im A dx_w + d_wy dy_w.
+def angle_form(dx, ym, yp, ia, ib):
+    """(Re A, Im A, d_wy) of dphi from dx = x_z - x_w, ym = y_z - y_w,
+    yp = y_z + y_w, ia = 1/(dx^2 + ym^2) and ib = 1/(dx^2 + yp^2).
 
-    z is interior.  A complex w takes the general formula; a real w is a
-    ground position, where Q = (z - w)^2, A = 2/(z - w) and d_wy = 0
-    (Neumann).  Elementwise over arrays or scalars; no domain checks.
+    Only +, -, * and unary minus: elementwise over floats or arrays, and
+    weights._Plan compiles it over symbolic entries.  No domain checks.
     """
-    # isinstance first: np.iscomplexobj is slow on Python floats
-    if isinstance(w, float) or not np.iscomplexobj(w):
-        return 2.0 / (z - w), 0.0
-    q = (z - w) * (z - np.conjugate(w))
-    a = (2.0 * z - w - np.conjugate(w)) / q
-    return a, 2.0 * w.imag * (1.0 / q).imag
+    return dx * (ia + ib), -(ym * ia + yp * ib), dx * (ib - ia)
 
 
-def source_form(a, b):
-    """F(a, b) = int_H dphi(z, a) ^ dphi(z, b), z over H in dx ^ dy.
+def source_form(dx, sy, out=None):
+    """F(a, b) = int_H dphi(z, a) ^ dphi(z, b), z over H in dx ^ dy, from
+    a - bbar = dx + i sy (dx = x_a - x_b, sy = y_a + y_b).
 
-    a, b lie in the closed half plane (complex or real ground
-    positions); a = b gives 0, including the real a = b where arg is
-    undefined.  Elementwise over arrays or scalars; no domain checks.
+    a, b lie in the closed half plane; a = b gives 0, including a = b on
+    the axis, where arg is undefined.  Elementwise over arrays or scalars,
+    into out when given; no domain checks.
     """
-    d = a - np.conjugate(b)
-    return np.where(d == 0, 0.0, 4.0 * math.pi * np.angle(d)
-                    - 2.0 * math.pi ** 2)
+    f = np.multiply(4.0 * math.pi, np.arctan2(sy, dx, out=out), out=out)
+    f = np.subtract(f, 2.0 * math.pi ** 2, out=out)
+    if np.min(sy) > 0 or np.count_nonzero(dx) == np.size(dx):
+        return f                # a - bbar != 0 everywhere
+    zero = np.logical_and(np.equal(dx, 0), np.equal(sy, 0))
+    return np.positive(np.where(zero, 0.0, f), out=out)

@@ -62,17 +62,19 @@ mc chunk holds the same PCG64 doubles a row-major draw would.
 
 Each integral builds one integrand plan (_Plan) from its graph: the
 sources, each sampled point's columns, and each row's nonzero entries
-of M (Im A, Re A, -Im A or d_wy).  A block is evaluated on contiguous
-per-coordinate vectors, the plan's columns.  For at most 5 sampled
-dimensions det M is det_batch's Laplace expansion without its
-structurally zero terms, compiled once to a list of ufunc calls; 6 or
-more keep a dense matrix and np.linalg.det.  The plan, the points and
-the values are written through out= into buffers allocated once per
-integral, so evaluating a block allocates only inside angle_form and
-source_form.  _Plan.__call__ takes sample rows (redraws, tests) and
-copies each block into the columns.  Every integrand float equals the
-dense evaluation's (tests/test_weights.py::TestIntegrandPlan against
-tests/helpers.py).  Guarded rows are redrawn through the same plan
+of M (Im A, Re A, -Im A or d_wy), in real arithmetic on the plan's
+columns: no complex array.  Each block's squared distances are computed
+once and read by the coincidence guard and, as 1/|z - w|^2 and
+1/|z - wbar|^2, by angle_form's two poles.  The entries and, for at
+most 5 sampled dimensions, det M (det_batch's Laplace expansion without
+its structurally zero terms) are compiled once to ufunc calls; 6 or
+more keep a dense matrix.  Everything is written through out= into one
+workspace per integral, so a block allocates nothing outside it.
+_Plan.__call__ takes sample rows (redraws, tests) and copies each block
+into the columns.  Every integrand float equals the dense evaluation's
+(tests/test_weights.py::TestIntegrandPlan against tests/helpers.py);
+both differ from the complex A = (2z - w - wbar)/Q at rounding level.
+Guarded rows are redrawn through the same plan
 (_redraw): a replicate's rejected samples are replaced by uniform draws
 from a PCG64 stream of its own redraw seed until none is rejected.
 """
@@ -89,6 +91,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg import _umath_linalg     # np.linalg.det with out=
 
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, SamplingError, json_int)
@@ -237,14 +240,15 @@ def _det5(e):
 _LAPLACE = {2: _det2, 3: _det3, 4: _det4, 5: _det5}
 
 
-def det_batch(m: np.ndarray) -> np.ndarray:
-    """Determinants of a (rows, k, k) stack: the Laplace expansions for
-    k <= 5, np.linalg.det above.  An integrand plan calls it only for a
-    dense matrix (k >= 6, or every expansion term structurally zero)."""
+def det_batch(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Determinants of a (rows, k, k) stack into out: the Laplace
+    expansions for k <= 5, np.linalg.det's kernel above.  An integrand
+    plan calls it only for a dense matrix (k >= 6, or every expansion
+    term structurally zero)."""
     expand = _LAPLACE.get(m.shape[1])
     if expand is None:
-        return np.linalg.det(m)
-    return expand(lambda i, j: m[:, i, j])
+        return _umath_linalg.det(m, signature="d->d", out=out)
+    return np.positive(expand(lambda i, j: m[:, i, j]), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +408,11 @@ def sampled_dims(graph: KGraph) -> int:
 
 
 class _Term:
-    """A symbolic value in a Laplace expansion over a plan's matrix
-    entries: key is a nested tuple of operations on ("e", row, column)
-    leaves, or None for a structural zero, which products absorb and sums
-    drop.  Dropping changes at most the sign of an exactly zero result,
-    and only when every kept term is zero (see _Plan)."""
+    """A symbolic value in an integrand plan: key is a nested tuple of
+    operations on leaf keys (the plan's coordinates and distances), or
+    None for a structural zero, which products absorb and sums drop.
+    Dropping changes at most the sign of an exactly zero result, and only
+    when every kept term is zero (see _Plan).  -(-a) is a, exactly."""
     __slots__ = ("key",)
 
     def __init__(self, key):
@@ -434,7 +438,9 @@ class _Term:
         return _Term(("sub", self.key, other.key))
 
     def __neg__(self):
-        return self if self.key is None else _Term(("neg", self.key))
+        key = self.key
+        return self if key is None else _Term(
+            key[1] if key[0] == "neg" else ("neg", key))
 
 
 _ZERO = _Term(None)
@@ -444,19 +450,22 @@ _UFUNCS = {"mul": np.multiply, "add": np.add, "sub": np.subtract,
 
 class _Plan:
     """One graph's integrand, laid out once and evaluated in blocks of at
-    most `rows` sample rows into buffers allocated here.
+    most `rows` sample rows in one workspace allocated here.
 
     Row r of the form matrix M is the r-th edge of a sampled vertex; its
     nonzero entries are Im A and Re A in the source's columns, -Im A and
-    d_wy in an aerial target's, -Im A in a moving ground's (A, d_wy from
-    halfplane.angle_form).  For k <= 5 columns det M is _det2.._det5 over
-    symbolic entries: terms with a structural zero are dropped, equal
-    subterms computed once, and what is left compiled to a list of ufunc
-    calls on reused registers.  Dense M (k >= 6, or no term left) goes to
-    det_batch.  Floats equal the dense evaluation's: on a row that passes
-    the guard a dropped term is +-0, which can change a sum only in the
-    sign of an exact zero and only when every kept term is zero, so a plan
-    with no kept term is dense (pinned by TestIntegrandPlan)."""
+    d_wy in an aerial target's, -Im A in a moving ground's: angle_form over
+    x_i, y_i and distances shared with the guard, of point i to ground g
+    (dx = x_i - g, 1/r^2) and of points i < j (dx, y_i -+ y_j, both
+    1/|d|^2; dx, y_i - y_j negated for the edge j -> i).  The guard
+    rejects |d|^2 < _GUARD^2, skipping a mirror distance no edge reads
+    (|z_i - zbar_j| >= |z_i - z_j| once y > 0).  The entries and, for
+    k <= 5 columns, det M (_det2.._det5 less its structurally zero terms)
+    compile to ufunc calls on the workspace's slots, equal subterms once;
+    dense M (k >= 6, or no term left) goes to det_batch.  Floats equal the
+    dense evaluation's: on a row that passes the guard a dropped term is
+    +-0, which can change a sum only in the sign of an exact zero and only
+    when every kept term is zero, so a plan with no kept term is dense."""
 
     def __init__(self, graph: KGraph, rows: int):
         n, m = graph.n, graph.m
@@ -486,71 +495,89 @@ class _Plan:
                     cols[2 * ns + (k_move - (tgt - n))] = "nim"
                 self.edges.append((ci, where(tgt), cols))
 
-        expand = _LAPLACE.get(k)
-        root = expand(lambda r, c: _Term(("e", r, c))
-                      if c in self.edges[r][2] else _ZERO).key \
+        entries, expand = self._entries(), _LAPLACE.get(k)
+        root = expand(lambda r, c: entries.get((r, c), _ZERO)).key \
             if expand else None
-        if root is None:        # dense: every entry is a leaf
-            self.program, self.n_regs = None, 0
-            self.leaves = [(r, c, kind) for r, (_, _, cols) in
-                           enumerate(self.edges) for c, kind in cols.items()]
-        else:
-            self.program = self._compile(root)
-        self.n_neg = sum(kind == "nim" for _, _, kind in self.leaves)
+        self.dense = None if root is not None else list(entries)
+        self.program = self._compile([root] if root is not None else [
+            term.key for term in entries.values()])
 
         # one workspace per plan, so malloc sees one block to keep for the
         # next plan (glibc raises its mmap threshold past a freed chunk):
-        # complex z and a temporary; the columns, jac, den, tmp, negated
-        # leaves, registers and a dense plan's matrix; two flag rows
-        n_work = self.n_neg + self.n_regs
-        n_mat = k * k if self.program is None else 0
-        n_c, n_f = 2 * (ns + 1) * rows, (k + 3 + n_work + n_mat) * rows
-        ws = np.empty(n_c + n_f + rows // 4 + 1)
-        cplx = ws[:n_c].view(complex).reshape(ns + 1, rows)
-        self.z, self.ctmp = cplx[:ns], cplx[ns]
-        flt = ws[n_c:n_c + n_f].reshape(-1, rows)
+        # columns, jac, den, tmp, two temporaries, slots, a dense matrix
+        n_mat = k * k if self.dense else 0
+        n_f = (k + 5 + self.n_slots + n_mat) * rows
+        ws = np.empty(n_f + rows // 4 + 1)
+        flt = ws[:n_f].reshape(-1, rows)
         self.ut = flt[:k]                       # one column per sample
-        self.jac, self.den, self.tmp = flt[k:k + 3]
-        self.work = flt[k + 3:k + 3 + n_work]   # negated leaves, registers
-        if self.program is None:
-            self.mat = flt[k + 3 + n_work:].reshape(rows, k, k)
+        self.jac, self.den, self.tmp, *self.temps = flt[k:k + 5]
+        self.slots = flt[k + 5:k + 5 + self.n_slots]
+        if self.dense:
+            self.mat = flt[k + 5 + self.n_slots:].reshape(rows, k, k)
             self.mat[:] = 0.0
-        self.bad, self.btmp = ws[n_c + n_f:].view(bool)[:2 * rows].reshape(
-            2, rows)
+        self.bad, self.btmp = ws[n_f:].view(bool)[:2 * rows].reshape(2, rows)
 
-    def _compile(self, root):
-        """Leaves, ufunc calls and register count for the expansion root:
-        post-order without repeats, a register freed after its last read."""
+    def _entries(self):
+        """M's nonzero entries as _Terms by (row, column)."""
+        entries = {}
+        for r, (ci, (kind, j), cols) in enumerate(self.edges):
+            if kind == "g":
+                y, inv = _Term(("y", ci)), _Term(("gi", ci, j))
+                re, im, d_wy = angle_form(_Term(("x", ci) if j == 0 else (
+                    "gdx", ci, j)), y, y, inv, inv)
+            else:
+                pair = tuple(sorted((ci, j)))
+                dx, ym, yp, ia, ib = (_Term((name,) + pair) for name in
+                                      ("pdx", "pym", "pyp", "pia", "pib"))
+                if ci > j:
+                    dx, ym = -dx, -ym
+                re, im, d_wy = angle_form(dx, ym, yp, ia, ib)
+            forms = {"im": im, "re": re, "nim": -im, "dwy": d_wy}
+            entries.update(((r, c), forms[f]) for c, f in cols.items())
+        return entries
+
+    def _compile(self, roots):
+        """Ufunc calls evaluating roots, post-order without repeats, on
+        slots: the columns x_i, y_i (self.cols), one output per root (a
+        repeated root copied), the distance leaves (self.kept), then
+        registers; a leaf's or register's slot is reused once it is dead."""
         order, seen = [], set()
 
         def visit(key):
             if key not in seen:
                 seen.add(key)
-                if key[0] != "e":
+                if key[0] in _UFUNCS:
                     for arg in key[1:]:
                         visit(arg)
                 order.append(key)
 
-        visit(root)
-        slot = {key: i for i, key in enumerate(
-            key for key in order if key[0] == "e")}
-        self.leaves = [(r, c, self.edges[r][2][c]) for _, r, c in slot]
-        last = {arg: i for i, key in enumerate(order) if key[0] != "e"
-                for arg in key[1:]}
-        free, self.n_regs, program = [], 0, []
-        for i, key in enumerate(order):
-            if key[0] == "e":
-                continue
-            free += [slot[arg] for arg in set(key[1:])
-                     if arg[0] != "e" and last[arg] == i]
-            if not free:
-                free.append(len(self.leaves) + self.n_regs)
-                self.n_regs += 1
-            slot[key] = free.pop()
+        for key in roots:
+            visit(key)
+        calls = [key for key in order if key[0] in _UFUNCS]
+        leaves = [key for key in order if key[0] not in _UFUNCS]
+        self.cols = [key for key in leaves if key[0] in ("x", "y")]
+        self.kept = {key: i for i, key in enumerate(
+            key for key in leaves if key not in self.cols)}
+        outs = {key: len(self.cols) + i
+                for i, key in reversed(list(enumerate(roots)))}
+        base = len(self.cols) + len(roots)
+        slot = {key: i for i, key in enumerate(self.cols)}
+        slot.update((key, base + i) for key, i in self.kept.items())
+        last = {arg: i for i, key in enumerate(calls) for arg in key[1:]}
+        free, program, top = [], [], base + len(self.kept)
+        for i, key in enumerate(calls):
+            free += [slot[arg] for arg in set(key[1:]) if last[arg] == i
+                     and slot[arg] >= base and arg not in outs]
+            if key not in outs and not free:
+                free.append(top)
+                top += 1
+            slot[key] = outs[key] if key in outs else free.pop()
             program.append((_UFUNCS[key[0]],
                             tuple(slot[arg] for arg in key[1:]), slot[key]))
-        self.root = slot[root]
-        return program
+        self.n_slots = top - base
+        return program + [(np.positive, (slot[key],), len(self.cols) + i)
+                          for i, key in enumerate(roots)
+                          if slot[key] != len(self.cols) + i]
 
     def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Integrand values of unit-cube sample rows u into out; NaN marks
@@ -576,18 +603,16 @@ class _Plan:
                 np.maximum(tg[j], tg[j + 1], out=tg[j + 1])
                 np.copyto(tg[j], lo)
 
-        z, jac, den, tmp = self.z[:, :r], self.jac[:r], self.den[:r], \
-            self.tmp[:r]
+        jac, den, tmp = self.jac[:r], self.den[:r], self.tmp[:r]
+        xs, ys = ut[0:2 * ns:2], ut[1:2 * ns:2]
         for i in range(ns):
-            x, y = ut[2 * i], ut[2 * i + 1]     # from s and t, in place
+            x, y = xs[i], ys[i]                 # from s and t, in place
             np.subtract(x, 0.5, out=x)
             np.multiply(np.pi, x, out=x)
             np.tan(x, out=x)
             omt = tmp if i else den             # 1 - t
             np.subtract(1.0, y, out=omt)
             np.divide(y, omt, out=y)
-            np.copyto(z[i].real, x)
-            np.copyto(z[i].imag, y)
             # Jacobian: prod pi (1 + x^2) / prod (1 - t), squared
             if i:
                 np.multiply(den, tmp, out=den)
@@ -600,63 +625,71 @@ class _Plan:
         np.multiply(den, den, out=den)
         np.divide(jac, den, out=jac)
 
-        def position(where):
-            kind, j = where
-            if kind == "z":
-                return z[j]
-            return 0.0 if j == 0 else 1.0 if j == m - 1 else tg[j - 1]
+        def ground(g):
+            return 0.0 if g == 0 else 1.0 if g == m - 1 else tg[g - 1]
 
-        bad, btmp, ct = self.bad[:r], self.btmp[:r], self.ctmp[:r]
-
-        def reject_near():          # bad |= |ct| < _GUARD
-            np.abs(ct, out=tmp)
-            np.less(tmp, _GUARD, out=btmp)
-            np.logical_or(bad, btmp, out=bad)
-
+        bad, btmp = self.bad[:r], self.btmp[:r]
         np.isfinite(jac, out=bad)
         np.logical_not(bad, out=bad)
         for i in range(ns):
-            np.less_equal(ut[2 * i + 1], 0.0, out=btmp)
+            np.less_equal(ys[i], 0.0, out=btmp)
             np.logical_or(bad, btmp, out=bad)
-        # coincidence / anchor guard on the mapped points
+
+        # each squared distance once: the guard tests it, and a kept one
+        # becomes its leaf 1/|d|^2; what no call reads goes to temporaries
+        g2, index = _GUARD * _GUARD, self.kept
+        slots = self.slots[:, :r]
+        t0, t1, t2, t3 = den, tmp, self.temps[0][:r], self.temps[1][:r]
+
+        def at(key, temp):
+            return slots[index[key]] if key in index else temp
+
+        def near(key, base2, v, temp):      # |d|^2 = base2 + v^2
+            d2 = np.multiply(v, v, out=at(key, temp))
+            np.add(base2, d2, out=d2)
+            np.less(d2, g2, out=btmp)
+            np.logical_or(bad, btmp, out=bad)
+            if key in index:
+                np.divide(1.0, d2, out=d2)
+
         for i in range(ns):
-            for j in range(i + 1, ns):
-                np.subtract(z[i], z[j], out=ct)
-                reject_near()
-                np.conjugate(z[j], out=ct)
-                np.subtract(z[i], ct, out=ct)
-                reject_near()
+            y2 = np.multiply(ys[i], ys[i], out=t0)
             for g in range(m):
-                np.subtract(z[i], position(("g", g)), out=ct)
-                reject_near()
+                dx = xs[i] if g == 0 else np.subtract(
+                    xs[i], ground(g), out=at(("gdx", i, g), t1))
+                near(("gi", i, g), y2, dx, t2)
+            for j in range(i + 1, ns):
+                dx = np.subtract(xs[i], xs[j], out=at(("pdx", i, j), t0))
+                ym = np.subtract(ys[i], ys[j], out=at(("pym", i, j), t1))
+                dx2 = np.multiply(dx, dx, out=t2)
+                near(("pia", i, j), dx2, ym, t3)
+                if ("pib", i, j) in index:
+                    yp = np.add(ys[i], ys[j], out=at(("pyp", i, j), t1))
+                    near(("pib", i, j), dx2, yp, t3)
 
         # a source's two rows are the only entries in its two columns, so
         # det M = det B_v det M' with M' free of z_v, and z_v integrates
         # to source_form (Laplace expansion; sign +1)
+        def coords(where):
+            kind, j = where
+            return (xs[j], ys[j]) if kind == "z" else (ground(j), 0.0)
+
         np.divide(jac, math.factorial(k_move), out=jac)
         for a, b in self.sources:
-            np.multiply(jac, source_form(position(a), position(b)), out=jac)
+            (xa, ya), (xb, yb) = coords(a), coords(b)
+            np.multiply(jac, source_form(np.subtract(xa, xb, out=t0),
+                                         np.add(ya, yb, out=t1), out=t2),
+                        out=jac)
 
-        # entry values: views of angle_form's output, negations in work
-        bufs = [None] * len(self.leaves) + list(self.work[self.n_neg:, :r])
-        negs, forms = iter(self.work[:self.n_neg, :r]), {}
-        for i, (row, _, kind) in enumerate(self.leaves):
-            if row not in forms:
-                ci, tgt, _ = self.edges[row]
-                forms[row] = angle_form(z[ci], position(tgt))
-            a, d_wy = forms[row]
-            bufs[i] = np.negative(a.imag, out=next(negs)) if kind == "nim" \
-                else {"im": a.imag, "re": a.real, "dwy": d_wy}[kind]
-        if self.program is None:
-            mat = self.mat[:r]
-            for (row, col, _), value in zip(self.leaves, bufs):
-                mat[:, row, col] = value
-            det = det_batch(mat)
-        else:
-            for ufunc, args, dst in self.program:
-                ufunc(*(bufs[a] for a in args), out=bufs[dst])
-            det = bufs[self.root]
-        np.multiply(det, jac, out=out)
+        outs = [out] if self.dense is None else [
+            self.mat[:r, row, col] for row, col in self.dense]
+        bufs = [ut[2 * i + (name == "y")] for name, i in self.cols] + \
+            outs + list(slots)
+        for ufunc, args, dst in self.program:
+            ufunc(*(bufs[a] for a in args), out=bufs[dst])
+        if self.dense:
+            det_batch(self.mat[:r], out=out)
+        np.multiply(out, jac, out=out)
         np.isfinite(out, out=btmp)
         np.logical_not(btmp, out=btmp)
         np.logical_or(bad, btmp, out=bad)

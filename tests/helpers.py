@@ -148,9 +148,37 @@ def _dense_det(m):
     return np.linalg.det(m)
 
 
+def complex_angle_form(z, w):
+    """Reference for halfplane.angle_form: the complex formula it replaced,
+    (A, d_wy) with A = (2z - w - wbar)/Q, Q = (z - w)(z - wbar), and
+    d_wy = 2 y_w Im(1/Q); A = 2/(z - w) and d_wy = 0 for a real w."""
+    import numpy as np
+
+    # isinstance first: np.iscomplexobj is slow on Python floats
+    if isinstance(w, float) or not np.iscomplexobj(w):
+        return 2.0 / (z - w), 0.0
+    q = (z - w) * (z - np.conjugate(w))
+    a = (2.0 * z - w - np.conjugate(w)) / q
+    return a, 2.0 * w.imag * (1.0 / q).imag
+
+
+def complex_source_form(a, b):
+    """Reference for halfplane.source_form: 4 pi arg(a - bbar) - 2 pi^2 by
+    np.angle on complex a, b, and 0 where a - bbar = 0."""
+    import math
+
+    import numpy as np
+
+    d = a - np.conjugate(b)
+    return np.where(d == 0, 0.0, 4.0 * math.pi * np.angle(d)
+                    - 2.0 * math.pi ** 2)
+
+
 def dense_integrand(graph, u):
     """Reference for weights' integrand plan: the form matrix filled
-    densely, one (rows, k, k) array per call, and _dense_det on it."""
+    densely from halfplane.angle_form, one (rows, k, k) array per call,
+    and _dense_det on it.  A pair of aerial points i < j has one set of
+    distances, with dx and y_i - y_j negated for the edge j -> i."""
     import math
 
     import numpy as np
@@ -171,7 +199,6 @@ def dense_integrand(graph, u):
         t = u[:, 1:2 * ns:2]
         x = np.tan(np.pi * (s - 0.5))
         y = t / (1.0 - t)
-        z = x + 1j * y
         jac = (np.prod(np.pi * (1.0 + x * x), axis=1)
                / np.prod(1.0 - t, axis=1) ** 2)
         bad = ~np.isfinite(jac)
@@ -182,41 +209,52 @@ def dense_integrand(graph, u):
         else:
             tg = np.empty((nrows, 0))
 
-        def ground_pos(k):
-            if k == 0:
-                return 0.0
-            if k == m - 1:
-                return 1.0
-            return tg[:, k - 1]
-
         def position(tgt):
-            return z[:, point[tgt]] if tgt < n else ground_pos(tgt - n)
+            """(x, y) of a target vertex; a ground sits at y = 0."""
+            if tgt < n:
+                return x[:, point[tgt]], y[:, point[tgt]]
+            k = tgt - n
+            return (0.0 if k == 0 else 1.0 if k == m - 1 else tg[:, k - 1],
+                    0.0)
 
+        def poles(zi, w):
+            """dx, y_z - y_w, y_z + y_w, |z - w|^2, |z - wbar|^2."""
+            dx, ym, yp = zi[0] - w[0], zi[1] - w[1], zi[1] + w[1]
+            return dx, ym, yp, dx * dx + ym * ym, dx * dx + yp * yp
+
+        guard2 = weights._GUARD * weights._GUARD
         for i in range(ns):
+            zi = x[:, i], y[:, i]
             for j in range(i + 1, ns):
-                bad |= np.abs(z[:, i] - z[:, j]) < weights._GUARD
-                bad |= np.abs(z[:, i] - np.conjugate(z[:, j])) < weights._GUARD
+                _, _, _, dm, dp = poles(zi, (x[:, j], y[:, j]))
+                bad |= dm < guard2
+                bad |= dp < guard2
             for k in range(m):
-                bad |= np.abs(z[:, i] - ground_pos(k)) < weights._GUARD
+                bad |= poles(zi, position(n + k))[3] < guard2
 
         factor = jac / math.factorial(k_move)
         for v in sources:
-            factor = factor * source_form(*map(position, graph.out_edges[v]))
+            (xa, ya), (xb, yb) = map(position, graph.out_edges[v])
+            factor = factor * source_form(xa - xb, ya + yb)
 
         mat = np.zeros((nrows, 2 * ns + k_move, 2 * ns + k_move))
         row = 0
         for i, ci in point.items():
-            zi = z[:, ci]
             for tgt in graph.out_edges[i]:
                 k = tgt - n                 # ground index when k >= 0
-                a, d_wy = angle_form(zi, position(tgt))
-                mat[:, row, 2 * ci] = a.imag
-                mat[:, row, 2 * ci + 1] = a.real
+                if k < 0 and point[tgt] < ci:
+                    dx, ym, yp, dm, dp = poles(position(tgt), position(i))
+                    dx, ym = -dx, -ym
+                else:
+                    dx, ym, yp, dm, dp = poles(position(i), position(tgt))
+                re, im, d_wy = angle_form(dx, ym, yp, 1.0 / dm, 1.0 / dp)
+                mat[:, row, 2 * ci] = im
+                mat[:, row, 2 * ci + 1] = re
                 if k < 0:
-                    mat[:, row, 2 * point[tgt]] = -a.imag
+                    mat[:, row, 2 * point[tgt]] = -im
                     mat[:, row, 2 * point[tgt] + 1] = d_wy
                 elif 0 < k < m - 1:
-                    mat[:, row, 2 * ns + (k_move - k)] = -a.imag
+                    mat[:, row, 2 * ns + (k_move - k)] = -im
                 row += 1
 
         vals = _dense_det(mat) * factor

@@ -502,13 +502,13 @@ class TestPooledWeights:
         blob = json.dumps({"series": exp.series.to_json_obj(),
                            "bounds": list(exp.bounds)}, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "3a004b9cae4ec45334fbb4a39ed74d77b62e5607a252099f1cf44ec33d80da9a")
+            "7f93cb846b850b447b48759299a2a946b6c49a336ee1d0bf27925a8938c12e1d")
         x = [Polynomial.variable(3, i) for i in range(3)]
         rep = check_associativity(x[0] * x[1], x[1] * x[2], x[2] * x[0],
                                   so3_alpha(), so3_config(2, 5, True))
         blob = json.dumps(rep.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "6d057191f1b21fb08b5b024e9db3187c974aba8241b4aafe2075b9ed0f8a88a9")
+            "65926a14837b906e78170538bd4e076072bfd55dee437a972fbb3a1348ae6106")
 
     def test_shared_entry_counts_k_sigma_squared(self):
         """An entry read by k members is one source: the hbar^2 bound is

@@ -498,6 +498,44 @@ class TestGuard:
         vals = plan_values(ORDER1, u)
         assert np.isnan(vals[0]) and np.isfinite(vals[1])
 
+    RADIUS = 1e-3           # _GUARD in test_threshold
+
+    @staticmethod
+    def unit(z):
+        """The unit-square sample (s, t) the plan maps to z."""
+        return (math.atan(z.real) / math.pi + 0.5,
+                z.imag / (1.0 + z.imag))
+
+    @pytest.mark.parametrize("case", ["aerial", "mirror", "fixed ground",
+                                      "moving ground"])
+    def test_threshold(self, monkeypatch, case):
+        """A distance of 0.5 _GUARD is rejected and one of 2 _GUARD is
+        not, with _GUARD read when the block runs."""
+        monkeypatch.setattr(weights, "_GUARD", self.RADIUS)
+        rows, dists = [], []
+        for d in (0.5 * self.RADIUS, 2 * self.RADIUS):
+            if case == "aerial":
+                graph, z = (parse("n=2;m=2;1:[2,L];2:[1,R]"),
+                            (0.5 + 1j, 0.5 + d + 1j))
+                dists.append(abs(z[0] - z[1]))
+            elif case == "mirror":      # |z_1 - z_2| = 0.8 |z_1 - zbar_2|
+                graph, z = (parse("n=2;m=2;1:[2,L];2:[1,R]"),
+                            (0.5 + 0.9j * d, 0.5 + 0.1j * d))
+                dists.append(abs(z[0] - z[1].conjugate()))
+            elif case == "fixed ground":
+                graph, z = ORDER1, (1j * d,)
+                dists.append(abs(z[0]))
+            else:
+                graph, z = parse("n=1;m=3;1:[G2,G1,G0]"), (0.5 + 1j * d,)
+                dists.append(abs(z[0] - 0.5))
+            row = [c for w in z for c in self.unit(w)]
+            rows.append(row + [0.5] * (sampled_dims(graph) - len(row)))
+        assert dists == pytest.approx([0.5 * self.RADIUS, 2 * self.RADIUS])
+        vals = plan_values(graph, np.array(rows))
+        assert np.isnan(vals[0]) and np.isfinite(vals[1])
+        assert np.array_equal(vals, dense_integrand(graph, np.array(rows)),
+                              equal_nan=True)
+
     def test_redraw_replaces_all(self):
         u = np.full((5, 2), 0.5)
         u[0, 1] = 0.0
@@ -676,9 +714,16 @@ class TestIntegrandPlan:
         has a structural zero: the plan keeps the dense matrix, whose
         expansion fixes the signs of the zeros."""
         graph = parse("n=2;m=3;1:[2,G0];2:[G0,G2,1]")
-        assert weights._Plan(graph, 8).program is None
-        assert weights._Plan(_i_p_graph(4), 8).program is not None
+        assert weights._Plan(graph, 8).dense is not None
+        assert weights._Plan(_i_p_graph(4), 8).dense is None
         self.check(graph, self.sobol(graph))
+
+    def test_doubled_edge_is_dense(self):
+        """A doubled edge repeats a row: the dense plan's calls write each
+        repeated entry once and copy it."""
+        graph = parse("n=3;m=2;1:[2,2];2:[3,L];3:[1,R]")
+        assert weights._Plan(graph, 8).dense is not None
+        self.check(graph, self.sobol(graph, 1024))
 
     @pytest.mark.parametrize("text,rows", [
         ("n=2;m=2;1:[2,L];2:[1,R]", [(0.3, 0.3, 0.3, 0.3),     # coincident
@@ -700,6 +745,32 @@ class TestIntegrandPlan:
     def test_redraw_sized_inputs(self, graph, rows):
         gen = np.random.Generator(np.random.PCG64(rows))
         self.check(graph, gen.random((rows, sampled_dims(graph))))
+
+
+class TestBlockAllocation:
+    """A block allocates nothing outside its plan's workspace: the traced
+    peak of one _block over _BLOCK_ROWS samples stays below one row
+    vector of float64."""
+
+    @pytest.mark.parametrize("graph", [
+        parse("n=2;m=2;1:[2,L];2:[1,R]"), _i_p_graph(3),
+        parse("n=3;m=2;1:[2,L];2:[3,L];3:[1,R]")], ids=serialize)
+    def test_block_peak(self, graph):
+        plan = weights._Plan(graph, _BLOCK_ROWS)
+        assert (sampled_dims(graph) == 6) == (plan.dense is not None)
+        rng = np.random.Generator(np.random.PCG64(4))
+        out = np.empty(_BLOCK_ROWS)
+        peaks = []
+        for _ in range(2):
+            plan.ut[:] = rng.random(plan.ut.shape)
+            tracemalloc.start()
+            try:
+                plan._block(out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(out).mean() > 0.99
+        assert max(peaks) < 8 * _BLOCK_ROWS
 
 
 def _hand_integrand(graph, row):
