@@ -241,7 +241,7 @@ _LAPLACE = {2: _det2, 3: _det3, 4: _det4, 5: _det5}
 
 
 def det_batch(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Determinants of a (rows, k, k) stack into out: the Laplace
+    """Determinants of a (rows, k, k) stack, into out if given: Laplace
     expansions for k <= 5, np.linalg.det's kernel above.  An integrand
     plan calls it only for a dense matrix (k >= 6, or every expansion
     term structurally zero)."""
