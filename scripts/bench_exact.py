@@ -2,7 +2,8 @@
 """Compare the exact Q[i] layer in two checkouts and write the figures
 to a JSON file.
 
-    python scripts/bench_exact.py --parent OTHER/src --out BENCH.json
+    PYTHONPATH=src python scripts/bench_exact.py --parent OTHER/src \
+        --out BENCH.json
 
 Inputs are those of one perfbench verify_o2_warm unit (seed --seed):
 the so(3) bivector, its six argument triples (f, g, h) and the pinned
@@ -48,6 +49,10 @@ import tempfile
 import time
 from pathlib import Path
 
+# resolved at import, so that --help fails once the private name is gone;
+# a worker imports it from its own side's src (PYTHONPATH)
+from starquant.star import _Engine
+
 ROOT = Path(__file__).resolve().parent.parent
 
 REPEATS = 5
@@ -57,14 +62,12 @@ OPERATIONS = ("apply", "poly_mul", "poly_diff", "qi_mul", "qi_add", "unit")
 
 def build(seed: int) -> dict:
     """The operations of one worker: name -> (calls, thunk)."""
-    import importlib
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    star = importlib.import_module("starquant.star")
     bench = workloads.VerifyO2Warm()
     state = bench.setup(seed, Path(tempfile.gettempdir()))
-    eng = star._Engine(state["alpha"], state["cfg"])
+    eng = _Engine(state["alpha"], state["cfg"])
     eng.ensure_weights()
     orbits = [r for r, w in eng.weights.items() if not w.is_zero()]
 

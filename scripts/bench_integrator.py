@@ -2,7 +2,8 @@
 """Time weights.integrate_graph_form in two checkouts and write the
 figures to a JSON file.
 
-    python scripts/bench_integrator.py --parent OTHER/src --out BENCH.json
+    PYTHONPATH=src python scripts/bench_integrator.py --parent OTHER/src \
+        --out BENCH.json
 
 Three points, each a fixed set of graphs at one sample budget, timed
 a fixed number of times per graph and round:
@@ -39,6 +40,13 @@ it, so a change that moves the floats at rounding level keeps N.  A second serie
 at its budgets, and the file records the budgets, the noise they gave
 and the seconds per integration.
 
+Plan build, at the end of each round of the first series: the mean
+seconds per weights._Plan over all 1728 order-3 star graphs at
+PLAN_ROWS rows (the 32 replicates of 128 rows of an order-3 integral at
+4096 samples), the minimum over PLAN_REPEATS passes in the worker; per
+side the median and quartiles over rounds, and in how many rounds the
+change was faster.
+
 Both sides must return identical (value, std_error, n_samples) for
 every graph, else the script exits 1.  With --moved-results (for a
 change that alters the estimates on purpose) each graph's two values
@@ -56,6 +64,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# resolved at import, so that --help fails once the private name is gone;
+# a worker imports it from its own side's src (PYTHONPATH)
+from starquant.weights import _Plan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +98,24 @@ NOISE_SEEDS = 8
 AGREE_SIGMAS = 4.0
 # relative slack on the noise target: rounding-level noise is not noisier
 NOISE_RTOL = 1e-9
+PLAN_BUILD = "order3_plan_build"
+PLAN_ROWS = 4096
+PLAN_REPEATS = 3
+
+
+def plan_seconds() -> float:
+    """Mean seconds per weights._Plan over every order-3 star graph at
+    PLAN_ROWS rows, the minimum over PLAN_REPEATS passes."""
+    from starquant.graphs import star_graphs
+
+    graphs = star_graphs(3)
+    best = math.inf
+    for _ in range(PLAN_REPEATS):
+        t0 = time.perf_counter()
+        for g in graphs:
+            _Plan(g, PLAN_ROWS)
+        best = min(best, time.perf_counter() - t0)
+    return best / len(graphs)
 
 
 def worker(budgets: dict | None, noise: bool) -> dict:
@@ -93,8 +123,9 @@ def worker(budgets: dict | None, noise: bool) -> dict:
     seconds of its graphs, the minor page faults per timed integration,
     and the (value, std_error, n_samples) and star-normalised std_error
     of each.  budgets maps point names to a
-    budget per graph; by default every point at its own budget.  With
-    noise, per point only each graph's noise, untimed."""
+    budget per graph; by default every point at its own budget, and the
+    round also times the plan build (PLAN_BUILD).  With noise, per
+    point only each graph's noise, untimed."""
     from starquant.graphs import parse
     from starquant.halfplane import TWO_PI
     from starquant.weights import (IntegrationConfig, integrate_graph_form,
@@ -109,6 +140,7 @@ def worker(budgets: dict | None, noise: bool) -> dict:
         g = parse(text)
         return std_error / (TWO_PI ** (2 * g.n) * math.factorial(g.n))
 
+    build = budgets is None and not noise
     if budgets is None:
         budgets = {name: [n] * len(texts)
                    for name, (n, _, texts) in POINTS.items()}
@@ -139,6 +171,8 @@ def worker(budgets: dict | None, noise: bool) -> dict:
                      "faults": faults / (repeats * len(texts)),
                      "std_errors": [normalised(t, r[1])
                                     for t, r in zip(texts, results)]}
+    if build:       # last, so its allocations do not precede the faults
+        out[PLAN_BUILD] = {"seconds": plan_seconds()}
     return out
 
 
@@ -165,8 +199,8 @@ def run_rounds(sides: dict, n_rounds: int, budgets: dict) -> dict:
         for side in order:
             rounds[side].append(run_side(sides[side], budgets[side]))
         print(f"round {k + 1}/{n_rounds}: " + ", ".join(
-            f"{p} {rounds['parent'][-1][p]['seconds']:.3f}s -> "
-            f"{rounds['change'][-1][p]['seconds']:.3f}s"
+            f"{p} {rounds['parent'][-1][p]['seconds']:.4g}s -> "
+            f"{rounds['change'][-1][p]['seconds']:.4g}s"
             for p in rounds["parent"][-1]),
             file=sys.stderr, flush=True)
     return rounds
@@ -307,6 +341,16 @@ def main():
                         [r[name]["seconds"] / len(graphs)
                          for r in reach[side]])}
         points.append(point)
+    per_plan = {side: [r[PLAN_BUILD]["seconds"] for r in rounds[side]]
+                for side in sides}
+    plan_build = {
+        "name": PLAN_BUILD, "graphs": "all order-3 star graphs",
+        "rows": PLAN_ROWS, "repeats": PLAN_REPEATS,
+        "parent": {"s_per_plan": spread(per_plan["parent"])},
+        "change": {"s_per_plan": spread(per_plan["change"])},
+        "change_faster_rounds": "{}/{}".format(sum(
+            c < p for p, c in zip(per_plan["parent"], per_plan["change"])),
+            ns.rounds)}
     if ns.moved_results:
         check = f"agree within {AGREE_SIGMAS:g} joint std_errors"
         passed = repeatable and all(pt["worst_z"] <= AGREE_SIGMAS
@@ -328,6 +372,7 @@ def main():
         "identical_results": identical,
         "check": {"what": check, "passed": passed},
         "points": points,
+        "plan_build": plan_build,
     }
     ns.out.write_text(json.dumps(record, indent=2) + "\n")
     for pt in points:
@@ -344,6 +389,9 @@ def main():
                   f"{reach_p['s_per_integration']['median']:.4f} s -> "
                   f"{reach_c['s_per_integration']['median']:.4f} s per "
                   f"integration (change budgets {reach_c['n_samples']})")
+    p, c = (plan_build[s]["s_per_plan"]["median"] for s in sides)
+    print(f"{PLAN_BUILD}: {p * 1e3:.3f} ms -> {c * 1e3:.3f} ms per plan, "
+          f"faster in {plan_build['change_faster_rounds']} rounds")
     print(f"check ({check}): {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 

@@ -2,7 +2,8 @@
 """Compare the star engine's weight table fill in two checkouts and
 write the figures to a JSON file.
 
-    python scripts/bench_orbits.py --parent OTHER/src --out BENCH.json
+    PYTHONPATH=src python scripts/bench_orbits.py --parent OTHER/src \
+        --out BENCH.json
 
 The workload is a cold so(3) order-3 table: star._Engine.ensure_weights
 on an empty WeightTable at SAMPLES samples per graph, the step that
@@ -43,6 +44,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+# resolved at import, so that --help fails once the private name is gone;
+# a worker imports it from its own side's src (PYTHONPATH)
+from starquant.star import StarConfig, _Engine
+
 ROOT = Path(__file__).resolve().parent.parent
 
 ORDER = 3
@@ -70,7 +75,6 @@ def so3():
 
 
 def engine(seed: int):
-    from starquant.star import StarConfig, _Engine
     from starquant.weights import IntegrationConfig, WeightTable
     return _Engine(so3(), StarConfig(
         order=ORDER, table=WeightTable(),

@@ -289,32 +289,33 @@ class _Engine:
                     + ", ".join(missing[:4])
                     + ("..." if len(missing) > 4 else "")
                     + "; use weights='auto' or 'numeric'")
-        # (r, entry graph, its serial, coefficient, entry if already held)
-        reads, reps, pooled = [], {}, {}
+        # (r, entry serial): its coefficient c_e, summed over the reads;
+        # new: serial -> graph of each entry the table lacks
+        table, coeff, new, reps, pooled = self.table, {}, {}, {}, {}
         for r, g, ser, sign in rows:
-            est = self.table.get(g)
-            if est is not None or (use_exact and exact_weight(g) is not None):
-                reads.append((r, g, ser, sign, est))
-                continue
-            orbit = r[1]
-            if orbit not in reps:
-                reps[orbit] = parse(orbit)
-            pooled[orbit] = pooled.get(orbit, 0) + 1
-            reads.append((r, reps[orbit], orbit, 1, None))
-        self.table.ensure(list({ser: g for _, g, ser, _, _ in reads}.values()),
-                          self.cfg.integration, use_exact=use_exact,
-                          pooled=pooled)
-        shares, sigma = {}, {}
-        for r, g, ser, c, est in reads:
-            if est is None:
-                est = self.table.get(g)
-            val = est.exact if est.exact is not None else Fraction(est.value)
-            self.weights[r] = self.weights.get(r, QI(0)) + c * QI(val)
+            if table.lookup(ser) is None and not (
+                    use_exact and exact_weight(g) is not None):
+                orbit = r[1]
+                if orbit not in reps:
+                    reps[orbit] = parse(orbit)
+                pooled[orbit] = pooled.get(orbit, 0) + 1
+                g, ser, sign = reps[orbit], orbit, 1
+            coeff[r, ser] = coeff.get((r, ser), 0) + sign
+            if ser not in new and table.lookup(ser) is None:
+                new[ser] = g
+        table.ensure(list(new.values()), self.cfg.integration,
+                     use_exact=use_exact, pooled=pooled)
+        held, sources = {}, []      # held: serial -> (entry, weight as QI)
+        for (r, ser), c in coeff.items():
+            if ser not in held:
+                est = table.lookup(ser)
+                held[ser] = est, QI(est.exact if est.exact is not None
+                                    else Fraction(est.value))
+            est, w = held[ser]
+            self.weights[r] = self.weights.get(r, QI(0)) + c * w
             if est.std_error:
-                shares[r, ser] = shares.get((r, ser), 0) + c
-                sigma[r, ser] = est.std_error
-        self.sources = [(r, abs(c) * sigma[r, ser])
-                        for (r, ser), c in shares.items()]
+                sources.append((r, abs(c) * est.std_error))
+        self.sources = sources
 
     def exact(self, p: Polynomial) -> Measured:
         """p as an error-free series of the engine's order; p must live

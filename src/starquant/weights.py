@@ -68,11 +68,22 @@ once and read by the coincidence guard and, as 1/|z - w|^2 and
 1/|z - wbar|^2, by angle_form's two poles.  The entries and, for at
 most 5 sampled dimensions, det M (det_batch's Laplace expansion without
 its structurally zero terms) are compiled once to ufunc calls; 6 or
-more keep a dense matrix.  Everything is written through out= into one
-workspace per integral, so a block allocates nothing outside it.
-_Plan.__call__ takes sample rows (redraws, tests) and copies each block
-into the columns.  Every integrand float equals the dense evaluation's
-(tests/test_weights.py::TestIntegrandPlan against tests/helpers.py);
+more keep a dense matrix.  Signs and factors of two stay outside the
+compiled values (_Term): a ground's two poles are equal, so its row is
+twice the computed one, and negation and doubling commute exactly with
+the rounding of +, - and * (barring overflow and subnormal results), so
+the program negates and doubles nothing and det M's sign * 2^exp joins
+the constant jac is divided by.  A dense matrix gets its entries scaled
+back, as LAPACK's pivoting depends on them.  Each block length binds
+the whole block once: one list of calls with their operands, views of
+the workspace, from the ground sort to det M, so a block only makes
+calls.  Everything is written through out= into one workspace per
+integral, so a block allocates nothing outside it.  _Plan.__call__
+takes sample rows (redraws, tests) and copies each block into the
+columns.  Every integrand float equals the dense evaluation's
+(tests/test_weights.py::TestIntegrandPlan against tests/helpers.py),
+except that an exactly zero value can carry the other sign where a sum
+of two negated terms cancels exactly (see _Term), which no mean sees;
 both differ from the complex A = (2z - w - wbar)/Q at rounding level.
 Guarded rows are redrawn through the same plan
 (_redraw): a replicate's rejected samples are replaced by uniform draws
@@ -408,44 +419,82 @@ def sampled_dims(graph: KGraph) -> int:
 
 
 class _Term:
-    """A symbolic value in an integrand plan: key is a nested tuple of
-    operations on leaf keys (the plan's coordinates and distances), or
-    None for a structural zero, which products absorb and sums drop.
-    Dropping changes at most the sign of an exactly zero result, and only
-    when every kept term is zero (see _Plan).  -(-a) is a, exactly."""
-    __slots__ = ("key",)
+    """A symbolic value in an integrand plan: sign * 2^exp times the value
+    of node, an id in the plan's node table ids (hash-consed: a leaf key,
+    or an operation on two ids, maps to the id of its first occurrence),
+    or node None for a structural zero, which products absorb and sums
+    drop.  Dropping changes at most the sign of an exactly zero result,
+    and only when every kept term is zero (see _Plan).
 
-    def __init__(self, key):
-        self.key = key
+    Signs and doublings stay outside the node: -a is a's node with the
+    other sign, a + a is a's node with exp + 1, -a + b is sub(b, a).  In
+    round-to-nearest, fl(-x) = -fl(x) and fl(2x) = 2 fl(x) for every +, -
+    and * (barring overflow and subnormal results), so the computed
+    node scaled by sign * 2^exp is the value an explicit negation or
+    doubling would give.  The one exception is the sign of an exact
+    zero: where a = -b, or a and b are zeros of opposite sign,
+    (-a) + (-b) is +0 but -(a + b) is -0.  A zero's sign can change a
+    product or a later sum only in the sign of another zero, so the
+    integrand can differ only in the sign of a value that is exactly
+    zero, which adds nothing to a mean.  Random and Sobol' rows show no
+    such case; rows on the lattice {0, 1/4, 1/2, 3/4}^k do, in graphs
+    whose determinant cancels exactly there."""
+    __slots__ = ("ids", "node", "sign", "exp")
+
+    def __init__(self, ids, node, sign=1, exp=0):
+        self.ids, self.node, self.sign, self.exp = ids, node, sign, exp
 
     def __mul__(self, other):
-        if self.key is None or other.key is None:
+        if self.node is None or other.node is None:
             return _ZERO
-        return _Term(("mul", self.key, other.key))
+        return _Term(self.ids, _intern(self.ids, "mul", self.node, other.node),
+                     self.sign * other.sign, self.exp + other.exp)
 
     def __add__(self, other):
-        if other.key is None:
-            return self
-        if self.key is None:
-            return other
-        return _Term(("add", self.key, other.key))
+        return self._sum(other, other.sign)
 
     def __sub__(self, other):
-        if other.key is None:
-            return self
-        if self.key is None:
-            return -other
-        return _Term(("sub", self.key, other.key))
+        return self._sum(other, -other.sign)
 
     def __neg__(self):
-        key = self.key
-        return self if key is None else _Term(
-            key[1] if key[0] == "neg" else ("neg", key))
+        return self if self.node is None else _Term(
+            self.ids, self.node, -self.sign, self.exp)
+
+    def _sum(self, other, sign):
+        """self + sign * |other|, where |other| is other without its sign."""
+        if other.node is None:
+            return self
+        if self.node is None:
+            return _Term(other.ids, other.node, sign, other.exp)
+        exp = min(self.exp, other.exp)
+        a, b = self._node_at(exp), other._node_at(exp)
+        if self.sign == sign:
+            if a == b:                          # a + a = 2a, exactly
+                return _Term(self.ids, a, sign, exp + 1)
+            return _Term(self.ids, _intern(self.ids, "add", a, b), sign, exp)
+        if self.sign < 0:
+            a, b = b, a                         # -a + b = b - a
+        return _Term(self.ids, _intern(self.ids, "sub", a, b), 1, exp)
+
+    def _node_at(self, exp):
+        """The node of this value over sign * 2^exp, exp <= self.exp.  A
+        Laplace term takes one entry per row, and each row's entries
+        share one exp, so a plan's sums never need the doubling here."""
+        node = self.node
+        for _ in range(self.exp - exp):
+            node = _intern(self.ids, "add", node, node)
+        return node
 
 
-_ZERO = _Term(None)
-_UFUNCS = {"mul": np.multiply, "add": np.add, "sub": np.subtract,
-           "neg": np.negative}
+def _intern(ids, op, a, b):
+    """The id of op(a, b) in the node table ids; add and mul are
+    commutative in floating point, so their operands are ordered."""
+    key = (op, a, b) if op == "sub" or a <= b else (op, b, a)
+    return ids.setdefault(key, len(ids))
+
+
+_ZERO = _Term(None, None)
+_UFUNCS = {"mul": np.multiply, "add": np.add, "sub": np.subtract}
 
 
 class _Plan:
@@ -459,13 +508,30 @@ class _Plan:
     (dx = x_i - g, 1/r^2) and of points i < j (dx, y_i -+ y_j, both
     1/|d|^2; dx, y_i - y_j negated for the edge j -> i).  The guard
     rejects |d|^2 < _GUARD^2, skipping a mirror distance no edge reads
-    (|z_i - zbar_j| >= |z_i - z_j| once y > 0).  The entries and, for
-    k <= 5 columns, det M (_det2.._det5 less its structurally zero terms)
-    compile to ufunc calls on the workspace's slots, equal subterms once;
-    dense M (k >= 6, or no term left) goes to det_batch.  Floats equal the
-    dense evaluation's: on a row that passes the guard a dropped term is
-    +-0, which can change a sum only in the sign of an exact zero and only
-    when every kept term is zero, so a plan with no kept term is dense."""
+    (|z_i - zbar_j| >= |z_i - z_j| once y > 0).
+
+    The entries and, for k <= 5 columns, det M (_det2.._det5 less its
+    structurally zero terms) compile to ufunc calls on the workspace's
+    slots, equal subterms once (_compile).  Signs and doublings are
+    folded into the _Terms, so the program has no negation and no a + a
+    (the two poles of a form at a ground are equal, so a ground row is
+    twice its computed values); det M's sign * 2^exp folds into the
+    exact constant jac is divided by, k_move! / (sign * 2^exp).  A
+    dense M (k >= 6, or no term left) goes to det_batch with every
+    entry scaled back explicitly, as LAPACK's pivoting depends on it.
+    Floats equal the dense evaluation's: on a row that passes the guard
+    a dropped term is +-0, which can change a sum only in the sign of an
+    exact zero and only when every kept term is zero, so a plan with no
+    kept term is dense; the folding is exact up to overflow, subnormal
+    results and the zero sign _Term describes.
+
+    Each block length binds its calls once (_bind): one list of (ufunc or
+    function, operands ending in the output) over views of the
+    workspace, covering the ground sorting network, the point map and
+    Jacobian, the guard's squared distances and mask, the source factors
+    (halfplane.source_form, one call, its masked branch being
+    data-dependent), the program and det_batch for a dense M.  _block
+    makes those calls and writes det M x jac to out."""
 
     def __init__(self, graph: KGraph, rows: int):
         n, m = graph.n, graph.m
@@ -475,7 +541,7 @@ class _Plan:
             v for v in range(n) if v not in sources)}
         ns, k_move = len(point), m - 2
         k = 2 * ns + k_move
-        self.graph, self.dims = graph, k
+        self.graph, self.dims, self.rows = graph, k, rows
         self.ns, self.m, self.k_move = ns, m, k_move
 
         def where(tgt):     # ("z", point) or ("g", ground index)
@@ -495,12 +561,14 @@ class _Plan:
                     cols[2 * ns + (k_move - (tgt - n))] = "nim"
                 self.edges.append((ci, where(tgt), cols))
 
-        entries, expand = self._entries(), _LAPLACE.get(k)
-        root = expand(lambda r, c: entries.get((r, c), _ZERO)).key \
-            if expand else None
-        self.dense = None if root is not None else list(entries)
-        self.program = self._compile([root] if root is not None else [
-            term.key for term in entries.values()])
+        ids = {}
+        entries, expand = self._entries(ids), _LAPLACE.get(k)
+        root = expand(lambda r, c: entries.get((r, c), _ZERO)) \
+            if expand else _ZERO
+        self.dense = None if root.node is not None else list(entries)
+        self.scale = 1.0 if self.dense else float(root.sign << root.exp)
+        self.program = self._compile(list(ids), [root] if self.dense is None
+                                     else list(entries.values()))
 
         # one workspace per plan, so malloc sees one block to keep for the
         # next plan (glibc raises its mmap threshold past a freed chunk):
@@ -516,18 +584,23 @@ class _Plan:
             self.mat = flt[k + 5 + self.n_slots:].reshape(rows, k, k)
             self.mat[:] = 0.0
         self.bad, self.btmp = ws[n_f:].view(bool)[:2 * rows].reshape(2, rows)
+        self._bound = {rows: self._bind(rows)}
 
-    def _entries(self):
-        """M's nonzero entries as _Terms by (row, column)."""
+    def _entries(self, ids):
+        """M's nonzero entries as _Terms by (row, column), their nodes in
+        the table ids."""
+        def leaf(*key):
+            return _Term(ids, ids.setdefault(key, len(ids)))
+
         entries = {}
         for r, (ci, (kind, j), cols) in enumerate(self.edges):
             if kind == "g":
-                y, inv = _Term(("y", ci)), _Term(("gi", ci, j))
-                re, im, d_wy = angle_form(_Term(("x", ci) if j == 0 else (
-                    "gdx", ci, j)), y, y, inv, inv)
+                y, inv = leaf("y", ci), leaf("gi", ci, j)
+                re, im, d_wy = angle_form(leaf("x", ci) if j == 0 else leaf(
+                    "gdx", ci, j), y, y, inv, inv)
             else:
                 pair = tuple(sorted((ci, j)))
-                dx, ym, yp, ia, ib = (_Term((name,) + pair) for name in
+                dx, ym, yp, ia, ib = (leaf(name, *pair) for name in
                                       ("pdx", "pym", "pyp", "pia", "pib"))
                 if ci > j:
                     dx, ym = -dx, -ym
@@ -536,104 +609,155 @@ class _Plan:
             entries.update(((r, c), forms[f]) for c, f in cols.items())
         return entries
 
-    def _compile(self, roots):
-        """Ufunc calls evaluating roots, post-order without repeats, on
-        slots: the columns x_i, y_i (self.cols), one output per root (a
-        repeated root copied), the distance leaves (self.kept), then
-        registers; a leaf's or register's slot is reused once it is dead."""
-        order, seen = [], set()
+    def _compile(self, nodes, roots):
+        """Ufunc calls (ufunc, operands, output) evaluating the _Terms
+        roots, post-order without repeats, on slots numbered: the columns
+        x_i, y_i (self.cols), for a dense M one output per entry, the
+        distance leaves (self.kept), then registers; a leaf's or
+        register's slot is reused once it is dead.  nodes lists the node
+        table's keys by id.  The single root of a determinant stays
+        unscaled in its slot (self.root); a dense entry is written to
+        its output times its sign * 2^exp."""
+        order, seen = [], bytearray(len(nodes))
 
-        def visit(key):
-            if key not in seen:
-                seen.add(key)
+        def visit(i):
+            if not seen[i]:
+                seen[i] = 1
+                key = nodes[i]
                 if key[0] in _UFUNCS:
-                    for arg in key[1:]:
-                        visit(arg)
-                order.append(key)
+                    visit(key[1])
+                    visit(key[2])
+                order.append(i)
 
-        for key in roots:
-            visit(key)
-        calls = [key for key in order if key[0] in _UFUNCS]
-        leaves = [key for key in order if key[0] not in _UFUNCS]
-        self.cols = [key for key in leaves if key[0] in ("x", "y")]
-        self.kept = {key: i for i, key in enumerate(
-            key for key in leaves if key not in self.cols)}
-        outs = {key: len(self.cols) + i
-                for i, key in reversed(list(enumerate(roots)))}
-        base = len(self.cols) + len(roots)
-        slot = {key: i for i, key in enumerate(self.cols)}
-        slot.update((key, base + i) for key, i in self.kept.items())
-        last = {arg: i for i, key in enumerate(calls) for arg in key[1:]}
+        for term in roots:
+            visit(term.node)
+        calls = [i for i in order if nodes[i][0] in _UFUNCS]
+        cols = [i for i in order if nodes[i][0] in ("x", "y")]
+        kept = [i for i in order if nodes[i][0] not in _UFUNCS
+                and nodes[i][0] not in ("x", "y")]
+        self.cols = [nodes[i] for i in cols]
+        self.kept = {nodes[i]: j for j, i in enumerate(kept)}
+        n_out = len(roots) if self.dense else 0
+        base = len(cols) + n_out
+        slot = [None] * len(nodes)
+        for j, i in enumerate(cols):
+            slot[i] = j
+        for j, i in enumerate(kept):
+            slot[i] = base + j
+        # a dense entry's node is written straight to the first output
+        # that takes it unscaled
+        outs = {}
+        for i, term in reversed(list(enumerate(roots[:n_out]))):
+            if term.sign == 1 and term.exp == 0:
+                outs[term.node] = len(self.cols) + i
+        last = [-1] * len(nodes)
+        for pos, i in enumerate(calls):
+            last[nodes[i][1]] = last[nodes[i][2]] = pos
         free, program, top = [], [], base + len(self.kept)
-        for i, key in enumerate(calls):
-            free += [slot[arg] for arg in set(key[1:]) if last[arg] == i
+        for pos, i in enumerate(calls):
+            op, a, b = nodes[i]
+            free += [slot[arg] for arg in {a, b} if last[arg] == pos
                      and slot[arg] >= base and arg not in outs]
-            if key not in outs and not free:
+            if i not in outs and not free:
                 free.append(top)
                 top += 1
-            slot[key] = outs[key] if key in outs else free.pop()
-            program.append((_UFUNCS[key[0]],
-                            tuple(slot[arg] for arg in key[1:]), slot[key]))
+            slot[i] = outs[i] if i in outs else free.pop()
+            program.append((_UFUNCS[op], (slot[a], slot[b]), slot[i]))
         self.n_slots = top - base
-        return program + [(np.positive, (slot[key],), len(self.cols) + i)
-                          for i, key in enumerate(roots)
-                          if slot[key] != len(self.cols) + i]
+        if not self.dense:
+            self.root = slot[roots[0].node]
+            return program
+        for i, term in enumerate(roots):
+            scale, dst = float(term.sign << term.exp), len(self.cols) + i
+            if scale != 1.0:
+                program.append((np.multiply, (slot[term.node], scale), dst))
+            elif slot[term.node] != dst:
+                program.append((np.positive, (slot[term.node],), dst))
+        return program
 
     def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Integrand values of unit-cube sample rows u into out; NaN marks
         rejected rows."""
-        step = self.ut.shape[1]
-        for c in range(0, len(u), step):
-            rows = u[c:c + step]
-            np.copyto(self.ut[:, :len(rows)], rows.T)
-            self._block(out[c:c + step])
+        step = self.rows
+        with np.errstate(all="ignore"):
+            for c in range(0, len(u), step):
+                rows = u[c:c + step]
+                np.copyto(self.ut[:, :len(rows)], rows.T)
+                self._block(out[c:c + step])
         return out
 
-    @np.errstate(all="ignore")
     def _block(self, out):
         """Integrand values of the first len(out) samples in ut, one per
-        column, into out; ut is overwritten."""
-        r, ns, m, k_move = len(out), self.ns, self.m, self.k_move
+        column, into out; ut is overwritten.  Floating-point errors are
+        the caller's to silence (np.errstate): a guarded row may divide
+        by zero."""
+        r = len(out)
+        bound = self._bound.get(r)
+        if bound is None:       # keep the full length and the latest other
+            bound = self._bind(r)
+            self._bound = {self.rows: self._bound[self.rows], r: bound}
+        calls, root, jac, bad, btmp = bound
+        for f, args in calls:
+            f(*args)
+        np.multiply(root, jac, out=out)
+        np.isfinite(out, out=btmp)
+        np.logical_not(btmp, out=btmp)
+        np.logical_or(bad, btmp, out=bad)
+        np.copyto(out, np.nan, where=bad)
+
+    def _bind(self, r):
+        """The calls of a block of r samples, with every operand a view of
+        the workspace or a constant: (calls, root, jac, bad, btmp), where
+        calls leave det M / (sign * 2^exp) in root and the rest of the
+        integrand times sign * 2^exp in jac, and bad marks the guarded
+        rows."""
+        calls, ns, m, k_move = [], self.ns, self.m, self.k_move
+
+        def call(f, *args):
+            calls.append((f, args))
+            return args[-1]
+
         ut = self.ut[:, :r]
         # moving grounds in ascending position: a compare-exchange network
         tg, lo = ut[2 * ns:], self.tmp[:r]
         for end in range(k_move - 1, 0, -1):
             for j in range(end):
-                np.minimum(tg[j], tg[j + 1], out=lo)
-                np.maximum(tg[j], tg[j + 1], out=tg[j + 1])
-                np.copyto(tg[j], lo)
+                call(functools.partial(np.minimum, out=lo), tg[j], tg[j + 1])
+                call(functools.partial(np.maximum, out=tg[j + 1]), tg[j],
+                     tg[j + 1])
+                call(np.copyto, tg[j], lo)
 
         jac, den, tmp = self.jac[:r], self.den[:r], self.tmp[:r]
         xs, ys = ut[0:2 * ns:2], ut[1:2 * ns:2]
         for i in range(ns):
             x, y = xs[i], ys[i]                 # from s and t, in place
-            np.subtract(x, 0.5, out=x)
-            np.multiply(np.pi, x, out=x)
-            np.tan(x, out=x)
+            call(np.subtract, x, 0.5, x)
+            call(np.multiply, np.pi, x, x)
+            call(np.tan, x, x)
             omt = tmp if i else den             # 1 - t
-            np.subtract(1.0, y, out=omt)
-            np.divide(y, omt, out=y)
+            call(np.subtract, 1.0, y, omt)
+            call(np.divide, y, omt, y)
             # Jacobian: prod pi (1 + x^2) / prod (1 - t), squared
             if i:
-                np.multiply(den, tmp, out=den)
+                call(np.multiply, den, tmp, den)
             term = tmp if i else jac
-            np.multiply(x, x, out=term)
-            np.add(1.0, term, out=term)
-            np.multiply(np.pi, term, out=term)
+            call(np.multiply, x, x, term)
+            call(np.add, 1.0, term, term)
+            call(np.multiply, np.pi, term, term)
             if i:
-                np.multiply(jac, tmp, out=jac)
-        np.multiply(den, den, out=den)
-        np.divide(jac, den, out=jac)
+                call(np.multiply, jac, tmp, jac)
+        call(np.multiply, den, den, den)
+        call(np.divide, jac, den, jac)
 
         def ground(g):
             return 0.0 if g == 0 else 1.0 if g == m - 1 else tg[g - 1]
 
         bad, btmp = self.bad[:r], self.btmp[:r]
-        np.isfinite(jac, out=bad)
-        np.logical_not(bad, out=bad)
+        call(np.isfinite, jac, bad)
+        call(np.logical_not, bad, bad)
         for i in range(ns):
-            np.less_equal(ys[i], 0.0, out=btmp)
-            np.logical_or(bad, btmp, out=bad)
+            call(np.less_equal, ys[i], 0.0, btmp)
+            call(np.logical_or, bad, btmp, bad)
 
         # each squared distance once: the guard tests it, and a kept one
         # becomes its leaf 1/|d|^2; what no call reads goes to temporaries
@@ -645,26 +769,26 @@ class _Plan:
             return slots[index[key]] if key in index else temp
 
         def near(key, base2, v, temp):      # |d|^2 = base2 + v^2
-            d2 = np.multiply(v, v, out=at(key, temp))
-            np.add(base2, d2, out=d2)
-            np.less(d2, g2, out=btmp)
-            np.logical_or(bad, btmp, out=bad)
+            d2 = call(np.multiply, v, v, at(key, temp))
+            call(np.add, base2, d2, d2)
+            call(np.less, d2, g2, btmp)
+            call(np.logical_or, bad, btmp, bad)
             if key in index:
-                np.divide(1.0, d2, out=d2)
+                call(np.divide, 1.0, d2, d2)
 
         for i in range(ns):
-            y2 = np.multiply(ys[i], ys[i], out=t0)
+            y2 = call(np.multiply, ys[i], ys[i], t0)
             for g in range(m):
-                dx = xs[i] if g == 0 else np.subtract(
-                    xs[i], ground(g), out=at(("gdx", i, g), t1))
+                dx = xs[i] if g == 0 else call(
+                    np.subtract, xs[i], ground(g), at(("gdx", i, g), t1))
                 near(("gi", i, g), y2, dx, t2)
             for j in range(i + 1, ns):
-                dx = np.subtract(xs[i], xs[j], out=at(("pdx", i, j), t0))
-                ym = np.subtract(ys[i], ys[j], out=at(("pym", i, j), t1))
-                dx2 = np.multiply(dx, dx, out=t2)
+                dx = call(np.subtract, xs[i], xs[j], at(("pdx", i, j), t0))
+                ym = call(np.subtract, ys[i], ys[j], at(("pym", i, j), t1))
+                dx2 = call(np.multiply, dx, dx, t2)
                 near(("pia", i, j), dx2, ym, t3)
                 if ("pib", i, j) in index:
-                    yp = np.add(ys[i], ys[j], out=at(("pyp", i, j), t1))
+                    yp = call(np.add, ys[i], ys[j], at(("pyp", i, j), t1))
                     near(("pib", i, j), dx2, yp, t3)
 
         # a source's two rows are the only entries in its two columns, so
@@ -674,26 +798,26 @@ class _Plan:
             kind, j = where
             return (xs[j], ys[j]) if kind == "z" else (ground(j), 0.0)
 
-        np.divide(jac, math.factorial(k_move), out=jac)
+        divisor = math.factorial(k_move) / self.scale      # exact
+        if divisor != 1.0:
+            call(np.divide, jac, divisor, jac)
         for a, b in self.sources:
             (xa, ya), (xb, yb) = coords(a), coords(b)
-            np.multiply(jac, source_form(np.subtract(xa, xb, out=t0),
-                                         np.add(ya, yb, out=t1), out=t2),
-                        out=jac)
+            call(source_form, call(np.subtract, xa, xb, t0),
+                 call(np.add, ya, yb, t1), t2)
+            call(np.multiply, jac, t2, jac)
 
-        outs = [out] if self.dense is None else [
-            self.mat[:r, row, col] for row, col in self.dense]
+        outs = [self.mat[:r, row, col] for row, col in self.dense or ()]
         bufs = [ut[2 * i + (name == "y")] for name, i in self.cols] + \
             outs + list(slots)
         for ufunc, args, dst in self.program:
-            ufunc(*(bufs[a] for a in args), out=bufs[dst])
+            call(ufunc, *(bufs[a] if type(a) is int else a for a in args),
+                 bufs[dst])
         if self.dense:
-            det_batch(self.mat[:r], out=out)
-        np.multiply(out, jac, out=out)
-        np.isfinite(out, out=btmp)
-        np.logical_not(btmp, out=btmp)
-        np.logical_or(bad, btmp, out=bad)
-        np.copyto(out, np.nan, where=bad)
+            root = call(det_batch, self.mat[:r], t2)
+        else:
+            root = bufs[self.root]
+        return calls, root, jac, bad, btmp
 
 
 def _redraw(plan: _Plan, vals: np.ndarray, seed: int) -> None:
@@ -739,7 +863,7 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
     rep_seeds = [stable_seed(base_seed, "rep", r) for r in range(N_REPLICATES)]
     # qmc past the Sobol' caps raises here, before the plan is allocated
     fill = _draws(cfg.method, dims, rep_seeds, per_rep)
-    group = max(1, _BLOCK_ROWS // per_rep)
+    group = max(1, min(N_REPLICATES, _BLOCK_ROWS // per_rep))
     plan = _Plan(graph, min(_BLOCK_ROWS, group * per_rep))
     buf = np.empty((group, per_rep))        # one group's values, reused
     means = []
@@ -750,10 +874,11 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
         # into the plan's columns; its values follow the previous
         # chunk's in vals
         rows = vals.reshape(-1)
-        for c in range(0, per_rep, _BLOCK_ROWS):
-            size = min(per_rep - c, _BLOCK_ROWS)
-            fill(first, c, plan.ut[:, :n * size].reshape(dims, n, size))
-            plan._block(rows[n * c:n * (c + size)])
+        with np.errstate(all="ignore"):     # guarded rows may divide by 0
+            for c in range(0, per_rep, _BLOCK_ROWS):
+                size = min(per_rep - c, _BLOCK_ROWS)
+                fill(first, c, plan.ut[:, :n * size].reshape(dims, n, size))
+                plan._block(rows[n * c:n * (c + size)])
         for k in np.flatnonzero(np.isnan(vals).any(axis=1)):
             _redraw(plan, vals[k], stable_seed(seeds[k], "redraw"))
         means.extend(vals.mean(axis=1).tolist())
@@ -795,8 +920,10 @@ def weight(graph: KGraph, cfg: IntegrationConfig,
     return est
 
 
+@functools.lru_cache(maxsize=4096)
 def exact_weight(graph: KGraph) -> Fraction | None:
-    """Closed-form star weight when one is known, else None.
+    """Closed-form star weight when one is known, else None; memoised,
+    as it is a pure function of the frozen graph.
 
     Covers: repeated-edge degeneracy, the order-0 and order-1 graphs,
     derivative-free graphs (every edge lands on a ground vertex), whose
@@ -879,7 +1006,11 @@ class WeightTable:
         return iter(self._entries.values())
 
     def get(self, graph: KGraph) -> WeightEstimate | None:
-        hit = self._entries.get(serialize(graph))
+        return self.lookup(serialize(graph))
+
+    def lookup(self, ser: str) -> WeightEstimate | None:
+        """The entry of the graph whose serialization is ser, or None."""
+        hit = self._entries.get(ser)
         return hit[1] if hit else None
 
     def put(self, graph: KGraph, est: WeightEstimate) -> None:

@@ -746,6 +746,41 @@ class TestIntegrandPlan:
         gen = np.random.Generator(np.random.PCG64(rows))
         self.check(graph, gen.random((rows, sampled_dims(graph))))
 
+    @pytest.mark.parametrize("graph", [
+        parse("n=2;m=2;1:[2,L];2:[1,R]"), _i_p_graph(3),
+        parse("n=3;m=2;1:[2,L];2:[3,L];3:[1,R]")], ids=serialize)
+    def test_one_plan_at_every_block_length(self, graph):
+        """One plan's calls are bound per block length: lengths 1, 7,
+        rows - 1 and rows, then 7 again, all on the same plan."""
+        rows = 64
+        plan = weights._Plan(graph, rows)
+        u = self.sobol(graph, rows)
+        for n in (1, 7, rows - 1, rows, 7):
+            got = plan(u[:n], np.empty(n))
+            want = dense_integrand(graph, u[:n])
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_source_on_coincident_grounds(self):
+        """Vertex 1's targets, the moving grounds G1 and G2, coincide in
+        the first row: a - bbar = 0 takes source_form's masked branch
+        (F = 0) inside the plan's bound calls."""
+        graph = parse("n=2;m=4;1:[G1,G2];2:[G0,G1,G2,G3]")
+        u = np.array([(0.3, 0.4, 0.6, 0.6), (0.3, 0.4, 0.7, 0.2),
+                      (0.8, 0.1, 0.35, 0.35)])
+        self.check(graph, u)
+        vals = plan_values(graph, u)
+        assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] != 0.0
+
+    @pytest.mark.parametrize("graph", star_graphs(2) + ORDER3_PLAN_SAMPLE,
+                             ids=serialize)
+    def test_program_folds_signs_and_doublings(self, graph):
+        """Negations and doublings are folded into the plan's terms: the
+        compiled program negates nothing and adds no slot to itself."""
+        for ufunc, args, _ in weights._Plan(graph, 8).program:
+            assert ufunc is not np.negative
+            assert not (ufunc is np.add and args[0] == args[1])
+
 
 class TestBlockAllocation:
     """A block allocates nothing outside its plan's workspace: the traced
