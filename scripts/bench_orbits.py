@@ -7,7 +7,9 @@ write the figures to a JSON file.
 
 The workload is a cold so(3) order-3 table: star._Engine.ensure_weights
 on an empty WeightTable at SAMPLES samples per graph, the step that
-integrates the sampled weights of an order-3 star product.
+integrates the sampled weights of an order-3 star product.  A worker
+first sets the solved weights (weights.SOLVED_WEIGHTS) aside on a side
+that has them, so both sides integrate the same ten orbits.
 
 Timing.  Each round runs one fresh interpreter per side, alternating
 which side goes first.  A worker builds the engine (operators are
@@ -55,9 +57,10 @@ SAMPLES = 4096
 SEED = 0
 REPEATS = 3
 NOISE_SEEDS = 8
-# orbits of so(3) star graphs with a known orbit weight: the two order-2
-# orbits with a source (8 members of +-1/24), the wheel (8 of -1/48), and
-# two order-3 orbits that factorise into them and an order-1 vertex
+# orbits of so(3) star graphs with a known orbit weight (all in
+# weights.SOLVED_WEIGHTS): the two order-2 orbits with a source (8 members
+# of +-1/24), the wheel (8 of -1/48), and two order-3 orbits that
+# factorise into them and an order-1 vertex
 KNOWN = {
     "n=2;m=2;1:[2,L];2:[L,R]": Fraction(-1, 3),
     "n=2;m=2;1:[2,R];2:[L,R]": Fraction(1, 3),
@@ -72,6 +75,13 @@ def so3():
     from starquant.polyvector import PolyVectorField
     x = [Polynomial.variable(3, i) for i in range(3)]
     return PolyVectorField(3, 1, {(0, 1): x[2], (0, 2): -x[1], (1, 2): x[0]})
+
+
+def sampled_path():
+    """Set the solved weights aside, where this side has them."""
+    from starquant import weights
+    getattr(weights, "SOLVED_WEIGHTS", {}).clear()
+    weights.exact_weight.cache_clear()
 
 
 def engine(seed: int):
@@ -183,6 +193,8 @@ def main():
                     help="coverage seeds per side (default 150)")
     ap.add_argument("--out", type=Path)
     ns = ap.parse_args()
+    if ns.worker:
+        sampled_path()
     if ns.worker == "time":
         print(json.dumps(time_worker()))
         return 0

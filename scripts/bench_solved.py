@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Compare a cold default `starquant verify assoc -N 3` in two checkouts
+and write the figures to a JSON file.
+
+    PYTHONPATH=src python scripts/bench_solved.py --parent OTHER/src \
+        --out BENCH.json
+
+Two structures, each with an empty weight table and the default sample
+budget (seed --seed):
+
+    so3      the packaged so(3)-type structure
+    nambu    the Nambu bivector eps^{ijk} d_k C with C = x0^3 + x1 x2
+
+A worker runs one structure through starquant.cli.main in a fresh
+interpreter and records its wall time, exit code, the number of weight
+integrations and samples drawn (counted at
+weights.integrate_graph_form), and each power's residual and bound from
+the artifact.  Each round runs one worker per structure and side,
+alternating which side goes first.  The file records per structure and
+side the wall time (median and quartiles over rounds) and the counts and
+rows of the first round.
+
+Checks.  Counts, exit codes and rows must repeat across a side's rounds
+(a cold run is deterministic for a fixed seed), and the change must
+pass both structures; the script exits 1 otherwise.
+"""
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STRUCTURES = ("so3", "nambu")
+
+
+def nambu():
+    from starquant.poly import Polynomial
+    from starquant.polyvector import PolyVectorField
+
+    x = [Polynomial.variable(3, i) for i in range(3)]
+    # eps^{ijk} d_k C: d0 C = 3 x0^2, d1 C = x2, d2 C = x1
+    return PolyVectorField(3, 1, {(0, 1): x[1], (0, 2): -x[2],
+                                  (1, 2): x[0] * x[0] * 3})
+
+
+def worker(structure: str, seed: int) -> dict:
+    from starquant import weights
+    from starquant.cli import main
+
+    counts = {"integrations": 0, "samples": 0}
+    integrate = weights.integrate_graph_form
+
+    def counting(graph, cfg, seed=None):
+        out = integrate(graph, cfg, seed)
+        counts["integrations"] += 1
+        counts["samples"] += out[2]
+        return out
+
+    weights.integrate_graph_form = counting
+    with tempfile.TemporaryDirectory() as work:
+        argv = ["verify", "assoc", "-N", "3", "--seed", str(seed)]
+        if structure == "nambu":
+            path = os.path.join(work, "alpha.json")
+            with open(path, "w") as fh:
+                json.dump(nambu().to_json_obj(), fh)
+            argv += ["--alpha", path]
+        out = os.path.join(work, "assoc.json")
+        t0 = time.perf_counter()
+        code = main(argv + ["--out", out])
+        wall = time.perf_counter() - t0
+        with open(out) as fh:
+            report = json.load(fh)
+    rows = [{key: r[key] for key in ("power", "residual_max", "bound",
+                                     "passed")} for r in report["powers"]]
+    return {"wall_s": wall, "exit": code, **counts, "rows": rows}
+
+
+def run_side(src: Path, structure: str, seed: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    env.pop("STARQUANT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", structure, "--seed",
+         str(seed)], env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def versions(src: Path) -> dict:
+    code = "import starquant; print(starquant.__version__)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    return {"python": platform.python_version(), "starquant": out.strip()}
+
+
+def spread(xs) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--worker", choices=STRUCTURES, help=argparse.SUPPRESS)
+    ap.add_argument("--parent", type=Path,
+                    help="src/ directory of the checkout to compare against")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="src/ directory of the change (default: this "
+                         "checkout's)")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="verify seed (default 0)")
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--out", type=Path)
+    ns = ap.parse_args()
+    if ns.worker:
+        print(json.dumps(worker(ns.worker, ns.seed)))
+        return 0
+    if ns.parent is None or ns.out is None:
+        ap.error("--parent and --out are required")
+    if ns.rounds < 2:
+        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
+    sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
+
+    runs = {(s, side): [] for s in STRUCTURES for side in sides}
+    for k in range(ns.rounds):
+        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+        for structure in STRUCTURES:
+            for side in order:
+                runs[structure, side].append(
+                    run_side(sides[side], structure, ns.seed))
+            print(f"round {k + 1}/{ns.rounds} {structure}: "
+                  f"{runs[structure, 'parent'][-1]['wall_s']:.2f}s -> "
+                  f"{runs[structure, 'change'][-1]['wall_s']:.2f}s",
+                  file=sys.stderr, flush=True)
+
+    def fixed(r):
+        return {key: r[key] for key in ("exit", "integrations", "samples",
+                                        "rows")}
+
+    repeat = all(fixed(r) == fixed(rs[0]) for rs in runs.values() for r in rs)
+    passes = all(runs[s, "change"][0]["exit"] == 0 for s in STRUCTURES)
+    results = {}
+    for structure in STRUCTURES:
+        walls = {side: [r["wall_s"] for r in runs[structure, side]]
+                 for side in sides}
+        wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
+        results[structure] = {
+            **{side: {"wall_s": spread(walls[side]),
+                      **fixed(runs[structure, side][0])} for side in sides},
+            "speedup_median": (statistics.median(walls["parent"])
+                               / statistics.median(walls["change"])),
+            "change_faster_rounds": f"{wins}/{ns.rounds}",
+        }
+    record = {
+        "harness": "scripts/bench_solved.py",
+        "what": "cold default `starquant verify assoc -N 3 --seed "
+                f"{ns.seed}` on so(3) and on the Nambu structure "
+                "C = x0^3 + x1 x2: wall seconds (median and quartiles over "
+                "rounds, one fresh interpreter per side, structure and "
+                "round, sides alternating), weight integrations and "
+                "samples drawn, and residual and bound per power",
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+        "rounds": ns.rounds,
+        "versions": {side: versions(src) for side, src in sides.items()},
+        "check": {"what": "counts and rows repeat across rounds; the "
+                          "change passes both structures",
+                  "passed": repeat and passes},
+        "structures": results,
+    }
+    ns.out.write_text(json.dumps(record, indent=2) + "\n")
+    for structure, res in results.items():
+        p, c = res["parent"], res["change"]
+        print(f"{structure}: {p['wall_s']['median']:.2f}s -> "
+              f"{c['wall_s']['median']:.2f}s "
+              f"({res['speedup_median']:.1f}x), integrations "
+              f"{p['integrations']} -> {c['integrations']}, samples "
+              f"{p['samples']} -> {c['samples']}, exit "
+              f"{p['exit']} -> {c['exit']}")
+    print(f"check passed: {record['check']['passed']}")
+    return 0 if record["check"]["passed"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -315,7 +315,7 @@ def _run_suite(suite: str, ns):
             raise ParseError("verify assoc takes --f, --g and --h together; "
                              f"missing {', '.join(missing)}")
         else:
-            # quadratic, so the hbar^2 residual depends on sampled weights
+            # quadratic, so the hbar^2 residual reads order-2 weights
             x = _default_args(alpha.dim, 4)
             triple = [x[i % alpha.dim] * x[(i + 1) % alpha.dim]
                       for i in range(3)]

@@ -40,9 +40,11 @@ from .star import (Measured, ResidualReport, ResidualRow, StarConfig,
 from .weights import TWO_PI, integrate_graph_form, stable_seed
 
 # Sign relating the assembled composition side of the coherence
-# identity to eps_12 u_1([a_1, a_2]).  Calibrated numerically on two
-# independent pairs of random linear bivectors (residuals at 0.8x and
-# 0.6x the propagated sigma; the opposite sign fails by 26x); all
+# identity to eps_12 u_1([a_1, a_2]).  First calibrated numerically on
+# two independent pairs of random linear bivectors; with every order-2
+# star weight exact (weights.SOLVED_WEIGHTS) the identity holds exactly
+# at this sign, and the opposite sign misses by 4/3
+# (tests/test_formality.py::TestCoherence::test_rhs_sign_exact).  All
 # stacked orientation conventions enter here and nowhere else.
 LINFTY_RHS_SIGN = -1
 

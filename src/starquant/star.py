@@ -3,7 +3,14 @@
 The hbar^n coefficient of f * g is (i/2)^n sum over order-n star
 graphs of weight x operator value.  Weights come from a shared
 WeightTable; their statistical errors are pushed through every
-derived quantity, so each report carries a per-power bound.
+derived quantity, so each report carries a per-power bound.  Under
+weights "auto" a graph without a table entry takes its closed form
+from weights.exact_weight when it has one (the vanishing lemma, the
+order-0 and derivative-free graphs, and the orbits solved exactly from
+associativity and the other constraints listed at
+weights.SOLVED_WEIGHTS) and is sampled only otherwise.  so(3) products
+and checks through hbar^3 therefore integrate nothing, and their
+bounds are 0.
 
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
 bivector, so a star graph's operator and its weight are sign x its

@@ -106,7 +106,7 @@ from numpy.linalg import _umath_linalg     # np.linalg.det with out=
 
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, SamplingError, json_int)
-from .graphs import KGraph, parse, serialize
+from .graphs import KGraph, orbit_representative, parse, serialize
 from .halfplane import TWO_PI, angle_form, source_form
 
 _METHODS = ("qmc", "mc")
@@ -920,19 +920,59 @@ def weight(graph: KGraph, cfg: IntegrationConfig,
     return est
 
 
+# Star weights solved exactly, keyed by orbit-representative serial
+# (graphs.orbit_representative): every order-2 and order-3 orbit with a
+# nonzero so(3) operator that no closed form in exact_weight covers.
+# With W = members x w (8 members at order 2, 48 at order 3), so(3)
+# associativity at hbar^2 and hbar^3 has rank 7: it fixes six of the ten
+# W and leaves W_wheel - W_A - (W_B + W_C)/2 = 1/6 for the wheel and the
+# three orbits A, B, C marked below.  Mirror parity
+# w(mirror g) = (-1)^n w(g) gives w_B = w_C; factorisation over the parts
+# that meet only at the grounds gives w_A = (2! 1!/3!) w_wheel w(1:[L,R]);
+# the wheel's -1/48 is taken from the literature (the -1/6 hbar^2
+# coefficient of Kontsevich, q-alg/9709040), not derived.
+# tests/test_solved_weights.py re-derives every value from these
+# constraints.
+SOLVED_WEIGHTS = {
+    "n=2;m=2;1:[2,L];2:[1,R]": Fraction(-1, 48),           # wheel
+    "n=2;m=2;1:[2,L];2:[L,R]": Fraction(-1, 24),
+    "n=2;m=2;1:[2,R];2:[L,R]": Fraction(1, 24),
+    "n=3;m=2;1:[2,L];2:[1,R];3:[L,R]": Fraction(-1, 288),   # A
+    "n=3;m=2;1:[2,L];2:[3,L];3:[L,R]": Fraction(0),
+    "n=3;m=2;1:[2,L];2:[3,R];3:[L,R]": Fraction(-1, 288),   # B
+    "n=3;m=2;1:[2,L];2:[L,R];3:[1,R]": Fraction(-1, 288),   # C
+    "n=3;m=2;1:[2,L];2:[L,R];3:[L,R]": Fraction(-1, 144),
+    "n=3;m=2;1:[2,R];2:[3,R];3:[L,R]": Fraction(0),
+    "n=3;m=2;1:[2,R];2:[L,R];3:[L,R]": Fraction(1, 144),
+}
+_SOLVED_ORDER = max(parse(ser).n for ser in SOLVED_WEIGHTS)
+
+
 @functools.lru_cache(maxsize=4096)
 def exact_weight(graph: KGraph) -> Fraction | None:
     """Closed-form star weight when one is known, else None; memoised,
     as it is a pure function of the frozen graph.
 
-    Covers: repeated-edge degeneracy, the order-0 and order-1 graphs,
-    derivative-free graphs (every edge lands on a ground vertex), whose
-    integral factorizes into order-1 blocks, and the vanishing lemma
-    (Kontsevich, q-alg/9709040 section 7): zero when some set S of
-    aerial vertices sends every out-edge into S plus at most one ground.
-    S's angle forms are then invariant under dilation about that ground,
-    so their rows of the form matrix all annihilate the dilation field:
-    they are dependent and the integrand is zero pointwise.
+    Four sources, in order:
+    - repeated-edge degeneracy and the vanishing lemma (Kontsevich,
+      q-alg/9709040 section 7): zero when some set S of aerial vertices
+      sends every out-edge into S plus at most one ground.  S's angle
+      forms are then invariant under dilation about that ground, so
+      their rows of the form matrix all annihilate the dilation field:
+      they are dependent and the integrand is zero pointwise;
+    - the order-0 graph (weight 1);
+    - derivative-free graphs (every edge lands on a ground vertex),
+      order 1 among them, whose integral factorizes into order-1
+      blocks;
+    - the solved table SOLVED_WEIGHTS: a graph of order at most 3 whose
+      orbit representative is listed gets sign x its value
+      (orbit_representative's sign); the order test spares larger
+      graphs the orbit search.  These values are exact solutions of
+      associativity and the other constraints named there, with the
+      wheel weight an input from the literature.
+    Anything else is None: star products sample it under
+    weights="auto".  `starquant weight` without --exact never calls
+    this, so it still samples every graph.
     """
     if graph.m != 2 or graph.edge_count != 2 * graph.n:
         return None
@@ -948,8 +988,14 @@ def exact_weight(graph: KGraph) -> Fraction | None:
         if targets == (right, left):
             sign = -sign
             continue
+        break
+    else:
+        return Fraction(sign, 2 ** graph.n * math.factorial(graph.n))
+    if graph.n > _SOLVED_ORDER:
         return None
-    return Fraction(sign, 2 ** graph.n * math.factorial(graph.n))
+    rep, sign = orbit_representative(graph)
+    solved = SOLVED_WEIGHTS.get(serialize(rep))
+    return None if solved is None else sign * solved
 
 
 def _collapsing_set(graph: KGraph) -> bool:

@@ -1,13 +1,33 @@
 """Shared fixtures-in-code for the test suite: canned Poisson structures,
 seeded random generators for polynomials and fields, and reference
 implementations that production code is checked against."""
+import contextlib
 import random
 from fractions import Fraction
 from numbers import Rational
 
+import pytest
+
+from starquant import weights
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
 from starquant.rational import QI
+
+
+@contextlib.contextmanager
+def without_solved_weights():
+    """exact_weight without weights.SOLVED_WEIGHTS, its memo cleared on
+    entry and exit: star products under weights="auto" then sample every
+    orbit no other closed form covers.  The sampled path's tests run in
+    it (the conftest fixture sampled_weights, or a module- or
+    class-scoped fixture's body)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "SOLVED_WEIGHTS", {})
+        weights.exact_weight.cache_clear()
+        try:
+            yield
+        finally:
+            weights.exact_weight.cache_clear()
 
 
 def so3_alpha() -> PolyVectorField:
@@ -48,6 +68,34 @@ def random_polynomial(rng: random.Random, dim: int, max_degree: int = 2,
         if c:
             terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
     return Polynomial(dim, terms)
+
+
+def random_poly(rng: random.Random, dim: int = 3, deg: int = 2) -> Polynomial:
+    """Four terms, each an integer in [-3, 3] times at most deg random
+    coordinates: the draw of tests/test_acceptance.py's criteria 7 and 9."""
+    out = Polynomial.zero(dim)
+    for _ in range(4):
+        term = Polynomial.constant(dim, QI(rng.randint(-3, 3)))
+        for _ in range(rng.randint(0, deg)):
+            term = term * Polynomial.variable(dim, rng.randrange(dim))
+        out = out + term
+    return out
+
+
+def random_linear_bivector(rng: random.Random,
+                           dim: int = 3) -> PolyVectorField:
+    """Components (0,1), (0,2), (1,2), each sum_v c_v x_v with integer
+    c_v in [-2, 2]: the draw of tests/test_acceptance.py's criterion 9."""
+    comps = {}
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        p = Polynomial.zero(dim)
+        for v in range(dim):
+            c = rng.randint(-2, 2)
+            if c:
+                p = p + Polynomial.variable(dim, v) * QI(c)
+        if not p.is_zero():
+            comps[pair] = p
+    return PolyVectorField(dim, 1, comps)
 
 
 def random_field(rng: random.Random, dim: int, degree: int,

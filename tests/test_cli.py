@@ -597,6 +597,7 @@ class TestVerify:
             main(["verify", "--help"])
         assert "1 <= p <= 8" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.usefixtures("sampled_weights")
     def test_default_assoc_reaches_sampled_weights(self, tmp_path):
         """The default triple is quadratic: its hbar^2 residual carries a
         nonzero error bound, so a wrong sampled weight could fail it."""
@@ -606,6 +607,24 @@ class TestVerify:
         powers = {r["power"]: r for r in json.loads(out.read_text())["powers"]}
         assert powers[2]["bound"] > 0
         assert powers[2]["residual_max"] > 0
+
+    @pytest.mark.parametrize("order", ["2", "3"])
+    def test_cubic_triple_is_exactly_associative(self, tmp_path, order):
+        """x0^2 x1, x1^2 x2, x0 x2^2 on the packaged so(3): every weight
+        it reads through order 3 is exact, so each power has residual 0
+        at bound 0."""
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        argv = ["verify", "assoc", "-N", order]
+        for k, p in zip("fgh", (x[0] * x[0] * x[1], x[1] * x[1] * x[2],
+                                x[0] * x[2] * x[2])):
+            argv += [f"--{k}", poly_file(tmp_path, f"{k}.json", 3, p)]
+        out = tmp_path / "assoc.json"
+        assert main(argv + ["--seed", "0", "--samples", "4096",
+                            "--out", str(out)]) == 0
+        powers = json.loads(out.read_text())["powers"]
+        assert [r["power"] for r in powers] == list(range(int(order) + 1))
+        assert all(r["residual_max"] == 0 and r["bound"] == 0
+                   for r in powers)
 
     @pytest.mark.parametrize("given", [("f",), ("g", "h"), ("f", "h")])
     def test_partial_assoc_triple_exit_2(self, monkeypatch, capsys, given):

@@ -25,8 +25,11 @@ from starquant.rational import QI
 from starquant.star import StarConfig, star_expansion
 from starquant.weights import IntegrationConfig, WeightTable
 
+from helpers import random_linear_bivector, random_poly
+
 DIM = 3
 operators_mod = importlib.import_module("starquant.operators")
+formality_mod = importlib.import_module("starquant.formality")
 
 
 def variables(dim=DIM):
@@ -40,29 +43,6 @@ def so3_bivector(dim=DIM):
         (0, 2): x[1] * QI(-1),
         (1, 2): x[0],
     })
-
-
-def random_linear_bivector(rng, dim=DIM):
-    comps = {}
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        p = Polynomial.zero(dim)
-        for v in range(dim):
-            c = rng.randint(-2, 2)
-            if c:
-                p = p + Polynomial.variable(dim, v) * QI(c)
-        if not p.is_zero():
-            comps[pair] = p
-    return PolyVectorField(dim, 1, comps)
-
-
-def random_poly(rng, dim=DIM, deg=2):
-    out = Polynomial.zero(dim)
-    for _ in range(4):
-        term = Polynomial.constant(dim, QI(rng.randint(-3, 3)))
-        for _ in range(rng.randint(0, deg)):
-            term = term * Polynomial.variable(dim, rng.randrange(dim))
-        out = out + term
-    return out
 
 
 def numeric_cfg(table=None, n_samples=65536, seed=42, **kw):
@@ -154,6 +134,7 @@ class TestClosedForms:
         assert (got + expect * QI(-1)).is_zero()
 
 
+@pytest.mark.usefixtures("sampled_weights")
 class TestStarCrossPath:
     """The diagonal of the graph maps against the star expansion."""
 
@@ -229,6 +210,7 @@ def _trivector():
     return PolyVectorField(DIM, 2, {(0, 1, 2): x[0] * x[1] + x[2]})
 
 
+@pytest.mark.usefixtures("sampled_weights")
 class TestOrbitSharedGraphSum:
     """_u_numeric builds one operator per orbit and signs each graph."""
 
@@ -270,6 +252,7 @@ class TestGradedSymmetry:
         assert row.residual_max == 0.0
         assert row.bound == 0.0
 
+    @pytest.mark.usefixtures("sampled_weights")
     def test_two_bivectors(self):
         """Even swap: u(a1,a2) - u(a2,a1) within the propagated spread."""
         rng = random.Random(31)
@@ -317,6 +300,7 @@ class TestCoherence:
             assert row.residual_max == 0.0
             assert row.bound == 0.0
 
+    @pytest.mark.usefixtures("sampled_weights")
     def test_two_random_bivectors(self):
         """Both sides alive: compositions against the bracket term."""
         rng = random.Random(7)
@@ -374,6 +358,21 @@ class TestCoherence:
 
     def test_rhs_sign_is_frozen(self):
         assert LINFTY_RHS_SIGN == -1
+
+    @pytest.mark.parametrize("sign,residual", [(-1, 0), (1, Fraction(4, 3))])
+    def test_rhs_sign_exact(self, monkeypatch, sign, residual):
+        """Every order-2 two-ground weight is exact, so the coherence
+        identity on two random linear bivectors holds exactly at the
+        calibrated sign, with bound 0, and the other sign misses it by
+        4/3."""
+        rng = random.Random(7)
+        fields = [random_linear_bivector(rng), random_linear_bivector(rng)]
+        monkeypatch.setattr(formality_mod, "LINFTY_RHS_SIGN", sign)
+        rep = linfty_check(fields, variables(),
+                           StarConfig(order=2, table=WeightTable()))
+        row = rep.rows[0]
+        assert (row.residual_max, row.bound) == (float(residual), 0.0)
+        assert rep.ok == (sign == -1)
 
     def test_arity_guards(self):
         alpha = so3_bivector()

@@ -24,7 +24,7 @@ from starquant.star import (StarConfig, check_associativity,
                             poisson_center_probe, probe_sup, star_expansion)
 from starquant.weights import IntegrationConfig, WeightTable, exact_weight
 
-from helpers import so3_alpha
+from helpers import so3_alpha, without_solved_weights
 
 HALF_I = QI(0, Fraction(1, 2))
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
@@ -272,21 +272,24 @@ CASES = {"so3": so3_alpha, "dim2": dim2_alpha}
     [*CASES, *(f"{case}-per-graph" for case in CASES)]))
 def seeded(request):
     """A bivector, its input polynomials, and a small seeded order-2
-    table filled by one star product: with one pooled entry per sampled
-    orbit, or ("-per-graph") pre-filled with every graph's own entry."""
+    table filled by one star product on the sampled path: with one
+    pooled entry per sampled orbit, or ("-per-graph") pre-filled with
+    every graph's own entry."""
     case, _, per_graph = request.param.partition("-")
     alpha = CASES[case]()
     x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
     polys = (x[0] * x[1], x[1], x[0] * x[0])
     cfg = StarConfig(order=2, table=WeightTable(),
                      integration=IntegrationConfig(seed=17, n_samples=4096))
-    if per_graph:
-        cfg.table.ensure(star_graphs(1) + star_graphs(2), cfg.integration,
-                         use_exact=True)
-    star_expansion(polys[0], polys[1], alpha, cfg)
+    with without_solved_weights():
+        if per_graph:
+            cfg.table.ensure(star_graphs(1) + star_graphs(2),
+                             cfg.integration, use_exact=True)
+        star_expansion(polys[0], polys[1], alpha, cfg)
     return alpha, polys, cfg, Reference(alpha, cfg.table, 2)
 
 
+@pytest.mark.usefixtures("sampled_weights")
 class TestReferenceAssembly:
     def test_tables_pool_or_not(self, seeded):
         """The pooled tables share an entry among an orbit's members; the
@@ -336,6 +339,7 @@ class TestReferenceAssembly:
             lambda op: op.apply((f, g)) - op.apply((g, f)))
 
 
+@pytest.mark.usefixtures("sampled_weights")
 class TestProbeBudget:
     def test_associativity_probes_each_orbit_once_per_power(
             self, seeded, monkeypatch):
@@ -420,6 +424,7 @@ def integrations(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("sampled_weights")
 class TestPooledWeights:
     def test_cold_order3_integrates_each_sampled_orbit_once(
             self, integrations):
@@ -473,8 +478,9 @@ class TestPooledWeights:
 
     @pytest.fixture(scope="class")
     def both_tables(self):
-        return {per_graph: orbit_weights(so3_config(3, 11, per_graph))
-                for per_graph in (False, True)}
+        with without_solved_weights():
+            return {per_graph: orbit_weights(so3_config(3, 11, per_graph))
+                    for per_graph in (False, True)}
 
     def test_pooled_orbit_weights_agree_with_per_graph_sums(
             self, both_tables):

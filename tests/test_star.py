@@ -158,9 +158,12 @@ class TestStarBasics:
         assert len(jacobi_calls) == 1
 
     def test_exact_mode_needs_closed_forms(self):
-        x = Polynomial.variable(3, 0)
+        """(x0^2 + x1) d0 ^ d1 at order 3 reads
+        n=3;m=2;1:[2,3];2:[1,3];3:[L,R], which has no closed form."""
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        alpha = PolyVectorField(2, 1, {(0, 1): x * x + y})
         with pytest.raises(ConfigError, match="closed-form"):
-            star(x, x, so3_alpha(), StarConfig(order=2, weights="exact"))
+            star(x, x, alpha, StarConfig(order=3, weights="exact"))
 
     def test_expansion_bounds_shape(self, small_table):
         x = Polynomial.variable(3, 0)
