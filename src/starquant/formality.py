@@ -16,18 +16,20 @@ star expansion: the hbar^n star coefficient is i^n u_n(a,...,a).
 The identity checks put statistical bounds on the graded symmetry of
 u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
 bracket side is the exact trivector closed form.  Values are
-star.Measured with one error source per sampled graph.  A registry
-shared within one check maps each graph serial to (estimate,
-std_error), so repeated graphs reuse one estimate and their
-sensitivities add before squaring in star.quadrature_bound; it holds
-weights only.  Operators come from operators.orbit_operators, the
-family cache the star engine reads too, so equal field tuples build
-each orbit operator once across checks; weights stay per graph.
+star.Measured with one error source per sampled weight.  Two-ground
+weights are star._resolve_weights' table entries, read as the star
+engine reads them, from cfg.table or one table per check; other ground
+counts integrate raw forms graph by graph.  A registry shared within
+one check maps each entry or graph to (estimate, std_error).
+Operators come from operators.orbit_operators, the family cache the
+star engine reads too, so equal field tuples build each orbit operator
+once across checks.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ConfigError, DegreeMismatchError, DimensionMismatchError
@@ -35,9 +37,9 @@ from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
-from .star import (Measured, ResidualReport, ResidualRow, StarConfig,
-                   quadrature_bound)
-from .weights import TWO_PI, integrate_graph_form, stable_seed
+from .star import (Measured, ResidualReport, StarConfig, _resolve_weights,
+                   _verdict_rows, quadrature_bound)
+from .weights import TWO_PI, WeightTable, integrate_graph_form, stable_seed
 
 # Sign relating the assembled composition side of the coherence
 # identity to eps_12 u_1([a_1, a_2]).  First calibrated numerically on
@@ -85,47 +87,43 @@ def _u1_closed(field: PolyVectorField, args) -> Polynomial:
 
 
 def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
-    """Labeled graph sum with raw integrals; args applied reversed.
-
-    Two-ground graphs reuse the star weight table when the config
-    carries one (raw = weight x (2pi)^{2n} n!), so star and u_n draw
-    on the same estimates; other profiles integrate the raw form with
-    seeds salted apart from the star table's.
+    """Labeled graph sum over orbits with nonzero applied value; args
+    applied reversed.  Two-ground graphs read cfg.table's star weights
+    (raw = weight x (2pi)^{2n} n!); other profiles integrate the raw
+    form with seeds salted apart from the star table's.
     """
     n = len(fields)
     M = len(args)
     degrees = [f.degree for f in fields]
-    edge_count = sum(p + 1 for p in degrees)
     rational = QI(Fraction(
         (-1) ** n,
         math.factorial(n) * math.prod(math.factorial(p + 1) for p in degrees)))
     rev = tuple(reversed(args))
-    scale = TWO_PI ** edge_count
-    integration = cfg.integration
-    table = cfg.table if M == 2 else None
     ops = orbit_operators(tuple(fields), M)
     applied = {orbit: ops.apply(orbit, rev)   # rows of an orbit share it
                for orbit in dict.fromkeys(row[2] for row in ops.rows)}
+    rows = [((n, orbit), g, ser, sign) for g, ser, orbit, sign in ops.rows
+            if not applied[orbit].is_zero()]
+    reads = []                  # (orbit key, reg key, coefficient)
+    if M == 2:
+        nf = math.factorial(n)
+        for r, ser, c, w, sigma in _resolve_weights(rows, cfg, cfg.table):
+            reg[ser] = (w * nf, sigma * nf)
+            reads.append((r, ser, c))
+    else:
+        scale = TWO_PI ** sum(p + 1 for p in degrees)
+        for r, g, ser, sign in rows:
+            if ser not in reg:
+                raw, raw_se, _ = integrate_graph_form(
+                    g, cfg.integration,
+                    seed=stable_seed(cfg.integration.seed, "raw", ser))
+                reg[ser] = (QI(Fraction(raw / scale)), raw_se / scale)
+            reads.append((r, ser, sign))
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}
-    for g, ser, orbit, sign in ops.rows:
-        if applied[orbit].is_zero():
-            continue
-        if ser not in reg:
-            if table is not None:
-                table.ensure([g], integration, use_exact=True)
-                went = table.get(g)
-                w = went.exact if went.exact is not None \
-                    else Fraction(went.value)
-                reg[ser] = (QI(w * math.factorial(n)),
-                            went.std_error * math.factorial(n))
-            else:
-                raw, raw_se, _ = integrate_graph_form(
-                    g, integration,
-                    seed=stable_seed(integration.seed, "raw", ser))
-                reg[ser] = (QI(Fraction(raw / scale)), raw_se / scale)
+    for r, ser, c in reads:
         est, sig = reg[ser]
-        grad = applied[orbit] * (rational * sign)
+        grad = applied[r[1]] * (rational * c)
         value = value + grad * est
         if sig:
             sens[ser] = sens[ser] + grad if ser in sens else grad
@@ -169,18 +167,24 @@ def _apply_u_carrying(fields, args, cfg: StarConfig,
     return Measured(base.value, sens)
 
 
+def _with_table(cfg: StarConfig | None) -> StarConfig:
+    """cfg (default StarConfig()), given a WeightTable of its own when
+    it has none, as the star engine does."""
+    cfg = cfg or StarConfig()
+    return cfg if cfg.table is not None else replace(cfg, table=WeightTable())
+
+
 def u_n(fields, args, cfg: StarConfig | None = None) -> Polynomial:
     """The n-linear graph map on polynomial arguments; off the ghost
     arity the result is exactly zero."""
-    return _apply_u(fields, args, cfg or StarConfig(), {}).value
+    return _apply_u(fields, args, _with_table(cfg), {}).value
 
 
 def _single_row_report(identity, resid: Measured, reg: dict,
                        cfg) -> ResidualReport:
     bound = quadrature_bound(resid, [(s, reg[s][1]) for s in resid.sens])
-    m = resid.value.max_abs_coeff()
-    row = ResidualRow(0, resid.value, m, bound, m <= cfg.policy * bound)
-    return ResidualReport(identity, cfg.policy, (row,))
+    return ResidualReport(identity, cfg.policy,
+                          _verdict_rows([resid.value], [bound], cfg.policy))
 
 
 def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
@@ -191,7 +195,7 @@ def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
     (-1)^{(p_i-1)(p_j-1)}; non-adjacent pairs would pick up Koszul
     factors from everything in between, so they are rejected.
     """
-    cfg = cfg or StarConfig()
+    cfg = _with_table(cfg)
     if len(fields) < 2:
         raise ConfigError("symmetry check needs at least two fields")
     i, j = sorted(pair)
@@ -232,7 +236,7 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
     built on the exact Schouten closed form.  Fields need not be
     Poisson; the identity is unconditional.
     """
-    cfg = cfg or StarConfig()
+    cfg = _with_table(cfg)
     n = len(fields)
     if n < 1 or n > 2:
         raise ConfigError("coherence check supports one or two fields")

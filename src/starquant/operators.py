@@ -176,12 +176,16 @@ class OrbitOperators:
     """Operators of a graph family, fields[i] at aerial vertex i, built
     once per orbit.  rows lists (graph, serial, orbit serial, sign) of
     the graphs with nonzero operator, in order: op(graph) = sign x
-    op(orbit).  Immutable once built, so one family serves every
+    op(orbit), and for two grounds weight(graph) = sign x
+    weight(orbit).  Immutable once built, so one family serves every
     caller."""
 
     def __init__(self, graphs, fields):
         fields = tuple(fields)
-        labels = tuple(fields.index(f) for f in fields)  # equal fields
+        # equal fields share a label unless of odd rank: relabelling
+        # those flips the weight's sign but not the operator's
+        labels = tuple(fields.index(f) if f.degree % 2 else i
+                       for i, f in enumerate(fields))
         self._ops = {}
         rows = []
         for g in graphs:

@@ -15,16 +15,12 @@ bounds are 0.
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
 bivector, so a star graph's operator and its weight are sign x its
 orbit representative's (graphs.orbit_representative).  Operators come
-from operators.orbit_operators, the shared family cache formality.py's
-u_n reads too, and each star product applies each orbit once per
-argument pair against the orbit weight W_r = sum of sign x weight over
-its members, summed exactly.  Weights are read per table entry: a
-member keeps its own entry or closed form when it has one, and the
-other members of an orbit read their representative's entry, which
-the table integrates once at the summed budget of the members it
-stands in for.  Jacobi reports are kept across calls (_jacobi_report),
-so products and checks on one Poisson structure build each orbit
-operator and prove Jacobi once.
+from operators.orbit_operators and weights from _resolve_weights, both
+shared with formality.py's u_n; each star product applies each orbit
+once per argument pair against the orbit weight W_r = sum of sign x
+weight over its members, summed exactly.  Jacobi reports are kept
+across calls (_jacobi_report), so products and checks on one Poisson
+structure build each orbit operator and prove Jacobi once.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -37,7 +33,7 @@ Entries are sampled with independent seeds, so quadrature_bound adds
 (|c_e| std_error x probe sup of d/dW_r)^2 entry by entry, the sup
 taken over the lattice PROBE^d = {-1, 0, 1}^d once per orbit: an
 entry shared by k members counts (k sigma)^2, not k sigma^2.
-formality.py carries its raw graph integrals the same way.
+u_n in formality.py bounds its table entries the same way.
 """
 from __future__ import annotations
 
@@ -49,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import parse, serialize
+from .graphs import parse
 from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
@@ -87,8 +83,8 @@ class StarConfig:
     def __post_init__(self):
         if self.order < 0:
             raise ConfigError("truncation order must be >= 0")
-        if not self.policy > 0:
-            raise ConfigError("tolerance policy must be positive")
+        if not 0 < self.policy < math.inf:
+            raise ConfigError("tolerance policy must be positive and finite")
         if self.weights not in _WEIGHT_MODES:
             raise ConfigError(f"unknown weight mode {self.weights!r}")
         if self.jacobi not in _JACOBI_MODES:
@@ -245,6 +241,49 @@ def _jacobi_report(alpha: PolyVectorField):
     return validate_poisson(alpha)
 
 
+def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
+    """(r, entry serial, c_e, weight as QI, std_error) for each table
+    entry that rows (r, graph, serial, sign) of two-ground graphs read,
+    r = (order, orbit representative's serial), in first-read order.
+
+    Under weights "exact" every graph needs a closed form; "numeric"
+    takes none.  A row reads its graph's own table entry or closed form
+    when there is one.  Otherwise it reads its orbit representative's
+    entry: its weight is sign x the representative's, so it adds that
+    entry with coefficient sign x sign = 1, and the table integrates
+    the entry once, at k times the per-graph budget for the k rows that
+    read it.  c_e sums an entry's reads."""
+    mode = cfg.weights
+    use_exact = mode in ("auto", "exact")
+    if mode == "exact":
+        missing = [ser for _, g, ser, _ in rows if exact_weight(g) is None]
+        if missing:
+            raise ConfigError(
+                "no closed-form weight for "
+                + ", ".join(missing[:4])
+                + ("..." if len(missing) > 4 else "")
+                + "; use weights='auto' or 'numeric'")
+    # (r, entry serial): its coefficient c_e, summed over the reads;
+    # new: serial -> graph of each entry the table lacks
+    coeff, new, pooled = {}, {}, {}
+    for r, g, ser, sign in rows:
+        if table.lookup(ser) is None and not (
+                use_exact and exact_weight(g) is not None):
+            g, ser, sign = None, r[1], 1
+            pooled[ser] = pooled.get(ser, 0) + 1
+        coeff[r, ser] = coeff.get((r, ser), 0) + sign
+        if ser not in new and table.lookup(ser) is None:
+            new[ser] = parse(ser) if g is None else g
+    table.ensure(list(new.values()), cfg.integration,
+                 use_exact=use_exact, pooled=pooled)
+    out = []        # an entry serial belongs to one orbit, so one key
+    for (r, ser), c in coeff.items():
+        est = table.lookup(ser)
+        out.append((r, ser, c, QI(est.exact if est.exact is not None
+                                  else Fraction(est.value)), est.std_error))
+    return out
+
+
 class _Engine:
     """Orbit operators plus weight table for one bivector and config.
 
@@ -274,54 +313,17 @@ class _Engine:
         self.sources = []
 
     def ensure_weights(self) -> None:
-        """Fill the table, then sum orbit weights and list the sources.
-
-        A row reads its graph's own table entry or closed form when there
-        is one.  Otherwise it reads its orbit representative's entry: its
-        weight is sign x the representative's, so it adds that entry to
-        W_r with coefficient sign x sign = 1, and the table integrates the
-        entry once, at k times the per-graph budget for the k rows that
-        read it.  An entry e enters W_r with coefficient c_e, the sum over
-        its reads, and is one error source (r, |c_e| x std_error)."""
+        """Sum orbit weights W_r; a sampled entry read with coefficient
+        c is one source (r, |c| x std_error)."""
         rows = [((j, orbit), g, ser, sign)
                 for j, ops in self.families.items()
                 for g, ser, orbit, sign in ops.rows]
-        mode = self.cfg.weights
-        use_exact = mode in ("auto", "exact")
-        if mode == "exact":
-            missing = [ser for _, g, ser, _ in rows if exact_weight(g) is None]
-            if missing:
-                raise ConfigError(
-                    "no closed-form weight for "
-                    + ", ".join(missing[:4])
-                    + ("..." if len(missing) > 4 else "")
-                    + "; use weights='auto' or 'numeric'")
-        # (r, entry serial): its coefficient c_e, summed over the reads;
-        # new: serial -> graph of each entry the table lacks
-        table, coeff, new, reps, pooled = self.table, {}, {}, {}, {}
-        for r, g, ser, sign in rows:
-            if table.lookup(ser) is None and not (
-                    use_exact and exact_weight(g) is not None):
-                orbit = r[1]
-                if orbit not in reps:
-                    reps[orbit] = parse(orbit)
-                pooled[orbit] = pooled.get(orbit, 0) + 1
-                g, ser, sign = reps[orbit], orbit, 1
-            coeff[r, ser] = coeff.get((r, ser), 0) + sign
-            if ser not in new and table.lookup(ser) is None:
-                new[ser] = g
-        table.ensure(list(new.values()), self.cfg.integration,
-                     use_exact=use_exact, pooled=pooled)
-        held, sources = {}, []      # held: serial -> (entry, weight as QI)
-        for (r, ser), c in coeff.items():
-            if ser not in held:
-                est = table.lookup(ser)
-                held[ser] = est, QI(est.exact if est.exact is not None
-                                    else Fraction(est.value))
-            est, w = held[ser]
+        sources = []
+        for r, _, c, w, sigma in _resolve_weights(rows, self.cfg,
+                                                  self.table):
             self.weights[r] = self.weights.get(r, QI(0)) + c * w
-            if est.std_error:
-                sources.append((r, abs(c) * est.std_error))
+            if sigma:
+                sources.append((r, abs(c) * sigma))
         self.sources = sources
 
     def exact(self, p: Polynomial) -> Measured:
@@ -456,12 +458,13 @@ def moyal_reference(f: Polynomial, g: Polynomial, alpha: PolyVectorField,
     return FormalSeries(dim, order, coeffs)
 
 
-def _verdict_rows(residual: FormalSeries, bounds, policy) -> tuple:
+def _verdict_rows(residuals, bounds, policy) -> tuple:
+    """One row per power k: residuals[k] passes when its largest
+    coefficient magnitude is at most policy x bounds[k]."""
     rows = []
-    for k in range(residual.order + 1):
-        p = residual.coefficient(k)
+    for k, (p, bound) in enumerate(zip(residuals, bounds)):
         m = p.max_abs_coeff()
-        rows.append(ResidualRow(k, p, m, bounds[k], m <= policy * bounds[k]))
+        rows.append(ResidualRow(k, p, m, bound, m <= policy * bound))
     return tuple(rows)
 
 
@@ -475,7 +478,7 @@ def check_associativity(f: Polynomial, g: Polynomial, h: Polynomial,
     resid = eng.star_series(eng.star_series(F, G), H) \
         - eng.star_series(F, eng.star_series(G, H))
     return ResidualReport("associativity", cfg.policy,
-                          _verdict_rows(resid.value, eng.bounds(resid),
+                          _verdict_rows(resid.value.coeffs, eng.bounds(resid),
                                         cfg.policy))
 
 
@@ -499,9 +502,7 @@ class CenterProbeReport:
 
     def summary(self) -> str:
         head = "central" if self.central else "NOT central"
-        tail = max((p.max_abs_coeff() for p in
-                    (self.commutator.coefficient(k)
-                     for k in range(self.commutator.order + 1))),
+        tail = max((p.max_abs_coeff() for p in self.commutator.coeffs),
                    default=0.0)
         return (f"center probe: {head}; commutator max coefficient "
                 f"{tail:.3g}")

@@ -626,6 +626,12 @@ class TestVerify:
         assert all(r["residual_max"] == 0 and r["bound"] == 0
                    for r in powers)
 
+    @pytest.mark.parametrize("policy", ["inf", "1e309", "nan"])
+    def test_non_finite_policy_exit_2(self, capsys, policy):
+        """inf x a zero bound is NaN, which would fail exact rows."""
+        assert main(["verify", "assoc", "--policy", policy]) == 2
+        assert "policy" in capsys.readouterr().err
+
     @pytest.mark.parametrize("given", [("f",), ("g", "h"), ("f", "h")])
     def test_partial_assoc_triple_exit_2(self, monkeypatch, capsys, given):
         from starquant import cli

@@ -2,6 +2,7 @@
 import importlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from starquant.formality import (
     linfty_check,
     u_n,
 )
-from starquant.graphs import enumerate_graphs, serialize
+from starquant.graphs import (enumerate_graphs, orbit_representative,
+                              serialize)
 from starquant.operators import build_operator
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, schouten
@@ -30,6 +32,7 @@ from helpers import random_linear_bivector, random_poly
 DIM = 3
 operators_mod = importlib.import_module("starquant.operators")
 formality_mod = importlib.import_module("starquant.formality")
+weights_mod = importlib.import_module("starquant.weights")
 
 
 def variables(dim=DIM):
@@ -232,6 +235,12 @@ class TestOrbitSharedGraphSum:
                                    [x[0] * x[1], x[2], x[2]]),
         }[case]
         cfg = numeric_cfg(n_samples=4096)
+        if len(args) == 2:
+            # one entry per graph, so graph_by_graph_u reads each graph's
+            # own (estimate, std_error)
+            cfg.table.ensure(enumerate_graphs(len(fields), 2,
+                                              [f.degree for f in fields]),
+                             cfg.integration, use_exact=True)
         reg = {}
         got = _u_numeric(fields, args, cfg, reg)
         value, sens = graph_by_graph_u(fields, args, reg)
@@ -382,3 +391,66 @@ class TestCoherence:
             linfty_check([alpha], [Polynomial.variable(DIM, 0)])
         with pytest.raises(ConfigError):
             linfty_check([], variables())
+
+
+def dim2_beta():
+    """(x0^2 + x1) d0 ^ d1, whose order-3 orbits are not all solved, and
+    the coordinates of R^2."""
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return PolyVectorField(2, 1, {(0, 1): x0 * x0 + x1}), x0, x1
+
+
+class TestWeightReading:
+    """u_n reads two-ground weights as the star engine does: cfg.weights
+    is honoured, closed forms come first, and each orbit pools into one
+    table entry; a check without a table gets one of its own."""
+
+    def test_default_config_reads_closed_forms(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        integrate = weights_mod.integrate_graph_form
+        monkeypatch.setattr(weights_mod, "integrate_graph_form", counting)
+        monkeypatch.setattr(formality_mod, "integrate_graph_form", counting)
+        rng = random.Random(7)
+        fields = [random_linear_bivector(rng), random_linear_bivector(rng)]
+        row = linfty_check(fields, variables()).rows[0]
+        assert (row.residual_max, row.bound) == (0.0, 0.0)
+        assert calls == []
+
+    def test_default_u_n_reads_a_table(self):
+        rng = random.Random(13)
+        alpha = so3_bivector()
+        for _ in range(3):
+            f, g = random_poly(rng), random_poly(rng)
+            assert u_n([alpha, alpha], [f, g]) == u_n(
+                [alpha, alpha], [f, g], StarConfig(table=WeightTable()))
+
+    def test_exact_mode_needs_closed_forms(self):
+        beta, x0, x1 = dim2_beta()
+        with pytest.raises(ConfigError, match=re.escape(
+                "n=3;m=2;1:[2,3];2:[1,3];3:[L,R]")):
+            graded_symmetry_check([beta] * 3, [x0 * x1, x1],
+                                  StarConfig(weights="exact"))
+
+    def test_auto_pools_one_entry_per_orbit(self):
+        """264 graphs of 6 unsolved orbits read 6 sampled entries, each
+        the orbit representative's."""
+        beta, x0, x1 = dim2_beta()
+        cfg = StarConfig(table=WeightTable(),
+                         integration=IntegrationConfig(seed=0, n_samples=4096))
+        rep = graded_symmetry_check([beta] * 3, [x0 * x1, x1], cfg)
+        sampled = [g for g, est in cfg.table if est.exact is None]
+        assert len(sampled) == 6
+        assert all(orbit_representative(g)[0] == g for g in sampled)
+        assert rep.ok
+
+    def test_numeric_mode_samples(self):
+        rng = random.Random(7)
+        fields = [random_linear_bivector(rng), random_linear_bivector(rng)]
+        cfg = StarConfig(weights="numeric", table=WeightTable(),
+                         integration=IntegrationConfig(seed=0, n_samples=4096))
+        assert linfty_check(fields, variables(), cfg).rows[0].bound > 0

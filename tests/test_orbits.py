@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from starquant.errors import ParseError
@@ -24,7 +25,7 @@ from starquant.star import (StarConfig, check_associativity,
                             poisson_center_probe, probe_sup, star_expansion)
 from starquant.weights import IntegrationConfig, WeightTable, exact_weight
 
-from helpers import so3_alpha, without_solved_weights
+from helpers import dense_integrand, so3_alpha, without_solved_weights
 
 HALF_I = QI(0, Fraction(1, 2))
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
@@ -135,6 +136,27 @@ class TestOperatorSigns:
             assert op == rep_ops[rep] * sign, serialize(g)
             nonzero += bool(op.terms)
         assert nonzero  # the check is not vacuous
+
+    def test_equal_odd_rank_fields_stay_apart(self):
+        """Relabelling two equal vector fields (one out-edge each) flips
+        a two-ground integrand's sign but not the operator's, so their
+        vertices are kept apart: every row's weight is still sign x its
+        orbit representative's, which pooled weight reads assume."""
+        d = 4
+        x = [Polynomial.variable(d, i) for i in range(d)]
+        v = PolyVectorField(d, 0, {(0,): x[1], (2,): x[3] * x[0]})
+        q = PolyVectorField(d, 3, {(0, 1, 2, 3): x[0] * x[2] + x[1]})
+        g = parse("n=3;m=2;1:[L];2:[R];3:[1,2,L,R]")
+        relabelled = parse("n=3;m=2;1:[R];2:[L];3:[2,1,L,R]")
+        u = np.random.default_rng(0).random((16, 6))
+        np.testing.assert_allclose(
+            dense_integrand(relabelled, u[:, [2, 3, 0, 1, 4, 5]]),
+            -dense_integrand(g, u), rtol=1e-12)
+        assert build_operator(relabelled, [v, v, q]) \
+            == build_operator(g, [v, v, q])
+        orbit = {ser: o for _, ser, o, _ in
+                 operators_mod.orbit_operators((v, v, q), 2).rows}
+        assert orbit[serialize(g)] != orbit[serialize(relabelled)]
 
     def test_engine_builds_one_operator_per_orbit(self, build_calls):
         """The engine's families of orders 1..3 build each of the

@@ -61,6 +61,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             StarConfig(jacobi="ignore")
 
+    @pytest.mark.parametrize("policy", [float("inf"), 1e309, float("nan"),
+                                        -1.0])
+    def test_policy_must_be_positive_and_finite(self, policy):
+        with pytest.raises(ConfigError, match="policy"):
+            StarConfig(policy=policy)
+
 
 class TestStarBasics:
     def test_zero_alpha_is_plain_product(self):
