@@ -38,6 +38,9 @@ INPUTS = {
     "dim2_alpha.json": DIM2_ALPHA,
     "dim2_f.json": {"dim": 2, "poly": [{"exps": [1, 1], "num": 1}]},
     "dim2_g.json": {"dim": 2, "poly": [{"exps": [2, 0], "num": 1}]},
+    # the I_2 graph (one aerial vertex, three grounds) and its reversal
+    "i2_graphs.json": [{"n": 1, "m": 3, "edges": [["G2", "G1", "G0"]]},
+                       {"n": 1, "m": 3, "edges": [["G0", "G1", "G2"]]}],
 }
 
 
@@ -78,6 +81,8 @@ def invocations(samples: int, work: str):
     yield "verify_assoc_dim2_N3", [
         "verify", "assoc", "-N", "3", "--alpha", path("dim2_alpha.json"),
         "--seed", "0"] + budget
+    yield "weight_graphs_m3", ["weight", "--graphs", path("i2_graphs.json"),
+                               "--seed", "0", "--format", "json"] + budget
 
 
 def run(samples: int) -> list[str]:

@@ -43,11 +43,13 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from paired import (add_options, checkouts, run_rounds, run_worker, spread,
+                    versions)
 
 # resolved at import, so that --help fails once the private name is gone;
 # a worker imports it from its own side's src (PYTHONPATH)
@@ -117,60 +119,24 @@ def worker(seed: int) -> dict:
     return out
 
 
-def run_side(src: Path, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    env.pop("STARQUANT_THREADS", None)
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", "--seed", str(seed)],
-        env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def versions(src: Path) -> dict:
-    code = "import starquant; print(starquant.__version__)"
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
-    return {"python": platform.python_version(), "starquant": out.strip()}
-
-
-def spread(xs) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--parent", type=Path,
-                    help="src/ directory of the checkout to compare against")
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="src/ directory of the change (default: this "
-                         "checkout's)")
     ap.add_argument("--seed", type=int, default=4,
                     help="verify_o2_warm seed of the inputs (default 4)")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--out", type=Path)
+    add_options(ap)
     ns = ap.parse_args()
     if ns.worker:
         print(json.dumps(worker(ns.seed)))
         return 0
-    if ns.parent is None or ns.out is None:
-        ap.error("--parent and --out are required")
-    if ns.rounds < 2:
-        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
-    sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
+    sides = checkouts(ap, ns)
 
-    rounds = {side: [] for side in sides}
-    for k in range(ns.rounds):
-        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            rounds[side].append(run_side(sides[side], ns.seed))
-        print(f"round {k + 1}/{ns.rounds}: unit "
-              f"{rounds['parent'][-1]['unit']['seconds']:.3f}s -> "
-              f"{rounds['change'][-1]['unit']['seconds']:.3f}s",
-              file=sys.stderr, flush=True)
+    rounds = run_rounds(
+        sides, ns.rounds,
+        lambda side: run_worker(__file__, sides[side],
+                                ["--worker", "--seed", str(ns.seed)]),
+        lambda rounds: f"unit {rounds['parent'][-1]['unit']['seconds']:.3f}s"
+                       f" -> {rounds['change'][-1]['unit']['seconds']:.3f}s")
 
     identical = all(
         len({r[name]["sha256"] for side in sides for r in rounds[side]}) == 1

@@ -60,16 +60,16 @@ import os
 import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
+from paired import (add_options, checkouts, run_rounds, run_worker, spread,
+                    versions)
+
 # resolved at import, so that --help fails once the private name is gone;
 # a worker imports it from its own side's src (PYTHONPATH)
 from starquant.weights import _Plan
-
-ROOT = Path(__file__).resolve().parent.parent
 
 POINTS = {
     "order3_4096": (4096, 5, [
@@ -178,48 +178,22 @@ def worker(budgets: dict | None, noise: bool) -> dict:
 
 def run_side(src: Path, budgets: dict | None = None,
              noise: bool = False) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    env.pop("STARQUANT_THREADS", None)
-    argv = [sys.executable, __file__, "--worker"]
+    argv = ["--worker"]
     if budgets is not None:
         argv += ["--budgets", json.dumps(budgets)]
     if noise:
         argv.append("--noise")
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
-                          check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return run_worker(__file__, src, argv)
 
 
-def run_rounds(sides: dict, n_rounds: int, budgets: dict) -> dict:
+def timed_rounds(sides: dict, n_rounds: int, budgets: dict) -> dict:
     """Alternating rounds; budgets maps each side to its worker budgets."""
-    rounds = {side: [] for side in sides}
-    for k in range(n_rounds):
-        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        for side in order:
-            rounds[side].append(run_side(sides[side], budgets[side]))
-        print(f"round {k + 1}/{n_rounds}: " + ", ".join(
+    return run_rounds(
+        sides, n_rounds, lambda side: run_side(sides[side], budgets[side]),
+        lambda rounds: ", ".join(
             f"{p} {rounds['parent'][-1][p]['seconds']:.4g}s -> "
             f"{rounds['change'][-1][p]['seconds']:.4g}s"
-            for p in rounds["parent"][-1]),
-            file=sys.stderr, flush=True)
-    return rounds
-
-
-def versions(src: Path) -> dict:
-    code = ("import numpy, scipy, starquant; print(numpy.__version__, "
-            "scipy.__version__, starquant.__version__)")
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
-    numpy_v, scipy_v, ours = out.split()
-    return {"python": platform.python_version(), "numpy": numpy_v,
-            "scipy": scipy_v, "starquant": ours}
-
-
-def spread(xs) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
+            for p in rounds["parent"][-1]))
 
 
 def summarise(rounds: list, name: str) -> dict:
@@ -263,27 +237,17 @@ def main():
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--budgets", type=json.loads, help=argparse.SUPPRESS)
     ap.add_argument("--noise", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--parent", type=Path,
-                    help="src/ directory of the checkout to compare against")
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="src/ directory of the change (default: this "
-                         "checkout's)")
-    ap.add_argument("--rounds", type=int, default=10)
+    add_options(ap)
     ap.add_argument("--moved-results", action="store_true",
                     help="the change alters the estimates on purpose: "
                          "require agreement within 4 joint standard "
                          "errors per graph instead of identical results")
-    ap.add_argument("--out", type=Path)
     ns = ap.parse_args()
     if ns.worker:
         print(json.dumps(worker(ns.budgets, ns.noise)))
         return 0
-    if ns.parent is None or ns.out is None:
-        ap.error("--parent and --out are required")
-    if ns.rounds < 2:
-        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
-    sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
-    rounds = run_rounds(sides, ns.rounds, {side: None for side in sides})
+    sides = checkouts(ap, ns)
+    rounds = timed_rounds(sides, ns.rounds, {side: None for side in sides})
     # every round of a side must repeat that side's first round
     repeatable = all(r[p]["results"] == rounds[side][0][p]["results"]
                      for side in sides for r in rounds[side] for p in POINTS)
@@ -314,7 +278,7 @@ def main():
             for p, g in short:
                 budgets[side][p][g] *= 2
         reached[side] = got
-    reach = run_rounds(sides, ns.rounds, budgets)
+    reach = timed_rounds(sides, ns.rounds, budgets)
 
     points = []
     for name, (n_samples, repeats, graphs) in POINTS.items():

@@ -40,17 +40,16 @@ import math
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
+
+from paired import (add_options, checkouts, run_rounds, run_worker, spread,
+                    versions)
 
 # resolved at import, so that --help fails once the private name is gone;
 # a worker imports it from its own side's src (PYTHONPATH)
 from starquant.star import StarConfig, _Engine
-
-ROOT = Path(__file__).resolve().parent.parent
 
 ORDER = 3
 SAMPLES = 4096
@@ -140,31 +139,6 @@ def coverage_worker(n_seeds: int) -> dict:
     return {"runs": runs}
 
 
-def run_side(src: Path, argv: list) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    env.pop("STARQUANT_THREADS", None)
-    proc = subprocess.run([sys.executable, __file__, *argv], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def versions(src: Path) -> dict:
-    code = "import numpy, starquant; print(numpy.__version__, " \
-           "starquant.__version__)"
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
-    numpy_v, ours = out.split()
-    return {"python": platform.python_version(), "numpy": numpy_v,
-            "starquant": ours}
-
-
-def spread(xs) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
-
-
 def coverage(runs: list) -> dict:
     zs, sigmas = [], {text: [] for text in KNOWN}
     for run in runs:
@@ -183,15 +157,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--worker", choices=("time", "coverage"),
                     help=argparse.SUPPRESS)
-    ap.add_argument("--parent", type=Path,
-                    help="src/ directory of the checkout to compare against")
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="src/ directory of the change (default: this "
-                         "checkout's)")
-    ap.add_argument("--rounds", type=int, default=10)
+    add_options(ap)
     ap.add_argument("--seeds", type=int, default=150,
                     help="coverage seeds per side (default 150)")
-    ap.add_argument("--out", type=Path)
     ns = ap.parse_args()
     if ns.worker:
         sampled_path()
@@ -201,23 +169,15 @@ def main():
     if ns.worker == "coverage":
         print(json.dumps(coverage_worker(ns.seeds)))
         return 0
-    if ns.parent is None or ns.out is None:
-        ap.error("--parent and --out are required")
-    if ns.rounds < 2:
-        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
+    sides = checkouts(ap, ns)
     if ns.seeds < NOISE_SEEDS:
         ap.error(f"--seeds must be at least {NOISE_SEEDS}")
-    sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
 
-    rounds = {side: [] for side in sides}
-    for k in range(ns.rounds):
-        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            rounds[side].append(run_side(sides[side], ["--worker", "time"]))
-        print(f"round {k + 1}/{ns.rounds}: "
-              f"{rounds['parent'][-1]['seconds']:.3f}s -> "
-              f"{rounds['change'][-1]['seconds']:.3f}s",
-              file=sys.stderr, flush=True)
+    rounds = run_rounds(
+        sides, ns.rounds,
+        lambda side: run_worker(__file__, sides[side], ["--worker", "time"]),
+        lambda rounds: f"{rounds['parent'][-1]['seconds']:.3f}s -> "
+                       f"{rounds['change'][-1]['seconds']:.3f}s")
     wins = sum(c["seconds"] < p["seconds"]
                for p, c in zip(rounds["parent"], rounds["change"]))
     fill = {side: {"seconds": spread([r["seconds"] for r in rounds[side]]),
@@ -226,8 +186,8 @@ def main():
             for side in sides}
     fill["change_faster_rounds"] = f"{wins}/{ns.rounds}"
 
-    runs = {side: run_side(src, ["--worker", "coverage",
-                                 "--seeds", str(ns.seeds)])["runs"]
+    runs = {side: run_worker(__file__, src, ["--worker", "coverage",
+                                             "--seeds", str(ns.seeds)])["runs"]
             for side, src in sides.items()}
     orbits = sorted({o for side in sides for run in runs[side][:NOISE_SEEDS]
                      for o in run["sigma_W"]})

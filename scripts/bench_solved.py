@@ -15,8 +15,8 @@ A worker runs one structure through starquant.cli.main in a fresh
 interpreter and records its wall time, exit code, the number of weight
 integrations and samples drawn (counted at
 weights.integrate_graph_form), and each power's residual and bound from
-the artifact.  Each round runs one worker per structure and side,
-alternating which side goes first.  The file records per structure and
+the artifact.  Per structure, in turn, each round runs one worker per
+side, alternating which side goes first.  The file records per structure and
 side the wall time (median and quartiles over rounds) and the counts and
 rows of the first round.
 
@@ -29,13 +29,13 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from paired import (add_options, checkouts, run_rounds, run_worker, spread,
+                    versions)
+
 STRUCTURES = ("so3", "nambu")
 
 
@@ -81,62 +81,28 @@ def worker(structure: str, seed: int) -> dict:
     return {"wall_s": wall, "exit": code, **counts, "rows": rows}
 
 
-def run_side(src: Path, structure: str, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1")
-    env.pop("STARQUANT_THREADS", None)
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", structure, "--seed",
-         str(seed)], env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def versions(src: Path) -> dict:
-    code = "import starquant; print(starquant.__version__)"
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
-    return {"python": platform.python_version(), "starquant": out.strip()}
-
-
-def spread(xs) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--worker", choices=STRUCTURES, help=argparse.SUPPRESS)
-    ap.add_argument("--parent", type=Path,
-                    help="src/ directory of the checkout to compare against")
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="src/ directory of the change (default: this "
-                         "checkout's)")
     ap.add_argument("--seed", type=int, default=0,
                     help="verify seed (default 0)")
-    ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--out", type=Path)
+    add_options(ap, rounds=3)
     ns = ap.parse_args()
     if ns.worker:
         print(json.dumps(worker(ns.worker, ns.seed)))
         return 0
-    if ns.parent is None or ns.out is None:
-        ap.error("--parent and --out are required")
-    if ns.rounds < 2:
-        ap.error("--rounds must be at least 2 (quartiles need two rounds)")
-    sides = {"parent": ns.parent.resolve(), "change": ns.src.resolve()}
+    sides = checkouts(ap, ns)
 
-    runs = {(s, side): [] for s in STRUCTURES for side in sides}
-    for k in range(ns.rounds):
-        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-        for structure in STRUCTURES:
-            for side in order:
-                runs[structure, side].append(
-                    run_side(sides[side], structure, ns.seed))
-            print(f"round {k + 1}/{ns.rounds} {structure}: "
-                  f"{runs[structure, 'parent'][-1]['wall_s']:.2f}s -> "
-                  f"{runs[structure, 'change'][-1]['wall_s']:.2f}s",
-                  file=sys.stderr, flush=True)
+    runs = {}
+    for structure in STRUCTURES:
+        argv = ["--worker", structure, "--seed", str(ns.seed)]
+        rounds = run_rounds(
+            sides, ns.rounds,
+            lambda side: run_worker(__file__, sides[side], argv),
+            lambda rounds: f"{rounds['parent'][-1]['wall_s']:.2f}s -> "
+                           f"{rounds['change'][-1]['wall_s']:.2f}s",
+            label=f" {structure}")
+        runs.update({(structure, side): rounds[side] for side in sides})
 
     def fixed(r):
         return {key: r[key] for key in ("exit", "integrations", "samples",

@@ -216,9 +216,12 @@ def cmd_weight(ns) -> int:
 
 def _parity_audit(table: WeightTable, graphs) -> tuple[int, list[str]]:
     """Per-graph mirror check at 3 and 5 sigma; the 3-sigma lane gets
-    a small statistical allowance."""
+    a small statistical allowance.  Only two-ground graphs have a
+    mirror; others are skipped."""
     checks = []
     for g in graphs:
+        if g.m != 2:
+            continue
         est = table.get(g)
         mest = table.get(g.mirror())
         if mest is None:

@@ -3,27 +3,29 @@ operators, and the coherence identities they satisfy.
 
 u_n takes n polyvector fields of degrees p_1..p_n to an operator on
 2 - n + sum p_i arguments; any other argument count is exactly zero
-(the ghost rule).  Closed forms cover n <= 1; higher n sums raw graph
-integrals with the normalization
+(the ghost rule).  Closed forms cover n <= 1; higher n sums graph
+weights with the normalization
 
-    u_n = (-1)^n / (n! (2pi)^E prod (p_i+1)!) sum_graphs raw x operator,
+    u_n = (-1)^n / prod (p_i+1)! sum_graphs w x operator,
+    w = raw / ((2pi)^E n!)         (weights.weight),
 
-E the edge count, the operator applied to the reversed argument tuple
-(our ground vertices run left to right, the boundary points of the
-disc picture run the other way).  The n! makes the diagonal match the
-star expansion: the hbar^n star coefficient is i^n u_n(a,...,a).
+E = 2n + m - 2 the edge count, the operator applied to the reversed
+argument tuple (our ground vertices run left to right, the boundary
+points of the disc picture run the other way).  The n! in w makes the
+diagonal match the star expansion: the hbar^n star coefficient is
+i^n u_n(a,...,a), and at m = 2 w is the star weight.
 
 The identity checks put statistical bounds on the graded symmetry of
 u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
-bracket side is the exact trivector closed form.  Values are
-star.Measured with one error source per sampled weight.  Two-ground
-weights are star._resolve_weights' table entries, read as the star
-engine reads them, from cfg.table or one table per check; other ground
-counts integrate raw forms graph by graph.  A registry shared within
-one check maps each entry or graph to (estimate, std_error).
-Operators come from operators.orbit_operators, the family cache the
-star engine reads too, so equal field tuples build each orbit operator
-once across checks.
+bracket side is the exact trivector closed form.  Weights at every
+ground count are star._resolve_weights' table entries, read as the
+star engine reads them (closed forms first, one pooled entry per
+orbit), from cfg.table or one table per check.  Values are
+star.Measured with one error source per sampled entry, keyed by its
+serial and carrying d/dw of that entry, so a bound reads each entry's
+std_error from the same table.  Operators come from
+operators.orbit_operators, the family cache the star engine reads too,
+so equal field tuples build each orbit operator once across checks.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .polyvector import PolyVectorField, schouten
 from .rational import QI
 from .star import (Measured, ResidualReport, StarConfig, _resolve_weights,
                    _verdict_rows, quadrature_bound)
-from .weights import TWO_PI, WeightTable, integrate_graph_form, stable_seed
+from .weights import WeightTable
 
 # Sign relating the assembled composition side of the coherence
 # identity to eps_12 u_1([a_1, a_2]).  First calibrated numerically on
@@ -86,51 +88,31 @@ def _u1_closed(field: PolyVectorField, args) -> Polynomial:
     return out * sign
 
 
-def _u_numeric(fields, args, cfg: StarConfig, reg: dict) -> Measured:
+def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
     """Labeled graph sum over orbits with nonzero applied value; args
-    applied reversed.  Two-ground graphs read cfg.table's star weights
-    (raw = weight x (2pi)^{2n} n!); other profiles integrate the raw
-    form with seeds salted apart from the star table's.
+    applied reversed, weights read from cfg.table by _resolve_weights.
+    Each sampled entry's sensitivity is d/dw of its value.
     """
     n = len(fields)
-    M = len(args)
-    degrees = [f.degree for f in fields]
-    rational = QI(Fraction(
-        (-1) ** n,
-        math.factorial(n) * math.prod(math.factorial(p + 1) for p in degrees)))
+    rational = QI(Fraction((-1) ** n, math.prod(
+        math.factorial(f.degree + 1) for f in fields)))
     rev = tuple(reversed(args))
-    ops = orbit_operators(tuple(fields), M)
+    ops = orbit_operators(tuple(fields), len(args))
     applied = {orbit: ops.apply(orbit, rev)   # rows of an orbit share it
                for orbit in dict.fromkeys(row[2] for row in ops.rows)}
     rows = [((n, orbit), g, ser, sign) for g, ser, orbit, sign in ops.rows
             if not applied[orbit].is_zero()]
-    reads = []                  # (orbit key, reg key, coefficient)
-    if M == 2:
-        nf = math.factorial(n)
-        for r, ser, c, w, sigma in _resolve_weights(rows, cfg, cfg.table):
-            reg[ser] = (w * nf, sigma * nf)
-            reads.append((r, ser, c))
-    else:
-        scale = TWO_PI ** sum(p + 1 for p in degrees)
-        for r, g, ser, sign in rows:
-            if ser not in reg:
-                raw, raw_se, _ = integrate_graph_form(
-                    g, cfg.integration,
-                    seed=stable_seed(cfg.integration.seed, "raw", ser))
-                reg[ser] = (QI(Fraction(raw / scale)), raw_se / scale)
-            reads.append((r, ser, sign))
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}
-    for r, ser, c in reads:
-        est, sig = reg[ser]
+    for r, ser, c, w, sigma in _resolve_weights(rows, cfg, cfg.table):
         grad = applied[r[1]] * (rational * c)
-        value = value + grad * est
-        if sig:
-            sens[ser] = sens[ser] + grad if ser in sens else grad
+        value = value + grad * w
+        if sigma:
+            sens[ser] = grad
     return Measured(value, sens)
 
 
-def _apply_u(fields, args, cfg: StarConfig, reg: dict) -> Measured:
+def _apply_u(fields, args, cfg: StarConfig) -> Measured:
     """Ghost-gated u_n on plain polynomial arguments."""
     n = len(fields)
     dim = _check_dims(fields, args)
@@ -140,15 +122,14 @@ def _apply_u(fields, args, cfg: StarConfig, reg: dict) -> Measured:
         return Measured(args[0] * args[1])
     if n == 1:
         return Measured(_u1_closed(fields[0], args))
-    return _u_numeric(fields, args, cfg, reg)
+    return _u_numeric(fields, args, cfg)
 
 
-def _apply_u_carrying(fields, args, cfg: StarConfig,
-                      reg: dict) -> Measured:
+def _apply_u_carrying(fields, args, cfg: StarConfig) -> Measured:
     """As _apply_u but arguments are Measured; multilinear first order."""
     n = len(fields)
     values = [a.value for a in args]
-    base = _apply_u(fields, values, cfg, reg)
+    base = _apply_u(fields, values, cfg)
     carriers = [(slot, a) for slot, a in enumerate(args) if a.sens]
     if not carriers or len(values) != ghost_argument_count(
             n, [f.degree for f in fields]):
@@ -162,7 +143,7 @@ def _apply_u_carrying(fields, args, cfg: StarConfig,
         for ser, spoly in a.sens.items():
             sub = list(values)
             sub[slot] = spoly
-            push = _apply_u(fields, sub, cfg, reg).value
+            push = _apply_u(fields, sub, cfg).value
             sens[ser] = sens[ser] + push if ser in sens else push
     return Measured(base.value, sens)
 
@@ -177,12 +158,12 @@ def _with_table(cfg: StarConfig | None) -> StarConfig:
 def u_n(fields, args, cfg: StarConfig | None = None) -> Polynomial:
     """The n-linear graph map on polynomial arguments; off the ghost
     arity the result is exactly zero."""
-    return _apply_u(fields, args, _with_table(cfg), {}).value
+    return _apply_u(fields, args, _with_table(cfg)).value
 
 
-def _single_row_report(identity, resid: Measured, reg: dict,
-                       cfg) -> ResidualReport:
-    bound = quadrature_bound(resid, [(s, reg[s][1]) for s in resid.sens])
+def _single_row_report(identity, resid: Measured, cfg) -> ResidualReport:
+    bound = quadrature_bound(resid, [(s, cfg.table.lookup(s).std_error)
+                                     for s in resid.sens])
     return ResidualReport(identity, cfg.policy,
                           _verdict_rows([resid.value], [bound], cfg.policy))
 
@@ -206,10 +187,9 @@ def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
     sign = QI((-1) ** (gi * gj))
     swapped = list(fields)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    reg = {}
-    a = _apply_u(list(fields), list(args), cfg, reg)
-    b = _apply_u(swapped, list(args), cfg, reg)
-    return _single_row_report("graded symmetry", a + b * -sign, reg, cfg)
+    a = _apply_u(list(fields), list(args), cfg)
+    b = _apply_u(swapped, list(args), cfg)
+    return _single_row_report("graded symmetry", a + b * -sign, cfg)
 
 
 def _eps_shuffle(sigma, gs, split) -> int:
@@ -246,7 +226,6 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
         raise ConfigError("coherence check needs at least two arguments")
     gs = [f.degree - 1 for f in fields]
     msign = -1 if m % 2 else 1
-    reg = {}
     acc = Measured(Polynomial.zero(dim))
     for split in range(n + 1):
         for chosen in itertools.combinations(range(n), split):
@@ -260,17 +239,16 @@ def linfty_check(fields, args, cfg: StarConfig | None = None) -> ResidualReport:
             for k in range(1, m):
                 for i in range(m - k + 1):
                     inner = _apply_u(inner_fields, list(args[i:i + k + 1]),
-                                     cfg, reg)
+                                     cfg)
                     if inner.value.is_zero() and not inner.sens:
                         continue
                     outer_args = [Measured(a) for a in args[:i]] \
                         + [inner] \
                         + [Measured(a) for a in args[i + k + 1:]]
-                    term = _apply_u_carrying(outer_fields, outer_args,
-                                             cfg, reg)
+                    term = _apply_u_carrying(outer_fields, outer_args, cfg)
                     face = -1 if (k * (i + 1)) % 2 else 1
                     acc = acc + term * QI(mult_base * face)
     if n == 2:
-        rhs = _apply_u([schouten(*fields)], list(args), cfg, reg)
+        rhs = _apply_u([schouten(*fields)], list(args), cfg)
         acc = acc + rhs * QI(-LINFTY_RHS_SIGN * _eps_pair(0, 1, gs))
-    return _single_row_report("linfty coherence", acc, reg, cfg)
+    return _single_row_report("linfty coherence", acc, cfg)

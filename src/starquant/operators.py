@@ -176,9 +176,8 @@ class OrbitOperators:
     """Operators of a graph family, fields[i] at aerial vertex i, built
     once per orbit.  rows lists (graph, serial, orbit serial, sign) of
     the graphs with nonzero operator, in order: op(graph) = sign x
-    op(orbit), and for two grounds weight(graph) = sign x
-    weight(orbit).  Immutable once built, so one family serves every
-    caller."""
+    op(orbit) and weight(graph) = sign x weight(orbit).  Immutable once
+    built, so one family serves every caller."""
 
     def __init__(self, graphs, fields):
         fields = tuple(fields)

@@ -243,7 +243,7 @@ def _jacobi_report(alpha: PolyVectorField):
 
 def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     """(r, entry serial, c_e, weight as QI, std_error) for each table
-    entry that rows (r, graph, serial, sign) of two-ground graphs read,
+    entry that rows (r, graph, serial, sign) read, at any ground count,
     r = (order, orbit representative's serial), in first-read order.
 
     Under weights "exact" every graph needs a closed form; "numeric"

@@ -15,7 +15,9 @@ in descending position order.  Orientation is fixed by this column
 convention and validated by the order-1 calibration (weight +1/2 for
 the graph 1:[L,R]).
 
-Star-normalized weights divide the raw integral by (2pi)^(2n) n!.
+Weights divide the raw integral by (2pi)^E n!, E = 2n + m - 2 the
+edge count: the star normalisation at m = 2, and at every m the one
+formality.u_n reads.
 
 Source vertices are integrated out exactly.  A source (_sources) has
 out-degree 2 and no incoming edge, so its two rows hold the only
@@ -888,18 +890,20 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
 
 
 # ---------------------------------------------------------------------------
-# star-normalized weights
+# normalized weights
 # ---------------------------------------------------------------------------
 
 def weight(graph: KGraph, cfg: IntegrationConfig,
            seed: int | None = None) -> WeightEstimate:
-    """Star weight: raw integral over (2pi)^(2n) n! for an m=2 graph."""
-    if graph.m != 2:
+    """Weight: raw integral over (2pi)^E n! for a graph with m >= 2
+    grounds and E = 2n + m - 2 edges; the star weight at m = 2."""
+    edges = 2 * graph.n + graph.m - 2
+    if graph.m < 2:
         raise DegreeMismatchError(
-            f"star weights take two-ground graphs, got m={graph.m}")
-    if graph.edge_count != 2 * graph.n:
+            f"weights need at least 2 ground vertices, got m={graph.m}")
+    if graph.edge_count != edges:
         raise DegreeMismatchError(
-            f"edge count {graph.edge_count} != 2n = {2 * graph.n}")
+            f"edge count {graph.edge_count} != 2n + m - 2 = {edges}")
     used_seed = cfg.seed if seed is None else seed
     if graph.has_doubled_edge():
         # repeated rows wedge to zero; nothing to sample
@@ -909,7 +913,7 @@ def weight(graph: KGraph, cfg: IntegrationConfig,
         return WeightEstimate(1.0, 0.0, 0, used_seed, cfg.method,
                               exact=Fraction(1))
     raw, raw_se, n_used = integrate_graph_form(graph, cfg, seed=used_seed)
-    norm = TWO_PI ** (2 * graph.n) * math.factorial(graph.n)
+    norm = TWO_PI ** edges * math.factorial(graph.n)
     est = WeightEstimate(raw / norm, raw_se / norm, n_used, used_seed,
                          cfg.method)
     if cfg.error_target is not None and est.std_error > cfg.error_target:

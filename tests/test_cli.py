@@ -93,6 +93,11 @@ def test_import_loads_no_scipy():
     assert out.strip() == "False"
 
 
+# the I_2 graph (one aerial vertex, three grounds) and its reversal
+I2_GRAPHS = [{"n": 1, "m": 3, "edges": [["G2", "G1", "G0"]]},
+             {"n": 1, "m": 3, "edges": [["G0", "G1", "G2"]]}]
+
+
 class TestWeight:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -124,6 +129,32 @@ class TestWeight:
         out = capsys.readouterr().out
         assert "parity audit" in out
         assert "pass" in out
+
+    def test_three_ground_graphs_are_weighted(self, tmp_path, capsys):
+        """I_2's graph has weight 1/6 and its reversal -1/6."""
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps(I2_GRAPHS))
+        out = tmp_path / "table.json"
+        assert main(["weight", "--graphs", str(path), "--seed", "0",
+                     "--samples", "65536", "--format", "json",
+                     "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())
+        for entry, want in zip(entries, (1 / 6, -1 / 6)):
+            assert abs(entry["value"] - want) <= 4 * entry["std_error"]
+
+    def test_parity_audit_skips_graphs_without_a_mirror(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps(I2_GRAPHS))
+        assert main(["weight", "--graphs", str(path), "--samples", "4096",
+                     "--audit", "parity"]) == 2
+        assert "no mirror pairs found" in capsys.readouterr().out
+        pair = [{"n": 1, "m": 2, "edges": [["G0", "G1"]]},
+                {"n": 1, "m": 2, "edges": [["G1", "G0"]]}]
+        path.write_text(json.dumps(I2_GRAPHS + pair))
+        assert main(["weight", "--graphs", str(path), "--samples", "4096",
+                     "--audit", "parity"]) == 0
+        assert "parity audit: 2/2 within 3 sigma" in capsys.readouterr().out
 
     def test_error_target_warns_but_exits_zero(self, capsys):
         assert main(["weight", "-n", "1", "--seed", "9",

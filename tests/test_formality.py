@@ -173,32 +173,32 @@ class TestStarCrossPath:
         f, g = x[0] * x[0], x[1] * x[2]
         cfg = numeric_cfg(n_samples=131072)
         exp = star_expansion(f, g, alpha, cfg)
-        reg = {}
-        measured = _u_numeric([alpha, alpha], [f, g], cfg, reg)
+        measured = _u_numeric([alpha, alpha], [f, g], cfg)
         diag = measured.value * QI(-1)
         resid = exp.series.coefficient(2) + diag * QI(-1)
-        sources = [(s, reg[s][1]) for s in measured.sens]
+        sources = [(s, cfg.table.lookup(s).std_error) for s in measured.sens]
         bound = exp.bounds[2] + quadrature_bound(measured, sources)
         assert bound > 0
         assert resid.max_abs_coeff() <= cfg.policy * bound
 
 
-def graph_by_graph_u(fields, args, reg):
+def graph_by_graph_u(fields, args, table):
     """u_n with one build_operator per graph, no orbit sharing, reading
-    each graph's (estimate, std_error) from a registry _u_numeric filled:
-    the value and the per-graph sensitivities."""
+    each graph's own entry of table: the value and the per-graph
+    sensitivities d/dw."""
     n = len(fields)
     degrees = [f.degree for f in fields]
-    rational = QI(Fraction((-1) ** n, math.factorial(n) * math.prod(
+    rational = QI(Fraction((-1) ** n, math.prod(
         math.factorial(p + 1) for p in degrees)))
     value, sens = Polynomial.zero(args[0].dim), {}
     for g in enumerate_graphs(n, len(args), degrees):
         applied = build_operator(g, fields).apply(tuple(reversed(args)))
         if applied.is_zero():
             continue
-        est, sig = reg[serialize(g)]
-        value = value + applied * (rational * est)
-        if sig:
+        est = table.get(g)
+        w = est.exact if est.exact is not None else Fraction(est.value)
+        value = value + applied * (rational * QI(w))
+        if est.std_error:
             sens[serialize(g)] = applied * rational
     return value, sens
 
@@ -235,15 +235,13 @@ class TestOrbitSharedGraphSum:
                                    [x[0] * x[1], x[2], x[2]]),
         }[case]
         cfg = numeric_cfg(n_samples=4096)
-        if len(args) == 2:
-            # one entry per graph, so graph_by_graph_u reads each graph's
-            # own (estimate, std_error)
-            cfg.table.ensure(enumerate_graphs(len(fields), 2,
-                                              [f.degree for f in fields]),
-                             cfg.integration, use_exact=True)
-        reg = {}
-        got = _u_numeric(fields, args, cfg, reg)
-        value, sens = graph_by_graph_u(fields, args, reg)
+        # one entry per graph, so graph_by_graph_u reads each graph's
+        # own entry
+        cfg.table.ensure(enumerate_graphs(len(fields), len(args),
+                                          [f.degree for f in fields]),
+                         cfg.integration, use_exact=True)
+        got = _u_numeric(fields, args, cfg)
+        value, sens = graph_by_graph_u(fields, args, cfg.table)
         assert sens  # sampled graphs contribute
         assert got.value == value
         assert got.sens == sens
@@ -414,7 +412,6 @@ class TestWeightReading:
 
         integrate = weights_mod.integrate_graph_form
         monkeypatch.setattr(weights_mod, "integrate_graph_form", counting)
-        monkeypatch.setattr(formality_mod, "integrate_graph_form", counting)
         rng = random.Random(7)
         fields = [random_linear_bivector(rng), random_linear_bivector(rng)]
         row = linfty_check(fields, variables()).rows[0]
@@ -447,6 +444,37 @@ class TestWeightReading:
         assert len(sampled) == 6
         assert all(orbit_representative(g)[0] == g for g in sampled)
         assert rep.ok
+
+    def test_three_grounds_pool_one_entry_per_orbit(self, monkeypatch):
+        """48 sampled graphs at three grounds, over both field orders,
+        read 4 orbit entries, each integrated once at its members'
+        summed budget."""
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return integrate(graph, *args, **kwargs)
+
+        integrate = weights_mod.integrate_graph_form
+        monkeypatch.setattr(weights_mod, "integrate_graph_form", counting)
+        x = variables()
+        fields = (so3_bivector(), _trivector())
+        cfg = numeric_cfg(n_samples=65536)
+        rep = graded_symmetry_check(list(fields), [x[0] * x[1], x[2], x[2]],
+                                    cfg)
+        assert rep.ok and rep.rows[0].bound > 0
+        assert len(calls) == 4
+        orbits = {row[2] for family in (fields, fields[::-1])
+                  for row in operators_mod.orbit_operators(family, 3).rows}
+        assert {serialize(g) for g in calls} <= orbits
+        assert sum(est.n_samples for _, est in cfg.table) == 48 * 65536
+
+    def test_exact_mode_refuses_three_grounds(self):
+        x = variables()
+        with pytest.raises(ConfigError, match=re.escape("n=2;m=3;")):
+            graded_symmetry_check([so3_bivector(), _trivector()],
+                                  [x[0] * x[1], x[2], x[2]],
+                                  StarConfig(weights="exact"))
 
     def test_numeric_mode_samples(self):
         rng = random.Random(7)

@@ -144,7 +144,9 @@ class TestShortCircuits:
         with pytest.raises(DegreeMismatchError):
             weight(parse("n=1;m=2;1:[L]"), IntegrationConfig())
         with pytest.raises(DegreeMismatchError):
-            weight(parse("n=1;m=3;1:[G0,G1,G2]"), IntegrationConfig())
+            weight(parse("n=1;m=3;1:[G0,G1]"), IntegrationConfig())
+        with pytest.raises(DegreeMismatchError):
+            weight(KGraph(1, 1, ((1,),)), IntegrationConfig())
 
     def test_raw_integral_validations(self):
         with pytest.raises(DegreeMismatchError):
@@ -226,6 +228,18 @@ class TestMovingGround:
     def test_p0_rejected(self):
         with pytest.raises(DegreeMismatchError):
             i_p_integral(0, IntegrationConfig())
+
+    def test_weight_normalises_three_grounds(self):
+        """weight() divides the raw integral by (2pi)^E n!, E = 3 edges
+        and n = 1, at any ground count; I_2's weight is 1/6."""
+        graph = parse("n=1;m=3;1:[G2,G1,G0]")
+        cfg = IntegrationConfig(seed=3, n_samples=65536)
+        raw, raw_se, n_used = integrate_graph_form(graph, cfg)
+        norm = (2 * math.pi) ** 3 * math.factorial(1)
+        w = weight(graph, cfg)
+        assert (w.value, w.std_error, w.n_samples) == (
+            raw / norm, raw_se / norm, n_used)
+        assert abs(w.value - 1 / 6) <= 4 * w.std_error
 
     def test_rational_prefactors(self):
         assert i_p_rational(0) == 1
