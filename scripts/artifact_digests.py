@@ -41,6 +41,11 @@ INPUTS = {
     # the I_2 graph (one aerial vertex, three grounds) and its reversal
     "i2_graphs.json": [{"n": 1, "m": 3, "edges": [["G2", "G1", "G0"]]},
                        {"n": 1, "m": 3, "edges": [["G0", "G1", "G2"]]}],
+    # two order-4 star graphs without a source vertex: 8 sampled
+    # dimensions, so their determinant expansions run past 6 rows
+    "k8_graphs.json": [
+        {"n": 4, "m": 2, "edges": [[2, "L"], [3, "R"], [4, "L"], [1, "R"]]},
+        {"n": 4, "m": 2, "edges": [[2, 3], [3, "L"], [4, "R"], [1, "L"]]}],
 }
 
 
@@ -82,6 +87,8 @@ def invocations(samples: int, work: str):
         "verify", "assoc", "-N", "3", "--alpha", path("dim2_alpha.json"),
         "--seed", "0"] + budget
     yield "weight_graphs_m3", ["weight", "--graphs", path("i2_graphs.json"),
+                               "--seed", "0", "--format", "json"] + budget
+    yield "weight_graphs_k8", ["weight", "--graphs", path("k8_graphs.json"),
                                "--seed", "0", "--format", "json"] + budget
 
 

@@ -5,11 +5,14 @@ figures to a JSON file.
     PYTHONPATH=src python scripts/bench_integrator.py --parent OTHER/src \
         --out BENCH.json
 
-Three points, each a fixed set of graphs at one sample budget, timed
+Four points, each a fixed set of graphs at one sample budget, timed
 a fixed number of times per graph and round:
 
     order3_4096      six order-3 star graphs at 4096 samples, 5 times
-                     each (fixed per-integration cost dominates)
+                     each (fixed per-integration cost dominates; two
+                     have 6 sampled dimensions)
+    order4_4096      four order-4 star graphs with 8 sampled dimensions
+                     at 4096 samples, 5 times each
     order2_131072    three order-2 star graphs at 2^17 samples, 3 times
     order2_default   the same three at the default budget (2^22), once
 
@@ -79,6 +82,12 @@ POINTS = {
         "n=3;m=2;1:[2,L];2:[3,L];3:[1,R]",
         "n=3;m=2;1:[2,3];2:[3,L];3:[L,R]",
         "n=3;m=2;1:[2,R];2:[3,L];3:[1,L]",
+    ]),
+    "order4_4096": (4096, 5, [
+        "n=4;m=2;1:[2,L];2:[3,R];3:[4,L];4:[1,R]",
+        "n=4;m=2;1:[2,3];2:[3,L];3:[4,R];4:[1,L]",
+        "n=4;m=2;1:[2,L];2:[3,L];3:[4,R];4:[1,R]",
+        "n=4;m=2;1:[2,R];2:[3,4];3:[1,L];4:[L,R]",
     ]),
     "order2_131072": (131072, 3, [
         "n=2;m=2;1:[2,L];2:[1,R]",

@@ -493,6 +493,9 @@ def main(argv=None) -> int:
         print("error: out of memory; lower the sample budget or order",
               file=sys.stderr)
         return 3
+    except OverflowError as exc:        # e.g. a dimension past sys.maxsize
+        print(f"error: too large for this machine: {exc}", file=sys.stderr)
+        return 3
     except (ParseError, ConfigError, DegreeMismatchError,
             DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

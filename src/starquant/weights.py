@@ -67,22 +67,24 @@ sources, each sampled point's columns, and each row's nonzero entries
 of M (Im A, Re A, -Im A or d_wy), in real arithmetic on the plan's
 columns: no complex array.  Each block's squared distances are computed
 once and read by the coincidence guard and, as 1/|z - w|^2 and
-1/|z - wbar|^2, by angle_form's two poles.  The entries and, for at
-most 5 sampled dimensions, det M (det_batch's Laplace expansion without
-its structurally zero terms) are compiled once to ufunc calls; 6 or
-more keep a dense matrix.  Signs and factors of two stay outside the
-compiled values (_Term): a ground's two poles are equal, so its row is
-twice the computed one, and negation and doubling commute exactly with
-the rounding of +, - and * (barring overflow and subnormal results), so
-the program negates and doubles nothing and det M's sign * 2^exp joins
-the constant jac is divided by.  A dense matrix gets its entries scaled
-back, as LAPACK's pivoting depends on them.  Each block length binds
-the whole block once: one list of calls with their operands, views of
-the workspace, from the ground sort to det M, so a block only makes
-calls.  Everything is written through out= into one workspace per
-integral, so a block allocates nothing outside it.  _Plan.__call__
-takes sample rows (redraws, tests) and copies each block into the
-columns.  Every integrand float equals the dense evaluation's
+1/|z - wbar|^2, by angle_form's two poles.  The entries and det M are
+compiled once to ufunc calls at every size: det M by _laplace's
+expansion, along one row while an odd number of rows is left and along
+the top two rows while an even number is left, skipping structurally
+zero factors, and a matrix with no term left (such as a moving ground
+no edge reaches) has det M = 0 and a zero root.  Signs and factors of
+two stay outside the compiled values (_Term): a ground's two poles are
+equal, so its row is twice the computed one, and negation and doubling
+commute exactly with the rounding of +, - and * (barring overflow and
+subnormal results), so the program negates and doubles nothing and det
+M's sign * 2^exp joins the constant jac is divided by.  Each block
+length binds the whole block once: one list of calls with their
+operands, views of the workspace, from the ground sort to det M, so a
+block only makes calls.  Everything is written through out= into one
+workspace per integral, so a block allocates nothing outside it.
+_Plan.__call__ takes sample rows (redraws, tests) and copies each block
+into the columns.  Every integrand float equals the dense evaluation's,
+the same expansion with every term kept
 (tests/test_weights.py::TestIntegrandPlan against tests/helpers.py),
 except that an exactly zero value can carry the other sign where a sum
 of two negated terms cancels exactly (see _Term), which no mean sees;
@@ -104,7 +106,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.linalg import _umath_linalg     # np.linalg.det with out=
 
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, SamplingError, json_int)
@@ -207,61 +208,46 @@ class WeightEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batched determinants
+# determinants
 # ---------------------------------------------------------------------------
-# The Laplace expansions read entry (i, j) through e(i, j) and use only
-# +, - and *: det_batch feeds them dense matrix columns, an integrand plan
-# symbolic _Terms that drop structural zeros, so both share one term order.
 
-def _det2(e):
-    return e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)
-
-
-def _det3(e):
-    return (e(0, 0) * (e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1))
-            - e(0, 1) * (e(1, 0) * e(2, 2) - e(1, 2) * e(2, 0))
-            + e(0, 2) * (e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0)))
-
-
-def _det4(e):
-    # Laplace expansion on the top two rows against the bottom two
-    def p(i, j):
-        return e(0, i) * e(1, j) - e(0, j) * e(1, i)
-
-    def q(i, j):
-        return e(2, i) * e(3, j) - e(2, j) * e(3, i)
-
-    return (p(0, 1) * q(2, 3) - p(0, 2) * q(1, 3) + p(0, 3) * q(1, 2)
-            + p(1, 2) * q(0, 3) - p(1, 3) * q(0, 2) + p(2, 3) * q(0, 1))
+def _laplace(e, k: int):
+    """det of the k x k matrix whose entry (i, j) is e(i, j), by Laplace
+    expansion in +, - and * alone: along the top row while an odd number
+    of rows is left, along the top two rows (each 2 x 2 minor times its
+    complement) while an even number is left, every sum left to right in
+    column order.  An integrand plan passes _Terms: a factor that is the
+    structural zero _ZERO (an entry, or a 2 x 2 minor without a product
+    of two nonzero entries) is skipped before its complement is
+    expanded, and a matrix whose expansion keeps no term gives _ZERO."""
+    return _minor(e, {}, 0, tuple(range(k)))
 
 
-_KEEP4 = [[j for j in range(5) if j != c] for c in range(5)]
-
-
-def _det5(e):
+def _minor(e, memo, r, cols):
+    """det of _laplace's rows r.. and columns cols, each expanded once:
+    memo maps (r, cols) to its value."""
+    if (r, cols) in memo:
+        return memo[r, cols]
+    if len(cols) % 2:                           # along row r
+        terms = ((i, (a,), e(r, a)) for i, a in enumerate(cols))
+    else:                                       # along rows r, r + 1
+        terms = ((i + j + 1, (a, b),
+                  e(r, a) * e(r + 1, b) - e(r, b) * e(r + 1, a))
+                 for (i, a), (j, b) in itertools.combinations(
+                     enumerate(cols), 2))
     total = None
-    for c in range(5):
-        keep = _KEEP4[c]
-        minor = _det4(lambda i, j, keep=keep: e(1 + i, keep[j]))
-        term = e(0, c) * minor
-        if c % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-_LAPLACE = {2: _det2, 3: _det3, 4: _det4, 5: _det5}
-
-
-def det_batch(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Determinants of a (rows, k, k) stack, into out if given: Laplace
-    expansions for k <= 5, np.linalg.det's kernel above.  An integrand
-    plan calls it only for a dense matrix (k >= 6, or every expansion
-    term structurally zero)."""
-    expand = _LAPLACE.get(m.shape[1])
-    if expand is None:
-        return _umath_linalg.det(m, signature="d->d", out=out)
-    return np.positive(expand(lambda i, j: m[:, i, j]), out=out)
+    for parity, used, factor in terms:
+        if factor is _ZERO:
+            continue
+        rest = tuple(c for c in cols if c not in used)
+        term = factor * _minor(e, memo, r + len(used), rest) if rest \
+            else factor
+        if total is None:
+            total = -term if parity % 2 else term
+        else:
+            total = total - term if parity % 2 else total + term
+    memo[r, cols] = _ZERO if total is None else total
+    return memo[r, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -512,28 +498,26 @@ class _Plan:
     rejects |d|^2 < _GUARD^2, skipping a mirror distance no edge reads
     (|z_i - zbar_j| >= |z_i - z_j| once y > 0).
 
-    The entries and, for k <= 5 columns, det M (_det2.._det5 less its
-    structurally zero terms) compile to ufunc calls on the workspace's
-    slots, equal subterms once (_compile).  Signs and doublings are
-    folded into the _Terms, so the program has no negation and no a + a
-    (the two poles of a form at a ground are equal, so a ground row is
-    twice its computed values); det M's sign * 2^exp folds into the
-    exact constant jac is divided by, k_move! / (sign * 2^exp).  A
-    dense M (k >= 6, or no term left) goes to det_batch with every
-    entry scaled back explicitly, as LAPACK's pivoting depends on it.
-    Floats equal the dense evaluation's: on a row that passes the guard
-    a dropped term is +-0, which can change a sum only in the sign of an
-    exact zero and only when every kept term is zero, so a plan with no
-    kept term is dense; the folding is exact up to overflow, subnormal
-    results and the zero sign _Term describes.
+    The entries and det M (_laplace's expansion less its structurally
+    zero terms) compile to ufunc calls on the workspace's slots, equal
+    subterms once (_compile).  Signs and doublings are folded into the
+    _Terms, so the program has no negation and no a + a (the two poles
+    of a form at a ground are equal, so a ground row is twice its
+    computed values); det M's sign * 2^exp folds into the exact constant
+    jac is divided by, k_move! / (sign * 2^exp).  An expansion with no
+    term left binds the root 0.0 and compiles no call.  Floats equal
+    the dense evaluation's: on a row that passes the guard a dropped
+    term is +-0, which can change a sum only in the sign of an exact
+    zero; the folding is exact up to overflow, subnormal results and the
+    zero sign _Term describes.
 
     Each block length binds its calls once (_bind): one list of (ufunc or
     function, operands ending in the output) over views of the
     workspace, covering the ground sorting network, the point map and
     Jacobian, the guard's squared distances and mask, the source factors
     (halfplane.source_form, one call, its masked branch being
-    data-dependent), the program and det_batch for a dense M.  _block
-    makes those calls and writes det M x jac to out."""
+    data-dependent) and the program.  _block makes those calls and
+    writes det M x jac to out."""
 
     def __init__(self, graph: KGraph, rows: int):
         n, m = graph.n, graph.m
@@ -564,27 +548,24 @@ class _Plan:
                 self.edges.append((ci, where(tgt), cols))
 
         ids = {}
-        entries, expand = self._entries(ids), _LAPLACE.get(k)
-        root = expand(lambda r, c: entries.get((r, c), _ZERO)) \
-            if expand else _ZERO
-        self.dense = None if root.node is not None else list(entries)
-        self.scale = 1.0 if self.dense else float(root.sign << root.exp)
-        self.program = self._compile(list(ids), [root] if self.dense is None
-                                     else list(entries.values()))
+        entries = self._entries(ids)
+        root = _laplace(lambda r, c: entries.get((r, c), _ZERO), k)
+        self.scale = float(root.sign << root.exp)
+        self.program = self._compile(list(ids), root)
 
         # one workspace per plan, so malloc sees one block to keep for the
         # next plan (glibc raises its mmap threshold past a freed chunk):
-        # columns, jac, den, tmp, two temporaries, slots, a dense matrix
-        n_mat = k * k if self.dense else 0
-        n_f = (k + 5 + self.n_slots + n_mat) * rows
-        ws = np.empty(n_f + rows // 4 + 1)
+        # columns, jac, den, tmp, two temporaries, slots.  It starts on a
+        # 64-byte cache line: malloc's offset within a line varies with
+        # whatever was allocated before, and the block's ufuncs ran up to
+        # 15% slower on misaligned rows
+        n_f = (k + 5 + self.n_slots) * rows
+        ws = np.empty(n_f + rows // 4 + 9)
+        ws = ws[-ws.ctypes.data % 64 // 8:]
         flt = ws[:n_f].reshape(-1, rows)
         self.ut = flt[:k]                       # one column per sample
         self.jac, self.den, self.tmp, *self.temps = flt[k:k + 5]
-        self.slots = flt[k + 5:k + 5 + self.n_slots]
-        if self.dense:
-            self.mat = flt[k + 5 + self.n_slots:].reshape(rows, k, k)
-            self.mat[:] = 0.0
+        self.slots = flt[k + 5:]
         self.bad, self.btmp = ws[n_f:].view(bool)[:2 * rows].reshape(2, rows)
         self._bound = {rows: self._bind(rows)}
 
@@ -611,15 +592,13 @@ class _Plan:
             entries.update(((r, c), forms[f]) for c, f in cols.items())
         return entries
 
-    def _compile(self, nodes, roots):
-        """Ufunc calls (ufunc, operands, output) evaluating the _Terms
-        roots, post-order without repeats, on slots numbered: the columns
-        x_i, y_i (self.cols), for a dense M one output per entry, the
-        distance leaves (self.kept), then registers; a leaf's or
-        register's slot is reused once it is dead.  nodes lists the node
-        table's keys by id.  The single root of a determinant stays
-        unscaled in its slot (self.root); a dense entry is written to
-        its output times its sign * 2^exp."""
+    def _compile(self, nodes, root):
+        """Ufunc calls (ufunc, operands, output) evaluating the _Term root,
+        post-order without repeats, on slots numbered: the columns x_i,
+        y_i (self.cols), the distance leaves (self.kept), then registers;
+        a leaf's or register's slot is reused once it is dead.  nodes
+        lists the node table's keys by id.  The root stays unscaled in
+        its slot (self.root), None when no term is left (det M = 0)."""
         order, seen = [], bytearray(len(nodes))
 
         def visit(i):
@@ -631,27 +610,20 @@ class _Plan:
                     visit(key[2])
                 order.append(i)
 
-        for term in roots:
-            visit(term.node)
+        if root.node is not None:
+            visit(root.node)
         calls = [i for i in order if nodes[i][0] in _UFUNCS]
         cols = [i for i in order if nodes[i][0] in ("x", "y")]
         kept = [i for i in order if nodes[i][0] not in _UFUNCS
                 and nodes[i][0] not in ("x", "y")]
         self.cols = [nodes[i] for i in cols]
         self.kept = {nodes[i]: j for j, i in enumerate(kept)}
-        n_out = len(roots) if self.dense else 0
-        base = len(cols) + n_out
+        base = len(cols)
         slot = [None] * len(nodes)
         for j, i in enumerate(cols):
             slot[i] = j
         for j, i in enumerate(kept):
             slot[i] = base + j
-        # a dense entry's node is written straight to the first output
-        # that takes it unscaled
-        outs = {}
-        for i, term in reversed(list(enumerate(roots[:n_out]))):
-            if term.sign == 1 and term.exp == 0:
-                outs[term.node] = len(self.cols) + i
         last = [-1] * len(nodes)
         for pos, i in enumerate(calls):
             last[nodes[i][1]] = last[nodes[i][2]] = pos
@@ -659,22 +631,14 @@ class _Plan:
         for pos, i in enumerate(calls):
             op, a, b = nodes[i]
             free += [slot[arg] for arg in {a, b} if last[arg] == pos
-                     and slot[arg] >= base and arg not in outs]
-            if i not in outs and not free:
+                     and slot[arg] >= base]
+            if not free:
                 free.append(top)
                 top += 1
-            slot[i] = outs[i] if i in outs else free.pop()
+            slot[i] = free.pop()
             program.append((_UFUNCS[op], (slot[a], slot[b]), slot[i]))
         self.n_slots = top - base
-        if not self.dense:
-            self.root = slot[roots[0].node]
-            return program
-        for i, term in enumerate(roots):
-            scale, dst = float(term.sign << term.exp), len(self.cols) + i
-            if scale != 1.0:
-                program.append((np.multiply, (slot[term.node], scale), dst))
-            elif slot[term.node] != dst:
-                program.append((np.positive, (slot[term.node],), dst))
+        self.root = None if root.node is None else slot[root.node]
         return program
 
     def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -809,16 +773,11 @@ class _Plan:
                  call(np.add, ya, yb, t1), t2)
             call(np.multiply, jac, t2, jac)
 
-        outs = [self.mat[:r, row, col] for row, col in self.dense or ()]
         bufs = [ut[2 * i + (name == "y")] for name, i in self.cols] + \
-            outs + list(slots)
-        for ufunc, args, dst in self.program:
-            call(ufunc, *(bufs[a] if type(a) is int else a for a in args),
-                 bufs[dst])
-        if self.dense:
-            root = call(det_batch, self.mat[:r], t2)
-        else:
-            root = bufs[self.root]
+            list(slots)
+        for ufunc, (a, b), dst in self.program:
+            call(ufunc, bufs[a], bufs[b], bufs[dst])
+        root = 0.0 if self.root is None else bufs[self.root]
         return calls, root, jac, bad, btmp
 
 
@@ -954,37 +913,52 @@ _SOLVED_ORDER = max(parse(ser).n for ser in SOLVED_WEIGHTS)
 
 @functools.lru_cache(maxsize=4096)
 def exact_weight(graph: KGraph) -> Fraction | None:
-    """Closed-form star weight when one is known, else None; memoised,
-    as it is a pure function of the frozen graph.
+    """Closed-form weight (weight's normalisation) when one is known,
+    else None; memoised, as it is a pure function of the frozen graph.
 
-    Four sources, in order:
-    - repeated-edge degeneracy and the vanishing lemma (Kontsevich,
-      q-alg/9709040 section 7): zero when some set S of aerial vertices
-      sends every out-edge into S plus at most one ground.  S's angle
-      forms are then invariant under dilation about that ground, so
-      their rows of the form matrix all annihilate the dilation field:
-      they are dependent and the integrand is zero pointwise;
+    Six sources, in order:
+    - repeated-edge degeneracy: zero at any ground count;
+    - one aerial vertex: a graph with n = 1 and no doubled edge is I_p,
+      p = m - 1, with its targets permuted, so its weight is
+      sgn(pi) i_p_rational(p), pi taking the targets to descending
+      position;
+    and for star graphs (m = 2):
+    - the vanishing lemma (Kontsevich, q-alg/9709040 section 7): zero
+      when some set S of aerial vertices sends every out-edge into S
+      plus at most one ground.  S's angle forms are then invariant
+      under dilation about that ground, so their rows of the form
+      matrix all annihilate the dilation field: they are dependent and
+      the integrand is zero pointwise;
     - the order-0 graph (weight 1);
     - derivative-free graphs (every edge lands on a ground vertex),
-      order 1 among them, whose integral factorizes into order-1
-      blocks;
+      whose integral factorizes into order-1 blocks;
     - the solved table SOLVED_WEIGHTS: a graph of order at most 3 whose
       orbit representative is listed gets sign x its value
       (orbit_representative's sign); the order test spares larger
       graphs the orbit search.  These values are exact solutions of
       associativity and the other constraints named there, with the
       wheel weight an input from the literature.
-    Anything else is None: star products sample it under
+    Anything else is None: star products and u_n sample it under
     weights="auto".  `starquant weight` without --exact never calls
     this, so it still samples every graph.
     """
-    if graph.m != 2 or graph.edge_count != 2 * graph.n:
+    n, m = graph.n, graph.m
+    if m < 2 or graph.edge_count != 2 * n + m - 2:
         return None
-    if graph.has_doubled_edge() or _collapsing_set(graph):
+    if graph.has_doubled_edge():
         return Fraction(0)
-    if graph.n == 0:
+    if n == 1:
+        # pairs of targets out of descending order: sgn(pi) = (-1)^ascents
+        ascents = sum(a < b for a, b in itertools.combinations(
+            graph.out_edges[0], 2))
+        return (-1) ** ascents * i_p_rational(m - 1)
+    if m != 2:
+        return None
+    if _collapsing_set(graph):
+        return Fraction(0)
+    if n == 0:
         return Fraction(1)
-    left, right = graph.n, graph.n + 1
+    left, right = n, n + 1
     sign = 1
     for targets in graph.out_edges:
         if targets == (left, right):
@@ -994,8 +968,8 @@ def exact_weight(graph: KGraph) -> Fraction | None:
             continue
         break
     else:
-        return Fraction(sign, 2 ** graph.n * math.factorial(graph.n))
-    if graph.n > _SOLVED_ORDER:
+        return Fraction(sign, 2 ** n * math.factorial(n))
+    if n > _SOLVED_ORDER:
         return None
     rep, sign = orbit_representative(graph)
     solved = SOLVED_WEIGHTS.get(serialize(rep))

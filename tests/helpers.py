@@ -161,9 +161,11 @@ def per_replicate_integral(graph, cfg, seed=None):
 
 
 def _dense_det(m):
-    """Determinants of a (rows, k, k) stack as the dense integrand took
-    them: Laplace expansions for k <= 5, np.linalg.det above."""
-    import numpy as np
+    """Determinants of a (rows, k, k) stack by Laplace expansion, every
+    term kept: along the top row for odd k, along the top two rows (each
+    2 x 2 minor times its complement) for even k, sums left to right in
+    column order."""
+    import itertools
 
     k = m.shape[1]
     if k == 2:
@@ -184,16 +186,23 @@ def _dense_det(m):
 
         return (p(0, 1) * q(2, 3) - p(0, 2) * q(1, 3) + p(0, 3) * q(1, 2)
                 + p(1, 2) * q(0, 3) - p(1, 3) * q(0, 2) + p(2, 3) * q(0, 1))
-    if k == 5:
-        total = None
-        for c in range(5):
-            keep = [j for j in range(5) if j != c]
+    total = None
+    if k % 2:
+        for c in range(k):
+            keep = [j for j in range(k) if j != c]
             term = m[:, 0, c] * _dense_det(m[:, 1:, :][:, :, keep])
             if c % 2:
                 term = -term
             total = term if total is None else total + term
         return total
-    return np.linalg.det(m)
+    for i, j in itertools.combinations(range(k), 2):
+        keep = [c for c in range(k) if c != i and c != j]
+        term = (m[:, 0, i] * m[:, 1, j] - m[:, 0, j] * m[:, 1, i]) \
+            * _dense_det(m[:, 2:, :][:, :, keep])
+        if (i + j + 1) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def complex_angle_form(z, w):

@@ -142,6 +142,17 @@ class TestWeight:
         for entry, want in zip(entries, (1 / 6, -1 / 6)):
             assert abs(entry["value"] - want) <= 4 * entry["std_error"]
 
+    def test_three_ground_graphs_are_exact(self, tmp_path, capsys):
+        """With --exact, both I_2 graphs get closed-form entries."""
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps(I2_GRAPHS))
+        out = tmp_path / "table.json"
+        assert main(["weight", "--graphs", str(path), "--exact",
+                     "--format", "json", "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())
+        assert [(e["exact"], e["std_error"], e["n_samples"])
+                for e in entries] == [([1, 6], 0.0, 0), ([-1, 6], 0.0, 0)]
+
     def test_parity_audit_skips_graphs_without_a_mirror(self, tmp_path,
                                                         capsys):
         path = tmp_path / "graphs.json"
@@ -546,6 +557,13 @@ class TestAlphaInputFuzz:
         of --alpha, dimension 0 included."""
         assert run_with_files(["verify", suite, "-N", "1", "--samples",
                                "64"], [("--alpha", alpha)]) in (0, 1, 2, 3)
+
+    def test_dimension_past_the_address_space(self):
+        """A dimension no list can index ends in exit 3, not a traceback
+        (hypothesis drew this one for test_verify_default_arguments)."""
+        alpha = {"dim": 2 ** 63, "degree": 1, "components": []}
+        assert run_with_files(["verify", "assoc", "-N", "1", "--samples",
+                               "64"], [("--alpha", alpha)]) == 3
 
     def test_large_dimension_jacobi_check(self):
         """JSON may claim any dimension: the Jacobi check that star and
