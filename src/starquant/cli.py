@@ -67,8 +67,8 @@ from .weights import (
 
 SUITES = ("jacobi", "assoc", "moyal", "ip", "linfty", "symmetry",
           "center-probe")
-# I_p integrates over p + 1 dimensions; the integrand holds a
-# (rows, p + 1, p + 1) form matrix per call
+# I_p integrates over p + 1 <= weights.MAX_DIMS dimensions; 8 is a chosen
+# bound: at the default budget std_error is 11% of I_8, 20% of I_12
 IP_MAX_P = 8
 # center-probe's default --f has one dense exponent tuple per coordinate,
 # dim^2 integers in all

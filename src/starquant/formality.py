@@ -19,8 +19,8 @@ The identity checks put statistical bounds on the graded symmetry of
 u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
 bracket side is the exact trivector closed form.  Weights at every
 ground count are star._resolve_weights' table entries, read as the
-star engine reads them (closed forms first, one pooled entry per
-orbit), from cfg.table or one table per check.  Values are
+star engine reads them (a graph's own entry, else its orbit
+representative's), from cfg.table or one table per check.  Values are
 star.Measured with one error source per sampled entry, keyed by its
 serial and carrying d/dw of that entry, so a bound reads each entry's
 std_error from the same table.  Operators come from
@@ -100,7 +100,7 @@ def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
     ops = orbit_operators(tuple(fields), len(args))
     applied = {orbit: ops.apply(orbit, rev)   # rows of an orbit share it
                for orbit in dict.fromkeys(row[2] for row in ops.rows)}
-    rows = [((n, orbit), g, ser, sign) for g, ser, orbit, sign in ops.rows
+    rows = [((n, orbit), ser, sign) for _, ser, orbit, sign in ops.rows
             if not applied[orbit].is_zero()]
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}

@@ -3,14 +3,7 @@
 The hbar^n coefficient of f * g is (i/2)^n sum over order-n star
 graphs of weight x operator value.  Weights come from a shared
 WeightTable; their statistical errors are pushed through every
-derived quantity, so each report carries a per-power bound.  Under
-weights "auto" a graph without a table entry takes its closed form
-from weights.exact_weight when it has one (the vanishing lemma, the
-order-0 and derivative-free graphs, and the orbits solved exactly from
-associativity and the other constraints listed at
-weights.SOLVED_WEIGHTS) and is sampled only otherwise.  so(3) products
-and checks through hbar^3 therefore integrate nothing, and their
-bounds are 0.
+derived quantity, so each report carries a per-power bound.
 
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
 bivector, so a star graph's operator and its weight are sign x its
@@ -18,17 +11,23 @@ orbit representative's (graphs.orbit_representative).  Operators come
 from operators.orbit_operators and weights from _resolve_weights, both
 shared with formality.py's u_n; each star product applies each orbit
 once per argument pair against the orbit weight W_r = sum of sign x
-weight over its members, summed exactly.  Jacobi reports are kept
-across calls (_jacobi_report), so products and checks on one Poisson
-structure build each orbit operator and prove Jacobi once.
+weight over its members, summed exactly.  A graph without a table
+entry of its own reads its representative's, filled once per orbit:
+exact from weights.exact_weight (the vanishing lemma, the order-0 and
+derivative-free graphs, the solved orbits of weights.SOLVED_WEIGHTS)
+unless weights is "numeric", else by one pooled integral.  so(3)
+products and checks through hbar^3 therefore integrate nothing, and
+their bounds are 0.  Jacobi reports are kept across calls
+(_jacobi_report), so products and checks on one Poisson structure
+build each orbit operator and prove Jacobi once.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
 sensitivity.  A star coefficient is linear in the orbit weights and a
 composite like (f*g)*h - f*(g*h) is at most quadratic, so forward-mode
 derivatives d/dW_r carried through each star product are exact.  A
-sampled table entry e enters W_r with coefficient c_e, the sum of the
-signs of the members reading it, so its sensitivity is c_e x d/dW_r.
+sampled table entry e enters W_r with coefficient c_e, its readers'
+sum of sign (own entry) or 1, so its sensitivity is c_e x d/dW_r.
 Entries are sampled with independent seeds, so quadrature_bound adds
 (|c_e| std_error x probe sup of d/dW_r)^2 entry by entry, the sup
 taken over the lattice PROBE^d = {-1, 0, 1}^d once per orbit: an
@@ -67,7 +66,7 @@ class StarConfig:
 
     weights "auto" takes closed forms where known and integrates the
     rest, "numeric" integrates everything, "exact" demands a closed
-    form for every contributing graph (zero statistical error, so
+    form for every contributing orbit (zero statistical error, so
     verifier verdicts become exact).  jacobi "warn" downgrades a
     failed Jacobi identity from an error to a warning for
     experiments on non-Poisson bivectors.
@@ -146,7 +145,8 @@ class ResidualReport:
 
 @dataclass(frozen=True)
 class StarExpansion:
-    """Series plus per-power error bounds and the table that fed them."""
+    """Series plus per-power error bounds and the table that fed them:
+    supplied entries plus one per orbit a graph without its own read."""
 
     series: FormalSeries
     bounds: tuple
@@ -243,39 +243,34 @@ def _jacobi_report(alpha: PolyVectorField):
 
 def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     """(r, entry serial, c_e, weight as QI, std_error) for each table
-    entry that rows (r, graph, serial, sign) read, at any ground count,
+    entry that rows (r, serial, sign) read, at any ground count,
     r = (order, orbit representative's serial), in first-read order.
 
-    Under weights "exact" every graph needs a closed form; "numeric"
-    takes none.  A row reads its graph's own table entry or closed form
-    when there is one.  Otherwise it reads its orbit representative's
-    entry: its weight is sign x the representative's, so it adds that
-    entry with coefficient sign x sign = 1, and the table integrates
-    the entry once, at k times the per-graph budget for the k rows that
-    read it.  c_e sums an entry's reads."""
-    mode = cfg.weights
-    use_exact = mode in ("auto", "exact")
-    if mode == "exact":
-        missing = [ser for _, g, ser, _ in rows if exact_weight(g) is None]
+    A row reads its graph's own table entry when there is one.
+    Otherwise it reads its orbit representative's: its weight is sign x
+    the representative's, so it adds that entry with coefficient
+    sign x sign = 1.  Missing representatives get one entry each:
+    exact when exact_weight has a closed form and cfg.weights is not
+    "numeric", else integrated once at k times the per-graph budget
+    for the k rows that read it.  Under "exact" every orbit read needs
+    a closed form.  c_e sums an entry's reads."""
+    if cfg.weights == "exact":
+        missing = [orbit for orbit in dict.fromkeys(r[1] for r, _, _ in rows)
+                   if exact_weight(parse(orbit)) is None]
         if missing:
             raise ConfigError(
-                "no closed-form weight for "
-                + ", ".join(missing[:4])
-                + ("..." if len(missing) > 4 else "")
+                "no closed-form weight for the orbits of "
+                + ", ".join(missing[:4]) + ("..." if len(missing) > 4 else "")
                 + "; use weights='auto' or 'numeric'")
-    # (r, entry serial): its coefficient c_e, summed over the reads;
-    # new: serial -> graph of each entry the table lacks
-    coeff, new, pooled = {}, {}, {}
-    for r, g, ser, sign in rows:
-        if table.lookup(ser) is None and not (
-                use_exact and exact_weight(g) is not None):
-            g, ser, sign = None, r[1], 1
+    coeff, pooled = {}, {}
+    for r, ser, sign in rows:
+        if table.lookup(ser) is None:
+            ser, sign = r[1], 1
             pooled[ser] = pooled.get(ser, 0) + 1
         coeff[r, ser] = coeff.get((r, ser), 0) + sign
-        if ser not in new and table.lookup(ser) is None:
-            new[ser] = parse(ser) if g is None else g
-    table.ensure(list(new.values()), cfg.integration,
-                 use_exact=use_exact, pooled=pooled)
+    table.ensure([parse(ser) for ser in pooled if table.lookup(ser) is None],
+                 cfg.integration, use_exact=cfg.weights != "numeric",
+                 pooled=pooled)
     out = []        # an entry serial belongs to one orbit, so one key
     for (r, ser), c in coeff.items():
         est = table.lookup(ser)
@@ -315,9 +310,9 @@ class _Engine:
     def ensure_weights(self) -> None:
         """Sum orbit weights W_r; a sampled entry read with coefficient
         c is one source (r, |c| x std_error)."""
-        rows = [((j, orbit), g, ser, sign)
+        rows = [((j, orbit), ser, sign)
                 for j, ops in self.families.items()
-                for g, ser, orbit, sign in ops.rows]
+                for _, ser, orbit, sign in ops.rows]
         sources = []
         for r, _, c, w, sigma in _resolve_weights(rows, self.cfg,
                                                   self.table):

@@ -1043,27 +1043,29 @@ class WeightTable:
     def ensure(self, graphs, cfg: IntegrationConfig,
                use_exact: bool = False, *,
                pooled: dict | None = None) -> "WeightTable":
-        """Fill in missing graphs; existing entries are kept.
+        """Fill in missing graphs once each; existing entries are kept.
 
         With use_exact, graphs with a known closed form get exact
         entries instead of sampling.  pooled maps a graph's
         serialization to the number k of graphs its one entry stands in
-        for; a missing graph listed there is integrated once at k times
-        the per-graph budget (cfg.n_samples or default_budget).  Every
-        integral is seeded by stable_seed(cfg.seed, serialization).
-        Numeric work is spread over STARQUANT_THREADS threads (results
-        independent of the count).
+        for (an orbit representative's readers); a missing graph listed
+        there is integrated once at k times the per-graph budget
+        (cfg.n_samples or default_budget).  Every integral is seeded by
+        stable_seed(cfg.seed, serialization).  Numeric work is spread
+        over STARQUANT_THREADS threads (results independent of the
+        count).
         """
-        pending = [g for g in graphs if serialize(g) not in self._entries]
+        pending = {ser: g for g in graphs
+                   if (ser := serialize(g)) not in self._entries}
         jobs = []
-        for g in pending:
+        for ser, g in pending.items():
             closed = exact_weight(g) if use_exact else None
-            if closed is not None:
-                self.put(g, WeightEstimate(
-                    float(closed), 0.0, 0, stable_seed(cfg.seed, serialize(g)),
-                    cfg.method, exact=closed))
+            if closed is None:
+                jobs.append((ser, g))
             else:
-                jobs.append(g)
+                self._entries[ser] = (g, WeightEstimate(
+                    float(closed), 0.0, 0, stable_seed(cfg.seed, ser),
+                    cfg.method, exact=closed))
         if jobs:
             raw = os.environ.get("STARQUANT_THREADS", "1")
             workers = int(raw) if raw.strip().isdecimal() else 0
@@ -1071,8 +1073,8 @@ class WeightTable:
                 raise ConfigError(
                     f"STARQUANT_THREADS must be an integer >= 1, got {raw!r}")
 
-            def fn(g):
-                ser = serialize(g)
+            def fn(job):
+                ser, g = job
                 k = (pooled or {}).get(ser, 1)
                 use = cfg if k == 1 else replace(cfg, n_samples=k * (
                     cfg.n_samples or default_budget(2 * g.n + g.m - 2)))
@@ -1082,9 +1084,9 @@ class WeightTable:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(fn, jobs))
             else:
-                results = [fn(g) for g in jobs]
-            for g, est in zip(jobs, results):
-                self.put(g, est)
+                results = [fn(job) for job in jobs]
+            for (ser, g), est in zip(jobs, results):
+                self._entries[ser] = (g, est)
         return self
 
     def to_json_obj(self) -> list:

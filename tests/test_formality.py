@@ -18,7 +18,7 @@ from starquant.formality import (
     linfty_check,
     u_n,
 )
-from starquant.graphs import (enumerate_graphs, orbit_representative,
+from starquant.graphs import (enumerate_graphs, orbit_representative, parse,
                               serialize)
 from starquant.operators import build_operator
 from starquant.poly import Polynomial
@@ -398,10 +398,42 @@ def dim2_beta():
     return PolyVectorField(2, 1, {(0, 1): x0 * x0 + x1}), x0, x1
 
 
+class TestClosedFormCovariance:
+    """star._resolve_weights lets a row without its own table entry read
+    its orbit representative's, closed form or sampled, which holds only
+    while every closed form is covariant: exact_weight(g) is None exactly
+    when the representative's is, and is otherwise sign x its value."""
+
+    @pytest.mark.parametrize("solved", [True, False],
+                             ids=["solved", "unsolved"])
+    @pytest.mark.parametrize("family", ["star1", "star2", "star3",
+                                        "bivector_trivector",
+                                        "trivector_bivector"])
+    def test_rows_read_sign_times_the_representative(self, family, solved,
+                                                     request):
+        if not solved:
+            request.getfixturevalue("sampled_weights")
+        fields, m = {
+            "star1": ((so3_bivector(),), 2),
+            "star2": ((so3_bivector(),) * 2, 2),
+            "star3": ((so3_bivector(),) * 3, 2),
+            "bivector_trivector": ((so3_bivector(), _trivector()), 3),
+            "trivector_bivector": ((_trivector(), so3_bivector()), 3),
+        }[family]
+        rows = operators_mod.orbit_operators(fields, m).rows
+        assert rows
+        for g, ser, orbit, sign in rows:
+            want = weights_mod.exact_weight(parse(orbit))
+            got = weights_mod.exact_weight(g)
+            assert (got is None) == (want is None), ser
+            assert want is None or got == sign * want, ser
+
+
 class TestWeightReading:
     """u_n reads two-ground weights as the star engine does: cfg.weights
-    is honoured, closed forms come first, and each orbit pools into one
-    table entry; a check without a table gets one of its own."""
+    is honoured, and each orbit reads one table entry, its
+    representative's, exact where a closed form exists; a check without
+    a table gets one of its own."""
 
     def test_default_config_reads_closed_forms(self, monkeypatch):
         calls = []

@@ -351,6 +351,24 @@ class TestExactAssociativity:
         assert len(cfg.table) and all(est.exact is not None
                                       for _, est in cfg.table)
 
+    def test_cold_order3_table_holds_one_entry_per_orbit(self):
+        """The 430 nonzero-operator so(3) star graphs of orders 1-3 read
+        17 orbits: a cold product leaves one exact entry per orbit, keyed
+        by its representative's serial, and a second product on the same
+        table adds nothing."""
+        x = variables()
+        cfg = StarConfig(order=3, table=WeightTable())
+        star_expansion(x[0] * x[1] * x[2], x[0] * x[0] * x[1], so3_alpha(),
+                       cfg)
+        orbits = {row[2] for family in star_mod._Engine(
+            so3_alpha(), cfg).families.values() for row in family.rows}
+        assert len(orbits) == len(cfg.table) == 17
+        assert {serialize(g) for g, _ in cfg.table} == orbits
+        assert all(est.exact is not None for _, est in cfg.table)
+        before = cfg.table.to_json_obj()
+        star_expansion(x[1] * x[2], x[0] * x[2] * x[2], so3_alpha(), cfg)
+        assert cfg.table.to_json_obj() == before
+
 
 def test_nambu_structure_still_samples():
     """The Nambu bivector eps^{ijk} d_k C, C = x0^3 + x1 x2, reads order-3

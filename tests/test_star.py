@@ -3,6 +3,7 @@ conjugation parity, associativity reports, and the center probe."""
 import importlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from starquant.errors import (ConfigError, DimensionMismatchError,
                               DomainError)
+from starquant.graphs import parse
+from starquant.operators import orbit_operators
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, validate_poisson
 from starquant.rational import QI
@@ -19,7 +22,7 @@ from starquant.star import (PROBE, ResidualReport, ResidualRow,
                             StarConfig, check_associativity,
                             moyal_reference, poisson_center_probe, probe_sup,
                             star, star_expansion)
-from starquant.weights import IntegrationConfig, WeightTable
+from starquant.weights import IntegrationConfig, WeightTable, exact_weight
 
 from helpers import broken_alpha, random_polynomial, so3_alpha
 
@@ -171,6 +174,23 @@ class TestStarBasics:
         with pytest.raises(ConfigError, match="closed-form"):
             star(x, x, alpha, StarConfig(order=3, weights="exact"))
 
+    def test_exact_mode_refuses_sampled_representative_entries(self):
+        """A table holding sampled entries for every order-3 orbit
+        representative without a closed form does not satisfy
+        weights="exact": each orbit read needs a closed form, and the
+        error names the representatives.  Nothing is added."""
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        alpha = PolyVectorField(2, 1, {(0, 1): x * x + y})
+        reps = [orbit for orbit in dict.fromkeys(
+            row[2] for row in orbit_operators((alpha,) * 3, 2).rows)
+            if exact_weight(parse(orbit)) is None]
+        table = WeightTable().ensure([parse(ser) for ser in reps],
+                                     IntegrationConfig(seed=1, n_samples=64))
+        with pytest.raises(ConfigError, match=re.escape(reps[0])):
+            star(x, x, alpha, StarConfig(order=3, weights="exact",
+                                         table=table))
+        assert len(table) == len(reps) == 14
+
     def test_expansion_bounds_shape(self, small_table):
         x = Polynomial.variable(3, 0)
         y = Polynomial.variable(3, 1)
@@ -179,6 +199,51 @@ class TestStarBasics:
         assert exp.bounds[0] == 0.0
         assert exp.bounds[1] > 0.0
         assert exp.table is small_table
+
+
+class TestTablePrecedence:
+    """A row reads its graph's own table entry when the table has one,
+    else its orbit representative's, closed form or sampled."""
+
+    F, G = (Polynomial.variable(3, 0) * Polynomial.variable(3, 1)
+            * Polynomial.variable(3, 2),
+            Polynomial.variable(3, 0) ** 2 * Polynomial.variable(3, 1))
+
+    def member(self):
+        """An order-2 so(3) row (graph, serial, orbit, sign) with a
+        nonzero closed form, other than its orbit's representative,
+        whose orbit operator acts on (F, G)."""
+        ops = orbit_operators((so3_alpha(),) * 2, 2)
+        return next(row for row in ops.rows
+                    if row[1] != row[2] and exact_weight(row[0])
+                    and not ops.apply(row[2], (self.F, self.G)).is_zero())
+
+    def test_own_sampled_entry_wins(self):
+        g, ser, orbit, _ = self.member()
+        table = WeightTable().ensure([g], IntegrationConfig(seed=3,
+                                                            n_samples=256))
+        own = table.lookup(ser)
+        exp = star_expansion(self.F, self.G, so3_alpha(),
+                             StarConfig(order=2, table=table))
+        assert table.lookup(ser) is own and own.std_error > 0
+        assert exp.bounds[:2] == (0.0, 0.0) and exp.bounds[2] > 0
+        assert table.lookup(orbit).exact is not None
+
+    def test_members_read_a_sampled_representative_entry(self):
+        """A supplied sampled entry of a closed-form orbit's
+        representative is read by each of the k members without an entry
+        of its own: one source of k x its std_error, and no member gets
+        an entry."""
+        _, ser, orbit, _ = self.member()
+        table = WeightTable().ensure([parse(orbit)], IntegrationConfig(
+            seed=3, n_samples=256))
+        sigma = table.lookup(orbit).std_error
+        eng = star_mod._Engine(so3_alpha(), StarConfig(order=2, table=table))
+        eng.ensure_weights()
+        k = sum(row[2] == orbit for row in eng.families[2].rows)
+        assert k > 1 and sigma > 0
+        assert eng.sources == [((2, orbit), k * sigma)]
+        assert table.lookup(ser) is None
 
 
 class TestMoyal:

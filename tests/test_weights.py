@@ -932,6 +932,32 @@ class TestTable:
         for _, est in table:
             assert est.exact is not None and est.n_samples == 0
 
+    def test_repeated_graph_is_keyed_and_integrated_once(self,
+                                                           monkeypatch):
+        """A graph listed twice is serialised once per listing and
+        integrated once, and a graph already in the table is neither
+        integrated nor replaced."""
+        calls, serials = [], []
+        integrate, serialize_ = weights.integrate_graph_form, serialize
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return integrate(graph, *args, **kwargs)
+
+        def keying(graph):
+            serials.append(graph)
+            return serialize_(graph)
+
+        monkeypatch.setattr(weights, "integrate_graph_form", counting)
+        monkeypatch.setattr(weights, "serialize", keying)
+        cfg = IntegrationConfig(seed=17, n_samples=1024)
+        table = WeightTable().ensure([ORDER1, ORDER1_M, ORDER1], cfg)
+        assert calls == [ORDER1, ORDER1_M] and len(serials) == 3
+        assert [g for g, _ in table] == [ORDER1, ORDER1_M]
+        first = table.lookup(serialize_(ORDER1))
+        table.ensure([ORDER1], cfg)
+        assert len(calls) == 2 and table.lookup(serialize_(ORDER1)) is first
+
     def test_thread_count_irrelevant(self, monkeypatch):
         cfg = IntegrationConfig(seed=23, n_samples=8192)
         graphs = list(star_graphs(1))
