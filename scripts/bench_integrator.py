@@ -44,7 +44,7 @@ at its budgets, and the file records the budgets, the noise they gave
 and the seconds per integration.
 
 Plan build, at the end of each round of the first series: the mean
-seconds per weights._Plan over all 1728 order-3 star graphs at
+seconds per integrand._Plan over all 1728 order-3 star graphs at
 PLAN_ROWS rows (the 32 replicates of 128 rows of an order-3 integral at
 4096 samples), the minimum over PLAN_REPEATS passes in the worker; per
 side the median and quartiles over rounds, and in how many rounds the
@@ -71,8 +71,12 @@ from paired import (add_options, checkouts, run_rounds, run_worker, spread,
                     versions)
 
 # resolved at import, so that --help fails once the private name is gone;
-# a worker imports it from its own side's src (PYTHONPATH)
-from starquant.weights import _Plan
+# a worker imports it from its own side's src (PYTHONPATH), where it lives
+# in starquant.integrand, or in starquant.weights before the sampler moved
+try:
+    from starquant.integrand import _Plan
+except ImportError:
+    from starquant.weights import _Plan
 
 POINTS = {
     "order3_4096": (4096, 5, [
@@ -113,7 +117,7 @@ PLAN_REPEATS = 3
 
 
 def plan_seconds() -> float:
-    """Mean seconds per weights._Plan over every order-3 star graph at
+    """Mean seconds per integrand._Plan over every order-3 star graph at
     PLAN_ROWS rows, the minimum over PLAN_REPEATS passes."""
     from starquant.graphs import star_graphs
 

@@ -15,16 +15,22 @@ A worker runs one structure through starquant.cli.main in a fresh
 interpreter and records its wall time, exit code, the number of weight
 integrations and samples drawn (counted at
 weights.integrate_graph_form), and each power's residual and bound from
-the artifact.  Per structure, in turn, each round runs one worker per
-side, alternating which side goes first.  The file records per structure and
-side the wall time (median and quartiles over rounds) and the counts and
-rows of the first round.
+the report (read at cli.check_associativity).  It also records how long
+its own `import starquant.cli` took (main is timed after it), and
+whether numpy was loaded when main returned.  The run writes no --out
+artifact, whose manifest would load numpy for its version field.  Per
+structure, in turn, each round runs one worker per side, alternating
+which side goes first.  The file records per structure and side the
+wall and import times (median and quartiles over rounds) and the
+counts, rows and numpy_loaded of the first round.
 
 Checks.  Counts, exit codes and rows must repeat across a side's rounds
 (a cold run is deterministic for a fixed seed), and the change must
 pass both structures; the script exits 1 otherwise.
 """
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -50,9 +56,18 @@ def nambu():
 
 
 def worker(structure: str, seed: int) -> dict:
-    from starquant import weights
-    from starquant.cli import main
+    t0 = time.perf_counter()
+    from starquant import cli, weights
+    import_s = time.perf_counter() - t0
 
+    reports = []
+    check = cli.check_associativity
+
+    def capturing(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    cli.check_associativity = capturing
     counts = {"integrations": 0, "samples": 0}
     integrate = weights.integrate_graph_form
 
@@ -70,15 +85,16 @@ def worker(structure: str, seed: int) -> dict:
             with open(path, "w") as fh:
                 json.dump(nambu().to_json_obj(), fh)
             argv += ["--alpha", path]
-        out = os.path.join(work, "assoc.json")
         t0 = time.perf_counter()
-        code = main(argv + ["--out", out])
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
         wall = time.perf_counter() - t0
-        with open(out) as fh:
-            report = json.load(fh)
+    numpy_loaded = "numpy" in sys.modules
     rows = [{key: r[key] for key in ("power", "residual_max", "bound",
-                                     "passed")} for r in report["powers"]]
-    return {"wall_s": wall, "exit": code, **counts, "rows": rows}
+                                     "passed")}
+            for r in reports[0].to_json_obj()["powers"]]
+    return {"wall_s": wall, "import_s": import_s, "exit": code, **counts,
+            "rows": rows, "numpy_loaded": numpy_loaded}
 
 
 def main():
@@ -106,7 +122,7 @@ def main():
 
     def fixed(r):
         return {key: r[key] for key in ("exit", "integrations", "samples",
-                                        "rows")}
+                                        "rows", "numpy_loaded")}
 
     repeat = all(fixed(r) == fixed(rs[0]) for rs in runs.values() for r in rs)
     passes = all(runs[s, "change"][0]["exit"] == 0 for s in STRUCTURES)
@@ -117,6 +133,8 @@ def main():
         wins = sum(c < p for p, c in zip(walls["parent"], walls["change"]))
         results[structure] = {
             **{side: {"wall_s": spread(walls[side]),
+                      "import_s": spread([r["import_s"]
+                                          for r in runs[structure, side]]),
                       **fixed(runs[structure, side][0])} for side in sides},
             "speedup_median": (statistics.median(walls["parent"])
                                / statistics.median(walls["change"])),
@@ -128,8 +146,10 @@ def main():
                 f"{ns.seed}` on so(3) and on the Nambu structure "
                 "C = x0^3 + x1 x2: wall seconds (median and quartiles over "
                 "rounds, one fresh interpreter per side, structure and "
-                "round, sides alternating), weight integrations and "
-                "samples drawn, and residual and bound per power",
+                "round, sides alternating), each worker's own import "
+                "time of starquant.cli, weight integrations and samples "
+                "drawn, residual and bound per power, and whether numpy "
+                "was loaded when the run ended",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
         "rounds": ns.rounds,
         "versions": {side: versions(src) for side, src in sides.items()},
@@ -146,7 +166,10 @@ def main():
               f"({res['speedup_median']:.1f}x), integrations "
               f"{p['integrations']} -> {c['integrations']}, samples "
               f"{p['samples']} -> {c['samples']}, exit "
-              f"{p['exit']} -> {c['exit']}")
+              f"{p['exit']} -> {c['exit']}, import "
+              f"{p['import_s']['median']:.3f}s -> "
+              f"{c['import_s']['median']:.3f}s, numpy loaded "
+              f"{p['numpy_loaded']} -> {c['numpy_loaded']}")
     print(f"check passed: {record['check']['passed']}")
     return 0 if record["check"]["passed"] else 1
 

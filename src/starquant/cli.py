@@ -25,8 +25,6 @@ import sys
 import time
 import warnings
 
-import numpy
-
 from . import __version__
 from .errors import (
     ConfigError,
@@ -67,7 +65,7 @@ from .weights import (
 
 SUITES = ("jacobi", "assoc", "moyal", "ip", "linfty", "symmetry",
           "center-probe")
-# I_p integrates over p + 1 <= weights.MAX_DIMS dimensions; 8 is a chosen
+# I_p integrates over p + 1 <= integrand.MAX_DIMS dimensions; 8 is a chosen
 # bound: at the default budget std_error is 11% of I_8, 20% of I_12
 IP_MAX_P = 8
 # center-probe's default --f has one dense exponent tuple per coordinate,
@@ -115,6 +113,7 @@ def load_poly(path: str) -> Polynomial:
 
 
 def _write_artifact(path: str, text: str, ns, t0: float, extra=None):
+    import numpy                # the manifest records its version
     with open(path, "w") as fh:
         fh.write(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
@@ -210,16 +209,16 @@ def cmd_weight(ns) -> int:
         _write_artifact(ns.out, text, ns, t0)
     else:
         sys.stdout.write(text)
-    print(f"{len(graphs)} weights computed")
+    print(f"{len(table)} weights computed")
     return audit_code
 
 
 def _parity_audit(table: WeightTable, graphs) -> tuple[int, list[str]]:
-    """Per-graph mirror check at 3 and 5 sigma; the 3-sigma lane gets
-    a small statistical allowance.  Only two-ground graphs have a
-    mirror; others are skipped."""
+    """Per-graph mirror check at 3 and 5 sigma, each distinct graph
+    once; the 3-sigma lane gets a small statistical allowance.  Only
+    two-ground graphs have a mirror; others are skipped."""
     checks = []
-    for g in graphs:
+    for g in dict.fromkeys(graphs):
         if g.m != 2:
             continue
         est = table.get(g)

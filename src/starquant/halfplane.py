@@ -33,16 +33,14 @@ in the closed half plane,
 arg(a - bbar) = arctan2(y_a + y_b, x_a - x_b) in [0, pi] (Stokes on
 phi(z, a) dphi(z, b), with phi(a, b) - phi(b, a) = 2 arg(a - bbar)).
 F(0, 1) = 2 pi^2 is the order-1 weight 1/2; F(a, a) = 0, and the mirror
-z -> 1 - zbar negates F.  The weights integrand integrates every source
-vertex out with it.
+z -> 1 - zbar negates F.  The sampled integrand (integrand._Plan) integrates
+every source vertex out with it.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -98,7 +96,7 @@ def dphi(z, w) -> AngleGradient:
 
 
 # ---------------------------------------------------------------------------
-# The one formula for dphi's coefficients, read by dphi and weights._Plan
+# The one formula for dphi's coefficients, read by dphi and integrand._Plan
 # ---------------------------------------------------------------------------
 
 def angle_form(dx, ym, yp, ia, ib):
@@ -106,7 +104,7 @@ def angle_form(dx, ym, yp, ia, ib):
     yp = y_z + y_w, ia = 1/(dx^2 + ym^2) and ib = 1/(dx^2 + yp^2).
 
     Only +, -, * and unary minus: elementwise over floats or arrays, and
-    weights._Plan compiles it over symbolic entries.  No domain checks.
+    integrand._Plan compiles it over symbolic entries.  No domain checks.
     """
     return dx * (ia + ib), -(ym * ia + yp * ib), dx * (ib - ia)
 
@@ -119,6 +117,7 @@ def source_form(dx, sy, out=None):
     the axis, where arg is undefined.  Elementwise over arrays or scalars,
     into out when given; no domain checks.
     """
+    import numpy as np          # not at import: only sampling needs numpy
     f = np.multiply(4.0 * math.pi, np.arctan2(sy, dx, out=out), out=out)
     f = np.subtract(f, 2.0 * math.pi ** 2, out=out)
     if np.min(sy) > 0 or np.count_nonzero(dx) == np.size(dx):

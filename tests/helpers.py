@@ -123,19 +123,20 @@ def per_replicate_integral(graph, cfg, seed=None):
     import numpy as np
     from scipy.stats import qmc
 
-    from starquant import weights
+    from starquant import integrand, weights
 
     base_seed = cfg.seed if seed is None else seed
     total = cfg.n_samples or weights.default_budget(2 * graph.n + graph.m - 2)
-    dims = weights.sampled_dims(graph)
-    per_rep = max(1, total // weights.N_REPLICATES)
+    dims = integrand.sampled_dims(graph)
+    per_rep = max(1, total // integrand.N_REPLICATES)
 
     def evaluate(u):
-        plan = weights._Plan(graph, max(1, min(len(u), weights._BLOCK_ROWS)))
+        plan = integrand._Plan(graph,
+                               max(1, min(len(u), integrand._BLOCK_ROWS)))
         return plan(u, np.empty(len(u)))
 
     means = []
-    for r in range(weights.N_REPLICATES):
+    for r in range(integrand.N_REPLICATES):
         rep_seed = weights.stable_seed(base_seed, "rep", r)
         if cfg.method == "qmc":
             sob = qmc.Sobol(d=dims, scramble=True, seed=rep_seed)
@@ -157,7 +158,7 @@ def per_replicate_integral(graph, cfg, seed=None):
         means.append(float(vals.mean()))
     value = float(np.mean(means))
     std_error = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-    return value, std_error, per_rep * weights.N_REPLICATES
+    return value, std_error, per_rep * integrand.N_REPLICATES
 
 
 def _dense_det(m):
@@ -232,7 +233,7 @@ def complex_source_form(a, b):
 
 
 def dense_integrand(graph, u):
-    """Reference for weights' integrand plan: the form matrix filled
+    """Reference for integrand's plan: the form matrix filled
     densely from halfplane.angle_form, one (rows, k, k) array per call,
     and _dense_det on it.  A pair of aerial points i < j has one set of
     distances, with dx and y_i - y_j negated for the edge j -> i."""
@@ -240,12 +241,12 @@ def dense_integrand(graph, u):
 
     import numpy as np
 
-    from starquant import weights
+    from starquant import integrand
     from starquant.halfplane import angle_form, source_form
 
     n, m = graph.n, graph.m
     k_move = m - 2
-    sources = weights._sources(graph)
+    sources = integrand._sources(graph)
     # sampled aerial vertices in order; point[v] is v's column pair
     point = {v: i for i, v in enumerate(
         v for v in range(n) if v not in sources)}
@@ -279,7 +280,7 @@ def dense_integrand(graph, u):
             dx, ym, yp = zi[0] - w[0], zi[1] - w[1], zi[1] + w[1]
             return dx, ym, yp, dx * dx + ym * ym, dx * dx + yp * yp
 
-        guard2 = weights._GUARD * weights._GUARD
+        guard2 = integrand._GUARD * integrand._GUARD
         for i in range(ns):
             zi = x[:, i], y[:, i]
             for j in range(i + 1, ns):

@@ -93,9 +93,35 @@ def test_import_loads_no_scipy():
     assert out.strip() == "False"
 
 
+def test_import_loads_no_numpy():
+    """numpy, the sampler and the thread pool load on first use: not on
+    import, not for a so(3) associativity check whose weights all have
+    closed forms, and numpy as soon as a weight is sampled."""
+    import starquant
+    src = str(Path(starquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import contextlib, io, sys\n"
+        "import starquant, starquant.cli\n"
+        "mods = ('numpy', 'starquant.integrand', 'concurrent.futures')\n"
+        "print([m for m in mods if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = starquant.cli.main(['verify', 'assoc', '-N', '3'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = starquant.cli.main(['weight', '-n', '1', '--samples', "
+        "'64'])\n"
+        "print(code, 'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "0 False", "0 True"]
+
+
 # the I_2 graph (one aerial vertex, three grounds) and its reversal
 I2_GRAPHS = [{"n": 1, "m": 3, "edges": [["G2", "G1", "G0"]]},
              {"n": 1, "m": 3, "edges": [["G0", "G1", "G2"]]}]
+# the order-1 star graph 1:[L,R]
+ORDER1_LR = {"n": 1, "m": 2, "edges": [["L", "R"]]}
 
 
 class TestWeight:
@@ -167,6 +193,27 @@ class TestWeight:
                      "--audit", "parity"]) == 0
         assert "parity audit: 2/2 within 3 sigma" in capsys.readouterr().out
 
+    def test_count_is_of_entries_written(self, tmp_path, capsys):
+        """A graph listed twice is one table entry and one weight."""
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps([ORDER1_LR, ORDER1_LR]))
+        out = tmp_path / "table.json"
+        assert main(["weight", "--graphs", str(path), "--samples", "1024",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 1
+        assert capsys.readouterr().out == "1 weights computed\n"
+
+    def test_parity_audit_checks_each_graph_once(self, tmp_path, capsys):
+        """[L,R], [R,L], [L,R]: two distinct graphs, two checks."""
+        path = tmp_path / "graphs.json"
+        mirror = {"n": 1, "m": 2, "edges": [["R", "L"]]}
+        path.write_text(json.dumps([ORDER1_LR, mirror, ORDER1_LR]))
+        assert main(["weight", "--graphs", str(path), "--exact",
+                     "--audit", "parity"]) == 0
+        out = capsys.readouterr().out
+        assert "parity audit: 2/2 within 3 sigma" in out
+        assert "2 weights computed" in out
+
     def test_error_target_warns_but_exits_zero(self, capsys):
         assert main(["weight", "-n", "1", "--seed", "9",
                      "--samples", "65536",
@@ -234,11 +281,11 @@ class TestWeight:
     def test_sampling_failure_exit_4(self, monkeypatch, capsys):
         import numpy as np
 
-        from starquant import weights
+        from starquant import integrand
         from starquant.errors import EngineError, SamplingError
         assert issubclass(SamplingError, EngineError)
         # every block of every integrand plan, redraws included, guarded
-        monkeypatch.setattr(weights._Plan, "_block",
+        monkeypatch.setattr(integrand._Plan, "_block",
                             lambda plan, out: out.fill(np.nan))
         assert main(["weight", "-n", "1", "--samples", "1024"]) == 4
         assert "sampling failure" in capsys.readouterr().err

@@ -238,7 +238,7 @@ def _wedge_integral(a, b, n=1000):
 
 class TestSourceForm:
     """F(a, b) = int_H dphi(z, a) ^ dphi(z, b) = 4 pi arg(a - bbar) - 2 pi^2,
-    the closed form weights._Plan puts in place of a source vertex."""
+    the closed form integrand._Plan puts in place of a source vertex."""
 
     @pytest.mark.parametrize("a,b", [
         (0.3 + 0.8j, 0.0), (1.0, -0.4 + 0.5j),         # aerial-ground

@@ -14,18 +14,18 @@ import pytest
 from helpers import dense_integrand, per_replicate_integral
 from scipy.stats import qmc
 
-from starquant import weights
+from starquant import integrand, weights
 from starquant.errors import (ConfigError, ConvergenceWarning,
                               DegreeMismatchError, ParseError)
 from starquant.graphs import (KGraph, orbit_representative, parse,
                               serialize, star_graphs)
 from starquant.halfplane import dphi
-from starquant.weights import (MAX_DIMS, IntegrationConfig, WeightEstimate,
-                               WeightTable, _BLOCK_ROWS, _collapsing_set,
-                               _direction_bits, _draws, default_budget,
+from starquant.integrand import (MAX_DIMS, _BLOCK_ROWS, _direction_bits,
+                                 _draws, sampled_dims)
+from starquant.weights import (IntegrationConfig, WeightEstimate,
+                               WeightTable, _collapsing_set, default_budget,
                                exact_weight, i_p_integral, i_p_rational,
-                               integrate_graph_form, sampled_dims,
-                               stable_seed, weight)
+                               integrate_graph_form, stable_seed, weight)
 
 ORDER1 = parse("n=1;m=2;1:[L,R]")
 ORDER1_M = parse("n=1;m=2;1:[R,L]")
@@ -34,7 +34,7 @@ ORDER1_M = parse("n=1;m=2;1:[R,L]")
 def plan_values(graph, u):
     """Integrand values of unit-cube samples u from one integrand plan;
     NaN marks guarded rows."""
-    plan = weights._Plan(graph, max(1, min(len(u), _BLOCK_ROWS)))
+    plan = integrand._Plan(graph, max(1, min(len(u), _BLOCK_ROWS)))
     return plan(u, np.empty(len(u)))
 
 
@@ -67,7 +67,7 @@ class TestDetKernels:
         """The plans' Laplace expansion, evaluated over numpy arrays."""
         rng = np.random.default_rng(100 + k)
         m = rng.normal(size=(257, k, k))
-        got = weights._laplace(lambda i, j: m[:, i, j], k)
+        got = integrand._laplace(lambda i, j: m[:, i, j], k)
         want = np.linalg.det(m)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -273,8 +273,9 @@ class TestSobolBlock:
     def test_order3_block(self):
         """The block of an order-3 star integral without a source vertex
         at 4096 samples: all replicate seeds, 128 rows each, 6 dims."""
-        seeds = [stable_seed(7, "rep", r) for r in range(weights.N_REPLICATES)]
-        self.check(6, seeds, 4096 // weights.N_REPLICATES)
+        seeds = [stable_seed(7, "rep", r)
+                 for r in range(integrand.N_REPLICATES)]
+        self.check(6, seeds, 4096 // integrand.N_REPLICATES)
 
     @pytest.mark.parametrize("dims", [1, 4, 6])
     @pytest.mark.parametrize("n", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS,
@@ -395,27 +396,27 @@ class TestBlockedReplicates:
         groups of 2) or one at a time in chunks (2 _BLOCK_ROWS + 5 rows
         each)."""
         calls = []
-        scramble = weights._scramble
+        scramble = integrand._scramble
 
         def spy(dims, seeds, k):
             calls.append(len(seeds))
             return scramble(dims, seeds, k)
 
-        monkeypatch.setattr(weights, "_scramble", spy)
+        monkeypatch.setattr(integrand, "_scramble", spy)
         integrate_graph_form(parse("n=2;m=2;1:[2,L];2:[1,R]"),
                              IntegrationConfig(seed=6, n_samples=n_samples))
-        assert calls == [weights.N_REPLICATES]
+        assert calls == [integrand.N_REPLICATES]
 
     @pytest.mark.parametrize("method", ["qmc", "mc"])
     def test_columns_match_rows(self, monkeypatch, method):
         """The column path (_draws into a plan's ut, then _block) and
         _Plan.__call__ on the same points as rows give bit-equal floats,
         guarded rows included."""
-        monkeypatch.setattr(weights, "_GUARD", 0.05)
+        monkeypatch.setattr(integrand, "_GUARD", 0.05)
         graph = parse("n=3;m=2;1:[2,L];2:[3,R];3:[L,R]")
         dims, n, per_rep = sampled_dims(graph), 4, 300
         seeds = [stable_seed(3, "rep", r) for r in range(n)]
-        plan = weights._Plan(graph, n * per_rep)
+        plan = integrand._Plan(graph, n * per_rep)
         cols = plan.ut[:, :n * per_rep].reshape(dims, n, per_rep)
         _draws(method, dims, seeds, per_rep)(0, 0, cols)
         rows = cols.transpose(1, 2, 0).reshape(-1, dims).copy()
@@ -448,13 +449,13 @@ class TestBlockedReplicates:
     def rejected(self, monkeypatch):
         """Guarded-row count of each replicate passed to _redraw."""
         counts = []
-        redraw = weights._redraw
+        redraw = integrand._redraw
 
         def spy(plan, vals, seed):
             counts.append(int(np.isnan(vals).sum()))
             return redraw(plan, vals, seed)
 
-        monkeypatch.setattr(weights, "_redraw", spy)
+        monkeypatch.setattr(integrand, "_redraw", spy)
         return counts
 
     @pytest.mark.parametrize("method", ["qmc", "mc"])
@@ -462,11 +463,11 @@ class TestBlockedReplicates:
                                       "n=2;m=2;1:[2,L];2:[L,R]",
                                       "n=1;m=3;1:[G2,G1,G0]"])
     def test_guard_redraws(self, monkeypatch, rejected, text, method):
-        monkeypatch.setattr(weights, "_GUARD", 0.5)
+        monkeypatch.setattr(integrand, "_GUARD", 0.5)
         cfg = IntegrationConfig(method=method, seed=4, n_samples=8192)
         graph = parse(text)
         got = integrate_graph_form(graph, cfg)
-        assert len(rejected) == weights.N_REPLICATES and min(rejected) > 0
+        assert len(rejected) == integrand.N_REPLICATES and min(rejected) > 0
         assert got == per_replicate_integral(graph, cfg)
 
     @pytest.mark.parametrize("method", ["qmc", "mc"])
@@ -475,15 +476,15 @@ class TestBlockedReplicates:
                                   method):
         """An order-3 star integral at 4096 samples (one source, 4 sampled
         dims), with guarded rows in every replicate or in only some."""
-        monkeypatch.setattr(weights, "_GUARD", guard)
+        monkeypatch.setattr(integrand, "_GUARD", guard)
         cfg = IntegrationConfig(method=method, seed=4, n_samples=4096)
         graph = parse("n=3;m=2;1:[2,L];2:[3,R];3:[L,R]")
         got = integrate_graph_form(graph, cfg)
         assert min(rejected) > 0
         if every:
-            assert len(rejected) == weights.N_REPLICATES
+            assert len(rejected) == integrand.N_REPLICATES
         else:
-            assert 0 < len(rejected) < weights.N_REPLICATES
+            assert 0 < len(rejected) < integrand.N_REPLICATES
         assert got == per_replicate_integral(graph, cfg)
 
     @pytest.mark.parametrize("method", ["qmc", "mc"])
@@ -491,15 +492,15 @@ class TestBlockedReplicates:
         """Redraws go through the integral's own plan: with guarded rows
         in every replicate (test_guard_redraws), one integral builds
         exactly one _Plan."""
-        monkeypatch.setattr(weights, "_GUARD", 0.5)
+        monkeypatch.setattr(integrand, "_GUARD", 0.5)
         built = []
-        init = weights._Plan.__init__
+        init = integrand._Plan.__init__
 
         def spy(plan, *args):
             built.append(args)
             init(plan, *args)
 
-        monkeypatch.setattr(weights._Plan, "__init__", spy)
+        monkeypatch.setattr(integrand._Plan, "__init__", spy)
         integrate_graph_form(parse("n=2;m=2;1:[2,L];2:[L,R]"),
                              IntegrationConfig(method=method, seed=4,
                                                n_samples=8192))
@@ -535,7 +536,7 @@ class TestGuard:
     def test_threshold(self, monkeypatch, case):
         """A distance of 0.5 _GUARD is rejected and one of 2 _GUARD is
         not, with _GUARD read when the block runs."""
-        monkeypatch.setattr(weights, "_GUARD", self.RADIUS)
+        monkeypatch.setattr(integrand, "_GUARD", self.RADIUS)
         rows, dists = [], []
         for d in (0.5 * self.RADIUS, 2 * self.RADIUS):
             if case == "aerial":
@@ -563,10 +564,10 @@ class TestGuard:
     def test_redraw_replaces_all(self):
         u = np.full((5, 2), 0.5)
         u[0, 1] = 0.0
-        plan = weights._Plan(ORDER1, 8)
+        plan = integrand._Plan(ORDER1, 8)
         vals = plan(u, np.empty(len(u)))
         assert np.isnan(vals[0])
-        weights._redraw(plan, vals, seed=11)
+        integrand._redraw(plan, vals, seed=11)
         assert np.isfinite(vals).all()
 
 
@@ -580,7 +581,7 @@ def _linear_fields_reach(graph):
 # one fixed sample of the order-3 graphs with a source that so(3) reaches
 ORDER3_SO3_SAMPLE = random.Random(3).sample(
     [g for g in star_graphs(3)
-     if weights._sources(g) and _linear_fields_reach(g)], 8)
+     if integrand._sources(g) and _linear_fields_reach(g)], 8)
 
 
 class TestSourceReduction:
@@ -596,18 +597,18 @@ class TestSourceReduction:
         with itself."""
         cfg = IntegrationConfig(seed=5, n_samples=n_samples)
         sampled = []
-        draws = weights._draws
+        draws = integrand._draws
 
         def spy(method, dims, *args):
             sampled.append(dims)
             return draws(method, dims, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(weights, "_draws", spy)
+            patch.setattr(integrand, "_draws", spy)
             reduced = integrate_graph_form(graph, cfg)
             assert set(sampled) == {sampled_dims(graph)}
             sampled.clear()
-            patch.setattr(weights, "_sources", lambda graph: ())
+            patch.setattr(integrand, "_sources", lambda graph: ())
             full = integrate_graph_form(graph, cfg)
             assert set(sampled) == {2 * graph.n + graph.m - 2}
         return reduced, full
@@ -619,7 +620,7 @@ class TestSourceReduction:
         assert abs(rv - fv) <= 4 * math.hypot(rse, fse), serialize(graph)
 
     @pytest.mark.parametrize("graph", [
-        g for g in star_graphs(2) if weights._sources(g)], ids=serialize)
+        g for g in star_graphs(2) if integrand._sources(g)], ids=serialize)
     def test_order2_source_graphs(self, monkeypatch, graph):
         assert sampled_dims(graph) == 2
         self.check(monkeypatch, graph, 65536)
@@ -645,13 +646,13 @@ class TestSourceReduction:
             assert abs(est.value - want) <= 4 * est.std_error
 
     def test_only_out_degree_two_sources(self):
-        assert weights._sources(parse("n=2;m=2;1:[2,L];2:[L,R]")) == (0,)
-        assert weights._sources(parse("n=2;m=2;1:[2,L];2:[1,R]")) == ()
-        assert weights._sources(parse("n=3;m=2;1:[2,L];2:[L,R];3:[L,R]")) \
+        assert integrand._sources(parse("n=2;m=2;1:[2,L];2:[L,R]")) == (0,)
+        assert integrand._sources(parse("n=2;m=2;1:[2,L];2:[1,R]")) == ()
+        assert integrand._sources(parse("n=3;m=2;1:[2,L];2:[L,R];3:[L,R]")) \
             == (0, 2)
         # out-degree 3: sampled, as is every I_p vertex
-        assert weights._sources(parse("n=2;m=3;1:[2,G2,G1];2:[G1,G0]")) == ()
-        assert weights._sources(parse("n=1;m=4;1:[G3,G2,G1,G0]")) == ()
+        assert integrand._sources(parse("n=2;m=3;1:[2,G2,G1];2:[G1,G0]")) == ()
+        assert integrand._sources(parse("n=1;m=4;1:[G3,G2,G1,G0]")) == ()
 
     @pytest.mark.parametrize("text", ["n=1;m=2;1:[L,R]",
                                       "n=2;m=2;1:[L,R];2:[R,L]",
@@ -660,7 +661,7 @@ class TestSourceReduction:
         """A graph whose every vertex is a source keeps its full integrand
         and a nonzero sampled std_error."""
         graph = parse(text)
-        assert weights._sources(graph) == ()
+        assert integrand._sources(graph) == ()
         assert sampled_dims(graph) == 2 * graph.n + graph.m - 2
         _, se, _ = integrate_graph_form(
             graph, IntegrationConfig(seed=1, n_samples=4096))
@@ -711,7 +712,7 @@ class TestIntegrandPlan:
     @staticmethod
     def check_values(graph, u):
         """check, except that a sign bit may differ on an exact zero (see
-        weights._Term); returns the plan's values."""
+        integrand._Term); returns the plan's values."""
         got = plan_values(graph, u)
         want = dense_integrand(graph, u)
         assert np.array_equal(got, want, equal_nan=True)
@@ -748,7 +749,7 @@ class TestIntegrandPlan:
         """No edge reaches the moving ground G1, so every expansion term
         has a structural zero: the plan binds a zero root and no call."""
         graph = parse("n=2;m=3;1:[2,G0];2:[G0,G2,1]")
-        plan = weights._Plan(graph, 8)
+        plan = integrand._Plan(graph, 8)
         assert plan.root is None and not plan.program
         vals = self.check_values(graph, self.sobol(graph))
         assert not np.any(vals[np.isfinite(vals)])
@@ -798,7 +799,7 @@ class TestIntegrandPlan:
         """One plan's calls are bound per block length: lengths 1, 7,
         rows - 1 and rows, then 7 again, all on the same plan."""
         rows = 64
-        plan = weights._Plan(graph, rows)
+        plan = integrand._Plan(graph, rows)
         u = self.sobol(graph, rows)
         for n in (1, 7, rows - 1, rows, 7):
             got = plan(u[:n], np.empty(n))
@@ -822,7 +823,7 @@ class TestIntegrandPlan:
     def test_program_folds_signs_and_doublings(self, graph):
         """Negations and doublings are folded into the plan's terms: the
         compiled program negates nothing and adds no slot to itself."""
-        for ufunc, args, _ in weights._Plan(graph, 8).program:
+        for ufunc, args, _ in integrand._Plan(graph, 8).program:
             assert ufunc is not np.negative
             assert not (ufunc is np.add and args[0] == args[1])
 
@@ -836,7 +837,7 @@ class TestBlockAllocation:
         parse("n=2;m=2;1:[2,L];2:[1,R]"), _i_p_graph(3),
         parse("n=3;m=2;1:[2,L];2:[3,L];3:[1,R]")], ids=serialize)
     def test_block_peak(self, graph):
-        plan = weights._Plan(graph, _BLOCK_ROWS)
+        plan = integrand._Plan(graph, _BLOCK_ROWS)
         rng = np.random.Generator(np.random.PCG64(4))
         out = np.empty(_BLOCK_ROWS)
         peaks = []
