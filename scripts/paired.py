@@ -44,10 +44,9 @@ def checkouts(ap, ns) -> dict:
 
 def run_worker(script: str, src: Path, argv: list):
     """The JSON last line printed by `script argv` run on src, with
-    single-threaded BLAS and STARQUANT_THREADS at its default."""
+    single-threaded BLAS."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
-    env.pop("STARQUANT_THREADS", None)
     proc = subprocess.run([sys.executable, script, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])

@@ -8,13 +8,11 @@ the manifest carries the only wall-clock-dependent field.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded (the enumeration cap, or out of memory),
-4 sampling failure.  STARQUANT_THREADS (an integer >= 1) caps the
-integration thread pool.
+4 sampling failure.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import importlib.resources
 import json
@@ -398,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="starquant",
         description="Graph-expansion star products: enumeration, weights, "
-                    "star evaluation and verifier suites.",
-        epilog="STARQUANT_THREADS caps the integration thread pool.")
+                    "star evaluation and verifier suites.")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common_numeric(p, order=True):
@@ -467,21 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _keep_freed_blocks():
-    """Fix glibc's malloc thresholds where its dynamic rule tops out, so a
-    freed integrand workspace stays mapped for the next integral instead
-    of faulting its pages back in.  No-op off glibc."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-    mallopt(-1, 64 << 20)                   # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)                   # M_MMAP_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_freed_blocks()
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)

@@ -66,10 +66,10 @@ class StarConfig:
 
     weights "auto" takes closed forms where known and integrates the
     rest, "numeric" integrates everything, "exact" demands a closed
-    form for every contributing orbit (zero statistical error, so
-    verifier verdicts become exact).  jacobi "warn" downgrades a
-    failed Jacobi identity from an error to a warning for
-    experiments on non-Poisson bivectors.
+    form for every contributing orbit and refuses sampled table
+    entries (zero statistical error, so verifier verdicts become
+    exact).  jacobi "warn" downgrades a failed Jacobi identity from an
+    error to a warning for experiments on non-Poisson bivectors.
     """
 
     order: int = 2
@@ -241,6 +241,15 @@ def _jacobi_report(alpha: PolyVectorField):
     return validate_poisson(alpha)
 
 
+def _refuse(what: str, serials: list) -> None:
+    """ConfigError naming up to four serials, if there are any."""
+    if serials:
+        raise ConfigError(
+            f"{what} " + ", ".join(serials[:4])
+            + ("..." if len(serials) > 4 else "")
+            + "; use weights='auto' or 'numeric'")
+
+
 def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     """(r, entry serial, c_e, weight as QI, std_error) for each table
     entry that rows (r, serial, sign) read, at any ground count,
@@ -253,21 +262,24 @@ def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     exact when exact_weight has a closed form and cfg.weights is not
     "numeric", else integrated once at k times the per-graph budget
     for the k rows that read it.  Under "exact" every orbit read needs
-    a closed form.  c_e sums an entry's reads."""
-    if cfg.weights == "exact":
-        missing = [orbit for orbit in dict.fromkeys(r[1] for r, _, _ in rows)
-                   if exact_weight(parse(orbit)) is None]
-        if missing:
-            raise ConfigError(
-                "no closed-form weight for the orbits of "
-                + ", ".join(missing[:4]) + ("..." if len(missing) > 4 else "")
-                + "; use weights='auto' or 'numeric'")
+    a closed form, and every entry read must hold one: a sampled entry,
+    a row's own or its representative's, is refused.  c_e sums an
+    entry's reads."""
+    exact = cfg.weights == "exact"
+    if exact:
+        _refuse("no closed-form weight for the orbits of", [
+            orbit for orbit in dict.fromkeys(r[1] for r, _, _ in rows)
+            if exact_weight(parse(orbit)) is None])
     coeff, pooled = {}, {}
     for r, ser, sign in rows:
         if table.lookup(ser) is None:
             ser, sign = r[1], 1
             pooled[ser] = pooled.get(ser, 0) + 1
         coeff[r, ser] = coeff.get((r, ser), 0) + sign
+    if exact:
+        _refuse("sampled table entries, not closed forms, for", [
+            ser for ser in dict.fromkeys(ser for _, ser in coeff)
+            if (est := table.lookup(ser)) is not None and est.exact is None])
     table.ensure([parse(ser) for ser in pooled if table.lookup(ser) is None],
                  cfg.integration, use_exact=cfg.weights != "numeric",
                  pooled=pooled)

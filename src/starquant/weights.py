@@ -26,7 +26,6 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -348,48 +347,31 @@ class WeightTable:
         """Fill in missing graphs once each; existing entries are kept.
 
         With use_exact, graphs with a known closed form get exact
-        entries instead of sampling.  pooled maps a graph's
+        entries first; the rest are then integrated one after another
+        in the calling thread, in list order.  pooled maps a graph's
         serialization to the number k of graphs its one entry stands in
         for (an orbit representative's readers); a missing graph listed
         there is integrated once at k times the per-graph budget
         (cfg.n_samples or default_budget).  Every integral is seeded by
-        stable_seed(cfg.seed, serialization).  Numeric work is spread
-        over STARQUANT_THREADS threads (results independent of the
-        count).
+        stable_seed(cfg.seed, serialization).
         """
         pending = {ser: g for g in graphs
                    if (ser := serialize(g)) not in self._entries}
-        jobs = []
+        sampled = []
         for ser, g in pending.items():
             closed = exact_weight(g) if use_exact else None
             if closed is None:
-                jobs.append((ser, g))
+                sampled.append((ser, g))
             else:
                 self._entries[ser] = (g, WeightEstimate(
                     float(closed), 0.0, 0, stable_seed(cfg.seed, ser),
                     cfg.method, exact=closed))
-        if jobs:
-            raw = os.environ.get("STARQUANT_THREADS", "1")
-            workers = int(raw) if raw.strip().isdecimal() else 0
-            if workers < 1:
-                raise ConfigError(
-                    f"STARQUANT_THREADS must be an integer >= 1, got {raw!r}")
-
-            def fn(job):
-                ser, g = job
-                k = (pooled or {}).get(ser, 1)
-                use = cfg if k == 1 else replace(cfg, n_samples=k * (
-                    cfg.n_samples or default_budget(2 * g.n + g.m - 2)))
-                return weight(g, use, seed=stable_seed(cfg.seed, ser))
-
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(fn, jobs))
-            else:
-                results = [fn(job) for job in jobs]
-            for (ser, g), est in zip(jobs, results):
-                self._entries[ser] = (g, est)
+        for ser, g in sampled:
+            k = (pooled or {}).get(ser, 1)
+            use = cfg if k == 1 else replace(cfg, n_samples=k * (
+                cfg.n_samples or default_budget(2 * g.n + g.m - 2)))
+            self._entries[ser] = (g, weight(g, use,
+                                            seed=stable_seed(cfg.seed, ser)))
         return self
 
     def to_json_obj(self) -> list:

@@ -94,9 +94,9 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_numpy():
-    """numpy, the sampler and the thread pool load on first use: not on
-    import, not for a so(3) associativity check whose weights all have
-    closed forms, and numpy as soon as a weight is sampled."""
+    """numpy and the sampler load on first use: not on import, not for
+    a so(3) associativity check whose weights all have closed forms,
+    and numpy as soon as a weight is sampled.  No thread pool loads."""
     import starquant
     src = str(Path(starquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -271,12 +271,6 @@ class TestWeight:
         err = capsys.readouterr().err
         assert "at most 32 dimensions" in err
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "", "0", "-3"])
-    def test_bad_thread_count_exit_2(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("STARQUANT_THREADS", value)
-        assert main(["weight", "-n", "1", "--samples", "1024"]) == 2
-        assert "STARQUANT_THREADS" in capsys.readouterr().err
 
     def test_sampling_failure_exit_4(self, monkeypatch, capsys):
         import numpy as np

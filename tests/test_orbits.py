@@ -472,12 +472,12 @@ class TestPooledWeights:
         assert len(integrations) == 10
         assert warm == cold
 
-    def test_numeric_fill_is_one_ensure_call_for_any_thread_count(
-            self, integrations, monkeypatch):
+    def test_numeric_fill_is_one_ensure_call(self, integrations,
+                                             monkeypatch):
         """Without closed forms every orbit of the order-2 families is
         sampled once (1 order-1 and 6 order-2 so(3) orbits), in one
-        WeightTable.ensure call whose jobs spread over STARQUANT_THREADS
-        threads; the table is the same for any count."""
+        WeightTable.ensure call that adds one sampled entry per orbit
+        in integration order."""
         calls = []
         ensure = WeightTable.ensure
 
@@ -486,17 +486,13 @@ class TestPooledWeights:
             return ensure(table, graphs, *args, **kwargs)
 
         monkeypatch.setattr(WeightTable, "ensure", counting)
-        tables = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("STARQUANT_THREADS", threads)
-            cfg = StarConfig(order=2, table=WeightTable(), weights="numeric",
-                             integration=IntegrationConfig(seed=3,
-                                                           n_samples=256))
-            star_expansion(*so3_pair(), so3_alpha(), cfg)
-            tables.append(cfg.table.to_json_obj())
-        assert sorted(g.n for g in integrations) == [1] * 2 + [2] * 12
-        assert calls == [7, 7]
-        assert tables[0] == tables[1]
+        cfg = StarConfig(order=2, table=WeightTable(), weights="numeric",
+                         integration=IntegrationConfig(seed=3, n_samples=256))
+        star_expansion(*so3_pair(), so3_alpha(), cfg)
+        assert sorted(g.n for g in integrations) == [1] + [2] * 6
+        assert calls == [7]
+        assert [g for g, _ in cfg.table] == integrations
+        assert all(est.exact is None for _, est in cfg.table)
 
     @pytest.fixture(scope="class")
     def both_tables(self):

@@ -191,6 +191,28 @@ class TestStarBasics:
                                          table=table))
         assert len(table) == len(reps) == 14
 
+    @pytest.mark.parametrize("own", [True, False])
+    def test_exact_mode_refuses_sampled_entries_of_solved_orbits(self, own):
+        """Every so(3) orbit through order 2 has a closed form, yet a
+        table of sampled entries, each row's own or only each orbit
+        representative's, does not satisfy weights="exact": the error
+        names the first entry read and nothing is added.  "auto" reads
+        the same entries with a positive bound."""
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        triple = (x[0] * x[1], x[1] * x[2], x[2] * x[0])
+        rows = [row for j in (1, 2)
+                for row in orbit_operators((so3_alpha(),) * j, 2).rows]
+        sers = list(dict.fromkeys(row[1] if own else row[2] for row in rows))
+        table = WeightTable().ensure([parse(ser) for ser in sers],
+                                     IntegrationConfig(seed=1, n_samples=64))
+        with pytest.raises(ConfigError, match=re.escape(sers[0])):
+            check_associativity(*triple, so3_alpha(), StarConfig(
+                order=2, weights="exact", table=table))
+        assert len(table) == len(sers)
+        rep = check_associativity(*triple, so3_alpha(),
+                                  StarConfig(order=2, table=table))
+        assert max(row.bound for row in rep.rows) > 0
+
     def test_expansion_bounds_shape(self, small_table):
         x = Polynomial.variable(3, 0)
         y = Polynomial.variable(3, 1)

@@ -959,14 +959,6 @@ class TestTable:
         table.ensure([ORDER1], cfg)
         assert len(calls) == 2 and table.lookup(serialize_(ORDER1)) is first
 
-    def test_thread_count_irrelevant(self, monkeypatch):
-        cfg = IntegrationConfig(seed=23, n_samples=8192)
-        graphs = list(star_graphs(1))
-        serial = [(serialize(g), e) for g, e in WeightTable().ensure(graphs, cfg)]
-        monkeypatch.setenv("STARQUANT_THREADS", "4")
-        threaded = [(serialize(g), e) for g, e in WeightTable().ensure(graphs, cfg)]
-        assert serial == threaded
-
     def test_estimate_json_round_trip(self):
         est = WeightEstimate(0.5, 1e-3, 4096, 7, "qmc", exact=Fraction(1, 2))
         assert WeightEstimate.from_json_obj(est.to_json_obj()) == est
