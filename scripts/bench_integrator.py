@@ -145,9 +145,9 @@ def worker(budgets: dict | None, noise: bool) -> dict:
                                    stable_seed)
 
     def run(text, n_samples, seed=SEED):
-        cfg = IntegrationConfig(seed=seed, n_samples=n_samples)
-        return integrate_graph_form(parse(text), cfg,
-                                    seed=stable_seed(seed, text))
+        cfg = IntegrationConfig(seed=stable_seed(seed, text),
+                                n_samples=n_samples)
+        return integrate_graph_form(parse(text), cfg)
 
     def normalised(text, std_error):
         g = parse(text)

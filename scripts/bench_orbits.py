@@ -103,8 +103,8 @@ def time_worker() -> dict:
     counts = {"integrations": 0, "samples": 0}
     integrate = weights.integrate_graph_form
 
-    def counting(graph, cfg, seed=None):
-        result = integrate(graph, cfg, seed)
+    def counting(*args, **kwargs):
+        result = integrate(*args, **kwargs)
         counts["integrations"] += 1
         counts["samples"] += result[2]
         return result

@@ -71,8 +71,8 @@ def worker(structure: str, seed: int) -> dict:
     counts = {"integrations": 0, "samples": 0}
     integrate = weights.integrate_graph_form
 
-    def counting(graph, cfg, seed=None):
-        out = integrate(graph, cfg, seed)
+    def counting(*args, **kwargs):
+        out = integrate(*args, **kwargs)
         counts["integrations"] += 1
         counts["samples"] += out[2]
         return out

@@ -15,11 +15,12 @@ weight over its members, summed exactly.  A graph without a table
 entry of its own reads its representative's, filled once per orbit:
 exact from weights.exact_weight (the vanishing lemma, the order-0 and
 derivative-free graphs, the solved orbits of weights.SOLVED_WEIGHTS)
-unless weights is "numeric", else by one pooled integral.  so(3)
+when it has a closed form, else by one pooled integral.  so(3)
 products and checks through hbar^3 therefore integrate nothing, and
-their bounds are 0.  Jacobi reports are kept across calls
-(_jacobi_report), so products and checks on one Poisson structure
-build each orbit operator and prove Jacobi once.
+their bounds are 0, unless the table holds sampled entries of their
+graphs.  Jacobi reports are kept across calls (_jacobi_report), so
+products and checks on one Poisson structure build each orbit
+operator and prove Jacobi once.
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -52,7 +53,7 @@ from .rational import QI
 from .series import FormalSeries
 from .weights import IntegrationConfig, WeightTable, exact_weight
 
-_WEIGHT_MODES = ("auto", "numeric", "exact")
+_WEIGHT_MODES = ("auto", "exact")
 _JACOBI_MODES = ("require", "warn")
 
 _HALF_I = QI(0, Fraction(1, 2))
@@ -65,11 +66,12 @@ class StarConfig:
     """Assembly knobs: truncation order, weight sourcing, tolerances.
 
     weights "auto" takes closed forms where known and integrates the
-    rest, "numeric" integrates everything, "exact" demands a closed
-    form for every contributing orbit and refuses sampled table
-    entries (zero statistical error, so verifier verdicts become
-    exact).  jacobi "warn" downgrades a failed Jacobi identity from an
-    error to a warning for experiments on non-Poisson bivectors.
+    rest, "exact" demands a closed form for every contributing orbit
+    and refuses sampled table entries (zero statistical error, so
+    verifier verdicts become exact).  A graph with a closed form is
+    sampled through a sampled table entry of its own.  jacobi "warn"
+    downgrades a failed Jacobi identity from an error to a warning for
+    experiments on non-Poisson bivectors.
     """
 
     order: int = 2
@@ -247,7 +249,7 @@ def _refuse(what: str, serials: list) -> None:
         raise ConfigError(
             f"{what} " + ", ".join(serials[:4])
             + ("..." if len(serials) > 4 else "")
-            + "; use weights='auto' or 'numeric'")
+            + "; use weights='auto'")
 
 
 def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
@@ -259,12 +261,11 @@ def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     Otherwise it reads its orbit representative's: its weight is sign x
     the representative's, so it adds that entry with coefficient
     sign x sign = 1.  Missing representatives get one entry each:
-    exact when exact_weight has a closed form and cfg.weights is not
-    "numeric", else integrated once at k times the per-graph budget
-    for the k rows that read it.  Under "exact" every orbit read needs
-    a closed form, and every entry read must hold one: a sampled entry,
-    a row's own or its representative's, is refused.  c_e sums an
-    entry's reads."""
+    exact when exact_weight has a closed form, else integrated once at
+    k times the per-graph budget for the k rows that read it.  Under
+    "exact" every orbit read needs a closed form, and every entry read
+    must hold one: a sampled entry, a row's own or its
+    representative's, is refused.  c_e sums an entry's reads."""
     exact = cfg.weights == "exact"
     if exact:
         _refuse("no closed-form weight for the orbits of", [
@@ -281,8 +282,7 @@ def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
             ser for ser in dict.fromkeys(ser for _, ser in coeff)
             if (est := table.lookup(ser)) is not None and est.exact is None])
     table.ensure([parse(ser) for ser in pooled if table.lookup(ser) is None],
-                 cfg.integration, use_exact=cfg.weights != "numeric",
-                 pooled=pooled)
+                 cfg.integration, use_exact=True, pooled=pooled)
     out = []        # an entry serial belongs to one orbit, so one key
     for (r, ser), c in coeff.items():
         est = table.lookup(ser)

@@ -115,6 +115,9 @@ class WeightEstimate:
             if exact is not None:
                 num, den = (json_int(q, "exact") for q in exact)
                 exact = Fraction(num, den)
+                if std_error != 0 or value != float(exact):
+                    raise ParseError("an exact entry needs std_error 0 "
+                                     "and value float(exact)")
             return WeightEstimate(float(value), float(std_error), n_samples,
                                   json_int(obj["seed"], "seed"), method, exact)
         except (KeyError, TypeError, ValueError, OverflowError,
@@ -122,59 +125,55 @@ class WeightEstimate:
             raise ParseError(f"bad weight estimate {obj!r}: {exc}") from exc
 
 
-def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig,
-                         seed: int | None = None
+def _form_degree(graph: KGraph) -> int:
+    """The domain dimension 2n + m - 2; m >= 2 grounds pin the gauge."""
+    degree = 2 * graph.n + graph.m - 2
+    if graph.m < 2:
+        raise DegreeMismatchError(
+            f"weights need at least 2 ground vertices, got m={graph.m}")
+    if graph.edge_count != degree:
+        raise DegreeMismatchError(
+            f"edge count {graph.edge_count} != 2n + m - 2 = {degree}")
+    return degree
+
+
+def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig
                          ) -> tuple[float, float, int]:
     """Raw form integral; returns (value, std_error, n_samples).
 
     The form degree (edge count) must equal the domain dimension
-    2n + m - 2, and at least two ground vertices are needed to pin the
-    translation-dilation gauge.  The default budget follows the form
-    degree; integrand.integrate samples it, loaded here on the first
-    integral of positive degree.
+    2n + m - 2, with m >= 2.  The integral is seeded by cfg.seed, and
+    its default budget follows the form degree; integrand.integrate
+    samples it, loaded here on the first integral of positive degree.
     """
-    n, m = graph.n, graph.m
-    if m < 2:
-        raise DegreeMismatchError(
-            f"gauge fixing needs at least 2 ground vertices, graph has {m}")
-    degree = 2 * n + m - 2
-    if graph.edge_count != degree:
-        raise DegreeMismatchError(
-            f"form degree {graph.edge_count} != domain dimension {degree}")
+    degree = _form_degree(graph)
     if degree == 0:
         return 1.0, 0.0, 0
     from . import integrand     # numpy and the sampler load on first use
     return integrand.integrate(graph, cfg.method,
                                cfg.n_samples or default_budget(degree),
-                               cfg.seed if seed is None else seed)
+                               cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # normalized weights
 # ---------------------------------------------------------------------------
 
-def weight(graph: KGraph, cfg: IntegrationConfig,
-           seed: int | None = None) -> WeightEstimate:
+def weight(graph: KGraph, cfg: IntegrationConfig) -> WeightEstimate:
     """Weight: raw integral over (2pi)^E n! for a graph with m >= 2
-    grounds and E = 2n + m - 2 edges; the star weight at m = 2."""
-    edges = 2 * graph.n + graph.m - 2
-    if graph.m < 2:
-        raise DegreeMismatchError(
-            f"weights need at least 2 ground vertices, got m={graph.m}")
-    if graph.edge_count != edges:
-        raise DegreeMismatchError(
-            f"edge count {graph.edge_count} != 2n + m - 2 = {edges}")
-    used_seed = cfg.seed if seed is None else seed
+    grounds and E = 2n + m - 2 edges; the star weight at m = 2.  The
+    estimate records cfg.seed, which seeds the integral."""
+    edges = _form_degree(graph)
     if graph.has_doubled_edge():
         # repeated rows wedge to zero; nothing to sample
-        return WeightEstimate(0.0, 0.0, 0, used_seed, cfg.method,
+        return WeightEstimate(0.0, 0.0, 0, cfg.seed, cfg.method,
                               exact=Fraction(0))
     if graph.n == 0:
-        return WeightEstimate(1.0, 0.0, 0, used_seed, cfg.method,
+        return WeightEstimate(1.0, 0.0, 0, cfg.seed, cfg.method,
                               exact=Fraction(1))
-    raw, raw_se, n_used = integrate_graph_form(graph, cfg, seed=used_seed)
+    raw, raw_se, n_used = integrate_graph_form(graph, cfg)
     norm = TWO_PI ** edges * math.factorial(graph.n)
-    est = WeightEstimate(raw / norm, raw_se / norm, n_used, used_seed,
+    est = WeightEstimate(raw / norm, raw_se / norm, n_used, cfg.seed,
                          cfg.method)
     if cfg.error_target is not None and est.std_error > cfg.error_target:
         warnings.warn(
@@ -289,10 +288,9 @@ def _collapsing_set(graph: KGraph) -> bool:
     return False
 
 
-def i_p_integral(p: int, cfg: IntegrationConfig,
-                 seed: int | None = None) -> WeightEstimate:
+def i_p_integral(p: int, cfg: IntegrationConfig) -> WeightEstimate:
     """Raw angle-form integral over one aerial point and p+1 grounds,
-    wedge factors ordered by descending ground position.
+    wedge factors ordered by descending ground position; cfg.seed.
 
     Closed form: (-1)^p (2pi)^(p+1) / (p+1)!, so this doubles as a
     calibration target for the moving-ground machinery.
@@ -302,9 +300,8 @@ def i_p_integral(p: int, cfg: IntegrationConfig,
     m = p + 1
     targets = tuple(1 + k for k in reversed(range(m)))
     graph = KGraph(1, m, (targets,))
-    used_seed = cfg.seed if seed is None else seed
-    value, se, n_used = integrate_graph_form(graph, cfg, seed=used_seed)
-    return WeightEstimate(value, se, n_used, used_seed, cfg.method)
+    value, se, n_used = integrate_graph_form(graph, cfg)
+    return WeightEstimate(value, se, n_used, cfg.seed, cfg.method)
 
 
 def i_p_rational(p: int) -> Fraction:
@@ -352,8 +349,9 @@ class WeightTable:
         serialization to the number k of graphs its one entry stands in
         for (an orbit representative's readers); a missing graph listed
         there is integrated once at k times the per-graph budget
-        (cfg.n_samples or default_budget).  Every integral is seeded by
-        stable_seed(cfg.seed, serialization).
+        (cfg.n_samples or default_budget).  Every integral runs under
+        cfg with that budget and the seed stable_seed(cfg.seed,
+        serialization).
         """
         pending = {ser: g for g in graphs
                    if (ser := serialize(g)) not in self._entries}
@@ -368,10 +366,9 @@ class WeightTable:
                     cfg.method, exact=closed))
         for ser, g in sampled:
             k = (pooled or {}).get(ser, 1)
-            use = cfg if k == 1 else replace(cfg, n_samples=k * (
-                cfg.n_samples or default_budget(2 * g.n + g.m - 2)))
-            self._entries[ser] = (g, weight(g, use,
-                                            seed=stable_seed(cfg.seed, ser)))
+            self._entries[ser] = (g, weight(g, replace(
+                cfg, seed=stable_seed(cfg.seed, ser), n_samples=k * (
+                    cfg.n_samples or default_budget(_form_degree(g))))))
         return self
 
     def to_json_obj(self) -> list:

@@ -112,7 +112,7 @@ def random_bivector(rng: random.Random, dim: int, max_degree: int = 2) -> PolyVe
     return random_field(rng, dim, 1, max_degree=max_degree)
 
 
-def per_replicate_integral(graph, cfg, seed=None):
+def per_replicate_integral(graph, cfg):
     """Reference for weights.integrate_graph_form's qmc and mc paths: one
     scrambled-Sobol engine (or PCG64 stream) and one integrand plan per
     replicate, each replicate's guarded rows redrawn from a PCG64 stream
@@ -125,7 +125,6 @@ def per_replicate_integral(graph, cfg, seed=None):
 
     from starquant import integrand, weights
 
-    base_seed = cfg.seed if seed is None else seed
     total = cfg.n_samples or weights.default_budget(2 * graph.n + graph.m - 2)
     dims = integrand.sampled_dims(graph)
     per_rep = max(1, total // integrand.N_REPLICATES)
@@ -137,7 +136,7 @@ def per_replicate_integral(graph, cfg, seed=None):
 
     means = []
     for r in range(integrand.N_REPLICATES):
-        rep_seed = weights.stable_seed(base_seed, "rep", r)
+        rep_seed = weights.stable_seed(cfg.seed, "rep", r)
         if cfg.method == "qmc":
             sob = qmc.Sobol(d=dims, scramble=True, seed=rep_seed)
             with warnings.catch_warnings():

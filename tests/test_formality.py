@@ -19,7 +19,7 @@ from starquant.formality import (
     u_n,
 )
 from starquant.graphs import (enumerate_graphs, orbit_representative, parse,
-                              serialize)
+                              serialize, star_graphs)
 from starquant.operators import build_operator
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, schouten
@@ -509,8 +509,11 @@ class TestWeightReading:
                                   StarConfig(weights="exact"))
 
     def test_numeric_mode_samples(self):
+        """Sampled entries of their own for graphs with closed forms are
+        read, and bound, in place of the closed forms."""
         rng = random.Random(7)
         fields = [random_linear_bivector(rng), random_linear_bivector(rng)]
-        cfg = StarConfig(weights="numeric", table=WeightTable(),
-                         integration=IntegrationConfig(seed=0, n_samples=4096))
+        integration = IntegrationConfig(seed=0, n_samples=4096)
+        table = WeightTable().ensure(star_graphs(2), integration)
+        cfg = StarConfig(table=table, integration=integration)
         assert linfty_check(fields, variables(), cfg).rows[0].bound > 0

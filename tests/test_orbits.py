@@ -438,9 +438,9 @@ def integrations(monkeypatch):
     calls = []
     integrate = weights_mod.integrate_graph_form
 
-    def counting(graph, cfg, seed=None):
+    def counting(graph, cfg):
         calls.append(graph)
-        return integrate(graph, cfg, seed)
+        return integrate(graph, cfg)
 
     monkeypatch.setattr(weights_mod, "integrate_graph_form", counting)
     return calls
@@ -474,10 +474,11 @@ class TestPooledWeights:
 
     def test_numeric_fill_is_one_ensure_call(self, integrations,
                                              monkeypatch):
-        """Without closed forms every orbit of the order-2 families is
-        sampled once (1 order-1 and 6 order-2 so(3) orbits), in one
-        WeightTable.ensure call that adds one sampled entry per orbit
-        in integration order."""
+        """Every orbit of the order-2 families (1 order-1 and 6 order-2
+        so(3) orbits) gets one entry in one WeightTable.ensure call:
+        without solved weights, the 4 with a closed form first, then
+        the 3 sampled ones, each integrated once, in integration
+        order."""
         calls = []
         ensure = WeightTable.ensure
 
@@ -486,13 +487,15 @@ class TestPooledWeights:
             return ensure(table, graphs, *args, **kwargs)
 
         monkeypatch.setattr(WeightTable, "ensure", counting)
-        cfg = StarConfig(order=2, table=WeightTable(), weights="numeric",
+        cfg = StarConfig(order=2, table=WeightTable(),
                          integration=IntegrationConfig(seed=3, n_samples=256))
         star_expansion(*so3_pair(), so3_alpha(), cfg)
-        assert sorted(g.n for g in integrations) == [1] + [2] * 6
+        assert sorted(g.n for g in integrations) == [2] * 3
         assert calls == [7]
-        assert [g for g, _ in cfg.table] == integrations
-        assert all(est.exact is None for _, est in cfg.table)
+        assert [g for g, est in cfg.table if est.exact is None] \
+            == integrations
+        assert [est.exact is None for _, est in cfg.table] \
+            == [False] * 4 + [True] * 3
 
     @pytest.fixture(scope="class")
     def both_tables(self):

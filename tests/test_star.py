@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from starquant.errors import (ConfigError, DimensionMismatchError,
                               DomainError)
-from starquant.graphs import parse
+from starquant.graphs import parse, star_graphs
 from starquant.operators import orbit_operators
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, validate_poisson
@@ -42,15 +42,20 @@ def moyal_plane():
     return PolyVectorField(2, 1, {(0, 1): Polynomial.constant(2, 1)})
 
 
+SMALL_BUDGET = IntegrationConfig(seed=42, n_samples=65536)
+
+
 @pytest.fixture(scope="module")
 def small_table():
-    # one reduced-budget table shared by every numeric test in here
-    return WeightTable()
+    """One reduced-budget table shared by every numeric test in here: a
+    sampled entry of its own for every star graph through order 2, so
+    closed forms are sampled too."""
+    return WeightTable().ensure(star_graphs(1) + star_graphs(2),
+                                SMALL_BUDGET, use_exact=False)
 
 
 def numeric_cfg(table, order=2):
-    return StarConfig(order=order, weights="numeric", table=table,
-                      integration=IntegrationConfig(seed=42, n_samples=65536))
+    return StarConfig(order=order, table=table, integration=SMALL_BUDGET)
 
 
 class TestConfig:
@@ -61,6 +66,8 @@ class TestConfig:
             StarConfig(policy=0.0)
         with pytest.raises(ConfigError):
             StarConfig(weights="tables")
+        with pytest.raises(ConfigError, match="unknown weight mode"):
+            StarConfig(weights="numeric")
         with pytest.raises(ConfigError):
             StarConfig(jacobi="ignore")
 
@@ -110,7 +117,7 @@ class TestStarBasics:
         is integrated."""
         f = Polynomial.variable(2, 0) + Polynomial.constant(2, 1)
         table = WeightTable()
-        cfg = StarConfig(order=2, weights="numeric", table=table,
+        cfg = StarConfig(order=2, table=table,
                          integration=IntegrationConfig(seed=1, n_samples=64))
         with pytest.raises(DimensionMismatchError, match="R\\^2"):
             star_expansion(f, f, alpha, cfg)
