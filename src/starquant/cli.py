@@ -168,7 +168,7 @@ def cmd_enumerate(ns) -> int:
     except ValueError as exc:
         raise ParseError(f"--degrees {ns.degrees!r} is not a comma list "
                          "of integers") from exc
-    graphs = enumerate_graphs(ns.n, ns.m, degrees, strict=not ns.permissive)
+    graphs = enumerate_graphs(ns.n, ns.m, degrees)
     print(f"{len(graphs)} graphs for n={ns.n} m={ns.m} "
           f"degrees={','.join(map(str, degrees))}")
     if ns.out:
@@ -419,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=2, help="ground vertices")
     p.add_argument("--degrees", help="comma list of vertex degrees "
                                      "(default: all bivector)")
-    p.add_argument("--permissive", action="store_true",
-                   help="allow tadpoles and doubled edges")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 

@@ -180,6 +180,9 @@ def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
     if len(fields) < 2:
         raise ConfigError("symmetry check needs at least two fields")
     i, j = sorted(pair)
+    if not 0 <= i < j < len(fields):
+        raise ConfigError(
+            f"pair {tuple(pair)} must lie in 0 <= i < j < {len(fields)}")
     if j != i + 1:
         raise ConfigError("only adjacent swaps are supported")
     gi = fields[i].degree - 1

@@ -2,10 +2,9 @@
 
 A graph of order n on m ground vertices has aerial vertices 1..n, each
 carrying an ordered tuple of outgoing edges, and ground vertices that
-only receive.  No edge may start and end at the same vertex.  In strict
-mode the targets of one vertex are pairwise distinct (a doubled edge
-wedges a 1-form with itself, so its weight vanishes identically; the
-permissive mode keeps such graphs for exactly that property test).
+only receive.  The edges form a set (Kontsevich, q-alg/9709040
+section 4.1): no edge starts and ends at the same vertex, and the
+targets of one vertex are pairwise distinct.
 
 Internally targets are 0-based integers: 0..n-1 aerial, n..n+m-1
 ground.  The text form numbers aerial vertices from 1 and names ground
@@ -44,6 +43,8 @@ class KGraph:
         for i, targets in enumerate(self.out_edges):
             if not targets:
                 raise ParseError(f"vertex {i + 1} has no outgoing edges")
+            if len(set(targets)) != len(targets):
+                raise ParseError(f"vertex {i + 1} has a doubled edge")
             for t in targets:
                 if t == i:
                     raise ParseError(f"vertex {i + 1} has a self-loop")
@@ -65,9 +66,6 @@ class KGraph:
         for i, targets in enumerate(self.out_edges):
             for s, t in enumerate(targets):
                 yield i, s, t
-
-    def has_doubled_edge(self) -> bool:
-        return any(len(set(t)) != len(t) for t in self.out_edges)
 
     # -- involutions ----------------------------------------------------
     def mirror(self) -> "KGraph":
@@ -175,7 +173,7 @@ def from_json_obj(obj: dict) -> KGraph:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def count_graphs(n: int, m: int, degrees: Sequence[int], strict: bool = True) -> int:
+def count_graphs(n: int, m: int, degrees: Sequence[int]) -> int:
     """Closed-form count of admissible graphs with the given profile."""
     if n < 0 or m < 0:
         raise ParseError(f"vertex counts must be non-negative, got n={n}, m={m}")
@@ -186,37 +184,26 @@ def count_graphs(n: int, m: int, degrees: Sequence[int], strict: bool = True) ->
     total = 1
     options = n + m - 1  # everything except the vertex itself
     for p in degrees:
-        k = p + 1
-        if strict:
-            if k > options:
-                return 0
-            total *= math.perm(options, k)
-        else:
-            total *= options ** k
+        total *= math.perm(options, p + 1)
     return total
 
 
 def enumerate_graphs(n: int, m: int, degrees: Sequence[int], *,
-                     strict: bool = True, cap: int = DEFAULT_CAP) -> list[KGraph]:
+                     cap: int = DEFAULT_CAP) -> list[KGraph]:
     """All admissible graphs in canonical lexicographic target order.
 
     The order compares the flattened tuples of internal integer targets,
     so it is stable across runs and platforms.  Raises
     EnumerationCapError if the closed-form count exceeds `cap`.
     """
-    total = count_graphs(n, m, degrees, strict=strict)
+    total = count_graphs(n, m, degrees)
     if total > cap:
         raise EnumerationCapError(
             f"{total} graphs exceed the cap of {cap}; raise `cap` explicitly to proceed")
     per_vertex = []
     for i, p in enumerate(degrees):
         targets = [t for t in range(n + m) if t != i]
-        if strict:
-            choices = list(itertools.permutations(targets, p + 1))
-        else:
-            choices = list(itertools.product(targets, repeat=p + 1))
-        choices.sort()
-        per_vertex.append(choices)
+        per_vertex.append(sorted(itertools.permutations(targets, p + 1)))
     out = [KGraph(n, m, rows) for rows in itertools.product(*per_vertex)]
     return out
 
@@ -224,7 +211,7 @@ def enumerate_graphs(n: int, m: int, degrees: Sequence[int], *,
 def star_graphs(order: int, *, cap: int = DEFAULT_CAP) -> list[KGraph]:
     """Order-n graphs of the binary star expansion: two ground vertices,
     every aerial vertex of out-degree two."""
-    return enumerate_graphs(order, 2, [1] * order, strict=True, cap=cap)
+    return enumerate_graphs(order, 2, [1] * order, cap=cap)
 
 
 def orbit_representative(g: KGraph, labels=None) -> tuple[KGraph, int]:
@@ -234,11 +221,9 @@ def orbit_representative(g: KGraph, labels=None) -> tuple[KGraph, int]:
     antisymmetric fields at equally labelled vertices op(g) = sign x
     op(rep), and for star graphs likewise the weights; an orbit reaching
     a graph with both signs has zero operator, so the sign there is
-    immaterial.  A doubled edge raises ParseError.
+    immaterial.
     """
     n = g.n
-    if g.has_doubled_edge():
-        raise ParseError("orbits need a strict graph (no doubled edge)")
     ground = tuple(range(n, n + g.m))
     best = None
     for perm in itertools.permutations(range(n)):

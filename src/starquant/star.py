@@ -51,9 +51,8 @@ from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
 from .rational import QI
 from .series import FormalSeries
-from .weights import IntegrationConfig, WeightTable, exact_weight
+from .weights import IntegrationConfig, WeightTable
 
-_WEIGHT_MODES = ("auto", "exact")
 _JACOBI_MODES = ("require", "warn")
 
 _HALF_I = QI(0, Fraction(1, 2))
@@ -63,12 +62,11 @@ PROBE = (-1, 0, 1)      # sup norms are taken over PROBE^d
 
 @dataclass(frozen=True)
 class StarConfig:
-    """Assembly knobs: truncation order, weight sourcing, tolerances.
+    """Assembly knobs: truncation order, weight table, tolerances.
 
-    weights "auto" takes closed forms where known and integrates the
-    rest, "exact" demands a closed form for every contributing orbit
-    and refuses sampled table entries (zero statistical error, so
-    verifier verdicts become exact).  A graph with a closed form is
+    Weights are read as _resolve_weights reads them: a graph's own
+    table entry, else its orbit representative's, closed form where
+    one is known and sampled otherwise.  A graph with a closed form is
     sampled through a sampled table entry of its own.  jacobi "warn"
     downgrades a failed Jacobi identity from an error to a warning for
     experiments on non-Poisson bivectors.
@@ -78,16 +76,16 @@ class StarConfig:
     integration: IntegrationConfig = field(default_factory=IntegrationConfig)
     table: WeightTable | None = None
     policy: float = 3.0
-    weights: str = "auto"
     jacobi: str = "require"
 
     def __post_init__(self):
+        if isinstance(self.order, bool) or not isinstance(self.order, int):
+            raise ConfigError(
+                f"truncation order must be an integer, got {self.order!r}")
         if self.order < 0:
             raise ConfigError("truncation order must be >= 0")
         if not 0 < self.policy < math.inf:
             raise ConfigError("tolerance policy must be positive and finite")
-        if self.weights not in _WEIGHT_MODES:
-            raise ConfigError(f"unknown weight mode {self.weights!r}")
         if self.jacobi not in _JACOBI_MODES:
             raise ConfigError(f"unknown jacobi mode {self.jacobi!r}")
 
@@ -243,15 +241,6 @@ def _jacobi_report(alpha: PolyVectorField):
     return validate_poisson(alpha)
 
 
-def _refuse(what: str, serials: list) -> None:
-    """ConfigError naming up to four serials, if there are any."""
-    if serials:
-        raise ConfigError(
-            f"{what} " + ", ".join(serials[:4])
-            + ("..." if len(serials) > 4 else "")
-            + "; use weights='auto'")
-
-
 def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     """(r, entry serial, c_e, weight as QI, std_error) for each table
     entry that rows (r, serial, sign) read, at any ground count,
@@ -262,25 +251,14 @@ def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
     the representative's, so it adds that entry with coefficient
     sign x sign = 1.  Missing representatives get one entry each:
     exact when exact_weight has a closed form, else integrated once at
-    k times the per-graph budget for the k rows that read it.  Under
-    "exact" every orbit read needs a closed form, and every entry read
-    must hold one: a sampled entry, a row's own or its
-    representative's, is refused.  c_e sums an entry's reads."""
-    exact = cfg.weights == "exact"
-    if exact:
-        _refuse("no closed-form weight for the orbits of", [
-            orbit for orbit in dict.fromkeys(r[1] for r, _, _ in rows)
-            if exact_weight(parse(orbit)) is None])
+    k times the per-graph budget for the k rows that read it.  c_e
+    sums an entry's reads."""
     coeff, pooled = {}, {}
     for r, ser, sign in rows:
         if table.lookup(ser) is None:
             ser, sign = r[1], 1
             pooled[ser] = pooled.get(ser, 0) + 1
         coeff[r, ser] = coeff.get((r, ser), 0) + sign
-    if exact:
-        _refuse("sampled table entries, not closed forms, for", [
-            ser for ser in dict.fromkeys(ser for _, ser in coeff)
-            if (est := table.lookup(ser)) is not None and est.exact is None])
     table.ensure([parse(ser) for ser in pooled if table.lookup(ser) is None],
                  cfg.integration, use_exact=True, pooled=pooled)
     out = []        # an entry serial belongs to one orbit, so one key

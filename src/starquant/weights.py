@@ -64,6 +64,11 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if self.error_target is not None and not self.error_target > 0:
@@ -164,10 +169,6 @@ def weight(graph: KGraph, cfg: IntegrationConfig) -> WeightEstimate:
     grounds and E = 2n + m - 2 edges; the star weight at m = 2.  The
     estimate records cfg.seed, which seeds the integral."""
     edges = _form_degree(graph)
-    if graph.has_doubled_edge():
-        # repeated rows wedge to zero; nothing to sample
-        return WeightEstimate(0.0, 0.0, 0, cfg.seed, cfg.method,
-                              exact=Fraction(0))
     if graph.n == 0:
         return WeightEstimate(1.0, 0.0, 0, cfg.seed, cfg.method,
                               exact=Fraction(1))
@@ -216,12 +217,10 @@ def exact_weight(graph: KGraph) -> Fraction | None:
     """Closed-form weight (weight's normalisation) when one is known,
     else None; memoised, as it is a pure function of the frozen graph.
 
-    Six sources, in order:
-    - repeated-edge degeneracy: zero at any ground count;
-    - one aerial vertex: a graph with n = 1 and no doubled edge is I_p,
-      p = m - 1, with its targets permuted, so its weight is
-      sgn(pi) i_p_rational(p), pi taking the targets to descending
-      position;
+    Five sources, in order:
+    - one aerial vertex: a graph with n = 1 is I_p, p = m - 1, with
+      its targets permuted, so its weight is sgn(pi) i_p_rational(p),
+      pi taking the targets to descending position;
     and for star graphs (m = 2):
     - the vanishing lemma (Kontsevich, q-alg/9709040 section 7): zero
       when some set S of aerial vertices sends every out-edge into S
@@ -238,15 +237,13 @@ def exact_weight(graph: KGraph) -> Fraction | None:
       graphs the orbit search.  These values are exact solutions of
       associativity and the other constraints named there, with the
       wheel weight an input from the literature.
-    Anything else is None: star products and u_n sample it under
-    weights="auto".  `starquant weight` without --exact never calls
-    this, so it still samples every graph.
+    Anything else is None: star products and u_n sample it.
+    `starquant weight` without --exact never calls this, so it still
+    samples every graph.
     """
     n, m = graph.n, graph.m
     if m < 2 or graph.edge_count != 2 * n + m - 2:
         return None
-    if graph.has_doubled_edge():
-        return Fraction(0)
     if n == 1:
         # pairs of targets out of descending order: sgn(pi) = (-1)^ascents
         ascents = sum(a < b for a, b in itertools.combinations(
@@ -383,7 +380,10 @@ class WeightTable:
             graph = entry.get("graph") if isinstance(entry, dict) else None
             if not isinstance(graph, str):
                 raise ParseError(f"entry without a graph: {entry!r}")
-            table.put(parse(graph), WeightEstimate.from_json_obj(entry))
+            g = parse(graph)
+            if table.lookup(ser := serialize(g)) is not None:
+                raise ParseError(f"repeated entry for {ser}")
+            table.put(g, WeightEstimate.from_json_obj(entry))
         return table
 
     def to_csv(self) -> str:

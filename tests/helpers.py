@@ -17,8 +17,8 @@ from starquant.rational import QI
 @contextlib.contextmanager
 def without_solved_weights():
     """exact_weight without weights.SOLVED_WEIGHTS, its memo cleared on
-    entry and exit: star products under weights="auto" then sample every
-    orbit no other closed form covers.  The sampled path's tests run in
+    entry and exit: star products then sample every orbit no other
+    closed form covers.  The sampled path's tests run in
     it (the conftest fixture sampled_weights, or a module- or
     class-scoped fixture's body)."""
     with pytest.MonkeyPatch.context() as mp:

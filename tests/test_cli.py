@@ -67,7 +67,7 @@ class TestEnumerate:
         assert "scipy" not in versions
 
     @pytest.mark.parametrize("argv", [
-        ["-n", "1", "-m", "-3"], ["-n", "1", "-m", "-1", "--permissive"]])
+        ["-n", "1", "-m", "-3"], ["-n", "2", "-m", "-1"]])
     def test_negative_ground_count_exit_2(self, capsys, argv):
         assert main(["enumerate"] + argv) == 2
         assert "non-negative" in capsys.readouterr().err
@@ -202,6 +202,13 @@ class TestWeight:
                      "--format", "json", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 1
         assert capsys.readouterr().out == "1 weights computed\n"
+
+    def test_doubled_edge_exit_2(self, tmp_path, capsys):
+        """A graph whose vertex repeats a target is not admissible."""
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps([{"n": 1, "m": 2, "edges": [["L", "L"]]}]))
+        assert main(["weight", "--graphs", str(path), "--exact"]) == 2
+        assert "doubled edge" in capsys.readouterr().err
 
     def test_parity_audit_checks_each_graph_once(self, tmp_path, capsys):
         """[L,R], [R,L], [L,R]: two distinct graphs, two checks."""
@@ -502,15 +509,12 @@ class TestCliInputFuzz:
 
     @given(n=st.integers(min_value=-2, max_value=3),
            m=st.integers(min_value=-1, max_value=2),
-           degrees=st.none() | st.text(alphabet="0123-,x. ", max_size=8),
-           permissive=st.booleans())
+           degrees=st.none() | st.text(alphabet="0123-,x. ", max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_enumerate_text(self, n, m, degrees, permissive):
+    def test_enumerate_text(self, n, m, degrees):
         argv = ["enumerate", "-n", str(n), "-m", str(m)]
         if degrees is not None:
             argv.append(f"--degrees={degrees}")
-        if permissive:
-            argv.append("--permissive")
         assert exit_code(argv) in (0, 2, 3)
 
     @given(graphs=graph_files())

@@ -2,7 +2,6 @@
 import importlib
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -293,6 +292,16 @@ class TestGradedSymmetry:
                                   [Polynomial.variable(DIM, 0)] * 2,
                                   pair=(0, 2))
 
+    @pytest.mark.parametrize("pair", [(1, 2), (-1, 0), (0, 0), (2, 3)])
+    def test_rejects_a_pair_outside_the_fields(self, pair):
+        """On two fields (0, 1) is the one swap: an index past the end,
+        or a negative one that would wrap, is refused."""
+        alpha = so3_bivector()
+        with pytest.raises(ConfigError, match="0 <= i < j < 2"):
+            graded_symmetry_check([alpha, alpha],
+                                  [Polynomial.variable(DIM, 0)] * 2,
+                                  pair=pair)
+
 
 class TestCoherence:
     def test_single_field_is_exact_cocycle(self):
@@ -458,13 +467,6 @@ class TestWeightReading:
             assert u_n([alpha, alpha], [f, g]) == u_n(
                 [alpha, alpha], [f, g], StarConfig(table=WeightTable()))
 
-    def test_exact_mode_needs_closed_forms(self):
-        beta, x0, x1 = dim2_beta()
-        with pytest.raises(ConfigError, match=re.escape(
-                "n=3;m=2;1:[2,3];2:[1,3];3:[L,R]")):
-            graded_symmetry_check([beta] * 3, [x0 * x1, x1],
-                                  StarConfig(weights="exact"))
-
     def test_auto_pools_one_entry_per_orbit(self):
         """264 graphs of 6 unsolved orbits read 6 sampled entries, each
         the orbit representative's."""
@@ -500,13 +502,6 @@ class TestWeightReading:
                   for row in operators_mod.orbit_operators(family, 3).rows}
         assert {serialize(g) for g in calls} <= orbits
         assert sum(est.n_samples for _, est in cfg.table) == 48 * 65536
-
-    def test_exact_mode_refuses_three_grounds(self):
-        x = variables()
-        with pytest.raises(ConfigError, match=re.escape("n=2;m=3;")):
-            graded_symmetry_check([so3_bivector(), _trivector()],
-                                  [x[0] * x[1], x[2], x[2]],
-                                  StarConfig(weights="exact"))
 
     def test_numeric_mode_samples(self):
         """Sampled entries of their own for graphs with closed forms are

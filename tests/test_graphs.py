@@ -12,7 +12,7 @@ from starquant.graphs import (KGraph, count_graphs, enumerate_graphs,
                               to_json_obj)
 
 
-def brute_force_count(n, m, degrees, strict=True):
+def brute_force_count(n, m, degrees):
     """Independent oracle: filter every raw target assignment."""
     slots = []
     for i, p in enumerate(degrees):
@@ -29,7 +29,7 @@ def brute_force_count(n, m, degrees, strict=True):
             rows[src].append(tgt)
         if not ok:
             continue
-        if strict and any(len(set(r)) != len(r) for r in rows):
+        if any(len(set(r)) != len(r) for r in rows):
             continue
         count += 1
     return count
@@ -45,25 +45,17 @@ class TestCounts:
         cases = [(1, 2, [1]), (2, 2, [1, 1]), (1, 2, [2]), (1, 3, [2]),
                  (2, 3, [1, 2]), (3, 2, [1, 1, 1]), (2, 1, [1, 1])]
         for n, m, deg in cases:
-            for strict in (True, False):
-                got = len(enumerate_graphs(n, m, deg, strict=strict))
-                assert got == brute_force_count(n, m, deg, strict=strict), (n, m, deg, strict)
-                assert got == count_graphs(n, m, deg, strict=strict)
-
-    def test_permissive_superset(self):
-        strict = {serialize(g) for g in enumerate_graphs(1, 2, [1])}
-        loose = {serialize(g) for g in enumerate_graphs(1, 2, [1], strict=False)}
-        assert strict < loose
-        assert len(loose) == 4  # (L,L),(L,R),(R,L),(R,R)
+            got = len(enumerate_graphs(n, m, deg))
+            assert got == brute_force_count(n, m, deg), (n, m, deg)
+            assert got == count_graphs(n, m, deg)
 
     @pytest.mark.parametrize("n,m,degrees", [
         (1, -1, [1]), (1, -3, [1]), (2, -2, [0, 0]), (-1, 2, [])])
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_negative_vertex_counts_rejected(self, n, m, degrees, strict):
+    @pytest.mark.parametrize("listing", [True, False])
+    def test_negative_vertex_counts_rejected(self, n, m, degrees, listing):
+        """Refused by enumerate_graphs (listing) and by count_graphs."""
         with pytest.raises(ParseError):
-            count_graphs(n, m, degrees, strict=strict)
-        with pytest.raises(ParseError):
-            enumerate_graphs(n, m, degrees, strict=strict)
+            (enumerate_graphs if listing else count_graphs)(n, m, degrees)
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -162,7 +154,13 @@ class TestStructure:
         assert g.degrees == (1, 1)
         assert g.edge_count == 4
 
-    def test_doubled_edge_flag(self):
-        g = KGraph(1, 2, ((1, 1),))
-        assert g.has_doubled_edge()
-        assert not KGraph(1, 2, ((1, 2),)).has_doubled_edge()
+    def test_doubled_edge_refused(self):
+        """Edges form a set: a vertex may not repeat a target, whether the
+        graph is built, parsed from text or read from JSON."""
+        with pytest.raises(ParseError, match="doubled edge"):
+            KGraph(1, 2, ((1, 1),))
+        with pytest.raises(ParseError, match="doubled edge"):
+            parse("n=2;m=2;1:[2,L];2:[R,R]")
+        with pytest.raises(ParseError, match="doubled edge"):
+            from_json_obj({"n": 1, "m": 3, "edges": [["G0", "G2", "G0"]]})
+        assert KGraph(1, 2, ((1, 2),)).edge_count == 2

@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from starquant import weights
-from starquant.errors import ConfigError
 from starquant.formality import linfty_check
 from starquant.graphs import KGraph, orbit_representative, parse, serialize
 from starquant.poly import Polynomial
@@ -301,7 +300,7 @@ class TestExactAssociativity:
     def test_held_out_triples_are_exactly_associative(self, triple):
         f, g, h = held_out_triples()[triple]
         rep = check_associativity(f, g, h, so3_alpha(),
-                                  StarConfig(order=3, weights="exact"))
+                                  StarConfig(order=3))
         assert rep.ok
         assert all(r.residual.is_zero() and r.bound == 0 for r in rep.rows)
 
@@ -314,7 +313,7 @@ class TestExactAssociativity:
         monkeypatch.setattr(weights, "SOLVED_WEIGHTS", moved)
         exact_weight.cache_clear()
         try:
-            cfg = StarConfig(order=3, weights="exact")
+            cfg = StarConfig(order=3)
             broken = []
             for f, g, h in held_out_triples():
                 rep = check_associativity(f, g, h, so3_alpha(), cfg)
@@ -372,10 +371,13 @@ class TestExactAssociativity:
 
 def test_nambu_structure_still_samples():
     """The Nambu bivector eps^{ijk} d_k C, C = x0^3 + x1 x2, reads order-3
-    orbits outside the solved table, so weights="exact" refuses it."""
+    orbits outside the solved table: a cold product samples them, and
+    only its hbar^3 bound is nonzero."""
     x = variables()
     alpha = PolyVectorField(3, 1, {(0, 1): x[1], (0, 2): -x[2],
                                    (1, 2): x[0] * x[0] * 3})
-    with pytest.raises(ConfigError, match="closed-form"):
-        star_expansion(x[0], x[1], alpha, StarConfig(order=3,
-                                                     weights="exact"))
+    cfg = StarConfig(order=3, table=WeightTable(),
+                     integration=IntegrationConfig(seed=0, n_samples=64))
+    exp = star_expansion(x[0] * x[1], x[2], alpha, cfg)
+    assert exp.bounds[:3] == (0.0,) * 3 and exp.bounds[3] > 0
+    assert any(est.exact is None for _, est in cfg.table)
