@@ -35,7 +35,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ConfigError, DegreeMismatchError, DimensionMismatchError
-from .operators import orbit_operators
+from .operators import derivative, orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
@@ -71,8 +71,9 @@ def _check_dims(fields, args):
     return dim
 
 
-def _u1_closed(field: PolyVectorField, args) -> Polynomial:
-    """((-1)^(p+1)/(p+1)!) a^{j0..jp} d_{j0}f_0 ... d_{jp}f_p, exact."""
+def _u1_closed(field: PolyVectorField, args, jets) -> Polynomial:
+    """((-1)^(p+1)/(p+1)!) a^{j0..jp} d_{j0}f_0 ... d_{jp}f_p, exact,
+    with jets[k] the derivative jet of args[k]."""
     p = field.degree
     dim = field.dim
     sign = QI(Fraction((-1) ** (p + 1), math.factorial(p + 1)))
@@ -82,23 +83,25 @@ def _u1_closed(field: PolyVectorField, args) -> Polynomial:
         for slot, j in enumerate(idx):
             if term.is_zero():
                 break
-            term = term * args[slot].diff(j)
+            term = term * derivative(args[slot], (j,), jets[slot])
         if not term.is_zero():
             out = out + term
     return out * sign
 
 
-def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
+def _u_numeric(fields, args, cfg: StarConfig, jets=None) -> Measured:
     """Labeled graph sum over orbits with nonzero applied value; args
-    applied reversed, weights read from cfg.table by _resolve_weights.
-    Each sampled entry's sensitivity is d/dw of its value.
+    applied reversed, on their derivative jets (fresh ones when jets is
+    None), weights read from cfg.table by _resolve_weights.  Each
+    sampled entry's sensitivity is d/dw of its value.
     """
     n = len(fields)
     rational = QI(Fraction((-1) ** n, math.prod(
         math.factorial(f.degree + 1) for f in fields)))
     rev = tuple(reversed(args))
+    rev_jets = tuple(reversed(jets)) if jets is not None else None
     ops = orbit_operators(tuple(fields), len(args))
-    applied = {orbit: ops.apply(orbit, rev)   # rows of an orbit share it
+    applied = {orbit: ops.apply(orbit, rev, rev_jets)   # rows share it
                for orbit in dict.fromkeys(row[2] for row in ops.rows)}
     rows = [((n, orbit), ser, sign) for _, ser, orbit, sign in ops.rows
             if not applied[orbit].is_zero()]
@@ -112,24 +115,29 @@ def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
     return Measured(value, sens)
 
 
-def _apply_u(fields, args, cfg: StarConfig) -> Measured:
-    """Ghost-gated u_n on plain polynomial arguments."""
+def _apply_u(fields, args, cfg: StarConfig, jets=None) -> Measured:
+    """Ghost-gated u_n on plain polynomial arguments; jets[k], when
+    given, is the derivative jet of args[k] (operators.derivative)."""
     n = len(fields)
     dim = _check_dims(fields, args)
     if len(args) != ghost_argument_count(n, [f.degree for f in fields]):
         return Measured(Polynomial.zero(dim))
+    if jets is None:
+        jets = [{} for _ in args]
     if n == 0:
         return Measured(args[0] * args[1])
     if n == 1:
-        return Measured(_u1_closed(fields[0], args))
-    return _u_numeric(fields, args, cfg)
+        return Measured(_u1_closed(fields[0], args, jets))
+    return _u_numeric(fields, args, cfg, jets)
 
 
 def _apply_u_carrying(fields, args, cfg: StarConfig) -> Measured:
-    """As _apply_u but arguments are Measured; multilinear first order."""
+    """As _apply_u but arguments are Measured; multilinear first order.
+    Every application shares the jets of the unchanged arguments."""
     n = len(fields)
     values = [a.value for a in args]
-    base = _apply_u(fields, values, cfg)
+    jets = [{} for _ in values]
+    base = _apply_u(fields, values, cfg, jets)
     carriers = [(slot, a) for slot, a in enumerate(args) if a.sens]
     if not carriers or len(values) != ghost_argument_count(
             n, [f.degree for f in fields]):
@@ -141,9 +149,9 @@ def _apply_u_carrying(fields, args, cfg: StarConfig) -> Measured:
     sens = dict(base.sens)
     for slot, a in carriers:
         for ser, spoly in a.sens.items():
-            sub = list(values)
-            sub[slot] = spoly
-            push = _apply_u(fields, sub, cfg).value
+            sub, sub_jets = list(values), list(jets)
+            sub[slot], sub_jets[slot] = spoly, {}
+            push = _apply_u(fields, sub, cfg, sub_jets).value
             sens[ser] = sens[ser] + push if ser in sens else push
     return Measured(base.value, sens)
 
@@ -179,6 +187,9 @@ def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
     cfg = _with_table(cfg)
     if len(fields) < 2:
         raise ConfigError("symmetry check needs at least two fields")
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2 or any(
+            isinstance(k, bool) or not isinstance(k, int) for k in pair):
+        raise ConfigError(f"pair must be two integers, got {pair!r}")
     i, j = sorted(pair)
     if not 0 <= i < j < len(fields):
         raise ConfigError(

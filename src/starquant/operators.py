@@ -15,6 +15,9 @@ Graph sums (star products and u_n alike) go through orbit_operators,
 which builds one operator per graphs.orbit_representative orbit of a
 graph family and hands each graph its sign.  Its cache is the one place
 where built operators outlive a call; applied values are never kept.
+Derivatives of the arguments are read through jets (see
+PolyDiffOperator.apply) that the caller keeps for one graph sum, so
+every orbit of a star product or u_n differentiates its arguments once.
 """
 from __future__ import annotations
 
@@ -27,6 +30,20 @@ from .graphs import (KGraph, enumerate_graphs, orbit_representative,
                      serialize)
 from .poly import Polynomial
 from .rational import QI
+
+
+def derivative(p: Polynomial, multi: tuple, jet: dict) -> Polynomial:
+    """d^multi p for a sorted multi-index, read from jet (multi-index ->
+    derivative of p) and added to it with every prefix of multi."""
+    if not multi:
+        return p
+    d = jet.get(multi)
+    if d is None:
+        d = derivative(p, multi[:-1], jet)
+        if not d.is_zero():
+            d = d.diff(multi[-1])
+        jet[multi] = d
+    return d
 
 
 class PolyDiffOperator:
@@ -67,7 +84,14 @@ class PolyDiffOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def apply(self, args) -> Polynomial:
+    def apply(self, args, jets=None) -> Polynomial:
+        """The operator on args, reading d^a args[k] from jets[k].
+
+        jets[k] maps a sorted multi-index a to d^a args[k]; derivatives
+        missing from it are computed and added, so applies that share
+        an argument can share its jet and differentiate it once.
+        Without jets every argument gets a fresh one.
+        """
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityMismatchError(
@@ -76,20 +100,20 @@ class PolyDiffOperator:
             if a.dim != self.dim:
                 raise DimensionMismatchError(
                     f"argument dim {a.dim}, operator dim {self.dim}")
+        if jets is None:
+            jets = [{} for _ in args]
+        elif len(jets) != self.arity:
+            raise ArityMismatchError(
+                f"operator takes {self.arity} jets, got {len(jets)}")
         out = Polynomial.zero(self.dim)
         for key, coeff in self.terms.items():
             term = coeff
-            for multi, arg in zip(key, args):
-                factor = arg
-                for i in multi:
-                    factor = factor.diff(i)
-                    if factor.is_zero():
-                        break
+            for multi, arg, jet in zip(key, args, jets):
+                factor = derivative(arg, multi, jet)
                 if factor.is_zero():
-                    term = None
                     break
                 term = term * factor
-            if term is not None:
+            else:
                 out = out + term
         return out
 
@@ -177,7 +201,9 @@ class OrbitOperators:
     once per orbit.  rows lists (graph, serial, orbit serial, sign) of
     the graphs with nonzero operator, in order: op(graph) = sign x
     op(orbit) and weight(graph) = sign x weight(orbit).  Immutable once
-    built, so one family serves every caller."""
+    built, so one family serves every caller.  The orbits of one graph
+    sum act on the same arguments, so callers pass each argument's jet
+    to every orbit's apply and it is differentiated once per sum."""
 
     def __init__(self, graphs, fields):
         fields = tuple(fields)
@@ -196,8 +222,9 @@ class OrbitOperators:
                 rows.append((g, serialize(g), orbit, sign))
         self.rows = tuple(rows)
 
-    def apply(self, orbit: str, args) -> Polynomial:
-        return self._ops[orbit].apply(args)
+    def apply(self, orbit: str, args, jets=None) -> Polynomial:
+        """The orbit's operator on args; jets as PolyDiffOperator.apply."""
+        return self._ops[orbit].apply(args, jets)
 
 
 @functools.lru_cache(maxsize=8)

@@ -11,9 +11,13 @@ orbit representative's (graphs.orbit_representative).  Operators come
 from operators.orbit_operators and weights from _resolve_weights, both
 shared with formality.py's u_n; each star product applies each orbit
 once per argument pair against the orbit weight W_r = sum of sign x
-weight over its members, summed exactly.  A graph without a table
-entry of its own reads its representative's, filled once per orbit:
-exact from weights.exact_weight (the vanishing lemma, the order-0 and
+weight over its members, summed exactly.  Within one product every
+series coefficient has one derivative jet (operators.PolyDiffOperator
+.apply), shared by all orbits and dropped when the product returns,
+and an orbit whose applies within the truncation are all zero adds no
+term.  A graph without a table entry of its own reads its
+representative's, filled once per orbit: exact from
+weights.exact_weight (the vanishing lemma, the order-0 and
 derivative-free graphs, the solved orbits of weights.SOLVED_WEIGHTS)
 when it has a closed form, else by one pooled integral.  so(3)
 products and checks through hbar^3 therefore integrate nothing, and
@@ -38,8 +42,8 @@ u_n in formality.py bounds its table entries the same way.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +53,7 @@ from .graphs import parse
 from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
-from .rational import QI
+from .rational import QI, ZERO
 from .series import FormalSeries
 from .weights import IntegrationConfig, WeightTable
 
@@ -84,6 +88,10 @@ class StarConfig:
                 f"truncation order must be an integer, got {self.order!r}")
         if self.order < 0:
             raise ConfigError("truncation order must be >= 0")
+        if isinstance(self.policy, bool) \
+                or not isinstance(self.policy, numbers.Real):
+            raise ConfigError(
+                f"tolerance policy must be a real number, got {self.policy!r}")
         if not 0 < self.policy < math.inf:
             raise ConfigError("tolerance policy must be positive and finite")
         if self.jacobi not in _JACOBI_MODES:
@@ -158,29 +166,30 @@ def probe_sup(p: Polynomial) -> float:
 
     On PROBE = {-1, 0, 1} the power x^k is 1 for k = 0, x for odd k
     and x^2 (0 or 1) for even k > 0, so p's terms are first summed
-    exactly per class of exponent pattern, at most 3^d of them; each
-    lattice point is then a signed sum of class coefficients.
+    exactly into a 3^d table indexed by exponent class per axis (0,
+    odd, even).  Each axis is then folded in turn: classes (c0, c1, c2)
+    become the values (c0 - c1 + c2, c0, c0 + c1 + c2) at x = -1, 0, 1.
+    After the last axis the table holds p at every lattice point, for
+    3^d d exact operations in all.
     """
     if p.is_zero():
         return 0.0
-    classes = {}
+    table = [ZERO] * 3 ** p.dim
     for exps, c in p.terms.items():
-        key = tuple(0 if k == 0 else 2 - k % 2 for k in exps)  # 1 odd, 2 even
-        classes[key] = classes[key] + c if key in classes else c
-    best = 0.0
-    for point in itertools.product(PROBE, repeat=p.dim):
-        total = QI(0)
-        for key, c in classes.items():
-            sign = 1
-            for x, cls in zip(point, key):
-                if cls and not x:
-                    break
-                if cls == 1:
-                    sign *= x
-            else:
-                total = total + c if sign > 0 else total - c
-        best = max(best, abs(total))
-    return best
+        at = 0
+        for k in exps:
+            at = 3 * at + (0 if k == 0 else 2 - k % 2)     # 1 odd, 2 even
+        table[at] = table[at] + c
+    step = 1
+    for _ in range(p.dim):
+        for block in range(0, len(table), 3 * step):
+            for i in range(block, block + step):
+                c0, c1, c2 = table[i], table[i + step], table[i + 2 * step]
+                even = c0 + c2
+                table[i], table[i + step], table[i + 2 * step] = \
+                    even - c1, c0, even + c1
+        step *= 3
+    return max(abs(v) for v in table)
 
 
 class Measured:
@@ -273,12 +282,13 @@ class _Engine:
     """Orbit operators plus weight table for one bivector and config.
 
     families[j] is orbit_operators((alpha,) * j, 2), the order-j family
-    every call on an equal bivector shares.  After ensure_weights,
-    weights holds the exact orbit weight W_r of every orbit
-    r = (order, orbit serial) and sources lists (r, |c_e| std_error)
-    once per distinct sampled table entry e, in the order rows first
-    read them; both belong to this engine alone.  star_series carries
-    d/dW_r for the orbits named in sources.
+    every call on an equal bivector shares, and scales[j] is (i/2)^j,
+    the factor of its orbit terms.  After ensure_weights, weights holds
+    the exact orbit weight W_r of every orbit r = (order, orbit serial)
+    and sources lists (r, |c_e| std_error) once per distinct sampled
+    table entry e, in the order rows first read them; both belong to
+    this engine alone.  star_series carries d/dW_r for the orbits named
+    in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -294,6 +304,7 @@ class _Engine:
         self.table = cfg.table if cfg.table is not None else WeightTable()
         self.families = {j: orbit_operators((alpha,) * j, 2)
                          for j in range(1, cfg.order + 1)}
+        self.scales = [_HALF_I ** j for j in range(cfg.order + 1)]
         self.weights = {}
         self.sources = []
 
@@ -319,13 +330,19 @@ class _Engine:
                 f"argument on R^{p.dim}, bivector on R^{self.dim}")
         return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
 
-    def _orbit_term(self, r: tuple, F: FormalSeries,
-                    G: FormalSeries) -> FormalSeries:
+    def _jets(self) -> list:
+        """One empty derivative jet per coefficient of a series."""
+        return [{} for _ in range(self.cfg.order + 1)]
+
+    def _orbit_term(self, r: tuple, F: FormalSeries, G: FormalSeries,
+                    jets: tuple) -> FormalSeries | None:
         """T_r(F, G): (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l), r of
-        order j."""
+        order j, with jets[0][k] and jets[1][l] the jets of F_k and G_l;
+        None when every such apply is zero."""
         j, orbit = r
-        N, ops, c = self.cfg.order, self.families[j], _HALF_I ** j
-        coeffs = [Polynomial.zero(self.dim)] * (N + 1)
+        N, ops, c = self.cfg.order, self.families[j], self.scales[j]
+        jf, jg = jets
+        coeffs = None
         for k in range(N - j + 1):
             fk = F.coefficient(k)
             if fk.is_zero():
@@ -334,20 +351,25 @@ class _Engine:
                 gl = G.coefficient(l)
                 if gl.is_zero():
                     continue
-                p = ops.apply(orbit, (fk, gl))
+                p = ops.apply(orbit, (fk, gl), (jf[k], jg[l]))
                 if not p.is_zero():
+                    if coeffs is None:
+                        coeffs = [Polynomial.zero(self.dim)] * (N + 1)
                     coeffs[j + k + l] = coeffs[j + k + l] + p * c
-        return FormalSeries(self.dim, N, coeffs)
+        return None if coeffs is None else FormalSeries(self.dim, N, coeffs)
 
-    def _star(self, F: FormalSeries, G: FormalSeries,
+    def _star(self, F: FormalSeries, G: FormalSeries, jets: tuple,
               terms: dict | None = None) -> FormalSeries:
         """F*G + sum over orbits r of W_r T_r(F, G), with T_r read from
-        terms when given (it then holds every orbit with W_r != 0)."""
+        terms when given (it then holds every orbit with W_r != 0) and
+        computed on jets, as in _orbit_term, when not."""
         out = F * G
         for r, w in self.weights.items():
             if not w.is_zero():
-                out = out + (terms[r] if terms is not None
-                             else self._orbit_term(r, F, G)) * w
+                t = terms[r] if terms is not None \
+                    else self._orbit_term(r, F, G, jets)
+                if t is not None:
+                    out = out + t * w
         return out
 
     def star_series(self, A: Measured, B: Measured) -> Measured:
@@ -355,10 +377,14 @@ class _Engine:
 
         d(A*B)/dW_r = T_r(A, B) + dA*B + A*dB, exact because the star
         is linear in each W_r; each T_r(A, B) is computed once and
-        serves both the value and d/dW_r.
+        serves both the value and d/dW_r, which is kept for every
+        sampled r even when it is zero.  Every series coefficient gets
+        one derivative jet for the call, shared by all orbits, and
+        dropped on return.
         """
+        ja, jb = self._jets(), self._jets()
         sampled = {r for r, _ in self.sources}
-        terms = {r: self._orbit_term(r, A.value, B.value)
+        terms = {r: self._orbit_term(r, A.value, B.value, (ja, jb))
                  for r, w in self.weights.items()
                  if r in sampled or not w.is_zero()}
         sens = {}
@@ -366,12 +392,14 @@ class _Engine:
             if r in sens:
                 continue
             d = terms[r]
+            if d is None:
+                d = FormalSeries.zero(self.dim, self.cfg.order)
             if r in A.sens:
-                d = d + self._star(A.sens[r], B.value)
+                d = d + self._star(A.sens[r], B.value, (self._jets(), jb))
             if r in B.sens:
-                d = d + self._star(A.value, B.sens[r])
+                d = d + self._star(A.value, B.sens[r], (ja, self._jets()))
             sens[r] = d
-        return Measured(self._star(A.value, B.value, terms), sens)
+        return Measured(self._star(A.value, B.value, None, terms), sens)
 
     def bounds(self, m: Measured) -> tuple:
         """Per-power quadrature bound of a measured series."""

@@ -26,6 +26,7 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -71,6 +72,11 @@ class IntegrationConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        if self.error_target is not None and (
+                isinstance(self.error_target, bool)
+                or not isinstance(self.error_target, numbers.Real)):
+            raise ConfigError(f"error_target must be a real number, got "
+                              f"{self.error_target!r}")
         if self.error_target is not None and not self.error_target > 0:
             raise ConfigError("error_target must be positive")
 

@@ -302,6 +302,15 @@ class TestGradedSymmetry:
                                   [Polynomial.variable(DIM, 0)] * 2,
                                   pair=pair)
 
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), (0.0, 1), (False, True),
+                                      "01", 1])
+    def test_rejects_a_pair_that_is_not_two_integers(self, pair):
+        alpha = so3_bivector()
+        with pytest.raises(ConfigError, match="pair must be two integers"):
+            graded_symmetry_check([alpha, alpha],
+                                  [Polynomial.variable(DIM, 0)] * 2,
+                                  pair=pair)
+
 
 class TestCoherence:
     def test_single_field_is_exact_cocycle(self):

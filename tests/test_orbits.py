@@ -23,9 +23,11 @@ from starquant.rational import QI
 from starquant.series import FormalSeries
 from starquant.star import (StarConfig, check_associativity,
                             poisson_center_probe, probe_sup, star_expansion)
-from starquant.weights import IntegrationConfig, WeightTable, exact_weight
+from starquant.weights import (IntegrationConfig, WeightEstimate, WeightTable,
+                               exact_weight)
 
-from helpers import dense_integrand, so3_alpha, without_solved_weights
+from helpers import (dense_integrand, random_polynomial, so3_alpha,
+                     without_solved_weights)
 
 HALF_I = QI(0, Fraction(1, 2))
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
@@ -391,14 +393,92 @@ class TestApplyBudget:
         applied = []
         apply = operators_mod.OrbitOperators.apply
 
-        def recording(self, orbit, args):
+        def recording(self, orbit, args, *jets):
             applied.append((orbit, tuple(args)))
-            return apply(self, orbit, args)
+            return apply(self, orbit, args, *jets)
 
         monkeypatch.setattr(operators_mod.OrbitOperators, "apply", recording)
         check_associativity(f, g, h, alpha, cfg)
         assert applied
         assert len(set(applied)) == len(applied)
+
+
+class TestSharedJets:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_shared_jets_match_fresh_ones(self, case, monkeypatch):
+        """Every orbit of order <= 3 applied through one pair of jets
+        gives what it gives on fresh jets; once the jets are filled, a
+        second pass differentiates neither argument."""
+        alpha = CASES[case]()
+        rng = random.Random(31)
+        orbits = [(ops, orbit) for ops in (
+            operators_mod.orbit_operators((alpha,) * j, 2) for j in (1, 2, 3))
+            for orbit in dict.fromkeys(row[2] for row in ops.rows)]
+        diffed = []
+        diff = Polynomial.diff
+
+        def recording(self, i):
+            diffed.append(self)
+            return diff(self, i)
+
+        for _ in range(3):
+            args = tuple(random_polynomial(rng, alpha.dim, max_degree=5,
+                                           n_terms=6) for _ in range(2))
+            jets = ({}, {})
+            values = [ops.apply(orbit, args, jets) for ops, orbit in orbits]
+            assert values == [ops.apply(orbit, args) for ops, orbit in orbits]
+            assert any(not v.is_zero() for v in values)
+            with monkeypatch.context() as mp:
+                mp.setattr(Polynomial, "diff", recording)
+                again = [ops.apply(orbit, args, jets) for ops, orbit in orbits]
+            assert again == values
+            assert diffed == []
+
+
+def pinned_table() -> WeightTable:
+    """Every order-1 and order-2 star graph with a sampled entry of its
+    own: dyadic values and errors from a fixed draw, so each bound is
+    exact arithmetic up to its final float."""
+    rng = random.Random(31)
+    table = WeightTable()
+    for g in star_graphs(1) + star_graphs(2):
+        table.put(g, WeightEstimate(rng.randint(-64, 64) / 64,
+                                    rng.randint(1, 64) / 4096, 1, 0, "qmc"))
+    return table
+
+
+# d/dW_r keys of the residual, in order, and its per-power bounds by hex
+PINNED_SENS = (
+    (1, "n=1;m=2;1:[L,R]"), (2, "n=2;m=2;1:[2,L];2:[1,L]"),
+    (2, "n=2;m=2;1:[2,L];2:[1,R]"), (2, "n=2;m=2;1:[2,L];2:[L,R]"),
+    (2, "n=2;m=2;1:[2,R];2:[1,R]"), (2, "n=2;m=2;1:[2,R];2:[L,R]"),
+    (2, "n=2;m=2;1:[L,R];2:[L,R]"))
+PINNED_BOUNDS = {
+    "so3": ("0x0.0p+0", "0x0.0p+0", "0x1.bac8fc26875e0p-5"),
+    "dim2": ("0x0.0p+0", "0x0.0p+0", "0x1.a7c7f533b4941p-3")}
+
+
+class TestPinnedSensitivities:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_associativity_keys_and_bounds(self, case):
+        """On per-graph sampled entries the associativity residual keeps
+        a d/dW_r for every sampled orbit, one of them identically zero,
+        in the pinned order, and its bounds are the pinned floats."""
+        alpha = CASES[case]()
+        x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
+        f, g, h = x[0] * x[1], x[1], x[0] * x[0]
+        cfg = StarConfig(order=2, table=pinned_table())
+        eng = star_mod._Engine(alpha, cfg)
+        F, G, H = (eng.exact(p) for p in (f, g, h))
+        eng.ensure_weights()
+        resid = eng.star_series(eng.star_series(F, G), H) \
+            - eng.star_series(F, eng.star_series(G, H))
+        assert tuple(resid.sens) == PINNED_SENS
+        assert sum(d.is_zero() for d in resid.sens.values()) == 1
+        assert tuple(b.hex() for b in eng.bounds(resid)) \
+            == PINNED_BOUNDS[case]
+        rep = check_associativity(f, g, h, alpha, cfg)
+        assert tuple(r.bound.hex() for r in rep.rows) == PINNED_BOUNDS[case]
 
 
 # -- one pooled integral per sampled orbit ---------------------------------

@@ -77,6 +77,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="policy"):
             StarConfig(policy=policy)
 
+    @pytest.mark.parametrize("policy", ["3", True, None, 3j])
+    def test_policy_must_be_a_real_number(self, policy):
+        with pytest.raises(ConfigError, match="policy must be a real number"):
+            StarConfig(policy=policy)
+
 
 class TestStarBasics:
     def test_zero_alpha_is_plain_product(self):

@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             IntegrationConfig(**{field: bad})
 
+    @pytest.mark.parametrize("bad", ["1", True, 1j])
+    def test_error_target_is_a_real_number(self, bad):
+        with pytest.raises(ConfigError,
+                           match="error_target must be a real number"):
+            IntegrationConfig(error_target=bad)
+
     def test_budgets(self):
         assert default_budget(2) == 1048576
         assert default_budget(3) == 2097152
