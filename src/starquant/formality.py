@@ -17,13 +17,13 @@ i^n u_n(a,...,a), and at m = 2 w is the star weight.
 
 The identity checks put statistical bounds on the graded symmetry of
 u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
-bracket side is the exact trivector closed form.  Weights at every
-ground count are star._resolve_weights' table entries, read as the
-star engine reads them (a graph's own entry, else its orbit
-representative's), from cfg.table or one table per check.  Values are
-star.Measured with one error source per sampled entry, keyed by its
-serial and carrying d/dw of that entry, so a bound reads each entry's
-std_error from the same table.  Operators come from
+bracket side is the exact trivector closed form.  The graph sum runs
+over orbits; weights at every ground count are star._resolve_weights'
+table entries, read as the star engine reads them (a member's own
+entry, else its representative's), from cfg.table or one per check.
+Values are star.Measured with one error source per sampled entry,
+keyed by its serial and carrying d/dw of that entry, so a bound reads
+each entry's std_error from the same table.  Operators come from
 operators.orbit_operators, the family cache the star engine reads too,
 so equal field tuples build each orbit operator once across checks.
 """
@@ -101,13 +101,13 @@ def _u_numeric(fields, args, cfg: StarConfig, jets=None) -> Measured:
     rev = tuple(reversed(args))
     rev_jets = tuple(reversed(jets)) if jets is not None else None
     ops = orbit_operators(tuple(fields), len(args))
-    applied = {orbit: ops.apply(orbit, rev, rev_jets)   # rows share it
-               for orbit in dict.fromkeys(row[2] for row in ops.rows)}
-    rows = [((n, orbit), ser, sign) for _, ser, orbit, sign in ops.rows
-            if not applied[orbit].is_zero()]
+    applied = {orbit: ops.apply(orbit, rev, rev_jets)
+               for _, orbit, _ in ops.orbits}
+    orbits = [o for o in ops.orbits if not applied[o[1]].is_zero()]
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}
-    for r, ser, c, w, sigma in _resolve_weights(rows, cfg, cfg.table):
+    for r, ser, c, w, sigma in _resolve_weights([(n, ops, orbits)], cfg,
+                                                cfg.table):
         grad = applied[r[1]] * (rational * c)
         value = value + grad * w
         if sigma:

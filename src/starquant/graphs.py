@@ -173,8 +173,10 @@ def from_json_obj(obj: dict) -> KGraph:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def count_graphs(n: int, m: int, degrees: Sequence[int]) -> int:
-    """Closed-form count of admissible graphs with the given profile."""
+def count_graphs(n: int, m: int, degrees: Sequence[int], *,
+                 cap: int | None = None) -> int:
+    """Closed-form count of admissible graphs with the given profile;
+    EnumerationCapError as soon as a running product passes `cap`."""
     if n < 0 or m < 0:
         raise ParseError(f"vertex counts must be non-negative, got n={n}, m={m}")
     if len(degrees) != n:
@@ -182,9 +184,11 @@ def count_graphs(n: int, m: int, degrees: Sequence[int]) -> int:
     if any(p < 0 for p in degrees):
         raise ParseError(f"degrees must be non-negative, got {list(degrees)}")
     total = 1
-    options = n + m - 1  # everything except the vertex itself
     for p in degrees:
-        total *= math.perm(options, p + 1)
+        total *= math.perm(n + m - 1, p + 1)  # any target but the vertex
+        if cap is not None and total > cap:
+            raise EnumerationCapError(
+                f"more than {cap} graphs; raise `cap` explicitly to proceed")
     return total
 
 
@@ -196,10 +200,7 @@ def enumerate_graphs(n: int, m: int, degrees: Sequence[int], *,
     so it is stable across runs and platforms.  Raises
     EnumerationCapError if the closed-form count exceeds `cap`.
     """
-    total = count_graphs(n, m, degrees)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} graphs exceed the cap of {cap}; raise `cap` explicitly to proceed")
+    count_graphs(n, m, degrees, cap=cap)
     per_vertex = []
     for i, p in enumerate(degrees):
         targets = [t for t in range(n + m) if t != i]

@@ -12,9 +12,10 @@ field are enumerated, so sparse fields cost far less than the dense
 d^(edge count) labeling sum.
 
 Graph sums (star products and u_n alike) go through orbit_operators,
-which builds one operator per graphs.orbit_representative orbit of a
-graph family and hands each graph its sign.  Its cache is the one place
-where built operators outlive a call; applied values are never kept.
+which counts a family's graphs per graphs.orbit_representative orbit,
+canonicalising only those with sorted out-edges, and builds one
+operator per orbit.  Its cache is the one place where built operators
+outlive a call; applied values are never kept.
 Derivatives of the arguments are read through jets (see
 PolyDiffOperator.apply) that the caller keeps for one graph sum, so
 every orbit of a star product or u_n differentiates its arguments once.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import (ArityMismatchError, DegreeMismatchError,
                      DimensionMismatchError)
@@ -197,41 +199,37 @@ def build_operator(graph: KGraph, fields, dim: int | None = None
 
 
 class OrbitOperators:
-    """Operators of a graph family, fields[i] at aerial vertex i, built
-    once per orbit.  rows lists (graph, serial, orbit serial, sign) of
-    the graphs with nonzero operator, in order: op(graph) = sign x
-    op(orbit) and weight(graph) = sign x weight(orbit).  Immutable once
-    built, so one family serves every caller.  The orbits of one graph
-    sum act on the same arguments, so callers pass each argument's jet
-    to every orbit's apply and it is differentiated once per sum."""
+    """Operators of the admissible graphs with fields[i] at aerial
+    vertex i and m grounds, built once per orbit.  orbits lists
+    (representative, serial, k) of the orbits with nonzero operator, in
+    enumerate_graphs order: each of the k members g has sign x rep's
+    operator and weight, (rep, sign) = orbit_representative(g, labels).
+    Immutable once built, so one family serves every caller."""
 
-    def __init__(self, graphs, fields):
+    def __init__(self, fields, m: int):
         fields = tuple(fields)
+        degrees = [f.degree for f in fields]
         # equal fields share a label unless of odd rank: relabelling
         # those flips the weight's sign but not the operator's
-        labels = tuple(fields.index(f) if f.degree % 2 else i
-                       for i, f in enumerate(fields))
-        self._ops = {}
-        rows = []
-        for g in graphs:
-            rep, sign = orbit_representative(g, labels)
-            orbit = serialize(rep)
-            if orbit not in self._ops:
-                self._ops[orbit] = build_operator(rep, fields)
-            if self._ops[orbit].terms:
-                rows.append((g, serialize(g), orbit, sign))
-        self.rows = tuple(rows)
+        self.labels = tuple(fields.index(f) if f.degree % 2 else i
+                            for i, f in enumerate(fields))
+        # a graph with sorted rows stands for the orderings of its rows
+        orderings = math.prod(math.factorial(p + 1) for p in degrees)
+        sizes = {}
+        for g in enumerate_graphs(len(fields), m, degrees):
+            if all(t == tuple(sorted(t)) for t in g.out_edges):
+                rep = orbit_representative(g, self.labels)[0]
+                sizes[rep] = sizes.get(rep, 0) + orderings
+        self._ops = {serialize(rep): build_operator(rep, fields)
+                     for rep in sizes}
+        self.orbits = tuple((rep, ser, k) for (rep, k), (ser, op) in zip(
+            sizes.items(), self._ops.items()) if op.terms)
 
     def apply(self, orbit: str, args, jets=None) -> Polynomial:
         """The orbit's operator on args; jets as PolyDiffOperator.apply."""
         return self._ops[orbit].apply(args, jets)
 
 
-@functools.lru_cache(maxsize=8)
-def orbit_operators(fields: tuple, m: int) -> OrbitOperators:
-    """OrbitOperators of every admissible graph with fields[i] at aerial
-    vertex i and m ground vertices, kept for the last few (fields, m)
-    pairs: the operators are exact functions of them, so star products
-    and u_n on equal fields build each orbit operator once."""
-    return OrbitOperators(
-        enumerate_graphs(len(fields), m, [f.degree for f in fields]), fields)
+# OrbitOperators(fields, m) of the last few (fields, m): star products
+# and u_n on equal fields build each orbit operator once
+orbit_operators = functools.lru_cache(maxsize=8)(OrbitOperators)

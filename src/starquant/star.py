@@ -6,33 +6,31 @@ WeightTable; their statistical errors are pushed through every
 derived quantity, so each report carries a per-power bound.
 
 Orbit sharing.  Every aerial vertex carries the same antisymmetric
-bivector, so a star graph's operator and its weight are sign x its
-orbit representative's (graphs.orbit_representative).  Operators come
-from operators.orbit_operators and weights from _resolve_weights, both
-shared with formality.py's u_n; each star product applies each orbit
-once per argument pair against the orbit weight W_r = sum of sign x
-weight over its members, summed exactly.  Within one product every
-series coefficient has one derivative jet (operators.PolyDiffOperator
-.apply), shared by all orbits and dropped when the product returns,
-and an orbit whose applies within the truncation are all zero adds no
-term.  A graph without a table entry of its own reads its
-representative's, filled once per orbit: exact from
-weights.exact_weight (the vanishing lemma, the order-0 and
+bivector, so each of the k_r members of an orbit r of
+operators.orbit_operators has sign x its representative's operator
+and weight: the hbar^n sum runs over orbits, against the orbit weight
+W_r = sum of sign x weight over the members, summed exactly.  The
+families, and the weight reads of _resolve_weights, are shared with
+formality.py's u_n.  A member with a table entry of its own reads it;
+the others read their representative's, filled once per orbit: exact
+from weights.exact_weight (the vanishing lemma, the order-0 and
 derivative-free graphs, the solved orbits of weights.SOLVED_WEIGHTS)
 when it has a closed form, else by one pooled integral.  so(3)
 products and checks through hbar^3 therefore integrate nothing, and
 their bounds are 0, unless the table holds sampled entries of their
-graphs.  Jacobi reports are kept across calls (_jacobi_report), so
-products and checks on one Poisson structure build each orbit
-operator and prove Jacobi once.
+graphs.  A product applies each orbit once per argument pair, on one
+derivative jet per series coefficient (operators.PolyDiffOperator
+.apply) dropped on return; an orbit whose applies are all zero adds
+no term.  Jacobi is proved once per Poisson structure (_jacobi_report).
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
 sensitivity.  A star coefficient is linear in the orbit weights and a
 composite like (f*g)*h - f*(g*h) is at most quadratic, so forward-mode
 derivatives d/dW_r carried through each star product are exact.  A
-sampled table entry e enters W_r with coefficient c_e, its readers'
-sum of sign (own entry) or 1, so its sensitivity is c_e x d/dW_r.
+sampled table entry e enters W_r with coefficient c_e (its member's
+sign, plus k_r - o_r for the representative's entry when o_r members
+read their own), so its sensitivity is c_e x d/dW_r.
 Entries are sampled with independent seeds, so quadrature_bound adds
 (|c_e| std_error x probe sup of d/dW_r)^2 entry by entry, the sup
 taken over the lattice PROBE^d = {-1, 0, 1}^d once per orbit: an
@@ -49,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import parse
+from .graphs import orbit_representative, parse, serialize
 from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, validate_poisson
@@ -68,12 +66,10 @@ PROBE = (-1, 0, 1)      # sup norms are taken over PROBE^d
 class StarConfig:
     """Assembly knobs: truncation order, weight table, tolerances.
 
-    Weights are read as _resolve_weights reads them: a graph's own
-    table entry, else its orbit representative's, closed form where
-    one is known and sampled otherwise.  A graph with a closed form is
-    sampled through a sampled table entry of its own.  jacobi "warn"
-    downgrades a failed Jacobi identity from an error to a warning for
-    experiments on non-Poisson bivectors.
+    Weights are read as _resolve_weights reads them, so a graph with a
+    closed form is sampled through a sampled table entry of its own.
+    jacobi "warn" downgrades a failed Jacobi identity from an error to
+    a warning for experiments on non-Poisson bivectors.
     """
 
     order: int = 2
@@ -250,31 +246,49 @@ def _jacobi_report(alpha: PolyVectorField):
     return validate_poisson(alpha)
 
 
-def _resolve_weights(rows, cfg: StarConfig, table: WeightTable) -> list:
-    """(r, entry serial, c_e, weight as QI, std_error) for each table
-    entry that rows (r, serial, sign) read, at any ground count,
-    r = (order, orbit representative's serial), in first-read order.
+@functools.lru_cache(maxsize=None)
+def _orbit_of(ser: str, labels: tuple) -> tuple:
+    """(orbit serial, sign, out-edges) of the graph serialised as ser,
+    by graphs.orbit_representative with labels, once per process; a
+    graph of another order keeps its own serial."""
+    g = parse(ser)
+    rep, sign = orbit_representative(g, labels) if g.n == len(labels) \
+        else (g, 1)
+    return serialize(rep), sign, g.out_edges
 
-    A row reads its graph's own table entry when there is one.
-    Otherwise it reads its orbit representative's: its weight is sign x
-    the representative's, so it adds that entry with coefficient
-    sign x sign = 1.  Missing representatives get one entry each:
-    exact when exact_weight has a closed form, else integrated once at
-    k times the per-graph budget for the k rows that read it.  c_e
-    sums an entry's reads."""
-    coeff, pooled = {}, {}
-    for r, ser, sign in rows:
-        if table.lookup(ser) is None:
-            ser, sign = r[1], 1
-            pooled[ser] = pooled.get(ser, 0) + 1
-        coeff[r, ser] = coeff.get((r, ser), 0) + sign
+
+def _resolve_weights(families, cfg: StarConfig, table: WeightTable) -> list:
+    """(r, entry serial, c_e, weight as QI, std_error) for each table
+    entry read by families, triples (j, an OrbitOperators, the orbits
+    (rep, serial, k) of it to read), r = (j, orbit serial), in the
+    enumerate_graphs order of each entry's own graph, family by family.
+
+    An orbit member with a table entry of its own reads it, with
+    coefficient its sign.  The k - o others read the representative's,
+    as their weights are sign x its weight: it adds coefficient k - o.
+    Missing representatives get one entry each: exact when exact_weight
+    has a closed form, else integrated once at k - o times the
+    per-graph budget.  c_e sums an entry's reads."""
+    reads, pooled = {}, {}  # (family index, out-edges) -> [r, serial, c_e]
+    for i, (j, ops, orbits) in enumerate(families):
+        rest = {orbit: [rep, k] for rep, orbit, k in orbits}
+        for ser in table.serials():
+            orbit, sign, edges = _orbit_of(ser, ops.labels)
+            if orbit in rest:
+                reads[i, edges] = [(j, orbit), ser, sign]
+                rest[orbit][1] -= 1
+        for orbit, (rep, k) in rest.items():
+            if k:
+                reads.setdefault((i, rep.out_edges),
+                                 [(j, orbit), orbit, 0])[2] += k
+                pooled[orbit] = k
     table.ensure([parse(ser) for ser in pooled if table.lookup(ser) is None],
                  cfg.integration, use_exact=True, pooled=pooled)
-    out = []        # an entry serial belongs to one orbit, so one key
-    for (r, ser), c in coeff.items():
+    out = []
+    for _, (r, ser, c) in sorted(reads.items()):
         est = table.lookup(ser)
         out.append((r, ser, c, QI(est.exact if est.exact is not None
-                                  else Fraction(est.value)), est.std_error))
+                                  else est.value), est.std_error))
     return out
 
 
@@ -286,7 +300,7 @@ class _Engine:
     the factor of its orbit terms.  After ensure_weights, weights holds
     the exact orbit weight W_r of every orbit r = (order, orbit serial)
     and sources lists (r, |c_e| std_error) once per distinct sampled
-    table entry e, in the order rows first read them; both belong to
+    table entry e, in _resolve_weights' order; both belong to
     this engine alone.  star_series carries d/dW_r for the orbits named
     in sources.
     """
@@ -311,12 +325,10 @@ class _Engine:
     def ensure_weights(self) -> None:
         """Sum orbit weights W_r; a sampled entry read with coefficient
         c is one source (r, |c| x std_error)."""
-        rows = [((j, orbit), ser, sign)
-                for j, ops in self.families.items()
-                for _, ser, orbit, sign in ops.rows]
         sources = []
-        for r, _, c, w, sigma in _resolve_weights(rows, self.cfg,
-                                                  self.table):
+        for r, _, c, w, sigma in _resolve_weights(
+                [(j, ops, ops.orbits) for j, ops in self.families.items()],
+                self.cfg, self.table):
             self.weights[r] = self.weights.get(r, QI(0)) + c * w
             if sigma:
                 sources.append((r, abs(c) * sigma))

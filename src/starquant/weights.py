@@ -338,6 +338,10 @@ class WeightTable:
         hit = self._entries.get(ser)
         return hit[1] if hit else None
 
+    def serials(self):
+        """The serializations of the table's graphs, in table order."""
+        return self._entries.keys()
+
     def put(self, graph: KGraph, est: WeightEstimate) -> None:
         self._entries[serialize(graph)] = (graph, est)
 

@@ -9,6 +9,8 @@ from numbers import Rational
 import pytest
 
 from starquant import weights
+from starquant.graphs import enumerate_graphs, orbit_representative, serialize
+from starquant.operators import build_operator, orbit_operators
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
 from starquant.rational import QI
@@ -28,6 +30,24 @@ def without_solved_weights():
             yield
         finally:
             weights.exact_weight.cache_clear()
+
+
+def member_rows(fields, m: int) -> list:
+    """(graph, serial, orbit serial, sign) of every admissible graph with
+    fields[i] at aerial vertex i and m grounds whose operator is nonzero,
+    in enumerate_graphs order: the per-graph definition of the
+    orbit_operators family, each graph canonicalised on its own under
+    the family's labels and each orbit operator built here."""
+    labels = orbit_operators(tuple(fields), m).labels
+    nonzero = {}
+    rows = []
+    for g in enumerate_graphs(len(fields), m, [f.degree for f in fields]):
+        rep, sign = orbit_representative(g, labels)
+        if rep not in nonzero:
+            nonzero[rep] = bool(build_operator(rep, fields).terms)
+        if nonzero[rep]:
+            rows.append((g, serialize(g), serialize(rep), sign))
+    return rows
 
 
 def so3_alpha() -> PolyVectorField:

@@ -75,6 +75,16 @@ class TestEnumerate:
     def test_cap_exit_code(self, capsys):
         assert main(["enumerate", "-n", "5", "-m", "2"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "-n", "1000", "-m", "2"], ["weight", "-n", "1000"]])
+    def test_huge_order_exit_3(self, capsys, argv):
+        """A count past the cap is not formed in full, so the message
+        has no 4000-digit number to print."""
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: more than 1000000 graphs; raise `cap` explicitly to "
+            "proceed\n")
+
     @pytest.mark.parametrize("degrees", ["1,x", "1,,1", "x", "1.5", "-5,1"])
     def test_bad_degrees_exit_2(self, capsys, degrees):
         assert main(["enumerate", "-n", "2", f"--degrees={degrees}"]) == 2

@@ -26,7 +26,7 @@ from starquant.rational import QI
 from starquant.star import StarConfig, star_expansion
 from starquant.weights import IntegrationConfig, WeightTable
 
-from helpers import random_linear_bivector, random_poly
+from helpers import member_rows, random_linear_bivector, random_poly
 
 DIM = 3
 operators_mod = importlib.import_module("starquant.operators")
@@ -438,7 +438,7 @@ class TestClosedFormCovariance:
             "bivector_trivector": ((so3_bivector(), _trivector()), 3),
             "trivector_bivector": ((_trivector(), so3_bivector()), 3),
         }[family]
-        rows = operators_mod.orbit_operators(fields, m).rows
+        rows = member_rows(fields, m)
         assert rows
         for g, ser, orbit, sign in rows:
             want = weights_mod.exact_weight(parse(orbit))
@@ -507,8 +507,8 @@ class TestWeightReading:
                                     cfg)
         assert rep.ok and rep.rows[0].bound > 0
         assert len(calls) == 4
-        orbits = {row[2] for family in (fields, fields[::-1])
-                  for row in operators_mod.orbit_operators(family, 3).rows}
+        orbits = {row[1] for family in (fields, fields[::-1])
+                  for row in operators_mod.orbit_operators(family, 3).orbits}
         assert {serialize(g) for g in calls} <= orbits
         assert sum(est.n_samples for _, est in cfg.table) == 48 * 65536
 

@@ -1,6 +1,7 @@
 """Graph enumeration against a brute-force oracle, plus serialization
 round-trips and the mirror involution."""
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,20 @@ class TestCounts:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             enumerate_graphs(4, 2, [1, 1, 1, 1], cap=1000)
+
+    def test_cap_stops_at_the_first_factor_past_it(self, monkeypatch):
+        """A huge order fails at once and names the cap, not the count:
+        the running product passes the cap after the first vertex, long
+        before the 20000-digit count would exist."""
+        calls = []
+        perm = math.perm
+        monkeypatch.setattr(math, "perm",
+                            lambda *a: calls.append(a) or perm(*a))
+        with pytest.raises(EnumerationCapError,
+                           match=r"^more than 1000000 graphs;"):
+            enumerate_graphs(3000, 2, [1] * 3000)
+        assert len(calls) == 1
+        assert count_graphs(3, 2, [1] * 3) == 1728
 
     def test_canonical_order_stable(self):
         a = [serialize(g) for g in enumerate_graphs(2, 2, [1, 1])]

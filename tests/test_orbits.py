@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from starquant.errors import ParseError
-from starquant.graphs import (KGraph, enumerate_graphs, orbit_representative,
-                              parse, serialize, star_graphs)
+from starquant.graphs import (KGraph, count_graphs, enumerate_graphs,
+                              orbit_representative, parse, serialize,
+                              star_graphs)
 from starquant.operators import build_operator
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField, sort_with_sign
@@ -26,8 +27,8 @@ from starquant.star import (StarConfig, check_associativity,
 from starquant.weights import (IntegrationConfig, WeightEstimate, WeightTable,
                                exact_weight)
 
-from helpers import (dense_integrand, random_polynomial, so3_alpha,
-                     without_solved_weights)
+from helpers import (dense_integrand, member_rows, random_linear_bivector,
+                     random_polynomial, so3_alpha, without_solved_weights)
 
 HALF_I = QI(0, Fraction(1, 2))
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
@@ -102,6 +103,58 @@ class TestOrbitMap:
             orbit_representative(KGraph(1, 2, ((1, 1),)))
 
 
+def two_bivectors():
+    rng = random.Random(7)
+    return random_linear_bivector(rng), random_linear_bivector(rng)
+
+
+def vector_field():
+    """x1 d0 + x0 x2 d2 on R^3: rank one, so equal copies stay apart."""
+    x = [Polynomial.variable(3, i) for i in range(3)]
+    return PolyVectorField(3, 0, {(0,): x[1], (2,): x[0] * x[2]})
+
+
+# (fields, m) of a family, and its number of orbits
+FAMILIES = {
+    "so3-1": (lambda: ((so3_alpha(),), 2), 1),
+    "so3-2": (lambda: ((so3_alpha(),) * 2, 2), 6),
+    "so3-3": (lambda: ((so3_alpha(),) * 3, 2), 44),
+    "ab-m2": (lambda: (two_bivectors(), 2), 9),
+    "ab-m3": (lambda: (two_bivectors(), 3), 36),
+    "aa-m3": (lambda: ((two_bivectors()[0],) * 2, 3), 21),
+    "vv-so3": (lambda: ((vector_field(),) * 2 + (so3_alpha(),), 2), 96),
+}
+
+
+class TestOrbitFamily:
+    @pytest.mark.parametrize("case", FAMILIES)
+    def test_against_the_per_graph_definition(self, case):
+        """A family canonicalises only its sorted graphs, yet matches the
+        per-graph definition: it builds one operator per orbit of
+        orbit_representative over enumerate_graphs, in that order;
+        .orbits lists the orbits with a nonzero operator, in that order,
+        with their member counts k; and the k plus the members of the
+        zero orbits add up to count_graphs."""
+        make, count = FAMILIES[case]
+        fields, m = make()
+        family = operators_mod.orbit_operators(fields, m)
+        degrees = [f.degree for f in fields]
+        reps = {}
+        for g in enumerate_graphs(len(fields), m, degrees):
+            rep = serialize(orbit_representative(g, family.labels)[0])
+            reps[rep] = reps.get(rep, 0) + 1
+        assert list(family._ops) == list(reps) and len(reps) == count
+        members = {}
+        for *_, orbit, _ in member_rows(fields, m):
+            members[orbit] = members.get(orbit, 0) + 1
+        assert [(serialize(rep), ser, k) for rep, ser, k in family.orbits] \
+            == [(ser, ser, k) for ser, k in members.items()]
+        assert members and all(family._ops[ser].terms for ser in members)
+        zero = [k for ser, k in reps.items() if not family._ops[ser].terms]
+        assert sum(k for *_, k in family.orbits) + sum(zero) \
+            == count_graphs(len(fields), m, degrees)
+
+
 @pytest.fixture
 def build_calls(monkeypatch):
     """Graphs passed to build_operator, with the shared orbit-operator
@@ -120,7 +173,7 @@ def build_calls(monkeypatch):
 
 def family_state(family) -> tuple:
     """Everything an OrbitOperators family holds, by value."""
-    return family.rows, dict(family._ops), sorted(vars(family))
+    return family.orbits, dict(family._ops), sorted(vars(family))
 
 
 class TestOperatorSigns:
@@ -156,23 +209,27 @@ class TestOperatorSigns:
             -dense_integrand(g, u), rtol=1e-12)
         assert build_operator(relabelled, [v, v, q]) \
             == build_operator(g, [v, v, q])
-        orbit = {ser: o for _, ser, o, _ in
-                 operators_mod.orbit_operators((v, v, q), 2).rows}
+        orbit = {ser: o for _, ser, o, _ in member_rows((v, v, q), 2)}
         assert orbit[serialize(g)] != orbit[serialize(relabelled)]
 
     def test_engine_builds_one_operator_per_orbit(self, build_calls):
         """The engine's families of orders 1..3 build each of the
         1 + 6 + 44 orbit operators at most once, and list exactly the
-        star graphs whose operator is nonzero."""
+        orbits of the star graphs whose operator is nonzero, each with
+        its member count."""
         families = star_mod._Engine(so3_alpha(), StarConfig(order=3)).families
         assert len(build_calls) <= 1 + 6 + 44
         assert len(set(build_calls)) == len(build_calls)
         ops = {rep: build_operator(rep, [so3_alpha()] * rep.n)
                for rep in build_calls}
         for order, family in families.items():
-            assert [r[0] for r in family.rows] == [
-                g for g in star_graphs(order)
-                if ops[orbit_representative(g)[0]].terms]
+            members = {}
+            for g in star_graphs(order):
+                rep = orbit_representative(g)[0]
+                if ops[rep].terms:
+                    members[rep] = members.get(rep, 0) + 1
+            assert [(rep, k) for rep, _, k in family.orbits] == list(
+                members.items())
 
     def test_equal_bivectors_share_operators_across_calls(self, build_calls):
         """Two order-3 products on equal but distinct so(3) objects build
@@ -199,7 +256,7 @@ class TestOperatorSigns:
         star_expansion(x[0] * x[1], x[2] * x[0], so3_alpha(), cfg)
         assert len(build_calls) == built
         assert [family_state(f) for f in families] == before
-        assert all(f.rows for f in families)
+        assert all(f.orbits for f in families)
 
 
 # -- graph-by-graph reference assembly ------------------------------------
@@ -293,22 +350,30 @@ CASES = {"so3": so3_alpha, "dim2": dim2_alpha}
 
 
 @pytest.fixture(scope="module", params=sorted(
-    [*CASES, *(f"{case}-per-graph" for case in CASES)]))
+    [*CASES, *(f"{case}-{own}" for case in CASES
+               for own in ("mixed", "per-graph"))]))
 def seeded(request):
     """A bivector, its input polynomials, and a small seeded order-2
     table filled by one star product on the sampled path: with one
-    pooled entry per sampled orbit, or ("-per-graph") pre-filled with
-    every graph's own entry."""
-    case, _, per_graph = request.param.partition("-")
+    pooled entry per sampled orbit, pre-filled ("-per-graph") with every
+    graph's own entry, or ("-mixed") with the own entries of 16 of the 38
+    graphs, some of them representatives, and none for the rest."""
+    case, _, own = request.param.partition("-")
     alpha = CASES[case]()
     x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
     polys = (x[0] * x[1], x[1], x[0] * x[0])
     cfg = StarConfig(order=2, table=WeightTable(),
                      integration=IntegrationConfig(seed=17, n_samples=4096))
     with without_solved_weights():
-        if per_graph:
-            cfg.table.ensure(star_graphs(1) + star_graphs(2),
+        if own:
+            graphs = star_graphs(1) + star_graphs(2)
+            # a mixed table lists its entries out of enumeration order,
+            # so the order in which they are read shows in the bounds
+            cfg.table.ensure(graphs if own == "per-graph"
+                             else random.Random(9).sample(graphs, 16),
                              cfg.integration, use_exact=True)
+            assert {orbit_representative(gr)[0] == gr for gr, est in cfg.table
+                    if est.std_error} == {True, False}
         star_expansion(polys[0], polys[1], alpha, cfg)
     return alpha, polys, cfg, Reference(alpha, cfg.table, 2)
 
@@ -413,7 +478,7 @@ class TestSharedJets:
         rng = random.Random(31)
         orbits = [(ops, orbit) for ops in (
             operators_mod.orbit_operators((alpha,) * j, 2) for j in (1, 2, 3))
-            for orbit in dict.fromkeys(row[2] for row in ops.rows)]
+            for _, orbit, _ in ops.orbits]
         diffed = []
         diff = Polynomial.diff
 
@@ -495,9 +560,9 @@ def so3_config(order, seed, per_graph):
     integration = IntegrationConfig(seed=seed, n_samples=4096)
     table = WeightTable()
     if per_graph:
-        eng = star_mod._Engine(so3_alpha(), StarConfig(order=order))
-        table.ensure([g for family in eng.families.values()
-                      for g, *_ in family.rows], integration)
+        table.ensure([g for j in range(1, order + 1)
+                      for g, *_ in member_rows((so3_alpha(),) * j, 2)],
+                     integration)
     return StarConfig(order=order, table=table, integration=integration)
 
 
@@ -537,10 +602,9 @@ class TestPooledWeights:
         cfg = so3_config(3, 3, per_graph=False)
         f, g = so3_pair()
         cold = star_expansion(f, g, so3_alpha(), cfg)
-        members = {}
-        for family in star_mod._Engine(so3_alpha(), cfg).families.values():
-            for _, _, orbit, _ in family.rows:
-                members[orbit] = members.get(orbit, 0) + 1
+        members = {orbit: k for family in star_mod._Engine(
+            so3_alpha(), cfg).families.values()
+            for _, orbit, k in family.orbits}
         assert (len(members), sum(members.values())) == (17, 430)
         assert len(integrations) == 10
         assert {serialize(rep) for rep in integrations} == {
@@ -628,9 +692,8 @@ class TestPooledWeights:
         cfg = so3_config(2, 7, per_graph=False)
         bound = star_expansion(f, g, so3_alpha(), cfg).bounds[2]
         family = star_mod._Engine(so3_alpha(), cfg).families[2]
-        readers = {}            # the table started empty: every member
-        for _, _, orbit, _ in family.rows:
-            readers[orbit] = readers.get(orbit, 0) + 1
+        # the table started empty: every member reads its orbit's entry
+        readers = {orbit: k for _, orbit, k in family.orbits}
         entries = [(gr, est) for gr, est in cfg.table if est.std_error]
         assert entries and all(serialize(gr) in readers for gr, _ in entries)
         perturbed, per_member = 0.0, 0.0

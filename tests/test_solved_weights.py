@@ -24,8 +24,8 @@ from starquant.weights import (SOLVED_WEIGHTS, IntegrationConfig,
                                WeightEstimate, WeightTable, exact_weight,
                                weight)
 
-from helpers import (random_linear_bivector, random_poly, so3_alpha,
-                     without_solved_weights)
+from helpers import (member_rows, random_linear_bivector, random_poly,
+                     so3_alpha, without_solved_weights)
 
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
 
@@ -58,12 +58,8 @@ def unknown_orbits():
     """(order, orbit serial) -> members of the so(3) orbits of orders 2-3
     with a nonzero operator and no closed form outside the solved table."""
     eng = star_mod._Engine(so3_alpha(), StarConfig(order=3))
-    members = {}
-    for j, family in eng.families.items():
-        for g, _, orbit, _ in family.rows:
-            if exact_weight(g) is None:
-                members[j, orbit] = members.get((j, orbit), 0) + 1
-    return members
+    return {(j, orbit): k for j, family in eng.families.items()
+            for rep, orbit, k in family.orbits if exact_weight(rep) is None}
 
 
 def associativity_rows(members, triples):
@@ -277,8 +273,7 @@ class TestSolvedTable:
 
     def test_members_read_sign_times_representative(self):
         for j in (2, 3):
-            for g, _, orbit, sign in star_mod._Engine(
-                    so3_alpha(), StarConfig(order=j)).families[j].rows:
+            for g, _, orbit, sign in member_rows((so3_alpha(),) * j, 2):
                 if orbit in SOLVED_WEIGHTS:
                     assert exact_weight(g) == sign * SOLVED_WEIGHTS[orbit]
 
@@ -359,8 +354,8 @@ class TestExactAssociativity:
         cfg = StarConfig(order=3, table=WeightTable())
         star_expansion(x[0] * x[1] * x[2], x[0] * x[0] * x[1], so3_alpha(),
                        cfg)
-        orbits = {row[2] for family in star_mod._Engine(
-            so3_alpha(), cfg).families.values() for row in family.rows}
+        orbits = {row[1] for family in star_mod._Engine(
+            so3_alpha(), cfg).families.values() for row in family.orbits}
         assert len(orbits) == len(cfg.table) == 17
         assert {serialize(g) for g, _ in cfg.table} == orbits
         assert all(est.exact is not None for _, est in cfg.table)

@@ -23,7 +23,7 @@ from starquant.star import (PROBE, ResidualReport, ResidualRow,
                             star, star_expansion)
 from starquant.weights import IntegrationConfig, WeightTable, exact_weight
 
-from helpers import broken_alpha, random_polynomial, so3_alpha
+from helpers import broken_alpha, member_rows, random_polynomial, so3_alpha
 
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
 
@@ -200,7 +200,7 @@ class TestTablePrecedence:
         nonzero closed form, other than its orbit's representative,
         whose orbit operator acts on (F, G)."""
         ops = orbit_operators((so3_alpha(),) * 2, 2)
-        return next(row for row in ops.rows
+        return next(row for row in member_rows((so3_alpha(),) * 2, 2)
                     if row[1] != row[2] and exact_weight(row[0])
                     and not ops.apply(row[2], (self.F, self.G)).is_zero())
 
@@ -226,7 +226,7 @@ class TestTablePrecedence:
         sigma = table.lookup(orbit).std_error
         eng = star_mod._Engine(so3_alpha(), StarConfig(order=2, table=table))
         eng.ensure_weights()
-        k = sum(row[2] == orbit for row in eng.families[2].rows)
+        k = next(k for _, o, k in eng.families[2].orbits if o == orbit)
         assert k > 1 and sigma > 0
         assert eng.sources == [((2, orbit), k * sigma)]
         assert table.lookup(ser) is None
