@@ -12,7 +12,8 @@ times five operations, each over a fixed list of operands:
 
     apply       OrbitOperators.apply of every orbit with a nonzero
                 weight on (f, g), (g, h), (f g, h) and (f, g h) of
-                every triple
+                every triple, each call on fresh copies of its
+                arguments (see Timing)
     poly_mul    Polynomial * Polynomial over all pairs of
                 [f, g, h, f g, g h] of every triple
     poly_diff   Polynomial.diff(i) of every nonzero apply result, for
@@ -28,7 +29,11 @@ Timing.  Each round runs one fresh interpreter per side, alternating
 which side goes first.  A worker runs every operation once untimed
 (imports, caches), then REPEATS times, keeping each operation's
 minimum, so one noisy moment on a shared host does not decide a
-round.  The file records per operation the seconds per call (median
+round.  Polynomial.derivative memoises on the polynomial, so apply on
+the same argument objects would read the derivatives that earlier
+calls left there; each apply call instead gets fresh copies of its
+arguments, made before the timer starts, and differentiates them
+itself.  The file records per operation the seconds per call (median
 and quartiles over rounds, per side), the median speed-up and in how
 many rounds the change was faster.
 
@@ -51,6 +56,7 @@ from pathlib import Path
 from paired import (add_options, checkouts, run_rounds, run_worker, spread,
                     versions)
 
+from starquant.poly import Polynomial
 # resolved at import, so that --help fails once the private name is gone;
 # a worker imports it from its own side's src (PYTHONPATH)
 from starquant.star import _Engine
@@ -63,7 +69,8 @@ OPERATIONS = ("apply", "poly_mul", "poly_diff", "qi_mul", "qi_add", "unit")
 
 
 def build(seed: int) -> dict:
-    """The operations of one worker: name -> (calls, thunk)."""
+    """The operations of one worker: name -> (calls, prepare), where
+    prepare() returns the thunk to time."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -89,28 +96,37 @@ def build(seed: int) -> dict:
         + [c for p in polys for c in p.terms.values()]))[:QI_VALUES]
     pairs = list(itertools.product(values, repeat=2))
 
+    def fresh_applies():
+        calls = [(ops, orbit, [Polynomial(p.dim, p.terms) for p in args])
+                 for ops, orbit, args in applies]
+        return lambda: [ops.apply(orbit, args) for ops, orbit, args in calls]
+
+    def fixed(thunk):
+        return lambda: thunk
+
     def unit():
         return bench.unit(state, workloads.Checks())
 
     return {
-        "apply": (len(applies), lambda: [
-            ops.apply(orbit, args) for ops, orbit, args in applies]),
-        "poly_mul": (len(muls), lambda: [p * q for p, q in muls]),
-        "poly_diff": (len(diffs), lambda: [p.diff(i) for p, i in diffs]),
-        "qi_mul": (len(pairs), lambda: [x * y for x, y in pairs]),
-        "qi_add": (len(pairs), lambda: [x + y for x, y in pairs]),
-        "unit": (1, unit),
+        "apply": (len(applies), fresh_applies),
+        "poly_mul": (len(muls), fixed(lambda: [p * q for p, q in muls])),
+        "poly_diff": (len(diffs),
+                      fixed(lambda: [p.diff(i) for p, i in diffs])),
+        "qi_mul": (len(pairs), fixed(lambda: [x * y for x, y in pairs])),
+        "qi_add": (len(pairs), fixed(lambda: [x + y for x, y in pairs])),
+        "unit": (1, fixed(unit)),
     }
 
 
 def worker(seed: int) -> dict:
     ops = build(seed)
     out = {}
-    for name, (calls, thunk) in ops.items():
-        digest = hashlib.sha256(repr(thunk()).encode()).hexdigest()
+    for name, (calls, prepare) in ops.items():
+        digest = hashlib.sha256(repr(prepare()()).encode()).hexdigest()
         out[name] = {"calls": calls, "sha256": digest, "seconds": None}
     for _ in range(REPEATS):
-        for name, (_, thunk) in ops.items():
+        for name, (_, prepare) in ops.items():
+            thunk = prepare()
             t0 = time.perf_counter()
             thunk()
             dt = time.perf_counter() - t0

@@ -69,7 +69,8 @@ def worker(operation: str, seed: int) -> dict:
                 "result": proc.returncode}
     if operation == "unit":
         from bench_exact import build
-        _, unit = build(seed)["unit"]
+        _, prepare = build(seed)["unit"]
+        unit = prepare()
         result = hashlib.sha256(repr(unit()).encode()).hexdigest()
         best = None
         for _ in range(REPEATS):

@@ -35,7 +35,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .errors import ConfigError, DegreeMismatchError, DimensionMismatchError
-from .operators import derivative, orbit_operators
+from .operators import orbit_operators
 from .poly import Polynomial
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
@@ -71,9 +71,8 @@ def _check_dims(fields, args):
     return dim
 
 
-def _u1_closed(field: PolyVectorField, args, jets) -> Polynomial:
-    """((-1)^(p+1)/(p+1)!) a^{j0..jp} d_{j0}f_0 ... d_{jp}f_p, exact,
-    with jets[k] the derivative jet of args[k]."""
+def _u1_closed(field: PolyVectorField, args) -> Polynomial:
+    """((-1)^(p+1)/(p+1)!) a^{j0..jp} d_{j0}f_0 ... d_{jp}f_p, exact."""
     p = field.degree
     dim = field.dim
     sign = QI(Fraction((-1) ** (p + 1), math.factorial(p + 1)))
@@ -83,26 +82,23 @@ def _u1_closed(field: PolyVectorField, args, jets) -> Polynomial:
         for slot, j in enumerate(idx):
             if term.is_zero():
                 break
-            term = term * derivative(args[slot], (j,), jets[slot])
+            term = term * args[slot].derivative((j,))
         if not term.is_zero():
             out = out + term
     return out * sign
 
 
-def _u_numeric(fields, args, cfg: StarConfig, jets=None) -> Measured:
+def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
     """Labeled graph sum over orbits with nonzero applied value; args
-    applied reversed, on their derivative jets (fresh ones when jets is
-    None), weights read from cfg.table by _resolve_weights.  Each
-    sampled entry's sensitivity is d/dw of its value.
+    applied reversed, weights read from cfg.table by _resolve_weights.
+    Each sampled entry's sensitivity is d/dw of its value.
     """
     n = len(fields)
     rational = QI(Fraction((-1) ** n, math.prod(
         math.factorial(f.degree + 1) for f in fields)))
     rev = tuple(reversed(args))
-    rev_jets = tuple(reversed(jets)) if jets is not None else None
     ops = orbit_operators(tuple(fields), len(args))
-    applied = {orbit: ops.apply(orbit, rev, rev_jets)
-               for _, orbit, _ in ops.orbits}
+    applied = {orbit: ops.apply(orbit, rev) for _, orbit, _ in ops.orbits}
     orbits = [o for o in ops.orbits if not applied[o[1]].is_zero()]
     value = Polynomial.zero(args[0].dim)
     sens: dict = {}
@@ -115,29 +111,24 @@ def _u_numeric(fields, args, cfg: StarConfig, jets=None) -> Measured:
     return Measured(value, sens)
 
 
-def _apply_u(fields, args, cfg: StarConfig, jets=None) -> Measured:
-    """Ghost-gated u_n on plain polynomial arguments; jets[k], when
-    given, is the derivative jet of args[k] (operators.derivative)."""
+def _apply_u(fields, args, cfg: StarConfig) -> Measured:
+    """Ghost-gated u_n on plain polynomial arguments."""
     n = len(fields)
     dim = _check_dims(fields, args)
     if len(args) != ghost_argument_count(n, [f.degree for f in fields]):
         return Measured(Polynomial.zero(dim))
-    if jets is None:
-        jets = [{} for _ in args]
     if n == 0:
         return Measured(args[0] * args[1])
     if n == 1:
-        return Measured(_u1_closed(fields[0], args, jets))
-    return _u_numeric(fields, args, cfg, jets)
+        return Measured(_u1_closed(fields[0], args))
+    return _u_numeric(fields, args, cfg)
 
 
 def _apply_u_carrying(fields, args, cfg: StarConfig) -> Measured:
-    """As _apply_u but arguments are Measured; multilinear first order.
-    Every application shares the jets of the unchanged arguments."""
+    """As _apply_u but arguments are Measured; multilinear first order."""
     n = len(fields)
     values = [a.value for a in args]
-    jets = [{} for _ in values]
-    base = _apply_u(fields, values, cfg, jets)
+    base = _apply_u(fields, values, cfg)
     carriers = [(slot, a) for slot, a in enumerate(args) if a.sens]
     if not carriers or len(values) != ghost_argument_count(
             n, [f.degree for f in fields]):
@@ -149,9 +140,9 @@ def _apply_u_carrying(fields, args, cfg: StarConfig) -> Measured:
     sens = dict(base.sens)
     for slot, a in carriers:
         for ser, spoly in a.sens.items():
-            sub, sub_jets = list(values), list(jets)
-            sub[slot], sub_jets[slot] = spoly, {}
-            push = _apply_u(fields, sub, cfg, sub_jets).value
+            sub = list(values)
+            sub[slot] = spoly
+            push = _apply_u(fields, sub, cfg).value
             sens[ser] = sens[ser] + push if ser in sens else push
     return Measured(base.value, sens)
 

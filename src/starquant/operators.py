@@ -16,9 +16,9 @@ which counts a family's graphs per graphs.orbit_representative orbit,
 canonicalising only those with sorted out-edges, and builds one
 operator per orbit.  Its cache is the one place where built operators
 outlive a call; applied values are never kept.
-Derivatives of the arguments are read through jets (see
-PolyDiffOperator.apply) that the caller keeps for one graph sum, so
-every orbit of a star product or u_n differentiates its arguments once.
+Derivatives of the arguments are read through Polynomial.derivative,
+memoised on each argument for as long as it lives, so every orbit of a
+star product or u_n differentiates its arguments once.
 """
 from __future__ import annotations
 
@@ -28,24 +28,10 @@ import math
 
 from .errors import (ArityMismatchError, DegreeMismatchError,
                      DimensionMismatchError)
-from .graphs import (KGraph, enumerate_graphs, orbit_representative,
+from .graphs import (DEFAULT_CAP, KGraph, count_graphs, orbit_representative,
                      serialize)
 from .poly import Polynomial
 from .rational import QI
-
-
-def derivative(p: Polynomial, multi: tuple, jet: dict) -> Polynomial:
-    """d^multi p for a sorted multi-index, read from jet (multi-index ->
-    derivative of p) and added to it with every prefix of multi."""
-    if not multi:
-        return p
-    d = jet.get(multi)
-    if d is None:
-        d = derivative(p, multi[:-1], jet)
-        if not d.is_zero():
-            d = d.diff(multi[-1])
-        jet[multi] = d
-    return d
 
 
 class PolyDiffOperator:
@@ -86,14 +72,9 @@ class PolyDiffOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def apply(self, args, jets=None) -> Polynomial:
-        """The operator on args, reading d^a args[k] from jets[k].
-
-        jets[k] maps a sorted multi-index a to d^a args[k]; derivatives
-        missing from it are computed and added, so applies that share
-        an argument can share its jet and differentiate it once.
-        Without jets every argument gets a fresh one.
-        """
+    def apply(self, args) -> Polynomial:
+        """The operator on args, reading d^a args[k] through
+        args[k].derivative(a)."""
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityMismatchError(
@@ -102,16 +83,11 @@ class PolyDiffOperator:
             if a.dim != self.dim:
                 raise DimensionMismatchError(
                     f"argument dim {a.dim}, operator dim {self.dim}")
-        if jets is None:
-            jets = [{} for _ in args]
-        elif len(jets) != self.arity:
-            raise ArityMismatchError(
-                f"operator takes {self.arity} jets, got {len(jets)}")
         out = Polynomial.zero(self.dim)
         for key, coeff in self.terms.items():
             term = coeff
-            for multi, arg, jet in zip(key, args, jets):
-                factor = derivative(arg, multi, jet)
+            for multi, arg in zip(key, args):
+                factor = arg.derivative(multi)
                 if factor.is_zero():
                     break
                 term = term * factor
@@ -213,21 +189,27 @@ class OrbitOperators:
         # those flips the weight's sign but not the operator's
         self.labels = tuple(fields.index(f) if f.degree % 2 else i
                             for i, f in enumerate(fields))
-        # a graph with sorted rows stands for the orderings of its rows
+        # a graph with sorted rows stands for the orderings of its rows;
+        # those graphs, in enumerate_graphs order, are the products of
+        # each vertex's sorted target tuples
+        n = len(fields)
+        count_graphs(n, m, degrees, cap=DEFAULT_CAP)  # enumerate_graphs' cap
         orderings = math.prod(math.factorial(p + 1) for p in degrees)
+        rows = [itertools.combinations([t for t in range(n + m) if t != i],
+                                       p + 1) for i, p in enumerate(degrees)]
         sizes = {}
-        for g in enumerate_graphs(len(fields), m, degrees):
-            if all(t == tuple(sorted(t)) for t in g.out_edges):
-                rep = orbit_representative(g, self.labels)[0]
-                sizes[rep] = sizes.get(rep, 0) + orderings
+        for out_edges in itertools.product(*rows):
+            rep = orbit_representative(KGraph(n, m, out_edges),
+                                       self.labels)[0]
+            sizes[rep] = sizes.get(rep, 0) + orderings
         self._ops = {serialize(rep): build_operator(rep, fields)
                      for rep in sizes}
         self.orbits = tuple((rep, ser, k) for (rep, k), (ser, op) in zip(
             sizes.items(), self._ops.items()) if op.terms)
 
-    def apply(self, orbit: str, args, jets=None) -> Polynomial:
-        """The orbit's operator on args; jets as PolyDiffOperator.apply."""
-        return self._ops[orbit].apply(args, jets)
+    def apply(self, orbit: str, args) -> Polynomial:
+        """The orbit's operator on args."""
+        return self._ops[orbit].apply(args)
 
 
 # OrbitOperators(fields, m) of the last few (fields, m): star products

@@ -7,6 +7,8 @@ structural checks.  Scalars may be given as int, Fraction, float
 ints.  Polynomial(dim, terms) validates and coerces every term; the
 ring operations and diff, whose results already hold nonzero QI values
 on valid exponent tuples, build them through the unchecked _trusted.
+derivative memoises d^multi on the polynomial (its _jet slot), so the
+orbits of one graph sum differentiate each argument once.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ def _exp_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Polynomial:
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_jet")
 
     def __init__(self, dim: int, terms: Mapping[tuple[int, ...], object] | None = None):
         if dim < 0:
@@ -149,6 +151,25 @@ class Polynomial:
             out[tuple(ee)] = c * e[i]
         return _trusted(self.dim, out)
 
+    def derivative(self, multi: tuple) -> "Polynomial":
+        """d^multi of self for a sorted multi-index, memoised on self
+        with every prefix of multi.  The memo is made on first use and
+        lives as long as self; equality and hash ignore it."""
+        if not multi:
+            return self
+        try:
+            jet = self._jet
+        except AttributeError:
+            jet = {}
+            _set_jet(self, jet)
+        d = jet.get(multi)
+        if d is None:
+            d = self.derivative(multi[:-1])
+            if d.terms:
+                d = d.diff(multi[-1])
+            jet[multi] = d
+        return d
+
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -234,6 +255,7 @@ class Polynomial:
 
 _set_dim = Polynomial.dim.__set__
 _set_terms = Polynomial.terms.__set__
+_set_jet = Polynomial._jet.__set__
 
 
 def _trusted(dim: int, terms: dict) -> Polynomial:

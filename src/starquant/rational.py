@@ -22,9 +22,11 @@ def _ratio(x) -> tuple[int, int]:
     read exactly, and NaN or an infinity raises as Fraction(x) does."""
     if type(x) is int:
         return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
     if isinstance(x, float):
         return x.as_integer_ratio()
-    if isinstance(x, Rational):  # includes bool, Fraction
+    if isinstance(x, Rational):  # includes bool, Fraction subclasses
         f = Fraction(x)
         return int(f.numerator), int(f.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")

@@ -18,10 +18,11 @@ derivative-free graphs, the solved orbits of weights.SOLVED_WEIGHTS)
 when it has a closed form, else by one pooled integral.  so(3)
 products and checks through hbar^3 therefore integrate nothing, and
 their bounds are 0, unless the table holds sampled entries of their
-graphs.  A product applies each orbit once per argument pair, on one
-derivative jet per series coefficient (operators.PolyDiffOperator
-.apply) dropped on return; an orbit whose applies are all zero adds
-no term.  Jacobi is proved once per Poisson structure (_jacobi_report).
+graphs.  A product applies each orbit once per argument pair and
+reads each series coefficient's derivatives from its memo
+(Polynomial.derivative), which lives as long as the coefficient; an
+orbit whose applies are all zero adds no term.  Jacobi is proved once
+per Poisson structure (_jacobi_report).
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -342,18 +343,12 @@ class _Engine:
                 f"argument on R^{p.dim}, bivector on R^{self.dim}")
         return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
 
-    def _jets(self) -> list:
-        """One empty derivative jet per coefficient of a series."""
-        return [{} for _ in range(self.cfg.order + 1)]
-
-    def _orbit_term(self, r: tuple, F: FormalSeries, G: FormalSeries,
-                    jets: tuple) -> FormalSeries | None:
+    def _orbit_term(self, r: tuple, F: FormalSeries, G: FormalSeries
+                    ) -> FormalSeries | None:
         """T_r(F, G): (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l), r of
-        order j, with jets[0][k] and jets[1][l] the jets of F_k and G_l;
-        None when every such apply is zero."""
+        order j; None when every such apply is zero."""
         j, orbit = r
         N, ops, c = self.cfg.order, self.families[j], self.scales[j]
-        jf, jg = jets
         coeffs = None
         for k in range(N - j + 1):
             fk = F.coefficient(k)
@@ -363,23 +358,23 @@ class _Engine:
                 gl = G.coefficient(l)
                 if gl.is_zero():
                     continue
-                p = ops.apply(orbit, (fk, gl), (jf[k], jg[l]))
+                p = ops.apply(orbit, (fk, gl))
                 if not p.is_zero():
                     if coeffs is None:
                         coeffs = [Polynomial.zero(self.dim)] * (N + 1)
                     coeffs[j + k + l] = coeffs[j + k + l] + p * c
         return None if coeffs is None else FormalSeries(self.dim, N, coeffs)
 
-    def _star(self, F: FormalSeries, G: FormalSeries, jets: tuple,
+    def _star(self, F: FormalSeries, G: FormalSeries,
               terms: dict | None = None) -> FormalSeries:
         """F*G + sum over orbits r of W_r T_r(F, G), with T_r read from
         terms when given (it then holds every orbit with W_r != 0) and
-        computed on jets, as in _orbit_term, when not."""
+        computed by _orbit_term when not."""
         out = F * G
         for r, w in self.weights.items():
             if not w.is_zero():
                 t = terms[r] if terms is not None \
-                    else self._orbit_term(r, F, G, jets)
+                    else self._orbit_term(r, F, G)
                 if t is not None:
                     out = out + t * w
         return out
@@ -390,13 +385,10 @@ class _Engine:
         d(A*B)/dW_r = T_r(A, B) + dA*B + A*dB, exact because the star
         is linear in each W_r; each T_r(A, B) is computed once and
         serves both the value and d/dW_r, which is kept for every
-        sampled r even when it is zero.  Every series coefficient gets
-        one derivative jet for the call, shared by all orbits, and
-        dropped on return.
+        sampled r even when it is zero.
         """
-        ja, jb = self._jets(), self._jets()
         sampled = {r for r, _ in self.sources}
-        terms = {r: self._orbit_term(r, A.value, B.value, (ja, jb))
+        terms = {r: self._orbit_term(r, A.value, B.value)
                  for r, w in self.weights.items()
                  if r in sampled or not w.is_zero()}
         sens = {}
@@ -407,11 +399,11 @@ class _Engine:
             if d is None:
                 d = FormalSeries.zero(self.dim, self.cfg.order)
             if r in A.sens:
-                d = d + self._star(A.sens[r], B.value, (self._jets(), jb))
+                d = d + self._star(A.sens[r], B.value)
             if r in B.sens:
-                d = d + self._star(A.value, B.sens[r], (ja, self._jets()))
+                d = d + self._star(A.value, B.sens[r])
             sens[r] = d
-        return Measured(self._star(A.value, B.value, None, terms), sens)
+        return Measured(self._star(A.value, B.value, terms), sens)
 
     def bounds(self, m: Measured) -> tuple:
         """Per-power quadrature bound of a measured series."""

@@ -103,13 +103,15 @@ def test_import_loads_no_scipy():
     assert out.strip() == "False"
 
 
-def test_import_loads_no_numpy():
+def test_import_loads_no_numpy(tmp_path):
     """numpy and the sampler load on first use: not on import, not for
     a so(3) associativity check whose weights all have closed forms,
-    and numpy as soon as a weight is sampled.  No thread pool loads."""
+    not for its --out manifest, which records numpy's version, and
+    numpy as soon as a weight is sampled.  No thread pool loads."""
     import starquant
     src = str(Path(starquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    path = str(tmp_path / "assoc.txt")
     code = (
         "import contextlib, io, sys\n"
         "import starquant, starquant.cli\n"
@@ -119,12 +121,19 @@ def test_import_loads_no_numpy():
         "    code = starquant.cli.main(['verify', 'assoc', '-N', '3'])\n"
         "print(code, 'numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = starquant.cli.main(['verify', 'assoc', '-N', '3', "
+        f"'--out', {path!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = starquant.cli.main(['weight', '-n', '1', '--samples', "
         "'64'])\n"
-        "print(code, 'numpy' in sys.modules)\n")
+        "print(code, 'numpy' in sys.modules)\n"
+        "import json, numpy\n"
+        f"manifest = json.load(open({path!r} + '.manifest.json'))\n"
+        "print(manifest['versions']['numpy'] == numpy.__version__)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "0 False", "0 True"]
+    assert out.splitlines() == ["[]", "0 False", "0 False", "0 True", "True"]
 
 
 # the I_2 graph (one aerial vertex, three grounds) and its reversal

@@ -458,9 +458,9 @@ class TestApplyBudget:
         applied = []
         apply = operators_mod.OrbitOperators.apply
 
-        def recording(self, orbit, args, *jets):
+        def recording(self, orbit, args):
             applied.append((orbit, tuple(args)))
-            return apply(self, orbit, args, *jets)
+            return apply(self, orbit, args)
 
         monkeypatch.setattr(operators_mod.OrbitOperators, "apply", recording)
         check_associativity(f, g, h, alpha, cfg)
@@ -468,12 +468,13 @@ class TestApplyBudget:
         assert len(set(applied)) == len(applied)
 
 
-class TestSharedJets:
+class TestDerivativeMemo:
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_shared_jets_match_fresh_ones(self, case, monkeypatch):
-        """Every orbit of order <= 3 applied through one pair of jets
-        gives what it gives on fresh jets; once the jets are filled, a
-        second pass differentiates neither argument."""
+    def test_memo_matches_fresh_arguments(self, case, monkeypatch):
+        """Every orbit of order <= 3 applied to one pair of arguments
+        gives what it gives on fresh copies of them; once their
+        derivative memos are filled, a second pass differentiates
+        neither argument."""
         alpha = CASES[case]()
         rng = random.Random(31)
         orbits = [(ops, orbit) for ops in (
@@ -489,13 +490,14 @@ class TestSharedJets:
         for _ in range(3):
             args = tuple(random_polynomial(rng, alpha.dim, max_degree=5,
                                            n_terms=6) for _ in range(2))
-            jets = ({}, {})
-            values = [ops.apply(orbit, args, jets) for ops, orbit in orbits]
-            assert values == [ops.apply(orbit, args) for ops, orbit in orbits]
+            values = [ops.apply(orbit, args) for ops, orbit in orbits]
+            assert values == [
+                ops.apply(orbit, [Polynomial(a.dim, a.terms) for a in args])
+                for ops, orbit in orbits]
             assert any(not v.is_zero() for v in values)
             with monkeypatch.context() as mp:
                 mp.setattr(Polynomial, "diff", recording)
-                again = [ops.apply(orbit, args, jets) for ops, orbit in orbits]
+                again = [ops.apply(orbit, args) for ops, orbit in orbits]
             assert again == values
             assert diffed == []
 

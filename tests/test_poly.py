@@ -69,6 +69,23 @@ class TestPolynomialRing:
         for i in range(2):
             assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
 
+    @given(st.integers(0, 10 ** 6),
+           st.lists(st.integers(0, 2), max_size=4).map(sorted).map(tuple))
+    @settings(max_examples=100)
+    def test_derivative_is_the_chained_diff(self, seed, multi):
+        """derivative reads d^multi and each prefix from the memo it
+        fills; the memo changes neither equality nor hash."""
+        p = random_polynomial(random.Random(seed), 3, max_degree=5,
+                              n_terms=6)
+        copy, h = Polynomial(p.dim, p.terms), hash(p)
+        want = p
+        for k, i in enumerate(multi):
+            want = want.diff(i)
+            assert p.derivative(multi[:k + 1]) == want
+        d = p.derivative(multi)
+        assert d == want and d is p.derivative(multi)
+        assert p == copy and hash(p) == h == hash(copy)
+
     def test_eval(self):
         d = 2
         p = Polynomial.variable(d, 0) ** 2 * 3 + Polynomial.variable(d, 1) - 1

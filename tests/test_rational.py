@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import FractionQI
@@ -74,6 +74,10 @@ class TestAgainstFractionPairs:
         assert struct.pack("<d", abs(q)) == struct.pack("<d", abs(qr))
 
     @given(pairs)
+    @example((QI(Fraction(-6, 4), Fraction(10, -8)),
+              FractionQI(Fraction(-6, 4), Fraction(10, -8))))
+    @example((QI(Fraction(2, 4), Fraction(-1, 6)),
+              FractionQI(Fraction(2, 4), Fraction(-1, 6))))
     def test_normal_form(self, x):
         q, qr = x
         a, b, d = q._abd
