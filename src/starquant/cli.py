@@ -414,10 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integration seed (explicit seed => "
                             "byte-identical artifacts)")
         p.add_argument("--samples", type=int, default=None,
-                       help="total sample budget (default: per-dimension "
-                            "auto, about 1e6 at order 1 and 4e6 at order 2)")
+                       help="total sample budget per sampled graph "
+                            "(default: by form degree, about 4e6 at "
+                            "order 2); a graph with 2 sampled dimensions "
+                            "gets the deterministic rule instead")
         p.add_argument("--method", choices=("qmc", "mc"),
-                       default=None)
+                       default=None,
+                       help="sampler (default qmc); the deterministic "
+                            "rule's graphs ignore it")
         p.add_argument("--out", help="write the primary JSON artifact here "
                                      "(manifest lands next to it)")
         if order:

@@ -109,18 +109,20 @@ def angle_form(dx, ym, yp, ia, ib):
     return dx * (ia + ib), -(ym * ia + yp * ib), dx * (ib - ia)
 
 
-def source_form(dx, sy, out=None):
+def source_form(dx, sy, out=None, *, apart=False):
     """F(a, b) = int_H dphi(z, a) ^ dphi(z, b), z over H in dx ^ dy, from
     a - bbar = dx + i sy (dx = x_a - x_b, sy = y_a + y_b).
 
     a, b lie in the closed half plane; a = b gives 0, including a = b on
-    the axis, where arg is undefined.  Elementwise over arrays or scalars,
-    into out when given; no domain checks.
+    the axis, where arg is undefined.  apart=True promises a - bbar != 0
+    on every element whose value counts (a or b aerial, or two distinct
+    fixed grounds) and skips the search for a = b.  Elementwise over
+    arrays or scalars, into out when given; no domain checks.
     """
-    import numpy as np          # not at import: only sampling needs numpy
+    import numpy as np          # not at import: only integrals need numpy
     f = np.multiply(4.0 * math.pi, np.arctan2(sy, dx, out=out), out=out)
     f = np.subtract(f, 2.0 * math.pi ** 2, out=out)
-    if np.min(sy) > 0 or np.count_nonzero(dx) == np.size(dx):
+    if apart or np.min(sy) > 0 or np.count_nonzero(dx) == np.size(dx):
         return f                # a - bbar != 0 everywhere
     zero = np.logical_and(np.equal(dx, 0), np.equal(sy, 0))
     return np.positive(np.where(zero, 0.0, f), out=out)

@@ -1,5 +1,6 @@
-"""Sampled form integrals: the integrand and its replicates, loaded
-with numpy by the first integral weights.integrate_graph_form samples.
+"""Form integrals: the integrand, a deterministic rule for 2 sampled
+dimensions and sampled replicates for more, loaded with numpy by the
+first integral weights.integrate_graph_form computes.
 
 The integrand is det M where row k holds the coefficients of the k-th
 edge form (rows in vertex-then-slot order) and the columns run over
@@ -16,15 +17,21 @@ integrand is therefore prod_v source_form(a_v, b_v) det M' over
 sampled_dims(graph) = 2(n - #sources) + m - 2 coordinates, the
 remaining aerial points in vertex order, then the moving grounds.  A
 graph whose every aerial vertex is a source (the derivative-free
-graphs) keeps the full integrand, so its weight still carries a
-sampled std_error.  Default budgets stay keyed by the form degree
-2n + m - 2, and MAX_DIMS caps the sampled count.
+graphs) keeps the full integrand: 2n dimensions.  Default budgets stay
+keyed by the form degree 2n + m - 2, and MAX_DIMS caps the sampled
+count.
 
-Sampling maps each aerial point from the open unit square through
+Each aerial point comes from the open unit square through
 x = tan(pi (s - 1/2)), y = t/(1 - t); moving grounds are sorted
-uniforms (simplex sampling).  Each integral is estimated from 32
-independent replicates, and their spread gives the standard error.
-There are two methods:
+uniforms (simplex sampling).  A graph with 2 sampled dimensions is one
+aerial point over the grounds 0 and 1 (every other aerial vertex a
+source, or n = 1 and m = 2), and integrate gives it to _cubature: a
+graded tensor Gauss-Legendre rule on that square, split at the
+grounds, at two levels whose difference is the error estimate (method
+"cubature", no seed, no budget).  Any other graph is sampled
+(_sample): each integral is estimated from 32 independent replicates,
+and their spread gives the standard error.  There are two sampling
+methods:
 
 - qmc (default): each replicate is a scrambled-Sobol point set.
 - mc: each replicate is an iid PCG64 stream.  It stays as the
@@ -411,8 +418,9 @@ class _Plan:
     function, operands ending in the output) over views of the
     workspace, covering the ground sorting network, the point map and
     Jacobian, the guard's squared distances and mask, the source factors
-    (halfplane.source_form, one call, its masked branch being
-    data-dependent) and the program.  _block makes those calls and
+    (halfplane.source_form, one call each; it looks for a = bbar only
+    when both targets are grounds and one of them moves) and the
+    program.  _block makes those calls and
     writes det M x jac to out."""
 
     def __init__(self, graph: KGraph, rows: int):
@@ -665,8 +673,11 @@ class _Plan:
             call(np.divide, jac, divisor, jac)
         for a, b in self.sources:
             (xa, ya), (xb, yb) = coords(a), coords(b)
-            call(source_form, call(np.subtract, xa, xb, t0),
-                 call(np.add, ya, yb, t1), t2)
+            # a = bbar needs two grounds, one of them moving: an aerial
+            # target has y > 0 on every unguarded row
+            apart = "z" in (a[0], b[0]) or {a[1], b[1]} == {0, m - 1}
+            call(functools.partial(source_form, apart=apart),
+                 call(np.subtract, xa, xb, t0), call(np.add, ya, yb, t1), t2)
             call(np.multiply, jac, t2, jac)
 
         bufs = [ut[2 * i + (name == "y")] for name, i in self.cols] + \
@@ -675,6 +686,98 @@ class _Plan:
             call(ufunc, bufs[a], bufs[b], bufs[dst])
         root = 0.0 if self.root is None else bufs[self.root]
         return calls, root, jac, bad, btmp
+
+
+# ---------------------------------------------------------------------------
+# the deterministic rule for 2 sampled dimensions
+# ---------------------------------------------------------------------------
+
+# the rule's s panels: the grounds 0 and 1 map to (s, t) = (1/2, 0) and
+# (3/4, 0), so each is a panel corner
+_RULE_CUTS = (0.0, 0.5, 0.625, 0.75, 1.0)
+# Gauss-Legendre nodes per axis and panel: the coarse level, then the fine
+_RULE_LEVELS = (64, 96)
+
+
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the q-point Gauss-Legendre rule on [0, 1],
+    nodes ascending: Newton's method on the three-term recurrence from
+    Tricomi's estimates, in elementwise arithmetic alone (no LAPACK)."""
+    x = -np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, q + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = q * (x * p1 - p0) / (x * x - 1)    # P_q'(x)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    return (1 + x) / 2, 1 / ((1 - x * x) * dp * dp)
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_axes(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """(s, ws, t, wt): the level-q product rule on the unit square, whose
+    nodes are (s_i, t_j) with weight ws_i wt_j; s runs over every panel
+    of _RULE_CUTS in order, q nodes each, and t over [0, 1].  Each axis
+    of a panel maps Gauss-Legendre nodes through u -> u^3 / (u^3 +
+    (1-u)^3), which grades them toward both ends: near a ground, and
+    near the corners (0, 1) and (1, 1) that hold infinity, the
+    integrand goes like 1/r, and the grading's Jacobian cancels it."""
+    x, w = _gauss_legendre(q)
+    a, b = x ** 3, (1 - x) ** 3
+    t = a / (a + b)
+    wt = w * 3 * (x * (1 - x)) ** 2 / (a + b) ** 2
+    cuts = np.array(_RULE_CUTS)
+    width = np.diff(cuts)[:, None]
+    axes = ((cuts[:-1, None] + width * t).ravel(), (width * wt).ravel(),
+            t, wt)
+    for axis in axes:
+        axis.setflags(write=False)
+    return axes
+
+
+def _cubature(graph: KGraph) -> tuple[float, float, int]:
+    """Raw form integral of a graph with 2 sampled dimensions (one
+    sampled aerial point, grounds at 0 and 1) by the product rule of
+    _rule_axes at each of _RULE_LEVELS, on the sampler's (s, t) square;
+    returns (value, error, nodes evaluated).  The value is the fine
+    level's; the error is |fine - coarse|, a deterministic estimate (it
+    overstates the fine level's error, which falls about as q^-6), at
+    least the bound (N - 1) eps sum|w f| on rounding in the fine level's
+    sum of N terms.  A block holds whole rows of constant s; the sums
+    are elementwise products and numpy's pairwise sums, never a BLAS
+    dot, so they do not depend on BLAS threads.  A guarded node raises
+    SamplingError."""
+    plan = _Plan(graph, _BLOCK_ROWS)
+    sums, used = [], 0
+    for q in _RULE_LEVELS:
+        s, ws, t, wt = _rule_axes(q)
+        # s nodes per block: equal blocks, so each level binds one length
+        step = max(d for d in range(1, _BLOCK_ROWS // q + 1)
+                   if len(s) % d == 0)
+        rows, mags = np.empty(len(s)), np.empty(len(s))
+        vals = np.empty((step, q))
+        with np.errstate(all="ignore"):     # guarded nodes may divide by 0
+            for c in range(0, len(s), step):
+                np.copyto(plan.ut[0, :step * q].reshape(step, q),
+                          s[c:c + step, None])
+                np.copyto(plan.ut[1, :step * q].reshape(step, q), t)
+                plan._block(vals.reshape(-1))
+                np.multiply(vals, wt, out=vals)
+                np.sum(vals, axis=1, out=rows[c:c + step])
+                np.abs(vals, out=vals)
+                np.sum(vals, axis=1, out=mags[c:c + step])
+        if np.isnan(rows).any():
+            raise SamplingError(f"a rule node for {serialize(graph)} "
+                                "fell inside the coincidence guard")
+        sums.append(float(np.sum(np.multiply(rows, ws, out=rows))))
+        used += len(s) * q
+    rounding = (len(s) * q - 1) * np.finfo(float).eps * float(
+        np.sum(np.multiply(mags, ws, out=mags)))
+    return sums[-1], max(abs(sums[-1] - sums[0]), rounding), used
 
 
 def _redraw(plan: _Plan, vals: np.ndarray, seed: int) -> None:
@@ -696,9 +799,25 @@ def _redraw(plan: _Plan, vals: np.ndarray, seed: int) -> None:
 def integrate(graph: KGraph, method: str, total: int, seed: int
               ) -> tuple[float, float, int]:
     """Raw form integral of a graph of positive form degree (checked by
-    weights.integrate_graph_form) by method, from total // N_REPLICATES
-    points per replicate (at least one), replicate r seeded by
-    stable_seed(seed, "rep", r); returns (value, std_error, n_samples)."""
+    weights.integrate_graph_form); returns (value, std_error, n_samples).
+    method_of(graph, method) names the method: "cubature" (_cubature,
+    which reads neither total nor seed) or method (_sample)."""
+    if method_of(graph, method) == "cubature":
+        return _cubature(graph)
+    return _sample(graph, method, total, seed)
+
+
+def method_of(graph: KGraph, method: str) -> str:
+    """The method integrate applies to graph when asked for method: the
+    deterministic rule, "cubature", for 2 sampled dimensions."""
+    return "cubature" if sampled_dims(graph) == 2 else method
+
+
+def _sample(graph: KGraph, method: str, total: int, seed: int
+            ) -> tuple[float, float, int]:
+    """Raw form integral by method, from total // N_REPLICATES points per
+    replicate (at least one), replicate r seeded by stable_seed(seed,
+    "rep", r); returns (value, std_error, n_samples)."""
     dims = sampled_dims(graph)
     per_rep = max(1, total // N_REPLICATES)
     rep_seeds = [stable_seed(seed, "rep", r) for r in range(N_REPLICATES)]

@@ -16,9 +16,11 @@ Weights divide the raw integral by (2pi)^E n!, E = 2n + m - 2 the
 edge count: the star normalisation at m = 2, and at every m the one
 formality.u_n reads.
 
-Sampling lives in starquant.integrand, which integrate_graph_form
+Integration lives in starquant.integrand, which integrate_graph_form
 imports, and numpy with it, on the first integral of positive degree:
-closed-form weights and tables read from JSON load neither.
+closed-form weights and tables read from JSON load neither.  A graph
+that samples 2 dimensions gets integrand's deterministic rule, method
+"cubature", whatever the configured method, budget and seed.
 """
 from __future__ import annotations
 
@@ -36,11 +38,13 @@ from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
 from .graphs import KGraph, orbit_representative, parse, serialize
 from .halfplane import TWO_PI
 
-_METHODS = ("qmc", "mc")
+_METHODS = ("qmc", "mc")              # what IntegrationConfig can ask for
+# what an estimate can record: the deterministic rule is never asked for
+_ENTRY_METHODS = _METHODS + ("cubature",)
 
-# total sample budgets by integration dimension, powers of two so the
-# replicates stay balanced
-_DEFAULT_BUDGET = {2: 1048576, 3: 2097152, 4: 4194304, 5: 1048576}
+# total sample budgets by form degree, powers of two so the replicates
+# stay balanced; degree 2 (n = 1, m = 2) always gets the rule
+_DEFAULT_BUDGET = {3: 2097152, 4: 4194304, 5: 1048576}
 _FALLBACK_BUDGET = 1048576
 
 
@@ -83,6 +87,13 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class WeightEstimate:
+    """A weight or raw integral with its error.  std_error is the
+    replicate standard error for method qmc or mc, and for "cubature"
+    the rule's deterministic error estimate, which overstates its error;
+    bounds read both as a sigma.  n_samples counts the points the
+    integrand was evaluated at (nodes, for the rule), 0 for an exact
+    entry."""
+
     value: float
     std_error: float
     n_samples: int
@@ -119,9 +130,9 @@ class WeightEstimate:
                 raise ParseError("std_error must be non-negative")
             n_samples, method = json_int(obj["n_samples"], "n_samples"), \
                 obj["method"]
-            if n_samples < 0 or method not in _METHODS:
+            if n_samples < 0 or method not in _ENTRY_METHODS:
                 raise ParseError("n_samples must be non-negative and method "
-                                 f"one of {_METHODS}")
+                                 f"one of {_ENTRY_METHODS}")
             exact = obj.get("exact")
             if exact is not None:
                 num, den = (json_int(q, "exact") for q in exact)
@@ -153,9 +164,11 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig
     """Raw form integral; returns (value, std_error, n_samples).
 
     The form degree (edge count) must equal the domain dimension
-    2n + m - 2, with m >= 2.  The integral is seeded by cfg.seed, and
-    its default budget follows the form degree; integrand.integrate
-    samples it, loaded here on the first integral of positive degree.
+    2n + m - 2, with m >= 2.  integrand.integrate, loaded here on the
+    first integral of positive degree, applies the deterministic rule to
+    a graph with 2 sampled dimensions; it samples any other under
+    cfg.method, seeded by cfg.seed, at a default budget that follows the
+    form degree.
     """
     degree = _form_degree(graph)
     if degree == 0:
@@ -173,15 +186,12 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig
 def weight(graph: KGraph, cfg: IntegrationConfig) -> WeightEstimate:
     """Weight: raw integral over (2pi)^E n! for a graph with m >= 2
     grounds and E = 2n + m - 2 edges; the star weight at m = 2.  The
-    estimate records cfg.seed, which seeds the integral."""
+    estimate records cfg.seed, which seeds a sampled integral."""
     edges = _form_degree(graph)
     if graph.n == 0:
         return WeightEstimate(1.0, 0.0, 0, cfg.seed, cfg.method,
                               exact=Fraction(1))
-    raw, raw_se, n_used = integrate_graph_form(graph, cfg)
-    norm = TWO_PI ** edges * math.factorial(graph.n)
-    est = WeightEstimate(raw / norm, raw_se / norm, n_used, cfg.seed,
-                         cfg.method)
+    est = _integrated(graph, cfg, TWO_PI ** edges * math.factorial(graph.n))
     if cfg.error_target is not None and est.std_error > cfg.error_target:
         warnings.warn(
             f"std_error {est.std_error:.3g} above target "
@@ -291,6 +301,16 @@ def _collapsing_set(graph: KGraph) -> bool:
     return False
 
 
+def _integrated(graph: KGraph, cfg: IntegrationConfig,
+                norm: float = 1.0) -> WeightEstimate:
+    """The raw integral of a graph with n >= 1 over norm, recording cfg.seed
+    and the method integrand.integrate applied."""
+    from . import integrand
+    raw, raw_se, n_used = integrate_graph_form(graph, cfg)
+    return WeightEstimate(raw / norm, raw_se / norm, n_used, cfg.seed,
+                          integrand.method_of(graph, cfg.method))
+
+
 def i_p_integral(p: int, cfg: IntegrationConfig) -> WeightEstimate:
     """Raw angle-form integral over one aerial point and p+1 grounds,
     wedge factors ordered by descending ground position; cfg.seed.
@@ -302,9 +322,7 @@ def i_p_integral(p: int, cfg: IntegrationConfig) -> WeightEstimate:
         raise DegreeMismatchError("i_p_integral needs p >= 1")
     m = p + 1
     targets = tuple(1 + k for k in reversed(range(m)))
-    graph = KGraph(1, m, (targets,))
-    value, se, n_used = integrate_graph_form(graph, cfg)
-    return WeightEstimate(value, se, n_used, cfg.seed, cfg.method)
+    return _integrated(KGraph(1, m, (targets,)), cfg)
 
 
 def i_p_rational(p: int) -> Fraction:
@@ -358,7 +376,8 @@ class WeightTable:
         there is integrated once at k times the per-graph budget
         (cfg.n_samples or default_budget).  Every integral runs under
         cfg with that budget and the seed stable_seed(cfg.seed,
-        serialization).
+        serialization), which the deterministic rule records but does
+        not read.
         """
         pending = {ser: g for g in graphs
                    if (ser := serialize(g)) not in self._entries}

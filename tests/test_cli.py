@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifacts, determinism."""
 import itertools
 import json
+import math
 import os
 import signal
 import subprocess
@@ -152,10 +153,24 @@ class TestWeight:
                      "--samples", "65536", "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_csv_labels_the_rule(self, capsys):
+        """Order-1 graphs sample 2 dimensions: the table names the rule."""
+        assert main(["weight", "-n", "1", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [row.split(",")[-1] for row in rows] == ["cubature"] * 2
+
+    def test_method_cubature_exit_2(self, capsys):
+        """The rule is not a --method: integrate picks it by dimension."""
+        with pytest.raises(SystemExit) as exc:
+            main(["weight", "-n", "1", "--method", "cubature"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_sample_budget_past_the_sobol_resolution_exit_2(self, capsys):
         """2^36 samples would need 2^31 qmc points per replicate, past the
-        30-bit direction numbers; rejected before any block is drawn."""
-        assert main(["weight", "-n", "1", "--samples", str(2 ** 36)]) == 2
+        30-bit direction numbers; rejected before any block is drawn.  The
+        first order-2 graph samples 4 dimensions (order 1 samples none)."""
+        assert main(["weight", "-n", "2", "--samples", str(2 ** 36)]) == 2
         assert "2^30 points per replicate" in capsys.readouterr().err
 
     def test_out_of_memory_exit_3(self, monkeypatch, capsys):
@@ -693,6 +708,16 @@ class TestVerify:
         obj = json.loads(open(out).read())
         assert obj["ok"] is True
         assert obj["std_error"] > 0
+
+    def test_ip_p1_is_the_rule(self, tmp_path, capsys):
+        """I_1 has 2 sampled dimensions: the deterministic rule gives it
+        to within 1e-9 in weight units, inside its reported error."""
+        out = str(tmp_path / "ip.json")
+        assert main(["verify", "ip", "-p", "1", "--out", out]) == 0
+        obj = json.loads(open(out).read())
+        miss = abs(obj["value"] - obj["target"])
+        assert miss <= 1e-9 * (2 * math.pi) ** 2
+        assert 0 < miss <= obj["std_error"]
 
     @pytest.mark.parametrize("p", ["0", "-1", "9", "50"])
     def test_ip_order_out_of_range_exit_2(self, monkeypatch, capsys, p):

@@ -595,6 +595,7 @@ def integrations(monkeypatch):
 
 @pytest.mark.usefixtures("sampled_weights")
 class TestPooledWeights:
+    @pytest.mark.usefixtures("sampler_only")
     def test_cold_order3_integrates_each_sampled_orbit_once(
             self, integrations):
         """The 430 so(3) star graphs of orders 1-3 with a nonzero operator
@@ -665,6 +666,7 @@ class TestPooledWeights:
             assert abs(w - summed[r][0]) <= 4 * joint + 1e-12, r
         assert sampled == 10
 
+    @pytest.mark.usefixtures("sampler_only")
     def test_per_graph_table_keeps_the_per_graph_bytes(self):
         """With every member's own entry in the table, each entry is its
         own source with coefficient +-1, in row order: the series and

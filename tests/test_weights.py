@@ -17,10 +17,11 @@ from scipy.stats import qmc
 
 from starquant import integrand, weights
 from starquant.errors import (ConfigError, ConvergenceWarning,
-                              DegreeMismatchError, ParseError)
+                              DegreeMismatchError, ParseError,
+                              SamplingError)
 from starquant.graphs import (KGraph, orbit_representative, parse,
                               serialize, star_graphs)
-from starquant.halfplane import dphi
+from starquant.halfplane import TWO_PI, dphi
 from starquant.integrand import (MAX_DIMS, _BLOCK_ROWS, _direction_bits,
                                  _draws, sampled_dims)
 from starquant.weights import (IntegrationConfig, WeightEstimate,
@@ -37,6 +38,12 @@ def plan_values(graph, u):
     NaN marks guarded rows."""
     plan = integrand._Plan(graph, max(1, min(len(u), _BLOCK_ROWS)))
     return plan(u, np.empty(len(u)))
+
+
+def sampled_integral(graph, cfg):
+    """integrate_graph_form's sampler called directly, as integrate gives
+    a graph with 2 sampled dimensions the deterministic rule."""
+    return integrand._sample(graph, cfg.method, cfg.n_samples, cfg.seed)
 
 
 def sobol_points(dims, seeds, n):
@@ -82,6 +89,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             IntegrationConfig(error_target=0.0)
 
+    def test_cubature_is_not_a_config_method(self):
+        """An estimate can record the deterministic rule, but nobody asks
+        for it: integrate picks it by the sampled dimension count."""
+        with pytest.raises(ConfigError, match="unknown method"):
+            IntegrationConfig(method="cubature")
+
     @pytest.mark.parametrize("field,bad", [
         ("n_samples", 2.5), ("n_samples", True), ("n_samples", "64"),
         ("seed", 1.5), ("seed", True), ("seed", "1")])
@@ -104,7 +117,11 @@ class TestConfig:
         assert default_budget(9) == 1048576
 
 
+@pytest.mark.usefixtures("sampler_only")
 class TestWeightCalibration:
+    """The sampler's order-1 calibration (its 2 dimensions otherwise go
+    to the deterministic rule, which TestCubature checks)."""
+
     def test_order1_half(self):
         w = weight(ORDER1, IntegrationConfig(seed=42))
         assert abs(w.value - 0.5) <= 3 * w.std_error
@@ -371,8 +388,8 @@ class TestSobolBlock:
 
 
 class TestBlockedReplicates:
-    """integrate_graph_form samples and evaluates replicates in blocks;
-    the per-replicate loop in helpers is the reference, exactly."""
+    """The sampler draws and evaluates replicates in blocks; the
+    per-replicate loop in helpers is the reference, exactly."""
 
     GRAPHS = ["n=1;m=2;1:[L,R]", "n=2;m=2;1:[2,L];2:[1,R]",
               "n=3;m=2;1:[2,L];2:[3,R];3:[L,R]", "n=1;m=3;1:[G2,G1,G0]",
@@ -383,7 +400,7 @@ class TestBlockedReplicates:
     def test_graphs(self, text, method):
         cfg = IntegrationConfig(method=method, seed=11, n_samples=4096)
         graph = parse(text)
-        assert (integrate_graph_form(graph, cfg)
+        assert (sampled_integral(graph, cfg)
                 == per_replicate_integral(graph, cfg))
 
     @pytest.mark.parametrize("method", ["qmc", "mc"])
@@ -395,7 +412,7 @@ class TestBlockedReplicates:
     def test_rows_per_replicate(self, text, n_samples, method):
         cfg = IntegrationConfig(method=method, seed=8, n_samples=n_samples)
         graph = parse(text)
-        assert (integrate_graph_form(graph, cfg)
+        assert (sampled_integral(graph, cfg)
                 == per_replicate_integral(graph, cfg))
 
     @pytest.mark.parametrize("n_samples", [2 ** 17,
@@ -476,7 +493,7 @@ class TestBlockedReplicates:
         monkeypatch.setattr(integrand, "_GUARD", 0.5)
         cfg = IntegrationConfig(method=method, seed=4, n_samples=8192)
         graph = parse(text)
-        got = integrate_graph_form(graph, cfg)
+        got = sampled_integral(graph, cfg)
         assert len(rejected) == integrand.N_REPLICATES and min(rejected) > 0
         assert got == per_replicate_integral(graph, cfg)
 
@@ -511,9 +528,9 @@ class TestBlockedReplicates:
             init(plan, *args)
 
         monkeypatch.setattr(integrand._Plan, "__init__", spy)
-        integrate_graph_form(parse("n=2;m=2;1:[2,L];2:[L,R]"),
-                             IntegrationConfig(method=method, seed=4,
-                                               n_samples=8192))
+        sampled_integral(parse("n=2;m=2;1:[2,L];2:[L,R]"),
+                         IntegrationConfig(method=method, seed=4,
+                                           n_samples=8192))
         assert len(built) == 1
 
 
@@ -601,10 +618,11 @@ class TestSourceReduction:
 
     @staticmethod
     def both(monkeypatch, graph, n_samples):
-        """Reduced and full estimates; a spy on _draws checks that each
-        run sampled its own dimension count, so a plan or layout cached
-        past the patch fails here instead of comparing a reduced estimate
-        with itself."""
+        """Reduced and full estimates of the sampler, called directly (a
+        reduced 2-dim graph otherwise gets the deterministic rule); a spy
+        on _draws checks that each run sampled its own dimension count,
+        so a plan or layout cached past the patch fails here instead of
+        comparing a reduced estimate with itself."""
         cfg = IntegrationConfig(seed=5, n_samples=n_samples)
         sampled = []
         draws = integrand._draws
@@ -615,11 +633,11 @@ class TestSourceReduction:
 
         with monkeypatch.context() as patch:
             patch.setattr(integrand, "_draws", spy)
-            reduced = integrate_graph_form(graph, cfg)
+            reduced = sampled_integral(graph, cfg)
             assert set(sampled) == {sampled_dims(graph)}
             sampled.clear()
             patch.setattr(integrand, "_sources", lambda graph: ())
-            full = integrate_graph_form(graph, cfg)
+            full = sampled_integral(graph, cfg)
             assert set(sampled) == {2 * graph.n + graph.m - 2}
         return reduced, full
 
@@ -669,20 +687,24 @@ class TestSourceReduction:
                                       "n=1;m=3;1:[G2,G1,G0]"])
     def test_all_source_graphs_stay_sampled(self, text):
         """A graph whose every vertex is a source keeps its full integrand
-        and a nonzero sampled std_error."""
+        and a nonzero sampled std_error (the sampler called directly:
+        1:[L,R]'s 2 dimensions otherwise go to the deterministic rule)."""
         graph = parse(text)
         assert integrand._sources(graph) == ()
         assert sampled_dims(graph) == 2 * graph.n + graph.m - 2
-        _, se, _ = integrate_graph_form(
+        _, se, _ = sampled_integral(
             graph, IntegrationConfig(seed=1, n_samples=4096))
         assert se > 0
 
     def test_budget_keyed_by_form_degree(self):
-        """The default budget follows 2n + m - 2, not the sampled count."""
-        graph = parse("n=2;m=2;1:[2,L];2:[L,R]")
+        """The default budget follows 2n + m - 2, not the sampled count:
+        a source reduces this graph from 5 to 3 sampled dimensions."""
+        graph = parse("n=2;m=3;1:[2,G1];2:[G2,G1,G0]")
+        assert sampled_dims(graph) == 3
+        assert default_budget(5) != default_budget(3)
         _, _, n_used = integrate_graph_form(
             graph, IntegrationConfig(seed=1, n_samples=None))
-        assert n_used == default_budget(4)
+        assert n_used == default_budget(5)
 
     def test_dimension_cap_counts_sampled_dims(self):
         """17 aerial vertices, 16 of them on a chain from a source: 32
@@ -693,6 +715,99 @@ class TestSourceReduction:
         _, _, n_used = integrate_graph_form(
             graph, IntegrationConfig(seed=1, n_samples=64))
         assert n_used == 64
+
+
+# every order-2 star graph with 2 sampled dimensions: a source vertex
+# feeding the other, which sends its edges to L and R
+ORDER2_RULE = [g for g in star_graphs(2) if sampled_dims(g) == 2]
+# the order-3 graphs with 2 sampled dimensions and a solved weight
+ORDER3_RULE = [parse("n=3;m=2;1:[2,L];2:[L,R];3:[L,R]"),
+               parse("n=3;m=2;1:[2,R];2:[L,R];3:[L,R]")]
+
+
+class TestCubature:
+    """integrate gives every graph with 2 sampled dimensions the
+    deterministic rule: a proven weight to within 1e-9 and inside the
+    rule's own error estimate, whatever the method, budget or seed."""
+
+    NODES = sum(4 * q * q for q in integrand._RULE_LEVELS)
+
+    def test_graph_counts(self):
+        assert len(ORDER2_RULE) == 16
+        assert all(sampled_dims(g) == 2 for g in [ORDER1] + ORDER3_RULE)
+
+    @pytest.mark.parametrize("graph", [ORDER1] + ORDER2_RULE + ORDER3_RULE,
+                             ids=serialize)
+    def test_proven_weight(self, graph):
+        exact = exact_weight(graph)
+        assert exact is not None and abs(exact) in (
+            Fraction(1, 2), Fraction(1, 24), Fraction(1, 144))
+        est = weight(graph, IntegrationConfig(seed=3))
+        assert est.method == "cubature" and est.exact is None
+        assert est.n_samples == self.NODES
+        miss = abs(est.value - float(exact))
+        assert miss <= 1e-9 and miss <= est.std_error
+
+    def test_i_p_1(self):
+        """verify ip -p 1 integrates I_1 = -(2 pi)^2 / 2 by the rule."""
+        est = i_p_integral(1, IntegrationConfig(seed=0))
+        norm = TWO_PI ** 2
+        miss = abs(est.value - norm * float(i_p_rational(1)))
+        assert est.method == "cubature"
+        assert miss <= 1e-9 * norm and miss <= est.std_error
+
+    def test_method_budget_and_seed_are_not_read(self):
+        graph = ORDER2_RULE[0]
+        got = {weight(graph, IntegrationConfig(method=method, seed=seed,
+                                               n_samples=n_samples))
+               for method in ("qmc", "mc") for seed in (0, 9)
+               for n_samples in (None, 64)}
+        assert len({(e.value, e.std_error, e.n_samples, e.method)
+                    for e in got}) == 1
+
+    def test_other_graphs_are_sampled(self):
+        cfg = IntegrationConfig(method="mc", seed=1, n_samples=1024)
+        est = weight(parse("n=2;m=2;1:[2,L];2:[1,R]"), cfg)
+        assert est.method == "mc" and est.n_samples == 1024
+
+    def test_guarded_node_raises(self, monkeypatch):
+        """A node inside the coincidence guard is an error, never a
+        dropped term."""
+        monkeypatch.setattr(integrand, "_GUARD", 1e-6)
+        with pytest.raises(SamplingError, match="rule node"):
+            integrate_graph_form(ORDER1, IntegrationConfig())
+
+    def test_error_is_never_zero(self, monkeypatch):
+        """Two equal levels agree exactly; the error is then the bound on
+        rounding in the fine level's sum."""
+        monkeypatch.setattr(integrand, "_RULE_LEVELS", (64, 64))
+        value, error, _ = integrate_graph_form(ORDER1, IntegrationConfig())
+        assert 0 < error < 1e-9 * abs(value)
+
+    @pytest.mark.parametrize("q", integrand._RULE_LEVELS)
+    def test_gauss_legendre(self, q):
+        """Ascending nodes inside (0, 1), exact on x^k up to k = 2q - 1."""
+        x, w = integrand._gauss_legendre(q)
+        assert 0 < x[0] and x[-1] < 1 and np.all(np.diff(x) > 0)
+        for k in (0, 1, 2, q, 2 * q - 1):
+            assert float(np.sum(w * x ** k)) == pytest.approx(1 / (k + 1),
+                                                              rel=1e-13)
+
+    @pytest.mark.parametrize("q", integrand._RULE_LEVELS)
+    def test_rule_axes(self, q):
+        """q nodes inside each panel, whose weights sum to its width, and
+        q inside (0, 1), whose weights sum to 1; read-only."""
+        s, ws, t, wt = integrand._rule_axes(q)
+        assert not any(a.flags.writeable for a in (s, ws, t, wt))
+        assert np.all((0 < t) & (t < 1))
+        assert float(np.sum(wt)) == pytest.approx(1, rel=1e-13)
+        cuts = integrand._RULE_CUTS
+        assert len(s) == len(ws) == q * (len(cuts) - 1)
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            part = slice(k * q, (k + 1) * q)
+            assert np.all((lo < s[part]) & (s[part] < hi))
+            assert float(np.sum(ws[part])) == pytest.approx(hi - lo,
+                                                            rel=1e-13)
 
 
 def _i_p_graph(p):
@@ -809,6 +924,21 @@ class TestIntegrandPlan:
             want = dense_integrand(graph, u[:n])
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_source_branch_is_chosen_at_build(self, monkeypatch):
+        """source_form searches for a = bbar (np.min, np.count_nonzero)
+        only for a source on two grounds one of which moves: vertex 1's
+        aerial target and vertex 3's fixed grounds 0 and 1 skip it."""
+        reductions = []
+        for name in ("min", "count_nonzero"):
+            monkeypatch.setattr(np, name, lambda *args, _f=getattr(np, name),
+                                **kw: reductions.append(1) or _f(*args, **kw))
+        u = np.array([(0.3, 0.4), (0.5, 0.0), (0.8, 0.6)])
+        vals = plan_values(parse("n=3;m=2;1:[2,L];2:[L,R];3:[L,R]"), u)
+        assert reductions == [] and np.isnan(vals[1])
+        plan_values(parse("n=2;m=4;1:[G1,G2];2:[G0,G1,G2,G3]"),
+                    np.array([(0.3, 0.4, 0.6, 0.6)]))
+        assert reductions
 
     def test_source_on_coincident_grounds(self):
         """Vertex 1's targets, the moving grounds G1 and G2, coincide in
@@ -962,6 +1092,16 @@ class TestTable:
         first = table.lookup(serialize_(ORDER1))
         table.ensure([ORDER1], cfg)
         assert len(calls) == 2 and table.lookup(serialize_(ORDER1)) is first
+
+    def test_cubature_entry_round_trip(self):
+        """An entry of the deterministic rule loads back equal, label
+        included."""
+        est = weight(ORDER1, IntegrationConfig(seed=2))
+        assert est.method == "cubature"
+        obj = json.loads(json.dumps(est.to_json_obj(ORDER1)))
+        assert WeightEstimate.from_json_obj(obj) == est
+        back = WeightTable.from_json_obj([obj])
+        assert back.get(ORDER1) == est
 
     def test_estimate_json_round_trip(self):
         est = WeightEstimate(0.5, 0.0, 4096, 7, "qmc", exact=Fraction(1, 2))
