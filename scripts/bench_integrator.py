@@ -5,16 +5,21 @@ figures to a JSON file.
     PYTHONPATH=src python scripts/bench_integrator.py --parent OTHER/src \
         --out BENCH.json
 
-Four points, each a fixed set of graphs at one sample budget, timed
-a fixed number of times per graph and round:
+Four points, each a fixed set of sampled graphs at one sample budget,
+timed a fixed number of times per graph and round:
 
     order3_4096      six order-3 star graphs at 4096 samples, 5 times
-                     each (fixed per-integration cost dominates; two
-                     have 6 sampled dimensions)
+                     each (fixed per-integration cost dominates; four
+                     have 4 sampled dimensions, two have 6)
     order4_4096      four order-4 star graphs with 8 sampled dimensions
                      at 4096 samples, 5 times each
-    order2_131072    three order-2 star graphs at 2^17 samples, 3 times
-    order2_default   the same three at the default budget (2^22), once
+    order2_131072    two order-2 star graphs with 4 sampled dimensions,
+                     the wheel and 1:[L,R];2:[L,R], at 2^17 samples, 3
+                     times each
+    order2_default   the same two at the default budget (2^22), once
+
+The script exits 1 before timing if the deterministic rule integrates
+any listed graph (paired.require_sampled).
 
 Each round runs one fresh interpreter per side, alternating which side
 goes first.  A worker integrates the first graph of each point once
@@ -67,8 +72,8 @@ import sys
 import time
 from pathlib import Path
 
-from paired import (add_options, checkouts, run_rounds, run_worker, spread,
-                    versions)
+from paired import (add_options, checkouts, require_sampled, run_rounds,
+                    run_worker, spread, versions)
 
 # resolved at import, so that --help fails once the private name is gone;
 # a worker imports it from its own side's src (PYTHONPATH), where it lives
@@ -80,7 +85,7 @@ except ImportError:
 
 POINTS = {
     "order3_4096": (4096, 5, [
-        "n=3;m=2;1:[2,L];2:[L,R];3:[L,R]",
+        "n=3;m=2;1:[2,L];2:[1,R];3:[L,R]",
         "n=3;m=2;1:[2,L];2:[3,R];3:[L,R]",
         "n=3;m=2;1:[2,3];2:[L,R];3:[L,R]",
         "n=3;m=2;1:[2,L];2:[3,L];3:[1,R]",
@@ -95,13 +100,11 @@ POINTS = {
     ]),
     "order2_131072": (131072, 3, [
         "n=2;m=2;1:[2,L];2:[1,R]",
-        "n=2;m=2;1:[2,L];2:[L,R]",
-        "n=2;m=2;1:[2,R];2:[L,R]",
+        "n=2;m=2;1:[L,R];2:[L,R]",
     ]),
     "order2_default": (None, 1, [
         "n=2;m=2;1:[2,L];2:[1,R]",
-        "n=2;m=2;1:[2,L];2:[L,R]",
-        "n=2;m=2;1:[2,R];2:[L,R]",
+        "n=2;m=2;1:[L,R];2:[L,R]",
     ]),
 }
 TO_STD_ERROR = ("order3_4096", "order2_131072")
@@ -140,9 +143,8 @@ def worker(budgets: dict | None, noise: bool) -> dict:
     round also times the plan build (PLAN_BUILD).  With noise, per
     point only each graph's noise, untimed."""
     from starquant.graphs import parse
-    from starquant.halfplane import TWO_PI
-    from starquant.weights import (IntegrationConfig, integrate_graph_form,
-                                   stable_seed)
+    from starquant.weights import (TWO_PI, IntegrationConfig,
+                                   integrate_graph_form, stable_seed)
 
     def run(text, n_samples, seed=SEED):
         cfg = IntegrationConfig(seed=stable_seed(seed, text),
@@ -260,6 +262,7 @@ def main():
         print(json.dumps(worker(ns.budgets, ns.noise)))
         return 0
     sides = checkouts(ap, ns)
+    require_sampled(t for _, _, texts in POINTS.values() for t in texts)
     rounds = timed_rounds(sides, ns.rounds, {side: None for side in sides})
     # every round of a side must repeat that side's first round
     repeatable = all(r[p]["results"] == rounds[side][0][p]["results"]

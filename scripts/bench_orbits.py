@@ -27,12 +27,14 @@ of the sum of squares of the engine's error sources for r.  One sigma
 is heavy-tailed, so the file records its RMS over NOISE_SEEDS seeds
 per orbit and side (0 where a side has a closed form).
 
-Coverage.  Five sampled orbits have a known W_r (KNOWN).  Over --seeds
-seeds, one cold fill each, the file counts per side how often
-|z| = |W_r - exact| / sigma_W exceeds 3, the RMS of z and the median
-sigma_W per orbit.  The check passes when the change's |z| > 3 rate is
-at most twice the parent's; otherwise the script exits 1.  The noise
-figures reuse the first NOISE_SEEDS coverage seeds.
+Coverage.  Five sampled orbits have a known W_r (KNOWN); the script
+exits 1 before timing if the deterministic rule integrates any of them
+(paired.require_sampled).  Over --seeds seeds, one cold fill each, the
+file counts per side how often |z| = |W_r - exact| / sigma_W exceeds
+3, the RMS of z and the median sigma_W per orbit.  The check passes
+when the change's |z| > 3 rate is at most twice the parent's;
+otherwise the script exits 1.  The noise figures reuse the first
+NOISE_SEEDS coverage seeds.
 """
 import argparse
 import json
@@ -44,8 +46,8 @@ import sys
 import time
 from fractions import Fraction
 
-from paired import (add_options, checkouts, run_rounds, run_worker, spread,
-                    versions)
+from paired import (add_options, checkouts, require_sampled, run_rounds,
+                    run_worker, spread, versions)
 
 # resolved at import, so that --help fails once the private name is gone;
 # a worker imports it from its own side's src (PYTHONPATH)
@@ -57,15 +59,15 @@ SEED = 0
 REPEATS = 3
 NOISE_SEEDS = 8
 # orbits of so(3) star graphs with a known orbit weight (all in
-# weights.SOLVED_WEIGHTS): the two order-2 orbits with a source (8 members
-# of +-1/24), the wheel (8 of -1/48), and two order-3 orbits that
-# factorise into them and an order-1 vertex
+# weights.SOLVED_WEIGHTS), each with 4 sampled dimensions: the wheel (8
+# members of -1/48), three order-3 orbits of members of -1/288, and one
+# order-3 orbit of members of weight 0
 KNOWN = {
-    "n=2;m=2;1:[2,L];2:[L,R]": Fraction(-1, 3),
-    "n=2;m=2;1:[2,R];2:[L,R]": Fraction(1, 3),
     "n=2;m=2;1:[2,L];2:[1,R]": Fraction(-1, 6),
-    "n=3;m=2;1:[2,L];2:[L,R];3:[L,R]": Fraction(-1, 3),
-    "n=3;m=2;1:[2,R];2:[L,R];3:[L,R]": Fraction(1, 3),
+    "n=3;m=2;1:[2,L];2:[1,R];3:[L,R]": Fraction(-1, 6),
+    "n=3;m=2;1:[2,L];2:[3,R];3:[L,R]": Fraction(-1, 6),
+    "n=3;m=2;1:[2,L];2:[L,R];3:[1,R]": Fraction(-1, 6),
+    "n=3;m=2;1:[2,L];2:[3,L];3:[L,R]": Fraction(0),
 }
 
 
@@ -172,6 +174,7 @@ def main():
     sides = checkouts(ap, ns)
     if ns.seeds < NOISE_SEEDS:
         ap.error(f"--seeds must be at least {NOISE_SEEDS}")
+    require_sampled(KNOWN)
 
     rounds = run_rounds(
         sides, ns.rounds,

@@ -8,6 +8,7 @@ interpreters and write the figures to a JSON file.
     run_rounds     alternating rounds of a worker per side
     versions       python, numpy and starquant of one side
     spread         median and quartiles
+    require_sampled  exit 1 unless every listed graph is sampled
 
 Imported by the scripts next to it; it has no command of its own.
 """
@@ -81,3 +82,16 @@ def versions(src: Path) -> dict:
 def spread(xs) -> dict:
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
+
+
+def require_sampled(texts) -> None:
+    """Exit 1 naming the first graph with at most 2 sampled dimensions:
+    the deterministic rule integrates those, and a sampler harness that
+    times or scores them measures the rule instead."""
+    from starquant.graphs import parse
+    from starquant.integrand import sampled_dims
+    for text in texts:
+        dims = sampled_dims(parse(text))
+        if dims <= 2:
+            sys.exit(f"error: {text} has {dims} sampled dimensions: the "
+                     "deterministic rule integrates it, not the sampler")

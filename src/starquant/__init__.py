@@ -17,7 +17,6 @@ from .errors import (ArityMismatchError, ConfigError, ConvergenceWarning,
 from .formality import (ghost_argument_count, graded_symmetry_check,
                         linfty_check, u_n)
 from .graphs import KGraph, count_graphs, enumerate_graphs, parse, serialize, star_graphs
-from .halfplane import AngleGradient, angle_phi, dphi
 from .poly import Polynomial
 from .polyvector import (JacobiReport, PolyVectorField, schouten,
                          validate_poisson, wedge)
@@ -33,7 +32,6 @@ from .weights import (IntegrationConfig, WeightEstimate, WeightTable,
 __all__ = [
     "__version__",
     "QI", "Polynomial", "FormalSeries",
-    "AngleGradient", "angle_phi", "dphi",
     "KGraph", "enumerate_graphs", "count_graphs", "star_graphs",
     "parse", "serialize",
     "PolyVectorField", "JacobiReport", "schouten", "wedge",

@@ -6,7 +6,8 @@ class EngineError(Exception):
 
 
 class DomainError(EngineError, ValueError):
-    """Geometric input outside the closed upper half plane rules."""
+    """A mathematical precondition failed: star products refuse a
+    bivector that does not satisfy the Jacobi identity."""
 
 
 class ParseError(EngineError, ValueError):

@@ -167,31 +167,17 @@ def _single_row_report(identity, resid: Measured, cfg) -> ResidualReport:
                           _verdict_rows([resid.value], [bound], cfg.policy))
 
 
-def graded_symmetry_check(fields, args, cfg: StarConfig | None = None,
-                          pair: tuple = (0, 1)) -> ResidualReport:
-    """Residual of the adjacent-swap symmetry of u_n.
-
-    Swapping neighbours of degrees p_i, p_j costs
-    (-1)^{(p_i-1)(p_j-1)}; non-adjacent pairs would pick up Koszul
-    factors from everything in between, so they are rejected.
+def graded_symmetry_check(fields, args,
+                          cfg: StarConfig | None = None) -> ResidualReport:
+    """Residual of the graded symmetry of u_n under swapping its first
+    two fields: fields of degrees p_0, p_1 swap at the cost of
+    (-1)^{(p_0-1)(p_1-1)}.
     """
     cfg = _with_table(cfg)
     if len(fields) < 2:
         raise ConfigError("symmetry check needs at least two fields")
-    if not isinstance(pair, (tuple, list)) or len(pair) != 2 or any(
-            isinstance(k, bool) or not isinstance(k, int) for k in pair):
-        raise ConfigError(f"pair must be two integers, got {pair!r}")
-    i, j = sorted(pair)
-    if not 0 <= i < j < len(fields):
-        raise ConfigError(
-            f"pair {tuple(pair)} must lie in 0 <= i < j < {len(fields)}")
-    if j != i + 1:
-        raise ConfigError("only adjacent swaps are supported")
-    gi = fields[i].degree - 1
-    gj = fields[j].degree - 1
-    sign = QI((-1) ** (gi * gj))
-    swapped = list(fields)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
+    sign = QI((-1) ** ((fields[0].degree - 1) * (fields[1].degree - 1)))
+    swapped = [fields[1], fields[0], *fields[2:]]
     a = _apply_u(list(fields), list(args), cfg)
     b = _apply_u(swapped, list(args), cfg)
     return _single_row_report("graded symmetry", a + b * -sign, cfg)

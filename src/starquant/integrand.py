@@ -3,7 +3,8 @@ dimensions and sampled replicates for more, loaded with numpy by the
 first integral weights.integrate_graph_form computes.
 
 The integrand is det M where row k holds the coefficients of the k-th
-edge form (rows in vertex-then-slot order) and the columns run over
+edge form, the propagator dphi whose coefficients angle_form writes
+(rows in vertex-then-slot order), and the columns run over
 (x_1, y_1, ..., x_n, y_n, t_1, ..., t_{m-2}) with the moving grounds
 in descending position order.  This column convention fixes the
 orientation that weights calibrates at order 1.
@@ -11,11 +12,11 @@ orientation that weights calibrates at order 1.
 Source vertices are integrated out exactly.  A source (_sources) has
 out-degree 2 and no incoming edge, so its two rows hold the only
 entries of its two columns: det M = det B_v det M', M' without v's rows
-and columns and free of z_v, and z_v integrates to
-halfplane.source_form(a_v, b_v) at its targets' positions.  The
-integrand is therefore prod_v source_form(a_v, b_v) det M' over
-sampled_dims(graph) = 2(n - #sources) + m - 2 coordinates, the
-remaining aerial points in vertex order, then the moving grounds.  A
+and columns and free of z_v, and z_v integrates to source_form(a_v,
+b_v) at its targets' positions.  The integrand is therefore prod_v
+source_form(a_v, b_v) det M' over sampled_dims(graph) = 2(n -
+#sources) + m - 2 coordinates, the remaining aerial points in vertex
+order, then the moving grounds.  A
 graph whose every aerial vertex is a source (the derivative-free
 graphs) keeps the full integrand: 2n dimensions.  Default budgets stay
 keyed by the form degree 2n + m - 2, and MAX_DIMS caps the sampled
@@ -98,7 +99,6 @@ import numpy as np
 
 from .errors import ConfigError, SamplingError
 from .graphs import KGraph, serialize
-from .halfplane import angle_form, source_form
 from .weights import stable_seed
 
 # independent replicates per integral; their spread gives the std_error
@@ -108,6 +108,64 @@ _GUARD = 1e-12
 
 # rows per integrand block: blocks of a few thousand rows cost least per row
 _BLOCK_ROWS = 8192
+
+
+# ---------------------------------------------------------------------------
+# the propagator: the angle form dphi on the upper half plane
+# ---------------------------------------------------------------------------
+
+def angle_form(dx, ym, yp, ia, ib):
+    """(Re A, Im A, d_wy) of dphi from dx = x_z - x_w, ym = y_z - y_w,
+    yp = y_z + y_w, ia = 1/(dx^2 + ym^2) and ib = 1/(dx^2 + yp^2).
+
+    The propagator angle phi(z, w) = arg((z - w)(z - wbar)) of two points
+    of the closed upper half plane H is the angle at z between the
+    geodesics to w and to its mirror image wbar.  Its differential is a
+    single-valued 1-form even though phi jumps across a branch cut, and
+    it has no normal component on the real axis (Neumann).  Since
+    Q = (z - w)(z - wbar) is holomorphic in z,
+
+        dphi = Im(A) dx_z + Re(A) dy_z - Im(A) dx_w + d_wy dy_w,
+
+    with A = d_z log Q = 1/(z - w) + 1/(z - wbar), two simple poles:
+
+        Re A = dx (ia + ib),   Im A = -(ym ia + yp ib),
+        d_wy = 2 y_w Im(1/Q) = dx (ib - ia),
+
+    as 2 i y_w / Q = 1/(z - w) - 1/(z - wbar).  At a ground y_w = 0,
+    ia = ib and d_wy is exactly 0; the x_w coefficient is minus the x_z
+    one, as phi is invariant under a common real translation.
+
+    Only +, -, * and unary minus: elementwise over floats or arrays, and
+    _Plan compiles it over symbolic entries.  No domain checks.
+    """
+    return dx * (ia + ib), -(ym * ia + yp * ib), dx * (ib - ia)
+
+
+def source_form(dx, sy, out=None, *, apart=False):
+    """F(a, b) = int_H dphi(z, a) ^ dphi(z, b), z over H in dx ^ dy, from
+    a - bbar = dx + i sy (dx = x_a - x_b, sy = y_a + y_b):
+
+        F(a, b) = 4 pi arg(a - bbar) - 2 pi^2,
+
+    arg(a - bbar) = arctan2(sy, dx) in [0, pi], by Stokes on
+    phi(z, a) dphi(z, b) with phi(a, b) - phi(b, a) = 2 arg(a - bbar).
+    F(0, 1) = 2 pi^2 is the order-1 weight 1/2, F(a, a) = 0, and the
+    mirror z -> 1 - zbar negates F.  _Plan integrates every source
+    vertex out with it.
+
+    a, b lie in the closed half plane; a = b gives 0, including a = b on
+    the axis, where arg is undefined.  apart=True promises a - bbar != 0
+    on every element whose value counts (a or b aerial, or two distinct
+    fixed grounds) and skips the search for a = b.  Elementwise over
+    arrays or scalars, into out when given; no domain checks.
+    """
+    f = np.multiply(4.0 * math.pi, np.arctan2(sy, dx, out=out), out=out)
+    f = np.subtract(f, 2.0 * math.pi ** 2, out=out)
+    if apart or np.min(sy) > 0 or np.count_nonzero(dx) == np.size(dx):
+        return f                # a - bbar != 0 everywhere
+    zero = np.logical_and(np.equal(dx, 0), np.equal(sy, 0))
+    return np.positive(np.where(zero, 0.0, f), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +476,7 @@ class _Plan:
     function, operands ending in the output) over views of the
     workspace, covering the ground sorting network, the point map and
     Jacobian, the guard's squared distances and mask, the source factors
-    (halfplane.source_form, one call each; it looks for a = bbar only
+    (source_form, one call each; it looks for a = bbar only
     when both targets are grounds and one of them moves) and the
     program.  _block makes those calls and
     writes det M x jac to out."""

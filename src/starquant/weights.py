@@ -4,7 +4,7 @@ angle 1-forms, their closed forms, and weight tables.
 A graph with n aerial and m >= 2 ground vertices integrates the wedge
 product over its edges e of the angle forms
 
-    dphi(z_source(e), target(e))      (coefficients: halfplane.angle_form)
+    dphi(z_source(e), target(e))      (coefficients: integrand.angle_form)
 
 over n points in the upper half plane and m-2 moving ground points
 0 < t < 1, the outer two grounds pinned at 0 and 1.  Orientation is
@@ -36,7 +36,6 @@ from fractions import Fraction
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, json_int)
 from .graphs import KGraph, orbit_representative, parse, serialize
-from .halfplane import TWO_PI
 
 _METHODS = ("qmc", "mc")              # what IntegrationConfig can ask for
 # what an estimate can record: the deterministic rule is never asked for
@@ -46,6 +45,8 @@ _ENTRY_METHODS = _METHODS + ("cubature",)
 # stay balanced; degree 2 (n = 1, m = 2) always gets the rule
 _DEFAULT_BUDGET = {3: 2097152, 4: 4194304, 5: 1048576}
 _FALLBACK_BUDGET = 1048576
+
+TWO_PI = 2.0 * math.pi
 
 
 def stable_seed(*parts) -> int:

@@ -1,19 +1,23 @@
 """Shared fixtures-in-code for the test suite: canned Poisson structures,
 seeded random generators for polynomials and fields, and reference
 implementations that production code is checked against."""
+import cmath
 import contextlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 import pytest
 
 from starquant import weights
+from starquant.errors import DomainError
 from starquant.graphs import enumerate_graphs, orbit_representative, serialize
 from starquant.operators import build_operator, orbit_operators
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
 from starquant.rational import QI
+from starquant.weights import TWO_PI
 
 
 @contextlib.contextmanager
@@ -225,8 +229,59 @@ def _dense_det(m):
     return total
 
 
+@dataclass(frozen=True)
+class AngleGradient:
+    """Partial derivatives of phi(z, w) in (x_z, y_z, x_w, y_w)."""
+
+    d_zx: float
+    d_zy: float
+    d_wx: float
+    d_wy: float
+
+
+def _check_pair(z: complex, w: complex):
+    if z.imag < 0 or w.imag < 0:
+        raise DomainError("points must lie in the closed upper half plane")
+    if z.imag <= 0:
+        raise DomainError("z must be interior (Im z > 0)")
+    if z == w:
+        raise DomainError("phi is undefined at z = w")
+    if z == w.conjugate():
+        raise DomainError("phi is undefined at z = conj(w)")
+
+
+def angle_phi(z, w) -> float:
+    """The propagator angle phi(z, w) = arg((z - w)(z - wbar)) in
+    [0, 2*pi), the angle whose differential integrand.angle_form writes.
+
+    z must be interior; w may sit anywhere in the closed half plane
+    except at z or its mirror image.
+    """
+    zc, wc = complex(z), complex(w)
+    _check_pair(zc, wc)
+    val = cmath.phase((zc - wc) * (zc - wc.conjugate())) % TWO_PI
+    # the mod of a tiny negative phase can round up to exactly 2*pi
+    return 0.0 if val >= TWO_PI else val
+
+
+def dphi(z, w) -> AngleGradient:
+    """All four first derivatives of phi from integrand.angle_form.
+
+    w may be a boundary (ground) point: the y_w derivative then
+    vanishes identically, which is the Neumann condition.
+    """
+    from starquant.integrand import angle_form
+
+    zc, wc = complex(z), complex(w)
+    _check_pair(zc, wc)
+    dx, ym, yp = zc.real - wc.real, zc.imag - wc.imag, zc.imag + wc.imag
+    re, im, d_wy = angle_form(dx, ym, yp, 1.0 / (dx * dx + ym * ym),
+                              1.0 / (dx * dx + yp * yp))
+    return AngleGradient(d_zx=im, d_zy=re, d_wx=-im, d_wy=d_wy)
+
+
 def complex_angle_form(z, w):
-    """Reference for halfplane.angle_form: the complex formula it replaced,
+    """Reference for integrand.angle_form: the complex formula it replaced,
     (A, d_wy) with A = (2z - w - wbar)/Q, Q = (z - w)(z - wbar), and
     d_wy = 2 y_w Im(1/Q); A = 2/(z - w) and d_wy = 0 for a real w."""
     import numpy as np
@@ -240,7 +295,7 @@ def complex_angle_form(z, w):
 
 
 def complex_source_form(a, b):
-    """Reference for halfplane.source_form: 4 pi arg(a - bbar) - 2 pi^2 by
+    """Reference for integrand.source_form: 4 pi arg(a - bbar) - 2 pi^2 by
     np.angle on complex a, b, and 0 where a - bbar = 0."""
     import math
 
@@ -253,7 +308,7 @@ def complex_source_form(a, b):
 
 def dense_integrand(graph, u):
     """Reference for integrand's plan: the form matrix filled
-    densely from halfplane.angle_form, one (rows, k, k) array per call,
+    densely from integrand.angle_form, one (rows, k, k) array per call,
     and _dense_det on it.  A pair of aerial points i < j has one set of
     distances, with dx and y_i - y_j negated for the edge j -> i."""
     import math
@@ -261,7 +316,7 @@ def dense_integrand(graph, u):
     import numpy as np
 
     from starquant import integrand
-    from starquant.halfplane import angle_form, source_form
+    from starquant.integrand import angle_form, source_form
 
     n, m = graph.n, graph.m
     k_move = m - 2

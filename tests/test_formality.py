@@ -287,29 +287,6 @@ class TestGradedSymmetry:
         with pytest.raises(ConfigError):
             graded_symmetry_check([alpha], [Polynomial.variable(DIM, 0),
                                             Polynomial.variable(DIM, 1)])
-        with pytest.raises(ConfigError):
-            graded_symmetry_check([alpha, alpha, alpha],
-                                  [Polynomial.variable(DIM, 0)] * 2,
-                                  pair=(0, 2))
-
-    @pytest.mark.parametrize("pair", [(1, 2), (-1, 0), (0, 0), (2, 3)])
-    def test_rejects_a_pair_outside_the_fields(self, pair):
-        """On two fields (0, 1) is the one swap: an index past the end,
-        or a negative one that would wrap, is refused."""
-        alpha = so3_bivector()
-        with pytest.raises(ConfigError, match="0 <= i < j < 2"):
-            graded_symmetry_check([alpha, alpha],
-                                  [Polynomial.variable(DIM, 0)] * 2,
-                                  pair=pair)
-
-    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), (0.0, 1), (False, True),
-                                      "01", 1])
-    def test_rejects_a_pair_that_is_not_two_integers(self, pair):
-        alpha = so3_bivector()
-        with pytest.raises(ConfigError, match="pair must be two integers"):
-            graded_symmetry_check([alpha, alpha],
-                                  [Polynomial.variable(DIM, 0)] * 2,
-                                  pair=pair)
 
 
 class TestCoherence:

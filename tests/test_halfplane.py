@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import complex_angle_form, complex_source_form
+from helpers import (AngleGradient, angle_phi, complex_angle_form,
+                     complex_source_form, dphi)
 
 from starquant.errors import DomainError
-from starquant.halfplane import (TWO_PI, AngleGradient, angle_form, angle_phi,
-                                 dphi, source_form)
+from starquant.integrand import angle_form, source_form
+from starquant.weights import TWO_PI
 
 # frozen expected values
 PHI_I_2I = 0.0                    # collinear above w: angle closes up

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dense_integrand, per_replicate_integral
+from helpers import dense_integrand, dphi, per_replicate_integral
 from scipy.stats import qmc
 
 from starquant import integrand, weights
@@ -21,10 +21,9 @@ from starquant.errors import (ConfigError, ConvergenceWarning,
                               SamplingError)
 from starquant.graphs import (KGraph, orbit_representative, parse,
                               serialize, star_graphs)
-from starquant.halfplane import TWO_PI, dphi
 from starquant.integrand import (MAX_DIMS, _BLOCK_ROWS, _direction_bits,
                                  _draws, sampled_dims)
-from starquant.weights import (IntegrationConfig, WeightEstimate,
+from starquant.weights import (TWO_PI, IntegrationConfig, WeightEstimate,
                                WeightTable, _collapsing_set, default_budget,
                                exact_weight, i_p_integral, i_p_rational,
                                integrate_graph_form, stable_seed, weight)
@@ -612,7 +611,7 @@ ORDER3_SO3_SAMPLE = random.Random(3).sample(
 
 
 class TestSourceReduction:
-    """The plan integrates source vertices out with halfplane.source_form;
+    """The plan integrates source vertices out with integrand.source_form;
     with the source finder patched to find none it samples every vertex.
     The two estimates of one integral agree."""
 
