@@ -187,17 +187,31 @@ def integrate_graph_form(graph: KGraph, cfg: IntegrationConfig
 def weight(graph: KGraph, cfg: IntegrationConfig) -> WeightEstimate:
     """Weight: raw integral over (2pi)^E n! for a graph with m >= 2
     grounds and E = 2n + m - 2 edges; the star weight at m = 2.  The
-    estimate records cfg.seed, which seeds a sampled integral."""
+    estimate records cfg.seed, which seeds a sampled integral.
+
+    Two weights are stated, not integrated: the order-0 graph's (1) and
+    that of a star graph the vanishing lemma covers (0, see
+    exact_weight).  Each is an exact entry with n_samples 0 under
+    cfg.method; integrate_graph_form still integrates either when asked.
+    """
     edges = _form_degree(graph)
-    if graph.n == 0:
-        return WeightEstimate(1.0, 0.0, 0, cfg.seed, cfg.method,
-                              exact=Fraction(1))
-    est = _integrated(graph, cfg, TWO_PI ** edges * math.factorial(graph.n))
+    if graph.n == 0 or _collapsing_set(graph):
+        exact = Fraction(1 if graph.n == 0 else 0)
+        return WeightEstimate(float(exact), 0.0, 0, cfg.seed, cfg.method,
+                              exact=exact)
+    return _on_target(_integrated(
+        graph, cfg, TWO_PI ** edges * math.factorial(graph.n)), graph, cfg)
+
+
+def _on_target(est: WeightEstimate, graph: KGraph,
+               cfg: IntegrationConfig) -> WeightEstimate:
+    """est, after a ConvergenceWarning naming graph if its std_error is
+    above cfg.error_target."""
     if cfg.error_target is not None and est.std_error > cfg.error_target:
         warnings.warn(
             f"std_error {est.std_error:.3g} above target "
             f"{cfg.error_target:.3g} for {serialize(graph)}",
-            ConvergenceWarning, stacklevel=2)
+            ConvergenceWarning, stacklevel=3)
     return est
 
 
@@ -255,8 +269,9 @@ def exact_weight(graph: KGraph) -> Fraction | None:
       associativity and the other constraints named there, with the
       wheel weight an input from the literature.
     Anything else is None: star products and u_n sample it.
-    `starquant weight` without --exact never calls this, so it still
-    samples every graph.
+    `starquant weight` without --exact never calls this, but weight()
+    states the lemma's zeros through the same predicate, _collapsing_set;
+    every other graph is integrated.
     """
     n, m = graph.n, graph.m
     if m < 2 or graph.edge_count != 2 * n + m - 2:
@@ -291,15 +306,27 @@ def exact_weight(graph: KGraph) -> Fraction | None:
 
 
 def _collapsing_set(graph: KGraph) -> bool:
-    """Does some set S of aerial vertices send every out-edge into S plus
-    at most one ground vertex?"""
+    """The vanishing lemma's hypothesis (exact_weight), its one source:
+    is graph a star graph in which some set S of aerial vertices sends
+    every out-edge into S plus at most one ground vertex?"""
     n = graph.n
+    if graph.m != 2:
+        return False
     for size in range(2, n + 1):
         for s in itertools.combinations(range(n), size):
             out = {t for v in s for t in graph.out_edges[v]}.difference(s)
             if len(out) <= 1 and all(t >= n for t in out):
                 return True
     return False
+
+
+def _by_rule(graph: KGraph, method: str) -> bool:
+    """Does weight integrate graph by integrand's deterministic rule?
+    integrand is loaded only for a graph that weight integrates."""
+    if graph.n == 0 or _collapsing_set(graph):
+        return False
+    from . import integrand
+    return integrand.method_of(graph, method) == "cubature"
 
 
 def _integrated(graph: KGraph, cfg: IntegrationConfig,
@@ -370,32 +397,49 @@ class WeightTable:
         """Fill in missing graphs once each; existing entries are kept.
 
         With use_exact, graphs with a known closed form get exact
-        entries first; the rest are then integrated one after another
-        in the calling thread, in list order.  pooled maps a graph's
+        entries first; the rest then go through weight() one after
+        another in the calling thread, in list order (so the vanishing
+        lemma's zeros are exact either way).  pooled maps a graph's
         serialization to the number k of graphs its one entry stands in
         for (an orbit representative's readers); a missing graph listed
         there is integrated once at k times the per-graph budget
-        (cfg.n_samples or default_budget).  Every integral runs under
-        cfg with that budget and the seed stable_seed(cfg.seed,
-        serialization), which the deterministic rule records but does
-        not read.
+        (cfg.n_samples or default_budget).  Every entry runs under cfg
+        with that budget and records the seed stable_seed(cfg.seed,
+        serialization), which the deterministic rule does not read.
+
+        The rule integrates each orbit once per call: a graph it covers
+        (integrand.method_of) gets sign x the value of its orbit
+        representative (graphs.orbit_representative), with the
+        representative's std_error, n_samples and method.  Every sampled
+        graph keeps an integral of its own, so sampled entries stay
+        independent estimates.
         """
         pending = {ser: g for g in graphs
                    if (ser := serialize(g)) not in self._entries}
-        sampled = []
+        rest = []
         for ser, g in pending.items():
             closed = exact_weight(g) if use_exact else None
             if closed is None:
-                sampled.append((ser, g))
+                rest.append((ser, g))
             else:
                 self._entries[ser] = (g, WeightEstimate(
                     float(closed), 0.0, 0, stable_seed(cfg.seed, ser),
                     cfg.method, exact=closed))
-        for ser, g in sampled:
-            k = (pooled or {}).get(ser, 1)
-            self._entries[ser] = (g, weight(g, replace(
-                cfg, seed=stable_seed(cfg.seed, ser), n_samples=k * (
-                    cfg.n_samples or default_budget(_form_degree(g))))))
+        rules = {}      # orbit representative serial -> its rule estimate
+        for ser, g in rest:
+            budget = cfg.n_samples or default_budget(_form_degree(g))
+            g_cfg = replace(cfg, seed=stable_seed(cfg.seed, ser),
+                            n_samples=(pooled or {}).get(ser, 1) * budget)
+            if not _by_rule(g, cfg.method):
+                self._entries[ser] = (g, weight(g, g_cfg))
+                continue
+            rep, sign = orbit_representative(g)
+            rule = rules.get(rep_ser := serialize(rep))
+            if rule is None:
+                rule = rules[rep_ser] = weight(
+                    rep, replace(g_cfg, error_target=None))
+            self._entries[ser] = (g, _on_target(replace(
+                rule, value=sign * rule.value, seed=g_cfg.seed), g, cfg))
         return self
 
     def to_json_obj(self) -> list:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starquant.cli import main
-from starquant.graphs import star_graphs, to_json_obj
+from starquant.graphs import parse, serialize, star_graphs, to_json_obj
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
 from starquant.rational import QI
@@ -107,12 +107,16 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_numpy(tmp_path):
     """numpy and the sampler load on first use: not on import, not for
     a so(3) associativity check whose weights all have closed forms,
-    not for its --out manifest, which records numpy's version, and
-    numpy as soon as a weight is sampled.  No thread pool loads."""
+    not for its --out manifest, which records numpy's version, not for
+    a weight table of a vanishing-lemma graph, and numpy as soon as a
+    weight is sampled.  No thread pool loads."""
     import starquant
     src = str(Path(starquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     path = str(tmp_path / "assoc.txt")
+    lemma = str(tmp_path / "lemma.json")
+    with open(lemma, "w") as fh:
+        json.dump([{"n": 2, "m": 2, "edges": [[2, "L"], [1, "L"]]}], fh)
     code = (
         "import contextlib, io, sys\n"
         "import starquant, starquant.cli\n"
@@ -126,6 +130,10 @@ def test_import_loads_no_numpy(tmp_path):
         f"'--out', {path!r}])\n"
         "print(code, 'numpy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = starquant.cli.main(['weight', '--graphs', "
+        f"{lemma!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = starquant.cli.main(['weight', '-n', '1', '--samples', "
         "'64'])\n"
         "print(code, 'numpy' in sys.modules)\n"
@@ -134,7 +142,8 @@ def test_import_loads_no_numpy(tmp_path):
         "print(manifest['versions']['numpy'] == numpy.__version__)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "0 False", "0 False", "0 True", "True"]
+    assert out.splitlines() == ["[]", "0 False", "0 False", "0 False",
+                                "0 True", "True"]
 
 
 # the I_2 graph (one aerial vertex, three grounds) and its reversal
@@ -189,6 +198,23 @@ class TestWeight:
         out = capsys.readouterr().out
         assert "parity audit" in out
         assert "pass" in out
+
+    def test_order2_parity_audit_with_lemma_zeros(self, tmp_path, capsys):
+        """Without --exact the eight lemma graphs get exact zeros, which
+        the parity audit compares with their mirrors' exact zeros."""
+        out = tmp_path / "w2.json"
+        assert main(["weight", "-n", "2", "--seed", "0", "--samples", "4096",
+                     "--audit", "parity", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert "parity audit: 36/36 within 3 sigma" in capsys.readouterr().out
+        entries = {e["graph"]: e for e in json.loads(out.read_text())}
+        zeros = {ser for ser, e in entries.items() if "exact" in e}
+        assert len(zeros) == 8
+        for ser in zeros:
+            mirror = serialize(parse(ser).mirror())
+            assert mirror in zeros
+            assert (entries[ser]["exact"], entries[ser]["value"],
+                    entries[ser]["n_samples"]) == ([0, 1], 0.0, 0)
 
     def test_three_ground_graphs_are_weighted(self, tmp_path, capsys):
         """I_2's graph has weight 1/6 and its reversal -1/6."""

@@ -673,19 +673,22 @@ class TestPooledWeights:
         bounds are byte-identical to those of a graph-by-graph engine
         (digests recorded from the engine before pooling; the order-3 one
         again when 6-dimensional integrands left LAPACK for the compiled
-        expansion, which moved six entries by at most one ulp)."""
+        expansion, which moved six entries by at most one ulp; both again
+        when weight() made the vanishing lemma's entries exact zeros,
+        which the pre-change engine reproduces with those entries
+        replaced by exact zeros)."""
         f, g = so3_pair()
         exp = star_expansion(f, g, so3_alpha(), so3_config(3, 5, True))
         blob = json.dumps({"series": exp.series.to_json_obj(),
                            "bounds": list(exp.bounds)}, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "969bbe79cc01b7ec0883f0769b981a71ce5a2a3c4f76ad5caf8eb9d0f07853b7")
+            "34b4c947f1f92272507ba626d9a429137a9872dfb57c4be61c15f1e50348d845")
         x = [Polynomial.variable(3, i) for i in range(3)]
         rep = check_associativity(x[0] * x[1], x[1] * x[2], x[2] * x[0],
                                   so3_alpha(), so3_config(2, 5, True))
         blob = json.dumps(rep.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "65926a14837b906e78170538bd4e076072bfd55dee437a972fbb3a1348ae6106")
+            "237c8f136a1850fade464fb35efd4ffbb3f44ec0897d763720abc073cc4ddc6b")
 
     def test_shared_entry_counts_k_sigma_squared(self):
         """An entry read by k members is one source: the hbar^2 bound is

@@ -30,6 +30,9 @@ from starquant.weights import (TWO_PI, IntegrationConfig, WeightEstimate,
 
 ORDER1 = parse("n=1;m=2;1:[L,R]")
 ORDER1_M = parse("n=1;m=2;1:[R,L]")
+# two order-2 graphs with 4 sampled dimensions
+WHEEL = parse("n=2;m=2;1:[2,L];2:[1,R]")
+MOYAL2 = parse("n=2;m=2;1:[L,R];2:[L,R]")
 
 
 def plan_values(graph, u):
@@ -226,13 +229,34 @@ class TestVanishingLemma:
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_orbits_integrate_to_zero(self, order):
-        """One member of each lemma orbit, integrated at 4096 samples:
-        the integrand vanishes pointwise up to rounding."""
+        """One member of each lemma orbit, sampled at 4096 points by
+        integrate_graph_form (weight() states the zero instead): the
+        integrand vanishes pointwise up to rounding.  The bounds are in
+        weight units, the raw integral over (2pi)^E n!."""
         reps = {orbit_representative(g)[0] for g in lemma_graphs(order)}
         for rep in sorted(reps, key=serialize):
-            est = weight(rep, IntegrationConfig(seed=1, n_samples=4096))
-            assert abs(est.value) <= 1e-12, serialize(rep)
-            assert est.std_error <= 1e-12, serialize(rep)
+            raw, raw_se, n_used = integrate_graph_form(
+                rep, IntegrationConfig(seed=1, n_samples=4096))
+            norm = TWO_PI ** rep.edge_count * math.factorial(rep.n)
+            assert n_used == 4096, serialize(rep)
+            assert abs(raw / norm) <= 1e-12, serialize(rep)
+            assert raw_se / norm <= 1e-12, serialize(rep)
+
+    def test_weight_is_exact_zero_without_integrating(self, monkeypatch):
+        """weight() gives every order-2 and order-3 lemma graph an exact
+        0 with no samples, recording the configured method and seed."""
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated a lemma graph")
+
+        monkeypatch.setattr(weights, "integrate_graph_form", no_integral)
+        cfg = IntegrationConfig(method="mc", seed=4)
+        found = lemma_graphs(2) + lemma_graphs(3)
+        assert len(found) == 576
+        for g in found:
+            est = weight(g, cfg)
+            assert (est.value, est.std_error, est.n_samples, est.seed,
+                    est.method, est.exact) == (0.0, 0.0, 0, 4, "mc", 0), \
+                serialize(g)
 
 
 class TestMovingGround:
@@ -1068,8 +1092,8 @@ class TestTable:
 
     def test_repeated_graph_is_keyed_and_integrated_once(self,
                                                            monkeypatch):
-        """A graph listed twice is serialised once per listing and
-        integrated once, and a graph already in the table is neither
+        """A sampled graph listed twice is serialised once per listing
+        and integrated once, and a graph already in the table is neither
         integrated nor replaced."""
         calls, serials = [], []
         integrate, serialize_ = weights.integrate_graph_form, serialize
@@ -1085,12 +1109,67 @@ class TestTable:
         monkeypatch.setattr(weights, "integrate_graph_form", counting)
         monkeypatch.setattr(weights, "serialize", keying)
         cfg = IntegrationConfig(seed=17, n_samples=1024)
-        table = WeightTable().ensure([ORDER1, ORDER1_M, ORDER1], cfg)
-        assert calls == [ORDER1, ORDER1_M] and len(serials) == 3
-        assert [g for g, _ in table] == [ORDER1, ORDER1_M]
-        first = table.lookup(serialize_(ORDER1))
-        table.ensure([ORDER1], cfg)
-        assert len(calls) == 2 and table.lookup(serialize_(ORDER1)) is first
+        table = WeightTable().ensure([WHEEL, MOYAL2, WHEEL], cfg)
+        assert calls == [WHEEL, MOYAL2] and len(serials) == 3
+        assert [g for g, _ in table] == [WHEEL, MOYAL2]
+        first = table.lookup(serialize_(WHEEL))
+        table.ensure([WHEEL], cfg)
+        assert len(calls) == 2 and table.lookup(serialize_(WHEEL)) is first
+
+    def test_each_rule_orbit_is_integrated_once(self, monkeypatch):
+        """The 16 order-2 rule graphs fall in two orbits: ensure
+        integrates their representatives once each, and every member is
+        sign x its representative's entry bit for bit, with the
+        representative's std_error, n_samples and method and its own
+        seed, within 1e-9 of its proven weight +-1/24."""
+        calls = []
+        integrate = weights.integrate_graph_form
+
+        def counting(graph, cfg):
+            calls.append(graph)
+            return integrate(graph, cfg)
+
+        monkeypatch.setattr(weights, "integrate_graph_form", counting)
+        cfg = IntegrationConfig(seed=5)
+        table = WeightTable().ensure(ORDER2_RULE, cfg)
+        reps = {orbit_representative(g)[0] for g in ORDER2_RULE}
+        assert len(calls) == 2 and set(calls) == reps
+        assert len(table) == 16
+        for g, est in table:
+            rep, sign = orbit_representative(g)
+            want = table.get(rep)
+            assert est == replace(want, value=sign * want.value,
+                                  seed=stable_seed(cfg.seed, serialize(g)))
+            exact = exact_weight(g)
+            assert abs(exact) == Fraction(1, 24)
+            assert abs(est.value - float(exact)) <= 1e-9
+
+    def test_error_target_warns_for_each_rule_member(self):
+        """Two members of one rule orbit share one integral in a table,
+        and each is named in a warning of its own."""
+        cfg = IntegrationConfig(seed=1, error_target=1e-12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            WeightTable().ensure([ORDER1, ORDER1_M], cfg)
+        assert [str(w.message).rsplit(" ", 1)[1] for w in caught] == [
+            serialize(ORDER1), serialize(ORDER1_M)]
+
+    @pytest.mark.usefixtures("sampler_only")
+    def test_sampled_graphs_keep_their_own_integral(self, monkeypatch):
+        """Where every graph is sampled, two members of one orbit get
+        two independent integrals."""
+        calls = []
+        integrate = weights.integrate_graph_form
+
+        def counting(graph, cfg):
+            calls.append(graph)
+            return integrate(graph, cfg)
+
+        monkeypatch.setattr(weights, "integrate_graph_form", counting)
+        table = WeightTable().ensure([ORDER1, ORDER1_M], IntegrationConfig(
+            seed=17, n_samples=1024))
+        assert calls == [ORDER1, ORDER1_M]
+        assert table.get(ORDER1).value != -table.get(ORDER1_M).value
 
     def test_cubature_entry_round_trip(self):
         """An entry of the deterministic rule loads back equal, label
