@@ -8,7 +8,7 @@ to a JSON file.
 Inputs are those of one perfbench verify_o2_warm unit (seed --seed):
 the so(3) bivector, its six argument triples (f, g, h) and the pinned
 order-2 weight table.  A worker builds the star engine for them and
-times five operations, each over a fixed list of operands:
+times eight operations, each over a fixed list of operands:
 
     apply       OrbitOperators.apply of every orbit with a nonzero
                 weight on (f, g), (g, h), (f g, h) and (f, g h) of
@@ -22,8 +22,13 @@ times five operations, each over a fixed list of operands:
     qi_add      QI + QI over all ordered pairs of the first QI_VALUES
                 distinct scalars among the orbit weights and the
                 coefficients of the apply results
+    probe       star.probe_sup of every polynomial one verify_o2_warm
+                unit hands it (recorded in the untimed pass)
     unit        the whole verify_o2_warm unit: six associativity
                 checks and one L-infinity check
+    star_unit   one star_o3_so3 unit (seed --seed): two order-3 so(3)
+                products sharing a table that starts empty, on fresh
+                copies of the pair
 
 Timing.  Each round runs one fresh interpreter per side, alternating
 which side goes first.  A worker runs every operation once untimed
@@ -37,12 +42,14 @@ itself.  The file records per operation the seconds per call (median
 and quartiles over rounds, per side), the median speed-up and in how
 many rounds the change was faster.
 
-Results.  The untimed pass also hashes the repr of every result; the
-check passes when both sides' hashes agree for every operation, and
-the script exits 1 otherwise.
+Results.  The untimed pass also hashes the repr of every result (for
+star_unit, the unit's result and the first product's series and bound
+bytes); the check passes when both sides' hashes agree for every
+operation, and the script exits 1 otherwise.
 """
 import argparse
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -61,11 +68,34 @@ from starquant.poly import Polynomial
 # a worker imports it from its own side's src (PYTHONPATH)
 from starquant.star import _Engine
 
+# starquant.star is shadowed by the exported star() function
+star_mod = importlib.import_module("starquant.star")
+
 ROOT = Path(__file__).resolve().parent.parent
 
 REPEATS = 5
 QI_VALUES = 80
-OPERATIONS = ("apply", "poly_mul", "poly_diff", "qi_mul", "qi_add", "unit")
+OPERATIONS = ("apply", "poly_mul", "poly_diff", "qi_mul", "qi_add", "probe",
+              "unit", "star_unit")
+
+
+def recorded_probes(bench, state) -> list:
+    """The polynomials one unit of bench hands to star.probe_sup."""
+    import workloads
+
+    seen = []
+    probe = star_mod.probe_sup
+
+    def recording(p):
+        seen.append(p)
+        return probe(p)
+
+    star_mod.probe_sup = recording
+    try:
+        bench.unit(state, workloads.Checks())
+    finally:
+        star_mod.probe_sup = probe
+    return seen
 
 
 def build(seed: int) -> dict:
@@ -104,8 +134,27 @@ def build(seed: int) -> dict:
     def fixed(thunk):
         return lambda: thunk
 
+    probes = recorded_probes(bench, state)
+
     def unit():
         return bench.unit(state, workloads.Checks())
+
+    star_bench = workloads.StarO3So3()
+    star_state = star_bench.setup(seed, Path(tempfile.gettempdir()))
+
+    def fresh_star_unit():
+        fresh = dict(star_state, first=None, pair=tuple(
+            Polynomial(p.dim, p.terms) for p in star_state["pair"]))
+
+        def run():
+            checks = workloads.Checks()
+            errors = star_bench.unit(fresh, checks)
+            if checks.failures:
+                raise SystemExit(f"star_o3_so3 checks failed: "
+                                 f"{checks.failures}")
+            return errors, fresh["first"]
+
+        return run
 
     return {
         "apply": (len(applies), fresh_applies),
@@ -114,7 +163,10 @@ def build(seed: int) -> dict:
                       fixed(lambda: [p.diff(i) for p, i in diffs])),
         "qi_mul": (len(pairs), fixed(lambda: [x * y for x, y in pairs])),
         "qi_add": (len(pairs), fixed(lambda: [x + y for x, y in pairs])),
+        "probe": (len(probes),
+                  fixed(lambda: [star_mod.probe_sup(p) for p in probes])),
         "unit": (1, fixed(unit)),
+        "star_unit": (1, fresh_star_unit),
     }
 
 
@@ -174,8 +226,9 @@ def main():
     record = {
         "harness": "scripts/bench_exact.py",
         "what": "seconds per call of OrbitOperators.apply, Polynomial "
-                "mul and diff, QI mul and add and one whole unit on the "
-                f"inputs of a verify_o2_warm unit (seed {ns.seed}): "
+                "mul and diff, QI mul and add, star.probe_sup and one "
+                f"whole unit on the inputs of a verify_o2_warm unit (seed "
+                f"{ns.seed}), and of one star_o3_so3 unit: "
                 f"in-process minimum of {REPEATS}, median and quartiles "
                 "over rounds, one fresh interpreter per side and round, "
                 "sides alternating",

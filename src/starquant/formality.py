@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, DegreeMismatchError, DimensionMismatchError
 from .operators import orbit_operators
-from .poly import Polynomial
+from .poly import Polynomial, _Sum
 from .polyvector import PolyVectorField, schouten
 from .rational import QI
 from .star import (Measured, ResidualReport, StarConfig, _resolve_weights,
@@ -91,7 +91,9 @@ def _u1_closed(field: PolyVectorField, args) -> Polynomial:
 def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
     """Labeled graph sum over orbits with nonzero applied value; args
     applied reversed, weights read from cfg.table by _resolve_weights.
-    Each sampled entry's sensitivity is d/dw of its value.
+    Each sampled entry's sensitivity is d/dw of its value.  The value
+    is one poly._Sum of the applied values scaled by rational x c_e x
+    w, normalised once per monomial.
     """
     n = len(fields)
     rational = QI(Fraction((-1) ** n, math.prod(
@@ -100,15 +102,15 @@ def _u_numeric(fields, args, cfg: StarConfig) -> Measured:
     ops = orbit_operators(tuple(fields), len(args))
     applied = {orbit: ops.apply(orbit, rev) for _, orbit, _ in ops.orbits}
     orbits = [o for o in ops.orbits if not applied[o[1]].is_zero()]
-    value = Polynomial.zero(args[0].dim)
+    value = _Sum(args[0].dim)
     sens: dict = {}
     for r, ser, c, w, sigma in _resolve_weights([(n, ops, orbits)], cfg,
                                                 cfg.table):
-        grad = applied[r[1]] * (rational * c)
-        value = value + grad * w
+        scale = rational * c
+        value.add(applied[r[1]], scale * w)
         if sigma:
-            sens[ser] = grad
-    return Measured(value, sens)
+            sens[ser] = applied[r[1]] * scale
+    return Measured(value.polynomial(), sens)
 
 
 def _apply_u(fields, args, cfg: StarConfig) -> Measured:

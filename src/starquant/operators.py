@@ -19,6 +19,9 @@ outlive a call; applied values are never kept.
 Derivatives of the arguments are read through Polynomial.derivative,
 memoised on each argument for as long as it lives, so every orbit of a
 star product or u_n differentiates its arguments once.
+PolyDiffOperator.apply sums every term's product c_T d^(T_1) arg_1 ...
+in one poly._Sum, so each coefficient of the result is normalised once
+rather than after every product and every addition.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .errors import (ArityMismatchError, DegreeMismatchError,
                      DimensionMismatchError)
 from .graphs import (DEFAULT_CAP, KGraph, count_graphs, orbit_representative,
                      serialize)
-from .poly import Polynomial
+from .poly import Polynomial, _Sum
 from .rational import QI
 
 
@@ -38,9 +41,10 @@ class PolyDiffOperator:
     """Finite sum  c_T(x) * prod_k d^(T_k) arg_k  over multi-indices.
 
     ``terms`` maps a tuple of ``arity`` sorted derivative multi-indices
-    (one per argument slot) to its polynomial coefficient.  Zero
-    coefficients are dropped on construction, so ``not self.terms``
-    means the operator is zero.
+    (one per argument slot) to its polynomial coefficient.  Keys that
+    sort to the same multi-indices name the same derivatives, so their
+    coefficients are summed; zero coefficients are dropped on
+    construction, so ``not self.terms`` means the operator is zero.
     """
 
     __slots__ = ("arity", "dim", "terms")
@@ -56,8 +60,14 @@ class PolyDiffOperator:
             if poly.dim != dim:
                 raise DimensionMismatchError(
                     f"coefficient dim {poly.dim}, operator dim {dim}")
-            if not poly.is_zero():
-                clean[tuple(tuple(sorted(multi)) for multi in key)] = poly
+            if poly.is_zero():
+                continue
+            key = tuple(tuple(sorted(multi)) for multi in key)
+            poly = clean[key] + poly if key in clean else poly
+            if poly.is_zero():
+                del clean[key]
+            else:
+                clean[key] = poly
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
@@ -74,7 +84,9 @@ class PolyDiffOperator:
 
     def apply(self, args) -> Polynomial:
         """The operator on args, reading d^a args[k] through
-        args[k].derivative(a)."""
+        args[k].derivative(a).  Every term's product joins one exact
+        sum, normalised once per output monomial; the result has the
+        values and term order of multiplying and adding term by term."""
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityMismatchError(
@@ -83,17 +95,17 @@ class PolyDiffOperator:
             if a.dim != self.dim:
                 raise DimensionMismatchError(
                     f"argument dim {a.dim}, operator dim {self.dim}")
-        out = Polynomial.zero(self.dim)
+        out = _Sum(self.dim)
         for key, coeff in self.terms.items():
-            term = coeff
+            factors = [coeff]
             for multi, arg in zip(key, args):
                 factor = arg.derivative(multi)
                 if factor.is_zero():
                     break
-                term = term * factor
+                factors.append(factor)
             else:
-                out = out + term
-        return out
+                out.add_product(factors)
+        return out.polynomial()
 
     def __mul__(self, scalar):
         c = QI.try_coerce(scalar)

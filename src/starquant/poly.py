@@ -9,19 +9,29 @@ ring operations and diff, whose results already hold nonzero QI values
 on valid exponent tuples, build them through the unchecked _trusted.
 derivative memoises d^multi on the polynomial (its _jet slot), so the
 orbits of one graph sum differentiate each argument once.
+
+Exact sums of many terms (a product of polynomials, an operator
+applied to its arguments, a star coefficient, a graph sum) go through
+the private accumulator _Sum.  It keeps one running raw triple
+(a, b, d), value (a + b i)/d, per monomial, adds each term's triple to
+it in integers over the lcm of the two denominators, and normalises
+each output coefficient once, by rational._make, when the sum is
+read: one gcd per output monomial instead of one QI and one gcd per
+ring operation.  A running sum that hits 0 drops its monomial, and a
+later term re-adds it at the end, as Polynomial.__add__ does; a
+product's raw terms are complete before they join the sum, so every
+result holds the values and the term order of the op-by-op ring
+operations.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatchError, ParseError, json_int
-from .rational import QI, ZERO
-
-
-def _exp_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
+from .rational import QI, ZERO, _make
 
 
 class Polynomial:
@@ -115,20 +125,9 @@ class Polynomial:
                 return Polynomial.zero(self.dim)
             return _trusted(self.dim, {e: q * c for e, q in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], QI] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _exp_add(e1, e2)
-                c = c1 * c2     # nonzero: Q[i] is a field
-                if e in out:
-                    s = out[e] + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = c
-        return _trusted(self.dim, out)
+        out = _Sum(self.dim)
+        out.add_product((self, other))
+        return out.polynomial()
 
     __rmul__ = __mul__
 
@@ -144,11 +143,13 @@ class Polynomial:
     def diff(self, i: int) -> "Polynomial":
         out: dict[tuple[int, ...], QI] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
+            k = e[i]
+            if k == 0:
                 continue
             ee = list(e)
-            ee[i] -= 1
-            out[tuple(ee)] = c * e[i]
+            ee[i] = k - 1
+            a, b, d = c._abd
+            out[tuple(ee)] = _make(a * k, b * k, d)
         return _trusted(self.dim, out)
 
     def derivative(self, multi: tuple) -> "Polynomial":
@@ -265,3 +266,125 @@ def _trusted(dim: int, terms: dict) -> Polynomial:
     _set_dim(p, dim)
     _set_terms(p, terms)
     return p
+
+
+def _merge(sums: dict, e: tuple, a: int, b: int, d: int) -> None:
+    """Add the raw triple (a + b i)/d to sums[e], a list [A, B, D] of
+    the running sum (A + B i)/D over the lcm of the denominators seen;
+    e is dropped when the sum hits 0 and re-added at the end later."""
+    s = sums.get(e)
+    if s is None:
+        sums[e] = [a, b, d]
+        return
+    A, B, D = s
+    if D != d:
+        if D % d == 0:
+            k = D // d
+            a *= k
+            b *= k
+        elif d % D == 0:
+            k = d // D
+            A *= k
+            B *= k
+            s[2] = d
+        else:
+            g = gcd(D, d)
+            k, D = d // g, D // g
+            A *= k
+            B *= k
+            a *= D
+            b *= D
+            s[2] = D * d
+    A += a
+    B += b
+    if A or B:
+        s[0] = A
+        s[1] = B
+    else:
+        del sums[e]
+
+
+def _times(into: dict, left, right: Polynomial) -> None:
+    """into += left x right: left holds (exponents, raw triple (a, b,
+    d)) pairs, and each product joins into as _merge adds it."""
+    get = into.get
+    rterms = right.terms.items()
+    for e1, (a1, b1, d1) in left:
+        for e2, c2 in rterms:
+            a2, b2, d2 = c2._abd
+            e = tuple(map(add, e1, e2))
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            d = d1 * d2
+            s = get(e)
+            if s is None:
+                into[e] = [a, b, d]
+            elif s[2] == d:     # _merge's common case, inline
+                a += s[0]
+                b += s[1]
+                if a or b:
+                    s[0] = a
+                    s[1] = b
+                else:
+                    del into[e]
+            else:
+                _merge(into, e, a, b, d)
+
+
+class _Sum:
+    """An exact sum of polynomial terms on R^dim, normalised once.
+
+    sums maps each monomial to its running raw triple [a, b, d] (see
+    _merge); polynomial() builds each coefficient with rational._make.
+    Terms join in the order the op-by-op ring operations add them, so
+    the result has their values and their term order.
+    """
+
+    __slots__ = ("dim", "sums")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.sums = {}
+
+    def add(self, p: Polynomial, scale: QI | None = None) -> None:
+        """self += p x scale (scale 1 when None)."""
+        sums = self.sums
+        if scale is None:
+            for e, c in p.terms.items():
+                a, b, d = c._abd
+                _merge(sums, e, a, b, d)
+            return
+        x, y, z = scale._abd
+        if not (x or y):
+            return
+        for e, c in p.terms.items():
+            a, b, d = c._abd
+            _merge(sums, e, a * x - b * y, a * y + b * x, d * z)
+
+    def add_product(self, factors) -> None:
+        """self += the product of the polynomials factors, multiplied
+        left to right, each partial product summed in full before the
+        next factor (so it drops what (f g) h drops)."""
+        first, *rest = factors
+        if not rest:
+            self.add(first)
+            return
+        *rest, last = rest
+        cur = [(e, c._abd) for e, c in first.terms.items()]
+        for q in rest:
+            nxt = {}
+            _times(nxt, cur, q)
+            cur = nxt.items()
+        if not self.sums:
+            _times(self.sums, cur, last)
+            return
+        into = {}
+        _times(into, cur, last)
+        sums = self.sums
+        for e, (a, b, d) in into.items():
+            _merge(sums, e, a, b, d)
+
+    def polynomial(self) -> Polynomial:
+        """The sum as a Polynomial, each coefficient normalised once."""
+        return _trusted(self.dim, {e: _make(a, b, d)
+                                   for e, (a, b, d) in self.sums.items()})

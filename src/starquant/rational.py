@@ -3,7 +3,9 @@
 All symbolic coefficients in the engine live in Q[i].  A QI stores one
 normalised integer triple (a, b, d) with value (a + b i)/d, d > 0 and
 gcd(a, b, d) == 1, so zero is 0/1 and equal values have equal triples.
-A ring operation is a few integer products and one gcd.  Floats
+A ring operation is a few integer products and one gcd.  Sums of many
+terms skip the ring operations: poly._Sum adds raw triples and builds
+each result with _make once.  Floats
 entering from numeric weight estimates are converted exactly (every
 float is a dyadic rational), so downstream arithmetic stays exact and
 reproducible.

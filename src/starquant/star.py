@@ -21,8 +21,11 @@ their bounds are 0, unless the table holds sampled entries of their
 graphs.  A product applies each orbit once per argument pair and
 reads each series coefficient's derivatives from its memo
 (Polynomial.derivative), which lives as long as the coefficient; an
-orbit whose applies are all zero adds no term.  Jacobi is proved once
-per Poisson structure (_jacobi_report).
+orbit whose applies are all zero adds no term.  Each coefficient of an
+orbit term T_r and of a star product is one exact sum (poly._Sum),
+normalised once per monomial, and probe_sup folds its lattice in
+integers over one common denominator.  Jacobi is proved once per
+Poisson structure (_jacobi_report).
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -50,9 +53,9 @@ from fractions import Fraction
 from .errors import ConfigError, DimensionMismatchError, DomainError
 from .graphs import orbit_representative, parse, serialize
 from .operators import orbit_operators
-from .poly import Polynomial
+from .poly import Polynomial, _Sum
 from .polyvector import PolyVectorField, validate_poisson
-from .rational import QI, ZERO
+from .rational import QI
 from .series import FormalSeries
 from .weights import IntegrationConfig, WeightTable
 
@@ -158,27 +161,11 @@ class StarExpansion:
     table: WeightTable
 
 
-def probe_sup(p: Polynomial) -> float:
-    """Max |p| over the probe lattice, exact until the final abs.
-
-    On PROBE = {-1, 0, 1} the power x^k is 1 for k = 0, x for odd k
-    and x^2 (0 or 1) for even k > 0, so p's terms are first summed
-    exactly into a 3^d table indexed by exponent class per axis (0,
-    odd, even).  Each axis is then folded in turn: classes (c0, c1, c2)
-    become the values (c0 - c1 + c2, c0, c0 + c1 + c2) at x = -1, 0, 1.
-    After the last axis the table holds p at every lattice point, for
-    3^d d exact operations in all.
-    """
-    if p.is_zero():
-        return 0.0
-    table = [ZERO] * 3 ** p.dim
-    for exps, c in p.terms.items():
-        at = 0
-        for k in exps:
-            at = 3 * at + (0 if k == 0 else 2 - k % 2)     # 1 odd, 2 even
-        table[at] = table[at] + c
+def _fold(table: list, dim: int) -> None:
+    """Turn a 3^dim table of exponent-class sums into the values at
+    PROBE^dim, in place (see probe_sup)."""
     step = 1
-    for _ in range(p.dim):
+    for _ in range(dim):
         for block in range(0, len(table), 3 * step):
             for i in range(block, block + step):
                 c0, c1, c2 = table[i], table[i + step], table[i + 2 * step]
@@ -186,7 +173,44 @@ def probe_sup(p: Polynomial) -> float:
                 table[i], table[i + step], table[i + 2 * step] = \
                     even - c1, c0, even + c1
         step *= 3
-    return max(abs(v) for v in table)
+
+
+def probe_sup(p: Polynomial) -> float:
+    """Max |p| over the probe lattice, exact until the final abs.
+
+    On PROBE = {-1, 0, 1} the power x^k is 1 for k = 0, x for odd k
+    and x^2 (0 or 1) for even k > 0, so p's terms are first summed
+    into a 3^d table indexed by exponent class per axis (0, odd, even).
+    Each axis is then folded in turn: classes (c0, c1, c2) become the
+    values (c0 - c1 + c2, c0, c0 + c1 + c2) at x = -1, 0, 1.  After the
+    last axis the table holds p at every lattice point, for 3^d d
+    additions in all.
+
+    The sums are exact: every coefficient (a + b i)/d is written over
+    the lcm D of p's denominators, so the real and imaginary tables
+    hold the integers A, B of p = (A + B i)/D at each point.  The only
+    rounding is the last step, abs(complex(A / D, B / D)); int / int is
+    correctly rounded, so A / D is the float of the exact value, as
+    QI.to_complex() of the normalised value gives, and the sup is the
+    float that exact evaluation at each point gives, bit for bit.
+    """
+    if p.is_zero():
+        return 0.0
+    den = math.lcm(*(c._abd[2] for c in p.terms.values()))
+    re = [0] * 3 ** p.dim
+    im = [0] * len(re)
+    for exps, c in p.terms.items():
+        at = 0
+        for k in exps:
+            at = 3 * at + (0 if k == 0 else 2 - k % 2)     # 1 odd, 2 even
+        a, b, d = c._abd
+        k = den // d
+        re[at] += a * k
+        im[at] += b * k
+    _fold(re, p.dim)
+    if any(im):
+        _fold(im, p.dim)
+    return max(abs(complex(a / den, b / den)) for a, b in zip(re, im))
 
 
 class Measured:
@@ -349,7 +373,7 @@ class _Engine:
         order j; None when every such apply is zero."""
         j, orbit = r
         N, ops, c = self.cfg.order, self.families[j], self.scales[j]
-        coeffs = None
+        sums = None
         for k in range(N - j + 1):
             fk = F.coefficient(k)
             if fk.is_zero():
@@ -360,24 +384,32 @@ class _Engine:
                     continue
                 p = ops.apply(orbit, (fk, gl))
                 if not p.is_zero():
-                    if coeffs is None:
-                        coeffs = [Polynomial.zero(self.dim)] * (N + 1)
-                    coeffs[j + k + l] = coeffs[j + k + l] + p * c
-        return None if coeffs is None else FormalSeries(self.dim, N, coeffs)
+                    if sums is None:
+                        sums = [_Sum(self.dim) for _ in range(N + 1)]
+                    sums[j + k + l].add(p, c)
+        return None if sums is None else FormalSeries(
+            self.dim, N, [s.polynomial() for s in sums])
 
     def _star(self, F: FormalSeries, G: FormalSeries,
               terms: dict | None = None) -> FormalSeries:
         """F*G + sum over orbits r of W_r T_r(F, G), with T_r read from
         terms when given (it then holds every orbit with W_r != 0) and
-        computed by _orbit_term when not."""
-        out = F * G
+        computed by _orbit_term when not.  Each coefficient is one
+        poly._Sum, of the products F_i G_j and then the W_r T_r terms."""
+        N = self.cfg.order
+        sums = [_Sum(self.dim) for _ in range(N + 1)]
+        for i, a in enumerate(F.coeffs):
+            if a.terms:
+                for j in range(N + 1 - i):
+                    sums[i + j].add_product((a, G.coeffs[j]))
         for r, w in self.weights.items():
             if not w.is_zero():
                 t = terms[r] if terms is not None \
                     else self._orbit_term(r, F, G)
                 if t is not None:
-                    out = out + t * w
-        return out
+                    for s, p in zip(sums, t.coeffs):
+                        s.add(p, w)
+        return FormalSeries(self.dim, N, [s.polynomial() for s in sums])
 
     def star_series(self, A: Measured, B: Measured) -> Measured:
         """Bilinear star of two measured series of order cfg.order.

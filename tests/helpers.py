@@ -520,3 +520,23 @@ def reference_diff(p: Polynomial, i: int) -> Polynomial:
             ee[i] -= 1
             out[tuple(ee)] = c * e[i]
     return Polynomial(p.dim, out)
+
+
+def reference_apply(op, args) -> Polynomial:
+    """Reference for PolyDiffOperator.apply: each term's coefficient
+    times the derivatives of its arguments, multiplied and added one
+    ring operation at a time by the reference ring operations above,
+    each derivative a chain of reference_diff."""
+    out = Polynomial.zero(op.dim)
+    for key, coeff in op.terms.items():
+        term = coeff
+        for multi, arg in zip(key, args):
+            factor = arg
+            for i in multi:
+                factor = reference_diff(factor, i)
+            if factor.is_zero():
+                break
+            term = reference_mul(term, factor)
+        else:
+            out = reference_add(out, term)
+    return out

@@ -2,17 +2,22 @@
 labeling-sum oracle built on sympy."""
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_polynomial, so3_alpha, symplectic_alpha
+from helpers import (random_polynomial, reference_apply, so3_alpha,
+                     symplectic_alpha)
 from starquant.errors import (ArityMismatchError, DegreeMismatchError,
                               DimensionMismatchError)
 from starquant.graphs import KGraph, parse, star_graphs
 from starquant.operators import PolyDiffOperator, build_operator
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
+from starquant.rational import QI
 
 
 def poly_to_sympy(p: Polynomial, xs):
@@ -194,3 +199,73 @@ class TestAlgebra:
     def test_keys_are_sorted(self):
         op = PolyDiffOperator(1, 2, {((1, 0),): Polynomial.constant(2, 1)})
         assert list(op.terms) == [((0, 1),)]
+
+    def test_keys_naming_the_same_derivatives_are_summed(self):
+        """d0 d1 = d1 d0: both keys sort to ((0, 1),), and their
+        coefficients add; coefficients that cancel leave no term."""
+        x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        op = PolyDiffOperator(1, 2, {((0, 1),): x0, ((1, 0),): x1})
+        assert op.terms == {((0, 1),): x0 + x1}
+        assert op.apply([x0 * x1]) == x0 + x1
+        assert PolyDiffOperator(1, 2, {((0, 1),): x0,
+                                       ((1, 0),): -x0}).is_zero()
+
+
+# Coefficients as sampled weights bring them (floats, read exactly as
+# dyadic rationals with up to 2^1074 denominators), small rationals
+# and their negatives, from a pool small enough that terms cancel.
+_POOL = [QI(1), QI(-1), QI(Fraction(1, 3)), QI(0, Fraction(-1, 2)),
+         QI(0.1), QI(-0.1), QI(0.041666666666666664, -0.3),
+         QI(-0.041666666666666664, 0.3)]
+_coeffs = st.one_of(
+    st.sampled_from(_POOL),
+    st.builds(QI, st.floats(-1, 1, allow_nan=False),
+              st.sampled_from([0.0, 0.0, 2.0 ** -60, -0.75])))
+
+
+def _polys(dim):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * dim), _coeffs, max_size=5
+    ).map(lambda terms: Polynomial(dim, terms))
+
+
+@st.composite
+def _operators_and_args(draw):
+    dim = draw(st.integers(1, 3))
+    arity = draw(st.integers(0, 3))
+    multi = st.lists(st.integers(0, dim - 1), max_size=3).map(tuple)
+    terms = draw(st.dictionaries(st.tuples(*[multi] * arity), _polys(dim),
+                                 max_size=6))
+    args = draw(st.lists(_polys(dim), min_size=arity, max_size=arity))
+    return PolyDiffOperator(arity, dim, terms), args
+
+
+class TestFusedApply:
+    def test_a_cancelled_monomial_rejoins_at_the_end(self):
+        """On 1 + x + x^2 the second term's x^2 cancels the first's and
+        x^2 returns with the third, so it comes last, as in the
+        reference."""
+        x = Polynomial.variable(1, 0)
+        op = PolyDiffOperator(1, 1, {((),): Polynomial.constant(1, 1),
+                                     ((0,),): x * Fraction(-1, 2) + x ** 3,
+                                     ((0, 0),): x * x})
+        arg = Polynomial(1, {(0,): 1, (1,): 1, (2,): 1})
+        want = reference_apply(op, [arg])
+        assert list(want.terms) == [(0,), (1,), (3,), (4,), (2,)]
+        assert list(op.apply([arg]).terms.items()) == list(want.terms.items())
+
+    @given(_operators_and_args())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_op_by_op_reference(self, case):
+        """apply sums every term in one exact accumulator; its result
+        equals the multiply-then-add reference, term order included,
+        and reads the same on fresh copies of its arguments."""
+        op, args = case
+        want = reference_apply(op, args)
+        got = op.apply(args)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(v) is QI and not v.is_zero()
+                   for v in got.terms.values())
+        fresh = [Polynomial(a.dim, a.terms) for a in args]
+        assert op.apply(fresh) == want

@@ -166,6 +166,14 @@ class TestTrustedOps:
             assert all(type(e) is tuple and all(type(k) is int for k in e)
                        for e in got.terms)
 
+    def test_a_cancelled_monomial_rejoins_at_the_end(self):
+        """x^3 cancels after two products and returns with the third,
+        so it comes last, as adding the products one by one gives."""
+        p = Polynomial(1, {(0,): 1, (2,): -1, (1,): -1})
+        q = Polynomial(1, {(1,): 1, (2,): 1, (3,): 1})
+        assert identical(p * q, reference_mul(p, q))
+        assert list((p * q).terms) == [(1,), (4,), (5,), (3,)]
+
     def test_results_do_not_share_terms(self):
         p = Polynomial.variable(2, 0)
         one = Polynomial.constant(2, 1)

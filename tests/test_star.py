@@ -404,14 +404,19 @@ class TestProbeSup:
     @settings(max_examples=60, deadline=None)
     def test_matches_pointwise_exact_evaluation(self, data):
         """The class-folded sup equals the max of |p| evaluated exactly
-        at each lattice point, bit for bit."""
+        at each lattice point, bit for bit, for rational coefficients
+        and for float-derived dyadic ones as sampled weights give."""
         dim = data.draw(st.integers(1, 4))
         big = st.integers(-10**12, 10**12)
         den = st.integers(1, 10**15)
+        real = st.floats(-1e6, 1e6, allow_nan=False)
         terms = data.draw(st.dictionaries(
             st.tuples(*[st.integers(0, 6)] * dim),
-            st.builds(lambda a, b, c, d: QI(Fraction(a, b), Fraction(c, d)),
-                      big, den, big, den),
+            st.one_of(
+                st.builds(lambda a, b, c, d: QI(Fraction(a, b),
+                                                Fraction(c, d)),
+                          big, den, big, den),
+                st.builds(QI, real, st.one_of(st.just(0.0), real))),
             max_size=12))
         p = Polynomial(dim, terms)
         want = max((abs(p.eval_exact(pt))
