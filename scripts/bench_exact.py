@@ -8,7 +8,7 @@ to a JSON file.
 Inputs are those of one perfbench verify_o2_warm unit (seed --seed):
 the so(3) bivector, its six argument triples (f, g, h) and the pinned
 order-2 weight table.  A worker builds the star engine for them and
-times eight operations, each over a fixed list of operands:
+times nine operations, each over a fixed list of operands:
 
     apply       OrbitOperators.apply of every orbit with a nonzero
                 weight on (f, g), (g, h), (f g, h) and (f, g h) of
@@ -25,7 +25,14 @@ times eight operations, each over a fixed list of operands:
     probe       star.probe_sup of every polynomial one verify_o2_warm
                 unit hands it (recorded in the untimed pass)
     unit        the whole verify_o2_warm unit: six associativity
-                checks and one L-infinity check
+                checks and one L-infinity check, on one table and one
+                set of arguments for every call, so from the second
+                call on every weight read is a repeat of the last
+    fresh_unit  the same unit on a pinned table loaded afresh and on
+                fresh copies of its arguments per call, the load and
+                the copies outside the timer: every weight read is
+                resolved anew, as in a process's first unit, while the
+                operator families stay cached
     star_unit   one star_o3_so3 unit (seed --seed): two order-3 so(3)
                 products sharing a table that starts empty, on fresh
                 copies of the pair
@@ -58,6 +65,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from paired import (add_options, checkouts, run_rounds, run_worker, spread,
@@ -76,7 +84,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
 QI_VALUES = 80
 OPERATIONS = ("apply", "poly_mul", "poly_diff", "qi_mul", "qi_add", "probe",
-              "unit", "star_unit")
+              "unit", "fresh_unit", "star_unit")
 
 
 def recorded_probes(bench, state) -> list:
@@ -139,6 +147,16 @@ def build(seed: int) -> dict:
     def unit():
         return bench.unit(state, workloads.Checks())
 
+    def fresh_unit():
+        def copies(polys):
+            return [Polynomial(p.dim, p.terms) for p in polys]
+
+        fresh = dict(
+            state, triples=[tuple(copies(t)) for t in state["triples"]],
+            args=copies(state["args"]),
+            cfg=replace(state["cfg"], table=workloads.load_pinned_table()))
+        return lambda: bench.unit(fresh, workloads.Checks())
+
     star_bench = workloads.StarO3So3()
     star_state = star_bench.setup(seed, Path(tempfile.gettempdir()))
 
@@ -166,6 +184,7 @@ def build(seed: int) -> dict:
         "probe": (len(probes),
                   fixed(lambda: [star_mod.probe_sup(p) for p in probes])),
         "unit": (1, fixed(unit)),
+        "fresh_unit": (1, fresh_unit),
         "star_unit": (1, fresh_star_unit),
     }
 
@@ -227,8 +246,9 @@ def main():
         "harness": "scripts/bench_exact.py",
         "what": "seconds per call of OrbitOperators.apply, Polynomial "
                 "mul and diff, QI mul and add, star.probe_sup and one "
-                f"whole unit on the inputs of a verify_o2_warm unit (seed "
-                f"{ns.seed}), and of one star_o3_so3 unit: "
+                "whole unit, warm and on a freshly loaded table, on the "
+                f"inputs of a verify_o2_warm unit (seed {ns.seed}), and of "
+                "one star_o3_so3 unit: "
                 f"in-process minimum of {REPEATS}, median and quartiles "
                 "over rounds, one fresh interpreter per side and round, "
                 "sides alternating",

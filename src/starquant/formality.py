@@ -20,7 +20,8 @@ u_n and on the L-infinity coherence relation at n <= 2, whose n = 2
 bracket side is the exact trivector closed form.  The graph sum runs
 over orbits; weights at every ground count are star._resolve_weights'
 table entries, read as the star engine reads them (a member's own
-entry, else its representative's), from cfg.table or one per check.
+entry, else its representative's), from cfg.table or one per check,
+and resolved once per family and state of the table's entries.
 Values are star.Measured with one error source per sampled entry,
 keyed by its serial and carrying d/dw of that entry, so a bound reads
 each entry's std_error from the same table.  Operators come from

@@ -18,14 +18,21 @@ derivative-free graphs, the solved orbits of weights.SOLVED_WEIGHTS)
 when it has a closed form, else by one pooled integral.  so(3)
 products and checks through hbar^3 therefore integrate nothing, and
 their bounds are 0, unless the table holds sampled entries of their
-graphs.  A product applies each orbit once per argument pair and
+graphs.  Reads come from the KGraphs the table and the families
+already hold, parsing no serial, and each entry's QI is built once
+(WeightEstimate.qi).  They are resolved once per state of the table's
+entries: the table keeps them (WeightTable.derived), with the engine's
+W_r sums and error sources, under a key of values only (each family's
+order, labels and orbits' (serial, k)), until put or ensure changes
+an entry.  A product applies each orbit once per argument pair and
 reads each series coefficient's derivatives from its memo
 (Polynomial.derivative), which lives as long as the coefficient; an
 orbit whose applies are all zero adds no term.  Each coefficient of an
 orbit term T_r and of a star product is one exact sum (poly._Sum),
 normalised once per monomial, and probe_sup folds its lattice in
-integers over one common denominator.  Jacobi is proved once per
-Poisson structure (_jacobi_report).
+integers over one common denominator; so are each d/dW_r of a
+product and each Measured sum and difference.  Jacobi is proved once
+per Poisson structure (_jacobi_report).
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .graphs import orbit_representative, parse, serialize
+from .graphs import KGraph, orbit_representative, serialize
 from .operators import orbit_operators
 from .poly import Polynomial, _Sum
 from .polyvector import PolyVectorField, validate_poisson
@@ -62,6 +69,7 @@ from .weights import IntegrationConfig, WeightTable
 _JACOBI_MODES = ("require", "warn")
 
 _HALF_I = QI(0, Fraction(1, 2))
+_MINUS_ONE = QI(-1)
 
 PROBE = (-1, 0, 1)      # sup norms are taken over PROBE^d
 
@@ -213,6 +221,21 @@ def probe_sup(p: Polynomial) -> float:
     return max(abs(complex(a / den, b / den)) for a, b in zip(re, im))
 
 
+def _combine(p, q, scale):
+    """p + q x scale (scale 1 when None) for two Polynomials or two
+    FormalSeries of one shape, each coefficient one poly._Sum: the
+    values and term order of adding q x scale to p."""
+    if isinstance(p, FormalSeries):
+        p._check(q)
+        return FormalSeries(p.dim, p.order, [
+            _combine(a, b, scale) for a, b in zip(p.coeffs, q.coeffs)])
+    p._check(q)
+    s = _Sum(p.dim)
+    s.add(p)
+    s.add(q, scale)
+    return s.polynomial()
+
+
 class Measured:
     """An exact value and its exact first-order sensitivities.
 
@@ -228,17 +251,23 @@ class Measured:
         self.sens = sens or {}
 
     def __add__(self, other: "Measured") -> "Measured":
-        sens = dict(self.sens)
-        for s, p in other.sens.items():
-            sens[s] = sens[s] + p if s in sens else p
-        return Measured(self.value + other.value, sens)
+        return self._plus(other, None)
 
     def __mul__(self, c) -> "Measured":
         return Measured(self.value * c,
                         {s: p * c for s, p in self.sens.items()})
 
     def __sub__(self, other: "Measured") -> "Measured":
-        return self + other * QI(-1)
+        return self._plus(other, _MINUS_ONE)
+
+    def _plus(self, other: "Measured", scale) -> "Measured":
+        """self + other x scale (scale 1 when None), each shared
+        component one exact sum (_combine)."""
+        sens = dict(self.sens)
+        for s, p in other.sens.items():
+            sens[s] = _combine(sens[s], p, scale) if s in sens \
+                else p if scale is None else p * scale
+        return Measured(_combine(self.value, other.value, scale), sens)
 
     def coefficient(self, power: int) -> "Measured":
         """The hbar^power coefficient of a series-valued measurement."""
@@ -272,14 +301,20 @@ def _jacobi_report(alpha: PolyVectorField):
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_of(ser: str, labels: tuple) -> tuple:
-    """(orbit serial, sign, out-edges) of the graph serialised as ser,
-    by graphs.orbit_representative with labels, once per process; a
-    graph of another order keeps its own serial."""
-    g = parse(ser)
+def _orbit_of(g: KGraph, labels: tuple) -> tuple:
+    """(orbit serial, sign) of g by graphs.orbit_representative with
+    labels, once per process; a graph of another order keeps its own
+    serial."""
     rep, sign = orbit_representative(g, labels) if g.n == len(labels) \
         else (g, 1)
-    return serialize(rep), sign, g.out_edges
+    return serialize(rep), sign
+
+
+def _family_key(families) -> tuple:
+    """The values a read of families depends on, beside the table's
+    entries: per family its order, labels and orbits' (serial, k)."""
+    return tuple((j, ops.labels, tuple((ser, k) for _, ser, k in orbits))
+                 for j, ops, orbits in families)
 
 
 def _resolve_weights(families, cfg: StarConfig, table: WeightTable) -> list:
@@ -288,33 +323,59 @@ def _resolve_weights(families, cfg: StarConfig, table: WeightTable) -> list:
     (rep, serial, k) of it to read), r = (j, orbit serial), in the
     enumerate_graphs order of each entry's own graph, family by family.
 
+    The reads are _read_weights', resolved once per state of the
+    table's entries (WeightTable.derived) under _family_key(families):
+    a later call on the unchanged table reads them back and calls no
+    ensure, which would add nothing, as the kept reads were resolved
+    after every representative they read was filled."""
+    return table.derived(("reads", _family_key(families)),
+                         lambda: _read_weights(families, cfg, table))
+
+
+def _read_weights(families, cfg: StarConfig, table: WeightTable) -> list:
+    """_resolve_weights' reads, from the table's own graphs.
+
     An orbit member with a table entry of its own reads it, with
     coefficient its sign.  The k - o others read the representative's,
     as their weights are sign x its weight: it adds coefficient k - o.
-    Missing representatives get one entry each: exact when exact_weight
-    has a closed form, else integrated once at k - o times the
-    per-graph budget.  c_e sums an entry's reads."""
-    reads, pooled = {}, {}  # (family index, out-edges) -> [r, serial, c_e]
+    Missing representatives, the KGraphs of the families' orbits, get
+    one entry each: exact when exact_weight has a closed form, else
+    integrated once at k - o times the per-graph budget.  c_e sums an
+    entry's reads."""
+    reads = {}              # (family index, out-edges) -> [r, serial, c_e]
+    pooled, reps = {}, {}   # orbit serial -> k - o, its representative
     for i, (j, ops, orbits) in enumerate(families):
         rest = {orbit: [rep, k] for rep, orbit, k in orbits}
-        for ser in table.serials():
-            orbit, sign, edges = _orbit_of(ser, ops.labels)
+        for ser, g in table.graphs():
+            orbit, sign = _orbit_of(g, ops.labels)
             if orbit in rest:
-                reads[i, edges] = [(j, orbit), ser, sign]
+                reads[i, g.out_edges] = [(j, orbit), ser, sign]
                 rest[orbit][1] -= 1
         for orbit, (rep, k) in rest.items():
             if k:
                 reads.setdefault((i, rep.out_edges),
                                  [(j, orbit), orbit, 0])[2] += k
-                pooled[orbit] = k
-    table.ensure([parse(ser) for ser in pooled if table.lookup(ser) is None],
+                pooled[orbit], reps[orbit] = k, rep
+    table.ensure([rep for orbit, rep in reps.items()
+                  if table.lookup(orbit) is None],
                  cfg.integration, use_exact=True, pooled=pooled)
     out = []
     for _, (r, ser, c) in sorted(reads.items()):
         est = table.lookup(ser)
-        out.append((r, ser, c, QI(est.exact if est.exact is not None
-                                  else est.value), est.std_error))
+        out.append((r, ser, c, est.qi, est.std_error))
     return out
+
+
+def _orbit_weights(reads) -> tuple:
+    """(W_r per orbit r, sources) of _resolve_weights' reads: W_r sums
+    c x w, and a sampled entry read with coefficient c is one source
+    (r, |c| x std_error)."""
+    weights, sources = {}, []
+    for r, _, c, w, sigma in reads:
+        weights[r] = weights.get(r, QI(0)) + c * w
+        if sigma:
+            sources.append((r, abs(c) * sigma))
+    return weights, sources
 
 
 class _Engine:
@@ -325,9 +386,10 @@ class _Engine:
     the factor of its orbit terms.  After ensure_weights, weights holds
     the exact orbit weight W_r of every orbit r = (order, orbit serial)
     and sources lists (r, |c_e| std_error) once per distinct sampled
-    table entry e, in _resolve_weights' order; both belong to
-    this engine alone.  star_series carries d/dW_r for the orbits named
-    in sources.
+    table entry e, in _resolve_weights' order.  Both are kept on the
+    table and shared with every engine reading the same families from
+    it in the same state, so they are read, never changed.
+    star_series carries d/dW_r for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -348,16 +410,13 @@ class _Engine:
         self.sources = []
 
     def ensure_weights(self) -> None:
-        """Sum orbit weights W_r; a sampled entry read with coefficient
-        c is one source (r, |c| x std_error)."""
-        sources = []
-        for r, _, c, w, sigma in _resolve_weights(
-                [(j, ops, ops.orbits) for j, ops in self.families.items()],
-                self.cfg, self.table):
-            self.weights[r] = self.weights.get(r, QI(0)) + c * w
-            if sigma:
-                sources.append((r, abs(c) * sigma))
-        self.sources = sources
+        """Read the orbit weights W_r and sources (_orbit_weights),
+        once per family key and state of the table's entries."""
+        families = [(j, ops, ops.orbits) for j, ops in self.families.items()]
+        self.weights, self.sources = self.table.derived(
+            ("orbit weights", _family_key(families)),
+            lambda: _orbit_weights(_resolve_weights(families, self.cfg,
+                                                    self.table)))
 
     def exact(self, p: Polynomial) -> Measured:
         """p as an error-free series of the engine's order; p must live
@@ -385,19 +444,24 @@ class _Engine:
                 p = ops.apply(orbit, (fk, gl))
                 if not p.is_zero():
                     if sums is None:
-                        sums = [_Sum(self.dim) for _ in range(N + 1)]
+                        sums = self._sums()
                     sums[j + k + l].add(p, c)
-        return None if sums is None else FormalSeries(
-            self.dim, N, [s.polynomial() for s in sums])
+        return None if sums is None else self._series(sums)
 
-    def _star(self, F: FormalSeries, G: FormalSeries,
-              terms: dict | None = None) -> FormalSeries:
-        """F*G + sum over orbits r of W_r T_r(F, G), with T_r read from
-        terms when given (it then holds every orbit with W_r != 0) and
-        computed by _orbit_term when not.  Each coefficient is one
-        poly._Sum, of the products F_i G_j and then the W_r T_r terms."""
+    def _sums(self) -> list:
+        return [_Sum(self.dim) for _ in range(self.cfg.order + 1)]
+
+    def _series(self, sums) -> FormalSeries:
+        return FormalSeries(self.dim, self.cfg.order,
+                            [s.polynomial() for s in sums])
+
+    def _add_star(self, sums, F: FormalSeries, G: FormalSeries,
+                  terms: dict | None = None) -> None:
+        """sums += F*G + sum over orbits r of W_r T_r(F, G), with T_r
+        read from terms when given (it then holds every orbit with
+        W_r != 0) and computed by _orbit_term when not: the products
+        F_i G_j and then the W_r T_r terms, coefficient by coefficient."""
         N = self.cfg.order
-        sums = [_Sum(self.dim) for _ in range(N + 1)]
         for i, a in enumerate(F.coeffs):
             if a.terms:
                 for j in range(N + 1 - i):
@@ -409,7 +473,6 @@ class _Engine:
                 if t is not None:
                     for s, p in zip(sums, t.coeffs):
                         s.add(p, w)
-        return FormalSeries(self.dim, N, [s.polynomial() for s in sums])
 
     def star_series(self, A: Measured, B: Measured) -> Measured:
         """Bilinear star of two measured series of order cfg.order.
@@ -417,7 +480,8 @@ class _Engine:
         d(A*B)/dW_r = T_r(A, B) + dA*B + A*dB, exact because the star
         is linear in each W_r; each T_r(A, B) is computed once and
         serves both the value and d/dW_r, which is kept for every
-        sampled r even when it is zero.
+        sampled r even when it is zero.  The value and each d/dW_r are
+        one poly._Sum per coefficient.
         """
         sampled = {r for r, _ in self.sources}
         terms = {r: self._orbit_term(r, A.value, B.value)
@@ -427,15 +491,18 @@ class _Engine:
         for r, _ in self.sources:
             if r in sens:
                 continue
-            d = terms[r]
-            if d is None:
-                d = FormalSeries.zero(self.dim, self.cfg.order)
+            sums = self._sums()
+            if terms[r] is not None:
+                for s, p in zip(sums, terms[r].coeffs):
+                    s.add(p)
             if r in A.sens:
-                d = d + self._star(A.sens[r], B.value)
+                self._add_star(sums, A.sens[r], B.value)
             if r in B.sens:
-                d = d + self._star(A.value, B.sens[r])
-            sens[r] = d
-        return Measured(self._star(A.value, B.value, terms), sens)
+                self._add_star(sums, A.value, B.sens[r])
+            sens[r] = self._series(sums)
+        sums = self._sums()
+        self._add_star(sums, A.value, B.value, terms)
+        return Measured(self._series(sums), sens)
 
     def bounds(self, m: Measured) -> tuple:
         """Per-power quadrature bound of a measured series."""

@@ -36,6 +36,7 @@ from fractions import Fraction
 from .errors import (ConfigError, ConvergenceWarning, DegreeMismatchError,
                      ParseError, json_int)
 from .graphs import KGraph, orbit_representative, parse, serialize
+from .rational import QI
 
 _METHODS = ("qmc", "mc")              # what IntegrationConfig can ask for
 # what an estimate can record: the deterministic rule is never asked for
@@ -101,6 +102,12 @@ class WeightEstimate:
     seed: int
     method: str
     exact: Fraction | None = None
+
+    @functools.cached_property
+    def qi(self) -> QI:
+        """The weight as a QI: exact when known, else value read exactly
+        as the dyadic rational it is; built once per estimate."""
+        return QI(self.exact if self.exact is not None else self.value)
 
     def to_json_obj(self, graph: KGraph | None = None) -> dict:
         obj = {}
@@ -365,10 +372,16 @@ def i_p_rational(p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class WeightTable:
-    """Ordered map graph serialization -> WeightEstimate."""
+    """Ordered map graph serialization -> WeightEstimate.
+
+    derived keeps values computed from the entries alone (the star
+    engine's weight reads and orbit sums) until the entries next
+    change: put and every entry ensure adds drop them all.
+    """
 
     def __init__(self):
         self._entries: dict[str, tuple[KGraph, WeightEstimate]] = {}
+        self._derived: dict = {}
 
     def __len__(self):
         return len(self._entries)
@@ -384,12 +397,27 @@ class WeightTable:
         hit = self._entries.get(ser)
         return hit[1] if hit else None
 
-    def serials(self):
-        """The serializations of the table's graphs, in table order."""
-        return self._entries.keys()
+    def graphs(self):
+        """(serialization, graph) of each entry, in table order."""
+        return ((ser, g) for ser, (g, _) in self._entries.items())
+
+    def derived(self, key, compute):
+        """The value kept under key, else compute()'s, kept under key
+        until the entries next change.  compute may add entries; its
+        value is kept for the state it leaves.  key and value must
+        depend on nothing but the entries and key's own contents."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = compute()
+            self._derived[key] = hit
+        return hit
+
+    def _set(self, ser: str, graph: KGraph, est: WeightEstimate) -> None:
+        self._derived.clear()
+        self._entries[ser] = (graph, est)
 
     def put(self, graph: KGraph, est: WeightEstimate) -> None:
-        self._entries[serialize(graph)] = (graph, est)
+        self._set(serialize(graph), graph, est)
 
     def ensure(self, graphs, cfg: IntegrationConfig,
                use_exact: bool = False, *,
@@ -412,7 +440,8 @@ class WeightTable:
         representative (graphs.orbit_representative), with the
         representative's std_error, n_samples and method.  Every sampled
         graph keeps an integral of its own, so sampled entries stay
-        independent estimates.
+        independent estimates.  Each entry added drops the values kept
+        by derived; a call that adds none keeps them.
         """
         pending = {ser: g for g in graphs
                    if (ser := serialize(g)) not in self._entries}
@@ -422,7 +451,7 @@ class WeightTable:
             if closed is None:
                 rest.append((ser, g))
             else:
-                self._entries[ser] = (g, WeightEstimate(
+                self._set(ser, g, WeightEstimate(
                     float(closed), 0.0, 0, stable_seed(cfg.seed, ser),
                     cfg.method, exact=closed))
         rules = {}      # orbit representative serial -> its rule estimate
@@ -431,14 +460,14 @@ class WeightTable:
             g_cfg = replace(cfg, seed=stable_seed(cfg.seed, ser),
                             n_samples=(pooled or {}).get(ser, 1) * budget)
             if not _by_rule(g, cfg.method):
-                self._entries[ser] = (g, weight(g, g_cfg))
+                self._set(ser, g, weight(g, g_cfg))
                 continue
             rep, sign = orbit_representative(g)
             rule = rules.get(rep_ser := serialize(rep))
             if rule is None:
                 rule = rules[rep_ser] = weight(
                     rep, replace(g_cfg, error_target=None))
-            self._entries[ser] = (g, _on_target(replace(
+            self._set(ser, g, _on_target(replace(
                 rule, value=sign * rule.value, seed=g_cfg.seed), g, cfg))
         return self
 

@@ -3,14 +3,18 @@ conjugation parity, associativity reports, and the center probe."""
 import importlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starquant import graphs as graphs_mod
+from starquant import weights as weights_mod
 from starquant.errors import (ConfigError, DimensionMismatchError,
                               DomainError)
+from starquant.formality import linfty_check
 from starquant.graphs import parse, star_graphs
 from starquant.operators import orbit_operators
 from starquant.poly import Polynomial
@@ -23,7 +27,8 @@ from starquant.star import (PROBE, ResidualReport, ResidualRow,
                             star, star_expansion)
 from starquant.weights import IntegrationConfig, WeightTable, exact_weight
 
-from helpers import broken_alpha, member_rows, random_polynomial, so3_alpha
+from helpers import (broken_alpha, member_rows, random_linear_bivector,
+                     random_polynomial, so3_alpha)
 
 star_mod = importlib.import_module("starquant.star")  # star() shadows it
 
@@ -230,6 +235,98 @@ class TestTablePrecedence:
         assert k > 1 and sigma > 0
         assert eng.sources == [((2, orbit), k * sigma)]
         assert table.lookup(ser) is None
+
+    def test_an_added_entry_replaces_the_kept_reads(self):
+        """Reads kept for a table state are dropped when ensure adds an
+        entry: a member that read its exact representative (bound 0)
+        reads its own sampled entry once the table has one."""
+        g, ser, orbit, _ = self.member()
+        table = WeightTable()
+        cfg = StarConfig(order=2, table=table)
+        before = star_expansion(self.F, self.G, so3_alpha(), cfg)
+        assert before.bounds == (0.0, 0.0, 0.0)
+        assert table.lookup(orbit).exact is not None
+        table.ensure([g], IntegrationConfig(seed=3, n_samples=256))
+        assert table.lookup(ser).std_error > 0
+        after = star_expansion(self.F, self.G, so3_alpha(), cfg)
+        assert after.bounds[:2] == (0.0, 0.0) and after.bounds[2] > 0
+
+
+class TestReadsPerTableState:
+    """Weight reads are resolved once per state of the table's entries,
+    from the graphs the table and the families hold."""
+
+    @staticmethod
+    def inputs():
+        """so(3), six argument triples and one pair of linear bivectors
+        with the coordinates, as in a verify run of six associativity
+        checks and one coherence check."""
+        rng = random.Random(707)
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        triples = [tuple(x)] + [tuple(random_polynomial(rng, 3)
+                                      for _ in range(3)) for _ in range(5)]
+        rng = random.Random(909)
+        fields = [random_linear_bivector(rng), random_linear_bivector(rng)]
+        return triples, fields, x
+
+    @staticmethod
+    def verify(triples, fields, args, cfg):
+        """The reports, as JSON, of six associativity checks and one
+        coherence check, each on cfg() (called once per check)."""
+        reports = [check_associativity(f, g, h, so3_alpha(), cfg())
+                   for f, g, h in triples]
+        reports.append(linfty_check(fields, args, cfg()))
+        return [rep.to_json_obj() for rep in reports]
+
+    def test_each_distinct_read_is_computed_once(self, small_table,
+                                                 monkeypatch):
+        """Six associativity checks and one coherence check on one table
+        that holds every graph's own entry compute each distinct read,
+        and the engine's orbit sums, once, and report what checks on
+        tables of their own report."""
+        triples, fields, args = self.inputs()
+
+        def own_table():
+            return numeric_cfg(WeightTable.from_json_obj(
+                small_table.to_json_obj()))
+
+        alone = self.verify(triples, fields, args, own_table)
+        reads, sums = [], []
+        read, summed = star_mod._read_weights, star_mod._orbit_weights
+
+        def reading(families, cfg, table):
+            reads.append(star_mod._family_key(families))
+            return read(families, cfg, table)
+
+        def summing(rows):
+            sums.append(rows)
+            return summed(rows)
+
+        monkeypatch.setattr(star_mod, "_read_weights", reading)
+        monkeypatch.setattr(star_mod, "_orbit_weights", summing)
+        cfg = own_table()
+        entries = len(cfg.table)
+        shared = self.verify(triples, fields, args, lambda: cfg)
+        assert len(cfg.table) == entries
+        assert len(reads) >= 2 and len(set(reads)) == len(reads)
+        assert len(sums) == 1
+        assert shared == alone
+
+    def test_cold_order3_product_parses_nothing(self, monkeypatch):
+        """A cold order-3 product fills its table from the families'
+        KGraphs and reads it from the table's own."""
+        def refuse(text):
+            raise AssertionError(f"parse({text!r}) on the read path")
+
+        for mod in (graphs_mod, weights_mod, star_mod):
+            if hasattr(mod, "parse"):
+                monkeypatch.setattr(mod, "parse", refuse)
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        table = WeightTable()
+        exp = star_expansion(x[0] * x[1] * x[2], x[0] * x[0] * x[1],
+                             so3_alpha(), StarConfig(order=3, table=table))
+        assert len(table) == 17
+        assert exp.bounds == (0.0,) * 4
 
 
 class TestMoyal:

@@ -23,6 +23,7 @@ from starquant.graphs import (KGraph, orbit_representative, parse,
                               serialize, star_graphs)
 from starquant.integrand import (MAX_DIMS, _BLOCK_ROWS, _direction_bits,
                                  _draws, sampled_dims)
+from starquant.rational import QI
 from starquant.weights import (TWO_PI, IntegrationConfig, WeightEstimate,
                                WeightTable, _collapsing_set, default_budget,
                                exact_weight, i_p_integral, i_p_rational,
@@ -1180,6 +1181,37 @@ class TestTable:
         assert WeightEstimate.from_json_obj(obj) == est
         back = WeightTable.from_json_obj([obj])
         assert back.get(ORDER1) == est
+
+    def test_qi_is_built_once_per_estimate(self):
+        """An estimate's QI is its exact value when it has one, else its
+        float read exactly, and the same object on every read."""
+        exact = WeightEstimate(0.5, 0.0, 0, 7, "qmc", exact=Fraction(1, 2))
+        sampled = WeightEstimate(0.1, 1e-3, 64, 7, "qmc")
+        assert exact.qi == QI(Fraction(1, 2)) and exact.qi is exact.qi
+        assert sampled.qi == QI(Fraction(0.1)) and sampled.qi is sampled.qi
+        assert replace(sampled) == sampled
+
+    def test_derived_values_last_until_an_entry_changes(self):
+        """derived keeps a value until put or an entry ensure adds; an
+        ensure that adds nothing keeps it."""
+        cfg = IntegrationConfig(seed=1)
+        table = WeightTable().ensure([ORDER1], cfg, use_exact=True)
+        calls = []
+
+        def compute():
+            calls.append(len(table))
+            return object()
+
+        first = table.derived("k", compute)
+        assert table.derived("k", compute) is first
+        table.ensure([ORDER1], cfg, use_exact=True)
+        assert table.derived("k", compute) is first and calls == [1]
+        table.ensure([ORDER1_M], cfg, use_exact=True)
+        second = table.derived("k", compute)
+        assert second is not first and calls == [1, 2]
+        table.put(ORDER1, table.get(ORDER1))
+        assert table.derived("k", compute) is not second
+        assert calls == [1, 2, 2]
 
     def test_estimate_json_round_trip(self):
         est = WeightEstimate(0.5, 0.0, 4096, 7, "qmc", exact=Fraction(1, 2))
