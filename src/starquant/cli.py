@@ -300,6 +300,8 @@ def _seeded_bivector(rng: random.Random, dim: int) -> PolyVectorField:
 def cmd_verify(ns) -> int:
     t0 = time.monotonic()
     suite = ns.suite
+    if ns.order < 0:        # every suite, including those that read none
+        raise ConfigError("truncation order must be >= 0")
     report_obj, ok, lines = _run_suite(suite, ns)
     for line in lines:
         print(line)
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "star evaluation and verifier suites.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common_numeric(p, order=True):
+    def common_numeric(p, order_help="truncation order (default 2)"):
         p.add_argument("--seed", type=int, default=0,
                        help="integration seed (explicit seed => "
                             "byte-identical artifacts)")
@@ -424,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "rule's graphs ignore it")
         p.add_argument("--out", help="write the primary JSON artifact here "
                                      "(manifest lands next to it)")
-        if order:
+        if order_help:
             p.add_argument("-N", "--order", type=int, default=2,
-                           help="truncation order (default 2)")
+                           help=order_help)
 
     p = sub.add_parser("enumerate", help="list admissible graphs")
     p.add_argument("-n", type=int, required=True, help="aerial vertices")
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weight", help="integrate a weight table")
     p.add_argument("--graphs", help="JSON array of graph objects")
     p.add_argument("-n", type=int, help="all star graphs of this order")
-    common_numeric(p, order=False)
+    common_numeric(p, order_help=None)
     p.add_argument("--error-target", type=float, default=None,
                    help="warn (exit 0) when std_error misses this")
     p.add_argument("--exact", action="store_true",
@@ -470,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1)")
     p.add_argument("--policy", type=float, default=3.0)
     p.add_argument("--skip-jacobi", action="store_true")
-    common_numeric(p)
+    common_numeric(p, order_help="truncation order, >= 0 for every suite "
+                                 "(default 2); moyal always runs at order "
+                                 "3, and jacobi and ip read no order")
     p.set_defaults(func=cmd_verify)
 
     return top

@@ -27,11 +27,17 @@ DEFAULT_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class KGraph:
-    """Immutable admissible graph: ordered out-edges per aerial vertex."""
+    """Immutable admissible graph: ordered out-edges per aerial vertex.
+
+    serialize keeps the text form on the graph (_serial) after its first
+    call; it is not a field, so ==, hash, repr, dataclasses.replace and
+    pickling ignore it.
+    """
 
     n: int
     m: int
     out_edges: tuple[tuple[int, ...], ...]
+    _serial = None          # serialize's text, once computed
 
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
@@ -50,6 +56,9 @@ class KGraph:
                     raise ParseError(f"vertex {i + 1} has a self-loop")
                 if not 0 <= t < hi:
                     raise ParseError(f"target {t} of vertex {i + 1} out of range")
+
+    def __getstate__(self):
+        return {"n": self.n, "m": self.m, "out_edges": self.out_edges}
 
     # -- basic structure ------------------------------------------------
     @property
@@ -90,12 +99,18 @@ class KGraph:
 
 
 def serialize(g: KGraph) -> str:
-    """Canonical text form, e.g. ``n=1;m=2;1:[L,R]``."""
-    parts = [f"n={g.n}", f"m={g.m}"]
-    for i, targets in enumerate(g.out_edges):
-        names = ",".join(g.target_name(t) for t in targets)
-        parts.append(f"{i + 1}:[{names}]")
-    return ";".join(parts)
+    """Canonical text form, e.g. ``n=1;m=2;1:[L,R]``.  Computed once per
+    graph object and kept on it, so a graph that the orbit families
+    serialised is not serialised again by the weight table or a read."""
+    ser = g._serial
+    if ser is None:
+        parts = [f"n={g.n}", f"m={g.m}"]
+        for i, targets in enumerate(g.out_edges):
+            names = ",".join(g.target_name(t) for t in targets)
+            parts.append(f"{i + 1}:[{names}]")
+        ser = ";".join(parts)
+        object.__setattr__(g, "_serial", ser)
+    return ser
 
 
 _VERTEX_RE = re.compile(r"^(\d+):\[([^\[\]]*)\]$")
@@ -239,4 +254,5 @@ def orbit_representative(g: KGraph, labels=None) -> tuple[KGraph, int]:
             sign *= s
         if best is None or tuple(rows) < best[0]:
             best = (tuple(rows), sign)
-    return KGraph(n, g.m, best[0]), best[1]
+    rep = g if best[0] == g.out_edges else KGraph(n, g.m, best[0])
+    return rep, best[1]

@@ -19,20 +19,24 @@ when it has a closed form, else by one pooled integral.  so(3)
 products and checks through hbar^3 therefore integrate nothing, and
 their bounds are 0, unless the table holds sampled entries of their
 graphs.  Reads come from the KGraphs the table and the families
-already hold, parsing no serial, and each entry's QI is built once
+already hold, parsing no serial and building none again (serialize
+keeps each graph's text), and each entry's QI is built once
 (WeightEstimate.qi).  They are resolved once per state of the table's
 entries: the table keeps them (WeightTable.derived), with the engine's
-W_r sums and error sources, under a key of values only (each family's
-order, labels and orbits' (serial, k)), until put or ensure changes
-an entry.  A product applies each orbit once per argument pair and
-reads each series coefficient's derivatives from its memo
-(Polynomial.derivative), which lives as long as the coefficient; an
-orbit whose applies are all zero adds no term.  Each coefficient of an
-orbit term T_r and of a star product is one exact sum (poly._Sum),
-normalised once per monomial, and probe_sup folds its lattice in
-integers over one common denominator; so are each d/dW_r of a
-product and each Measured sum and difference.  Jacobi is proved once
-per Poisson structure (_jacobi_report).
+W_r sums, factors (i/2)^j W_r and error sources, under a key of values
+only (each family's order, labels and orbits' (serial, k)), until put
+or ensure changes an entry.  A product applies each orbit once per
+argument pair and reads each series coefficient's derivatives from its
+memo (Polynomial.derivative), which lives as long as the coefficient;
+a zero apply adds no term.  Each coefficient of a star product, of each
+d/dW_r of it and of each Measured sum and difference is one exact sum
+(poly._Sum), normalised once per monomial: an orbit r of order j with
+W_r != 0 adds each apply op_r(F_k, G_l) into it straight, scaled by
+(i/2)^j W_r, except that the orbit term T_r(F, G) of a sampled orbit,
+which d/dW_r reads on its own, is built once per product as one such
+sum per coefficient and serves both.  probe_sup folds its lattice in
+integers over one common denominator.  Jacobi is proved once per
+Poisson structure (_jacobi_report).
 
 Error model.  Every quantity derived here is a Measured value: an
 exact value plus, per error source, its exact first-order
@@ -367,15 +371,18 @@ def _read_weights(families, cfg: StarConfig, table: WeightTable) -> list:
 
 
 def _orbit_weights(reads) -> tuple:
-    """(W_r per orbit r, sources) of _resolve_weights' reads: W_r sums
-    c x w, and a sampled entry read with coefficient c is one source
-    (r, |c| x std_error)."""
+    """(W_r per orbit r, sources, factors) of _resolve_weights' reads:
+    W_r sums c x w, a sampled entry read with coefficient c is one
+    source (r, |c| x std_error), and factors maps each orbit r of order
+    j with W_r != 0 to (i/2)^j W_r, in W_r's order."""
     weights, sources = {}, []
     for r, _, c, w, sigma in reads:
         weights[r] = weights.get(r, QI(0)) + c * w
         if sigma:
             sources.append((r, abs(c) * sigma))
-    return weights, sources
+    factors = {r: _HALF_I ** r[0] * w for r, w in weights.items()
+               if not w.is_zero()}
+    return weights, sources, factors
 
 
 class _Engine:
@@ -384,12 +391,13 @@ class _Engine:
     families[j] is orbit_operators((alpha,) * j, 2), the order-j family
     every call on an equal bivector shares, and scales[j] is (i/2)^j,
     the factor of its orbit terms.  After ensure_weights, weights holds
-    the exact orbit weight W_r of every orbit r = (order, orbit serial)
-    and sources lists (r, |c_e| std_error) once per distinct sampled
-    table entry e, in _resolve_weights' order.  Both are kept on the
-    table and shared with every engine reading the same families from
-    it in the same state, so they are read, never changed.
-    star_series carries d/dW_r for the orbits named in sources.
+    the exact orbit weight W_r of every orbit r = (order, orbit serial),
+    factors the (i/2)^j W_r of each r with W_r != 0, and sources lists
+    (r, |c_e| std_error) once per distinct sampled table entry e, in
+    _resolve_weights' order.  All three are kept on the table and shared
+    with every engine reading the same families from it in the same
+    state, so they are read, never changed.  star_series carries d/dW_r
+    for the orbits named in sources.
     """
 
     def __init__(self, alpha: PolyVectorField, cfg: StarConfig):
@@ -407,13 +415,15 @@ class _Engine:
                          for j in range(1, cfg.order + 1)}
         self.scales = [_HALF_I ** j for j in range(cfg.order + 1)]
         self.weights = {}
+        self.factors = {}
         self.sources = []
 
     def ensure_weights(self) -> None:
-        """Read the orbit weights W_r and sources (_orbit_weights),
-        once per family key and state of the table's entries."""
+        """Read the orbit weights W_r, sources and factors
+        (_orbit_weights), once per family key and state of the table's
+        entries."""
         families = [(j, ops, ops.orbits) for j, ops in self.families.items()]
-        self.weights, self.sources = self.table.derived(
+        self.weights, self.sources, self.factors = self.table.derived(
             ("orbit weights", _family_key(families)),
             lambda: _orbit_weights(_resolve_weights(families, self.cfg,
                                                     self.table)))
@@ -426,27 +436,30 @@ class _Engine:
                 f"argument on R^{p.dim}, bivector on R^{self.dim}")
         return Measured(FormalSeries.from_polynomial(p, self.cfg.order))
 
-    def _orbit_term(self, r: tuple, F: FormalSeries, G: FormalSeries
-                    ) -> FormalSeries | None:
-        """T_r(F, G): (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l), r of
-        order j; None when every such apply is zero."""
+    def _add_orbit(self, sums, r: tuple, F: FormalSeries, G: FormalSeries,
+                   scale: QI) -> None:
+        """sums[j+k+l] += op_r(F_k, G_l) x scale for j + k + l <= order,
+        r of order j, skipping zero coefficients and zero applies."""
         j, orbit = r
-        N, ops, c = self.cfg.order, self.families[j], self.scales[j]
-        sums = None
+        N, ops = self.cfg.order, self.families[j]
         for k in range(N - j + 1):
-            fk = F.coefficient(k)
-            if fk.is_zero():
+            fk = F.coeffs[k]
+            if not fk.terms:
                 continue
             for l in range(N - j - k + 1):
-                gl = G.coefficient(l)
-                if gl.is_zero():
-                    continue
-                p = ops.apply(orbit, (fk, gl))
-                if not p.is_zero():
-                    if sums is None:
-                        sums = self._sums()
-                    sums[j + k + l].add(p, c)
-        return None if sums is None else self._series(sums)
+                gl = G.coeffs[l]
+                if gl.terms:
+                    p = ops.apply(orbit, (fk, gl))
+                    if p.terms:
+                        sums[j + k + l].add(p, scale)
+
+    def _orbit_term(self, r: tuple, F: FormalSeries, G: FormalSeries
+                    ) -> FormalSeries:
+        """T_r(F, G): (i/2)^j op_r(F_k, G_l) at hbar^(j+k+l), r of
+        order j."""
+        sums = self._sums()
+        self._add_orbit(sums, r, F, G, self.scales[r[0]])
+        return self._series(sums)
 
     def _sums(self) -> list:
         return [_Sum(self.dim) for _ in range(self.cfg.order + 1)]
@@ -457,44 +470,42 @@ class _Engine:
 
     def _add_star(self, sums, F: FormalSeries, G: FormalSeries,
                   terms: dict | None = None) -> None:
-        """sums += F*G + sum over orbits r of W_r T_r(F, G), with T_r
-        read from terms when given (it then holds every orbit with
-        W_r != 0) and computed by _orbit_term when not: the products
-        F_i G_j and then the W_r T_r terms, coefficient by coefficient."""
+        """sums += F*G + sum over orbits r of W_r T_r(F, G): the products
+        F_i G_j, then orbit by orbit with W_r != 0, W_r x T_r when terms
+        holds T_r, else each apply op_r(F_k, G_l) added straight in with
+        the factor (i/2)^j W_r (_add_orbit), building no T_r."""
         N = self.cfg.order
         for i, a in enumerate(F.coeffs):
             if a.terms:
                 for j in range(N + 1 - i):
                     sums[i + j].add_product((a, G.coeffs[j]))
-        for r, w in self.weights.items():
-            if not w.is_zero():
-                t = terms[r] if terms is not None \
-                    else self._orbit_term(r, F, G)
-                if t is not None:
-                    for s, p in zip(sums, t.coeffs):
-                        s.add(p, w)
+        for r, factor in self.factors.items():
+            t = terms.get(r) if terms else None
+            if t is None:
+                self._add_orbit(sums, r, F, G, factor)
+            else:
+                w = self.weights[r]
+                for s, p in zip(sums, t.coeffs):
+                    s.add(p, w)
 
     def star_series(self, A: Measured, B: Measured) -> Measured:
         """Bilinear star of two measured series of order cfg.order.
 
         d(A*B)/dW_r = T_r(A, B) + dA*B + A*dB, exact because the star
-        is linear in each W_r; each T_r(A, B) is computed once and
-        serves both the value and d/dW_r, which is kept for every
-        sampled r even when it is zero.  The value and each d/dW_r are
-        one poly._Sum per coefficient.
+        is linear in each W_r; it is kept for every sampled r, in
+        sources' order, even when it is zero.  Only a sampled orbit's
+        T_r(A, B) is built as a series, once, serving both the value and
+        d/dW_r; every other orbit term, and every orbit term of dA*B and
+        A*dB, goes apply by apply into the sums (_add_star).  The value
+        and each d/dW_r are one poly._Sum per coefficient.
         """
-        sampled = {r for r, _ in self.sources}
         terms = {r: self._orbit_term(r, A.value, B.value)
-                 for r, w in self.weights.items()
-                 if r in sampled or not w.is_zero()}
+                 for r in dict.fromkeys(r for r, _ in self.sources)}
         sens = {}
-        for r, _ in self.sources:
-            if r in sens:
-                continue
+        for r, t in terms.items():
             sums = self._sums()
-            if terms[r] is not None:
-                for s, p in zip(sums, terms[r].coeffs):
-                    s.add(p)
+            for s, p in zip(sums, t.coeffs):
+                s.add(p)
             if r in A.sens:
                 self._add_star(sums, A.sens[r], B.value)
             if r in B.sens:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant.cli import main
+from starquant.cli import SUITES, main
 from starquant.graphs import parse, serialize, star_graphs, to_json_obj
 from starquant.poly import Polynomial
 from starquant.polyvector import PolyVectorField
@@ -789,6 +789,12 @@ class TestVerify:
         assert [r["power"] for r in powers] == list(range(int(order) + 1))
         assert all(r["residual_max"] == 0 and r["bound"] == 0
                    for r in powers)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_negative_order_exit_2(self, capsys, suite):
+        """Every suite rejects -N < 0, also those that read no order."""
+        assert main(["verify", suite, "-N", "-2"]) == 2
+        assert "truncation order must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", ["inf", "1e309", "nan"])
     def test_non_finite_policy_exit_2(self, capsys, policy):

@@ -1,7 +1,10 @@
 """Graph enumeration against a brute-force oracle, plus serialization
 round-trips and the mirror involution."""
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,8 @@ from hypothesis import strategies as st
 
 from starquant.errors import EnumerationCapError, ParseError
 from starquant.graphs import (KGraph, count_graphs, enumerate_graphs,
-                              from_json_obj, parse, serialize, star_graphs,
-                              to_json_obj)
+                              from_json_obj, orbit_representative, parse,
+                              serialize, star_graphs, to_json_obj)
 
 
 def brute_force_count(n, m, degrees):
@@ -160,6 +163,45 @@ class TestSerialization:
             KGraph(1, 2, ((1, 5),))  # out of range
         with pytest.raises(ParseError):
             KGraph(2, 2, ((2, 3),))  # missing row
+
+
+class TestKeptSerial:
+    """serialize keeps each graph's text on the graph, outside its value."""
+
+    def test_repeat_returns_the_kept_string(self):
+        g = parse("n=2;m=2;1:[2,L];2:[L,R]")
+        first = serialize(g)
+        assert first == "n=2;m=2;1:[2,L];2:[L,R]"
+        assert serialize(g) is first
+
+    def test_equal_graphs_built_apart_serialise_equal(self):
+        for g in star_graphs(2) + enumerate_graphs(1, 3, [2]):
+            text = serialize(g)
+            twin = KGraph(g.n, g.m, [list(t) for t in g.out_edges])
+            assert twin == g and twin is not g
+            assert serialize(twin) == text == serialize(parse(text))
+
+    def test_kept_serial_is_not_part_of_the_value(self):
+        g = parse("n=2;m=2;1:[2,R];2:[L,R]")
+        fresh = KGraph(g.n, g.m, g.out_edges)
+        text = serialize(g)
+        assert g._serial == text and fresh._serial is None
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh) and text not in repr(g)
+        assert [f.name for f in dataclasses.fields(g)] \
+            == ["n", "m", "out_edges"]
+        for twin in (dataclasses.replace(g), pickle.loads(pickle.dumps(g)),
+                     copy.copy(g), copy.deepcopy(g)):
+            assert twin == g and "_serial" not in vars(twin)
+            assert serialize(twin) == text
+
+    def test_a_representative_is_its_own(self):
+        """orbit_representative hands back a representative itself, so
+        the text serialize kept on it is read again."""
+        for g in star_graphs(2):
+            rep, _ = orbit_representative(g)
+            assert orbit_representative(rep) == (rep, 1)
+            assert orbit_representative(rep)[0] is rep
 
 
 class TestStructure:

@@ -548,6 +548,179 @@ class TestPinnedSensitivities:
         assert tuple(r.bound.hex() for r in rep.rows) == PINNED_BOUNDS[case]
 
 
+# -- orbit terms added straight into a product's sums ----------------------
+
+def ring_star(eng, A, B):
+    """eng's star of two measured series by op-by-op ring operations,
+    every orbit term T_r built as a series of its own and then added
+    x W_r: the values and term order of each product and each d/dW_r,
+    however the engine adds its orbit terms."""
+    N, dim = eng.cfg.order, eng.dim
+
+    def term(r, F, G):
+        j, orbit = r
+        out = [Polynomial.zero(dim)] * (N + 1)
+        for k, l in itertools.product(range(N - j + 1), repeat=2):
+            if j + k + l <= N:
+                p = eng.families[j].apply(
+                    orbit, (F.coefficient(k), G.coefficient(l)))
+                out[j + k + l] = out[j + k + l] + p * HALF_I ** j
+        return out
+
+    def add_star(out, F, G):
+        for i, a in enumerate(F.coeffs):
+            for j in range(N + 1 - i):
+                out[i + j] = out[i + j] + a * G.coeffs[j]
+        for r, w in eng.weights.items():
+            if not w.is_zero():
+                for n, p in enumerate(term(r, F, G)):
+                    out[n] = out[n] + p * w
+        return out
+
+    sens = {}
+    for r, _ in eng.sources:
+        if r not in sens:
+            out = term(r, A.value, B.value)
+            if r in A.sens:
+                out = add_star(out, A.sens[r], B.value)
+            if r in B.sens:
+                out = add_star(out, A.value, B.sens[r])
+            sens[r] = FormalSeries(dim, N, out)
+    value = add_star([Polynomial.zero(dim)] * (N + 1), A.value, B.value)
+    return star_mod.Measured(FormalSeries(dim, N, value), sens)
+
+
+def terms_in_order(series) -> list:
+    """Each coefficient's (exponents, value) pairs in term order."""
+    return [list(p.terms.items()) for p in series.coeffs]
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def order3(request):
+    """An order-3 product on an empty table (so(3): every weight exact;
+    dim-2: 14 sampled entries), its inputs, and the graph-by-graph
+    reference on the table it filled."""
+    alpha = CASES[request.param]()
+    x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
+    polys = (x[0] * x[1] * x[-1], x[0] * x[0] * x[1], x[1] * x[1] + x[0])
+    cfg = StarConfig(order=3, table=WeightTable(),
+                     integration=IntegrationConfig(seed=5, n_samples=4096))
+    exp = star_expansion(polys[0], polys[1], alpha, cfg)
+    return alpha, polys, cfg, exp, Reference(alpha, cfg.table, 3)
+
+
+class TestDirectOrbitTerms:
+    """A product adds the applies of every orbit term no d/dW_r reads
+    straight into its sums; a sampled orbit's T_r is built once."""
+
+    def test_order3_series_is_the_reference_in_term_order(self, order3):
+        alpha, (f, g, _), cfg, exp, ref = order3
+        F, G = (FormalSeries.from_polynomial(p, 3) for p in (f, g))
+        want = ref.series(F, G, ref.wmap)
+        assert exp.series == want
+        assert terms_in_order(exp.series) == terms_in_order(want)
+        assert not exp.series.coefficient(3).is_zero()
+        assert any(exp.bounds) == (alpha.dim == 2)
+
+    def test_nested_products_keep_values_and_term_order(self, order3):
+        """(f*g)*h with its d/dW_r: equal, term by term in order, to the
+        ring assembly, and in value to the graph-by-graph reference."""
+        alpha, (f, g, h), cfg, _, ref = order3
+        eng = star_mod._Engine(alpha, cfg)
+        eng.ensure_weights()
+        F, G, H = (eng.exact(p) for p in (f, g, h))
+        got = eng.star_series(eng.star_series(F, G), H)
+        want = ring_star(eng, ring_star(eng, F, G), H)
+        assert terms_in_order(got.value) == terms_in_order(want.value)
+        assert list(got.sens) == list(want.sens)
+        assert bool(got.sens) == (alpha.dim == 2)
+        for r, d in got.sens.items():
+            assert terms_in_order(d) == terms_in_order(want.sens[r])
+        F, G, H = (FormalSeries.from_polynomial(p, 3) for p in (f, g, h))
+        assert got.value == ref.series(ref.series(F, G, ref.wmap), H,
+                                       ref.wmap)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned_residual_keeps_values_and_term_order(self, case):
+        """On per-graph sampled order-2 entries every orbit is sampled:
+        the associativity residual and each d/dW_r equal the ring
+        assembly's, in term order."""
+        alpha = CASES[case]()
+        x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
+        eng = star_mod._Engine(alpha, StarConfig(order=2,
+                                                 table=pinned_table()))
+        eng.ensure_weights()
+        F, G, H = (eng.exact(p) for p in (x[0] * x[1], x[1], x[0] * x[0]))
+
+        def residual(star_series):
+            resid = star_series(star_series(F, G), H) \
+                - star_series(F, star_series(G, H))
+            return [terms_in_order(s)
+                    for s in (resid.value, *resid.sens.values())]
+
+        got = residual(eng.star_series)
+        assert got == residual(lambda A, B: ring_star(eng, A, B))
+        assert len(got) == 1 + len(PINNED_SENS)
+
+    def test_exact_order3_product_builds_no_orbit_term(self, monkeypatch):
+        """No d/dW_r reads a so(3) orbit term through hbar^3 on an exact
+        table, so a product builds none of them as a series."""
+        built = []
+        term = star_mod._Engine._orbit_term
+
+        def counting(self, r, F, G):
+            built.append(r)
+            return term(self, r, F, G)
+
+        monkeypatch.setattr(star_mod._Engine, "_orbit_term", counting)
+        cfg = StarConfig(order=3, table=WeightTable())
+        exp = star_expansion(*so3_pair(), so3_alpha(), cfg)
+        assert exp.bounds == (0.0,) * 4
+        assert not exp.series.coefficient(3).is_zero()
+        assert built == []
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sampled_orbit_terms_are_built_once_per_product(
+            self, case, monkeypatch):
+        """On per-graph sampled order-2 entries, each product of an
+        associativity check builds one T_r per sampled orbit, in the
+        order of the residual's d/dW_r."""
+        alpha = CASES[case]()
+        x = [Polynomial.variable(alpha.dim, i) for i in range(alpha.dim)]
+        products = []
+        term, product = star_mod._Engine._orbit_term, \
+            star_mod._Engine.star_series
+
+        def building(self, r, F, G):
+            products[-1].append(r)
+            return term(self, r, F, G)
+
+        def counting(self, A, B):
+            products.append([])
+            return product(self, A, B)
+
+        monkeypatch.setattr(star_mod._Engine, "_orbit_term", building)
+        monkeypatch.setattr(star_mod._Engine, "star_series", counting)
+        check_associativity(x[0] * x[1], x[1], x[0] * x[0], alpha,
+                            StarConfig(order=2, table=pinned_table()))
+        assert products == [list(PINNED_SENS)] * 4
+
+    def test_cold_order3_read_serialises_no_graph(self, monkeypatch):
+        """Once the families are built, a cold order-3 product fills and
+        reads its table from the serials they computed: serialize builds
+        no text."""
+        cfg = StarConfig(order=3, table=WeightTable())
+        star_mod._Engine(so3_alpha(), cfg)
+        star_mod._orbit_of.cache_clear()
+
+        def refuse(g, t):
+            raise AssertionError(f"serialising {g!r} again")
+
+        monkeypatch.setattr(KGraph, "target_name", refuse)
+        exp = star_expansion(*so3_pair(), so3_alpha(), cfg)
+        assert len(cfg.table) == 17 and exp.bounds == (0.0,) * 4
+
+
 # -- one pooled integral per sampled orbit ---------------------------------
 
 def so3_pair():
